@@ -94,7 +94,6 @@ def _params(args) -> PipelineParams:
         alpha=args.alpha,
         merge_gap=args.merge_gap,
         diacritic_max_contour=args.contour_max,
-        neighborhood=2,
     )
 
 
@@ -260,7 +259,7 @@ def cmd_evaluate(args) -> int:
         page = _load_binary(path)
         analysis = analyze_page(page, params)
         predictions.append((path.stem, analysis.features))
-    report = evalmod.score(predictions, truth)
+    report = evalmod.score(predictions, truth, _profiles(args), q_min=args.qmin)
 
     table = evalmod.format_report(report)
     sys.stdout.write(table + "\n")

@@ -2,7 +2,7 @@
 
 Ground truth is a plain text file, one record per line:
 
-    image_id H=<n> J=<n> P=<n> Q=<n> B=<n> PAW=<n> [SCRIPT=<Arabic|Latin>]
+    image_id H=<n> J=<n> P=<n> Q=<n> B=<n> PAW=<n> [SCRIPT=<profile name>]
 
 with '#' comments, UTF-8. Scoring clamps per document: a feature's correct
 count is min(predicted, expected), so over-detection is never rewarded and
@@ -124,20 +124,20 @@ def load_ground_truth(path) -> list[GroundTruth]:
         if any(v < 0 for v in counts.values()) or paws < 0:
             raise GroundTruthError(f"{path}:{lineno}: counts must be non-negative")
         script = fields.get("SCRIPT")
-        if script is not None and script not in ("Arabic", "Latin"):
-            raise GroundTruthError(f"{path}:{lineno}: SCRIPT must be Arabic or Latin")
+        if script == "":
+            raise GroundTruthError(f"{path}:{lineno}: SCRIPT must name a profile")
         seen[image_id] = lineno
         records.append(GroundTruth(image_id, counts, paws, script))
     return records
 
 
-def score(predictions, truth) -> EvalReport:
+def score(predictions, truth, profiles=None, q_min: float = 0.02) -> EvalReport:
     """Compare (image_id, FeatureSet) predictions against ground truth.
 
     Every prediction id must appear in the truth; extra truth records are
     ignored. Totals and correct counts accumulate per feature over matched
     documents, so scoring shards separately and summing the pairs gives the
-    same report.
+    same report. Verdicts use classify with the given profiles and q_min.
     """
     by_id = {gt.image_id: gt for gt in truth}
     totals = {k: 0 for k in _REPORT_ROWS}
@@ -161,7 +161,7 @@ def score(predictions, truth) -> EvalReport:
         paw_mismatch += abs(fs.nb_paws - gt.expected_paws)
         verdict_ok = None
         if gt.script is not None:
-            verdict_ok = classify(fs).label == gt.script
+            verdict_ok = classify(fs, profiles, q_min=q_min).label == gt.script
         documents.append(DocumentResult(image_id, predicted, expected, verdict_ok))
 
     per_feature = {}

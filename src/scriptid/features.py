@@ -62,7 +62,7 @@ class FeatureThresholds:
 
     @classmethod
     def from_baselines(cls, baselines: Baselines, diacritic_max_contour: int = 60):
-        """Margins recomputed per word: marge_h = 2 * band height, marge_j = band height."""
+        """Margins computed once per line: marge_h = 2 * band height, marge_j = band height."""
         h = baselines.band_height
         return cls(marge_h=2 * h, marge_j=h, diacritic_max_contour=diacritic_max_contour)
 
@@ -124,34 +124,28 @@ def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThreshold
     return p_hits, q_hits
 
 
-def detect_loops(chains, word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
-    """Find loops: hole boundaries short enough that touch the body band.
-
-    Each candidate passes an inclusion check before it counts: blank out the
-    enclosing ink region and verify the candidate's boundary pixels vanish
-    from the re-traced contours, proving the hole really lives inside that
-    region. word must be the raster the chains were traced from.
-    """
-    labels, _ = ndimage.label(word.pixels, structure=_EIGHT)
-    erased_points: dict[int, set] = {}
-    hits = []
+def _band_holes(chains, baselines: Baselines):
+    """Closed hole chains whose rows reach into the body band."""
     for chain in chains:
         if chain.polarity != "inner" or not chain.closed:
-            continue
-        if chain.length >= thresholds.diacritic_max_contour:
             continue
         lo, hi = _zone_rows(chain)
         if hi < baselines.upper_row or lo > baselines.lower_row:
             continue
-        enclosing = int(labels[chain.points[0]])
-        if enclosing not in erased_points:
-            remaining = BinaryRaster(word.pixels & (labels != enclosing))
-            erased_points[enclosing] = {
-                p for ch in trace_contours(remaining) for p in ch.points
-            }
-        if erased_points[enclosing].isdisjoint(chain.points):
-            hits.append(FeatureHit("B", chain.points[0]))
-    return hits
+        yield chain
+
+
+def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
+    """Find loops: closed hole boundaries under the cap that touch the body band.
+
+    Holes at or over the cap are not loops; extract_features tallies them
+    as dropped_oversize_loops.
+    """
+    return [
+        FeatureHit("B", chain.points[0])
+        for chain in _band_holes(chains, baselines)
+        if chain.length < thresholds.diacritic_max_contour
+    ]
 
 
 def _dot_component_labels(word: BinaryRaster, labels, objects, baselines, thresholds):
@@ -303,27 +297,30 @@ def _zone_of_column(zone_bounds, col: int) -> int:
     return best
 
 
-def _nearest_paw(paw_of_pixel, location, max_radius: int) -> int:
+def _paw_index_map(shape, paws) -> np.ndarray:
+    """Word-part index of every pixel, -1 where no part has ink."""
+    index = np.full(shape, -1)
+    for paw in paws:
+        index[paw.pixels[:, 0], paw.pixels[:, 1]] = paw.order_index
+    return index
+
+
+def _nearest_paw(paw_map: np.ndarray, location, max_radius: int) -> int:
     """Word-part index of the mapped pixel nearest to location.
 
     Contour hits live on the expanded stage, so their pixel can sit in the
-    halo up to the expansion radius away from the original ink; the search
-    widens one Chebyshev ring at a time and is deterministic by raster order.
+    halo up to the expansion radius away from the original ink. The nearest
+    mapped pixel by Chebyshev distance wins, the first in raster order on
+    ties.
     """
-    if location in paw_of_pixel:
-        return paw_of_pixel[location]
     r0, c0 = location
-    for radius in range(1, max_radius + 1):
-        ring = sorted(
-            (r0 + dr, c0 + dc)
-            for dr in range(-radius, radius + 1)
-            for dc in range(-radius, radius + 1)
-            if max(abs(dr), abs(dc)) == radius
-        )
-        for candidate in ring:
-            if candidate in paw_of_pixel:
-                return paw_of_pixel[candidate]
-    raise KeyError(f"no word part within {max_radius} of {location}")
+    top, left = max(0, r0 - max_radius), max(0, c0 - max_radius)
+    window = paw_map[top : r0 + max_radius + 1, left : c0 + max_radius + 1]
+    rows, cols = np.nonzero(window >= 0)
+    if rows.size == 0:
+        raise KeyError(f"no word part within {max_radius} of {location}")
+    k = int(np.argmin(np.maximum(np.abs(rows + top - r0), np.abs(cols + left - c0))))
+    return int(window[rows[k], cols[k]])
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
@@ -334,7 +331,6 @@ def extract_features(
     baselines: Baselines,
     thresholds: FeatureThresholds | None = None,
     dilation_radius: int = 1,
-    neighborhood: int = 2,
 ) -> FeatureSet:
     """Run the full per-word pipeline and consolidate the results.
 
@@ -353,28 +349,18 @@ def extract_features(
     chains = trace_contours(stage)
 
     p_hits, q_hits = detect_diacritics(chains, baselines, t)
-    b_hits = detect_loops(chains, stage, baselines, t)
+    b_hits = detect_loops(chains, baselines, t)
     dropped = sum(
-        1
-        for ch in chains
-        if ch.polarity == "inner"
-        and ch.length >= t.diacritic_max_contour
-        and not (
-            max(p[0] for p in ch.points) < baselines.upper_row
-            or min(p[0] for p in ch.points) > baselines.lower_row
-        )
+        1 for ch in _band_holes(chains, baselines) if ch.length >= t.diacritic_max_contour
     )
     h_hits = detect_poles(word, baselines, t)
     j_hits = detect_jambs(word, baselines, t)
 
     paws = segment_paws(word, baselines=baselines)
-    paw_of_pixel = {}
-    for paw in paws:
-        for r, c in paw.pixels:
-            paw_of_pixel[(int(r), int(c))] = paw.order_index
+    paw_map = _paw_index_map(word.pixels.shape, paws)
 
     zones = feature_zones(word)
-    tags = detect_positions(word, baselines, zones, neighborhood)
+    tags = detect_positions(word, baselines, zones)
 
     hits = []
     for hit in (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits):
@@ -382,7 +368,7 @@ def extract_features(
         hits.append(
             replace(
                 hit,
-                paw_index=_nearest_paw(paw_of_pixel, hit.location, dilation_radius),
+                paw_index=_nearest_paw(paw_map, hit.location, dilation_radius),
                 position=tags[zone_idx],
             )
         )

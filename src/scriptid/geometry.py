@@ -137,7 +137,7 @@ def _trace(ink: np.ndarray, start: tuple[int, int], back: tuple[int, int]):
     return points
 
 
-def _first_pixels(labels: np.ndarray, count: int, skip=()):
+def _first_pixels(labels: np.ndarray, skip=()):
     """First raster-order pixel of each label, via per-label bounding slices."""
     firsts = []
     for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
@@ -162,21 +162,21 @@ def trace_contours(img: BinaryRaster) -> list[ContourChain]:
     ink = img.pixels
     chains = []
 
-    labels, n = ndimage.label(ink, structure=_EIGHT)
-    for start in _first_pixels(labels, n):
+    labels, _ = ndimage.label(ink, structure=_EIGHT)
+    for start in _first_pixels(labels):
         points = _trace(ink, start, (start[0], start[1] - 1))
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="outer")
         )
 
-    bg_labels, m = ndimage.label(~ink, structure=_FOUR)
+    bg_labels, _ = ndimage.label(~ink, structure=_FOUR)
     border = np.unique(
         np.concatenate(
             [bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]]
         )
     )
     touching = set(int(lab) for lab in border if lab != 0)
-    for hole_first in _first_pixels(bg_labels, m, skip=touching):
+    for hole_first in _first_pixels(bg_labels, skip=touching):
         # The pixel above a hole's topmost-leftmost cell is always ink.
         seed = (hole_first[0] - 1, hole_first[1])
         points = _trace(ink, seed, hole_first)

@@ -25,7 +25,6 @@ class PipelineParams:
     alpha: float = 0.5
     merge_gap: int = 2
     diacritic_max_contour: int = 60
-    neighborhood: int = 2
 
 
 DEFAULT_PARAMS = PipelineParams()
@@ -79,7 +78,6 @@ def analyze_page(page: BinaryRaster, params: PipelineParams = DEFAULT_PARAMS) ->
             local,
             thresholds=thresholds,
             dilation_radius=params.dilation_radius,
-            neighborhood=params.neighborhood,
         )
         fs = _shift_hits(fs, band.top_row, paw_offset)
         paw_offset += fs.nb_paws

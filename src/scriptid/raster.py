@@ -202,6 +202,12 @@ def _decode(data: bytes):
     (width, height), pos = _read_header_ints(data, 2, 2)
     if width < 1 or height < 1:
         raise PnmHeaderError(f"invalid dimensions {width}x{height}")
+    # Every plain cell or sample takes at least one byte, so a plain header
+    # that promises more cells than bytes remain is rejected before allocating.
+    if magic in (b"P1", b"P2") and width * height > len(data) - pos:
+        raise PnmPayloadError(
+            f"truncated payload: header promises {width * height} cells, file carries {len(data) - pos} bytes"
+        )
 
     if magic == b"P1":
         return BinaryRaster(_decode_plain_bits(data, pos, width, height))

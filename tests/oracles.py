@@ -66,3 +66,18 @@ def brute_dilate(mask, radius):
         c0, c1 = max(0, c - radius), min(width, c + radius + 1)
         out[r0:r1, c0:c1] = True
     return out
+
+
+def nearest_labelled(label_map, location, max_radius):
+    """Value of the nearest cell >= 0 within max_radius by Chebyshev distance.
+
+    Ties go to the first cell in raster order; None when no cell is in reach.
+    """
+    best = None
+    for (r, c), value in np.ndenumerate(label_map):
+        if value < 0:
+            continue
+        d = max(abs(r - location[0]), abs(c - location[1]))
+        if d <= max_radius and (best is None or d < best[0]):
+            best = (d, int(value))
+    return None if best is None else best[1]

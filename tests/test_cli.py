@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from scriptid.classify import ScriptProfile, builtin_profiles, save_profiles
 from scriptid.cli import EXIT_CEILING, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from scriptid.raster import BinaryRaster, save
+from scriptid.raster import BinaryRaster, dilate, save
+from scriptid.synthgen import apply_salt, generate_corpus, generate_page, save_corpus
 
 
 @pytest.fixture()
@@ -133,6 +137,28 @@ class TestEvaluate:
         rc = main(["evaluate", "--input", str(corpus), "--truth", str(moved)])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize("script, qmin, expected_label", [
+        ("Farsi", "0.02", "Farsi"),  # a SCRIPT named by the profile file
+        ("Latin", "0", "Farsi"),  # q_min 0 rules out every profile without lower dots
+    ])
+    def test_verdicts_use_profile_file_and_qmin(self, tmp_path, script, qmin, expected_label):
+        arabic, latin = builtin_profiles()
+        profiles = tmp_path / "profiles.txt"
+        save_profiles([ScriptProfile("Farsi", arabic.form_count, arabic.raw), latin], profiles)
+        flags = ["--profile-file", str(profiles), "--qmin", qmin]
+        pages = tmp_path / "pages"
+        assert main(["generate", "--output-dir", str(pages), "--script", script, "--pages", "3",
+                     "--seed", "2", "--output", str(tmp_path / "g.json")] + flags) == EXIT_OK
+
+        rc, raw = run_to_file(["classify", "--input", str(pages)] + flags, tmp_path / "c.json")
+        assert rc == EXIT_OK
+        labels = [e["label"] for e in json.loads(raw)["images"]]
+        assert labels == [expected_label] * 3
+        rc, raw = run_to_file(["evaluate", "--input", str(pages)] + flags, tmp_path / "e.json")
+        assert rc == EXIT_OK
+        verdicts = [d["verdict_ok"] for d in json.loads(raw)["report"]["per_document"]]
+        assert verdicts == [label == script for label in labels]
+
 
 class TestUsage:
     def test_unknown_command(self):
@@ -152,6 +178,36 @@ class TestDeterminism:
             _, first = run_to_file(command + extra, tmp_path / "a.json")
             _, second = run_to_file(command + extra, tmp_path / "b.json")
             assert first == second, command[0]
+
+    # sha256 of the reports on the corpus below; any change to a count, hit,
+    # word-part index or position changes them.
+    PINNED = {
+        "features": "1970fe97469034b08326db42569d4c89d8f31bc3a6e5a3a2c5a7e2afb0dfd119",
+        "classify": "a79f5d23370c02fa39b1427a49d9b32f452c022b3137f3027481ffe0c6f4e9be",
+    }
+
+    def test_reports_match_pinned_hashes(self, tmp_path):
+        arabic, latin = builtin_profiles()
+        degraded = generate_page(arabic, seed=9)
+        degraded = dataclasses.replace(
+            degraded, raster=apply_salt(dilate(degraded.raster, 1), 0.001, seed=10_009)
+        )
+        items = [
+            *generate_corpus(arabic, 6, seed=3),
+            *generate_corpus(latin, 6, seed=4),
+            generate_page(arabic, seed=5),
+            generate_page(latin, seed=6),
+            degraded,
+        ]
+        save_corpus(items, tmp_path / "corpus")
+        digests = {}
+        for command in self.PINNED:
+            rc, raw = run_to_file(
+                [command, "--input", str(tmp_path / "corpus")], tmp_path / f"{command}.json"
+            )
+            assert rc == EXIT_OK
+            digests[command] = hashlib.sha256(raw).hexdigest()
+        assert digests == self.PINNED
 
     def test_generate_is_byte_identical(self, tmp_path):
         blobs = []

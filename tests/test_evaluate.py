@@ -39,6 +39,12 @@ class TestLoadGroundTruth:
         (record,) = load_ground_truth(path)
         assert record.script == "Latin"
 
+    def test_empty_script_field(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_text("img H=0 J=0 P=0 Q=0 B=0 PAW=1 SCRIPT=\n")
+        with pytest.raises(GroundTruthError, match="SCRIPT"):
+            load_ground_truth(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptid.features import (
     FeatureThresholds,
+    _nearest_paw,
     detect_diacritics,
     detect_jambs,
     detect_loops,
@@ -14,6 +17,8 @@ from scriptid.features import (
 from scriptid.geometry import trace_contours
 from scriptid.layout import Baselines, NoInkError
 from scriptid.raster import BinaryRaster
+
+from oracles import nearest_labelled
 
 
 def paint(canvas, r0, r1, c0, c1, value=True):
@@ -150,7 +155,7 @@ class TestLoops:
         img = word(56, 30)
         paint(img, 24, 32, 8, 16)
         raster = BinaryRaster(img)
-        hits = detect_loops(trace_contours(raster), raster, B8, T8)
+        hits = detect_loops(trace_contours(raster), B8, T8)
         assert hits == []
 
     def test_ring_in_band_is_loop(self):
@@ -158,7 +163,7 @@ class TestLoops:
         paint(img, 24, 32, 8, 16)
         paint(img, 26, 30, 10, 14, value=False)  # carve a 5x5 hole
         raster = BinaryRaster(img)
-        hits = detect_loops(trace_contours(raster), raster, B8, T8)
+        hits = detect_loops(trace_contours(raster), B8, T8)
         assert [h.kind for h in hits] == ["B"]
 
     def test_ring_above_band_is_dot_not_loop(self):
@@ -168,7 +173,7 @@ class TestLoops:
         paint(img, 9, 14, 11, 16, value=False)  # hollow square above the band
         raster = BinaryRaster(img)
         chains = trace_contours(raster)
-        assert detect_loops(chains, raster, B8, T8) == []
+        assert detect_loops(chains, B8, T8) == []
         p, q = detect_diacritics(chains, B8, T8)
         assert len(p) == 1 and q == []
 
@@ -179,7 +184,7 @@ class TestLoops:
         b = Baselines(24, 32)
         raster = BinaryRaster(img)
         t = FeatureThresholds.from_baselines(b)
-        assert detect_loops(trace_contours(raster), raster, b, t) == []
+        assert detect_loops(trace_contours(raster), b, t) == []
         fs = extract_features(raster, b, thresholds=t, dilation_radius=0)
         assert fs.counts["B"] == 0
         assert fs.dropped_oversize_loops == 1
@@ -340,3 +345,19 @@ class TestExtractFeatures:
                 assert r > B8.lower_row
             elif hit.kind == "B":
                 assert B8.upper_row <= r <= B8.lower_row
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_nearest_paw_matches_brute_force(data):
+    h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    cells = data.draw(st.lists(st.sampled_from([-1, -1, -1, 0, 1, 2]), min_size=h * w, max_size=h * w))
+    paw_map = np.array(cells).reshape(h, w)
+    location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
+    radius = data.draw(st.integers(0, 3))
+    expected = nearest_labelled(paw_map, location, radius)
+    if expected is None:
+        with pytest.raises(KeyError):
+            _nearest_paw(paw_map, location, radius)
+    else:
+        assert _nearest_paw(paw_map, location, radius) == expected

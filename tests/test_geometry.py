@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptid.geometry import connected_components, project, trace_contours
 from scriptid.raster import BinaryRaster, dilate
 
-from oracles import count_components, count_holes
+from oracles import bfs_regions, count_components, count_holes
 
 
 def random_raster(rng, max_side=24):
@@ -170,3 +172,23 @@ class TestTraceContours:
         for _ in range(20):
             img = random_raster(rng)
             assert trace_contours(img) == trace_contours(img)
+
+
+@st.composite
+def small_rasters(draw):
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return BinaryRaster(np.array(cells).reshape(h, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_rasters())
+def test_every_chain_stays_inside_one_component(img):
+    # A border walk started on an ink pixel never leaves that pixel's
+    # 8-connected component, so a hole chain needs no further check of the
+    # region that encloses it.
+    component_of = {}
+    for i, region in enumerate(bfs_regions(img.pixels)):
+        component_of.update(dict.fromkeys(region, i))
+    for chain in trace_contours(img):
+        assert len({component_of[p] for p in chain.points}) == 1

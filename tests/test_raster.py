@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptid.raster import (
     BinaryRaster,
     GrayRaster,
+    PnmError,
     PnmHeaderError,
     PnmPayloadError,
+    _decode,
+    _encode,
     binarize,
     dilate,
     load,
@@ -73,6 +78,44 @@ class TestLoad:
     def test_graymap_sample_above_maxval(self, tmp_path):
         with pytest.raises(PnmPayloadError):
             load(write(tmp_path, "P2\n1 1\n100\n101\n"))
+
+    @pytest.mark.parametrize("data", [b"P1 1000000 1000000\n1", b"P2 1000000 1000000 255\n1"])
+    def test_oversized_plain_header_is_payload_error(self, tmp_path, data):
+        # Rejected from the byte count alone, before any cell is allocated.
+        with pytest.raises(PnmPayloadError):
+            load(write(tmp_path, data))
+
+
+@st.composite
+def mutated_pnm(draw):
+    """A small valid P1/P2/P4/P5 file with a few bytes replaced or inserted."""
+    fmt = draw(st.sampled_from(["p1", "p2", "p4", "p5"]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if fmt in ("p1", "p4"):
+        cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        raster = BinaryRaster(np.array(cells).reshape(h, w))
+    else:
+        cells = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+        raster = GrayRaster(np.array(cells).reshape(h, w))
+    data = bytearray(_encode(raster, fmt))
+    byte = st.one_of(st.sampled_from(b"0123456789 \n#"), st.integers(0, 255))
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(data) - 1))
+        if draw(st.booleans()):
+            data[at] = draw(byte)
+        else:
+            data[at:at] = bytes(draw(st.lists(byte, min_size=1, max_size=8)))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_pnm())
+def test_mutated_file_decodes_or_raises_pnm_error(data):
+    try:
+        img = _decode(data)
+    except PnmError:
+        return
+    assert isinstance(img, (BinaryRaster, GrayRaster))
 
 
 class TestRoundTrip:
