@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .geometry import ContourChain, _trace, trace_contours
+from .geometry import (
+    ContourChain,
+    Labelling,
+    _first_pixel,
+    _Walker,
+    label_components,
+    trace_contours,
+)
 from .layout import Baselines, NoInkError, segment_paws
 from .raster import BinaryRaster, dilate
 
@@ -32,6 +39,8 @@ __all__ = [
     "FeatureThresholds",
     "FeatureHit",
     "FeatureSet",
+    "LineLabels",
+    "label_line",
     "detect_poles",
     "detect_jambs",
     "detect_diacritics",
@@ -148,38 +157,42 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
     ]
 
 
-def _dot_component_labels(word: BinaryRaster, labels, objects, baselines, thresholds):
-    """Labels of components that classify as detached dots.
+@dataclass(frozen=True, eq=False)
+class LineLabels:
+    """One labelling of a line's raw ink, shared by the pole, jamb and part stages.
 
-    A component entirely above the upper baseline or entirely below the
-    lower one whose closed outer contour stays under the cap is a dot and
-    must not feed the pole/jamb detectors.
+    dots holds the labels of detached dots: components entirely above the
+    upper baseline or entirely below the lower one whose closed outer
+    contour stays under the cap. Dots never feed the pole/jamb detectors.
     """
+
+    labelling: Labelling
+    dots: frozenset
+
+
+def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
+    """Label the word's 8-connected ink and find its detached dots."""
+    labelling = label_components(word)
+    walker = None
     dots = set()
-    for lab, sl in enumerate(objects, start=1):
-        if sl is None:
-            continue
+    for lab, sl in enumerate(labelling.objects, start=1):
         top, bottom = sl[0].start, sl[0].stop - 1
         if not (bottom < baselines.upper_row or top > baselines.lower_row):
             continue
-        local = np.argwhere(labels[sl] == lab)[0]
-        start = (int(local[0] + sl[0].start), int(local[1] + sl[1].start))
-        boundary = _trace(word.pixels, start, (start[0], start[1] - 1))
-        if len(boundary) < thresholds.diacritic_max_contour:
+        start = _first_pixel(labelling.labels, lab, sl)
+        if walker is None:
+            walker = _Walker(word.pixels)
+        if len(walker.trace(start, (start[0], start[1] - 1))) < thresholds.diacritic_max_contour:
             dots.add(lab)
-    return dots
+    return LineLabels(labelling, frozenset(dots))
 
 
-def _extremum_hits(word, baselines, thresholds, kind):
+def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None):
     """Common pole/jamb scan over one outer zone.
 
     Each 8-connected ink region beyond the baseline becomes one hit when its
     extremal pixel clears the margin, with detached dots excluded.
     """
-    labels, _ = ndimage.label(word.pixels, structure=_EIGHT)
-    objects = ndimage.find_objects(labels)
-    dots = _dot_component_labels(word, labels, objects, baselines, thresholds)
-
     if kind == "H":
         if baselines.upper_row == 0:
             return []
@@ -191,6 +204,9 @@ def _extremum_hits(word, baselines, thresholds, kind):
         zone = word.pixels[baselines.lower_row + 1 :]
         offset = baselines.lower_row + 1
 
+    if labels is None:
+        labels = label_line(word, baselines, thresholds)
+    label_of = labels.labelling.labels
     hits = []
     zone_labels, _ = ndimage.label(zone, structure=_EIGHT)
     for lab, sl in enumerate(ndimage.find_objects(zone_labels), start=1):
@@ -198,7 +214,7 @@ def _extremum_hits(word, baselines, thresholds, kind):
             continue
         region = np.argwhere(zone_labels[sl] == lab) + (sl[0].start, sl[1].start)
         anchor = (int(region[0][0] + offset), int(region[0][1]))
-        if int(labels[anchor]) in dots:
+        if int(label_of[anchor]) in labels.dots:
             continue
         if kind == "H":
             top = int(region[:, 0].min())
@@ -218,14 +234,30 @@ def _extremum_hits(word, baselines, thresholds, kind):
     return hits
 
 
-def detect_poles(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
-    """Poles: ink regions whose top rises more than marge_h above the upper baseline."""
-    return _extremum_hits(word, baselines, thresholds, "H")
+def detect_poles(
+    word: BinaryRaster,
+    baselines: Baselines,
+    thresholds: FeatureThresholds,
+    labels: LineLabels | None = None,
+):
+    """Poles: ink regions whose top rises more than marge_h above the upper baseline.
+
+    labels, when given, must be label_line(word, baselines, thresholds).
+    """
+    return _extremum_hits(word, baselines, thresholds, "H", labels)
 
 
-def detect_jambs(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
-    """Jambs: ink regions whose bottom drops more than marge_j below the lower baseline."""
-    return _extremum_hits(word, baselines, thresholds, "J")
+def detect_jambs(
+    word: BinaryRaster,
+    baselines: Baselines,
+    thresholds: FeatureThresholds,
+    labels: LineLabels | None = None,
+):
+    """Jambs: ink regions whose bottom drops more than marge_j below the lower baseline.
+
+    labels, when given, must be label_line(word, baselines, thresholds).
+    """
+    return _extremum_hits(word, baselines, thresholds, "J", labels)
 
 
 def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
@@ -297,14 +329,6 @@ def _zone_of_column(zone_bounds, col: int) -> int:
     return best
 
 
-def _paw_index_map(shape, paws) -> np.ndarray:
-    """Word-part index of every pixel, -1 where no part has ink."""
-    index = np.full(shape, -1)
-    for paw in paws:
-        index[paw.pixels[:, 0], paw.pixels[:, 1]] = paw.order_index
-    return index
-
-
 def _nearest_paw(paw_map: np.ndarray, location, max_radius: int) -> int:
     """Word-part index of the mapped pixel nearest to location.
 
@@ -353,11 +377,16 @@ def extract_features(
     dropped = sum(
         1 for ch in _band_holes(chains, baselines) if ch.length >= t.diacritic_max_contour
     )
-    h_hits = detect_poles(word, baselines, t)
-    j_hits = detect_jambs(word, baselines, t)
+    labels = label_line(word, baselines, t)
+    h_hits = detect_poles(word, baselines, t, labels)
+    j_hits = detect_jambs(word, baselines, t, labels)
 
-    paws = segment_paws(word, baselines=baselines)
-    paw_map = _paw_index_map(word.pixels.shape, paws)
+    paws = segment_paws(word, baselines=baselines, labelling=labels.labelling)
+    # Word-part index of every pixel, -1 where no part has ink.
+    index_of_label = np.full(labels.labelling.count + 1, -1)
+    for paw in paws:
+        index_of_label[paw.labels] = paw.order_index
+    paw_map = index_of_label[labels.labelling.labels]
 
     zones = feature_zones(word)
     tags = detect_positions(word, baselines, zones)

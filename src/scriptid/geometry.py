@@ -7,6 +7,14 @@ clockwise from the backtrack pixel and stops once its state repeats, which
 handles single pixels and one-pixel-wide spurs. A chain records every visit,
 so a thin spur contributes each boundary pixel once per pass; chain length
 is therefore a visit count, not a Euclidean arc length.
+
+The walk is table-driven. Each traced raster gets, once, an 8-bit code per
+pixel whose bit k says whether the neighbor in clockwise direction k is ink,
+computed with numpy over a one-pixel zero pad so the border needs no bounds
+checks. A 256 x 8 table built at import maps (code, backtrack direction) to
+(step direction, new backtrack direction), so each step of the walk is one
+table lookup on a flat index into the padded grid, and a state is the
+integer pixel * 8 + backtrack direction.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ __all__ = [
     "ProjectionProfile",
     "Component",
     "ContourChain",
+    "Labelling",
     "project",
+    "label_components",
     "connected_components",
     "trace_contours",
 ]
@@ -62,6 +72,22 @@ class Component:
         return {(int(r), int(c)) for r, c in self.pixels}
 
 
+@dataclass(frozen=True, eq=False)
+class Labelling:
+    """8-connected ink labels of one raster plus each label's bounding slices.
+
+    labels is 0 on background and numbers the regions 1..count in raster
+    order of their first pixel; objects[i] bounds label i + 1.
+    """
+
+    labels: np.ndarray
+    objects: list
+
+    @property
+    def count(self) -> int:
+        return len(self.objects)
+
+
 @dataclass(frozen=True)
 class ContourChain:
     """Ordered boundary pixel sequence around an ink region or a hole.
@@ -91,11 +117,18 @@ def project(img: BinaryRaster, axis: str = "horizontal") -> ProjectionProfile:
     return ProjectionProfile(axis, tuple(int(c) for c in counts))
 
 
+def label_components(img: BinaryRaster) -> Labelling:
+    """Label the 8-connected ink regions of the image."""
+    labels, _ = ndimage.label(img.pixels, structure=_EIGHT)
+    return Labelling(labels, ndimage.find_objects(labels))
+
+
 def connected_components(img: BinaryRaster) -> list[Component]:
     """8-connected ink regions, ordered by (bbox min_col, min_row)."""
-    labels, n = ndimage.label(img.pixels, structure=_EIGHT)
+    labelling = label_components(img)
+    labels = labelling.labels
     found = []
-    for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
+    for lab, sl in enumerate(labelling.objects, start=1):
         local = np.argwhere(labels[sl] == lab)
         pixels = local + (sl[0].start, sl[1].start)
         bbox = (sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1)
@@ -104,47 +137,94 @@ def connected_components(img: BinaryRaster) -> list[Component]:
     return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]
 
 
-def _trace(ink: np.ndarray, start: tuple[int, int], back: tuple[int, int]):
-    """Follow one boundary from start, entered from the background pixel back.
+def _step_table() -> tuple[int, ...]:
+    """Moore steps for every (neighbor code, backtrack direction) pair.
 
-    Returns the visited pixel sequence. The walk is a deterministic map on
-    (pixel, backtrack) states, so it terminates when a state repeats; a
-    trailing revisit of the start pixel is dropped because closure is implied.
+    Bit k of a pixel's code is set when its neighbor in direction _MOORE[k]
+    is ink. Scanning clockwise from the backtrack direction, the first ink
+    neighbor is the next pixel, and the background probe just before it is
+    the next backtrack pixel. An entry packs the step direction and the new
+    backtrack direction, seen from the next pixel, as step * 8 + backtrack;
+    -1 marks an isolated pixel.
     """
-    height, width = ink.shape
-    points = [start]
-    seen = {(start, back)}
-    p, b = start, back
-    while True:
-        d0 = _MOORE_INDEX[(b[0] - p[0], b[1] - p[1])]
-        for k in range(1, 9):
-            dr, dc = _MOORE[(d0 + k) % 8]
-            r, c = p[0] + dr, p[1] + dc
-            if 0 <= r < height and 0 <= c < width and ink[r, c]:
-                br, bc = _MOORE[(d0 + k - 1) % 8]
-                b = (p[0] + br, p[1] + bc)
-                p = (r, c)
+    table = []
+    for code in range(256):
+        for back in range(8):
+            entry = -1
+            for k in range(1, 9):
+                step = (back + k) % 8
+                if code >> step & 1:
+                    probe = _MOORE[(back + k - 1) % 8]
+                    rel = (probe[0] - _MOORE[step][0], probe[1] - _MOORE[step][1])
+                    entry = step * 8 + _MOORE_INDEX[rel]
+                    break
+            table.append(entry)
+    return tuple(table)
+
+
+_STEP = _step_table()
+
+
+class _Walker:
+    """Moore neighbor walks over one raster, driven by _STEP.
+
+    Every pixel's 8-neighbor code is computed once over a one-pixel zero pad,
+    so a step is one table lookup on flat indices into the padded grid.
+    """
+
+    def __init__(self, ink: np.ndarray):
+        height, width = ink.shape
+        padded = np.pad(ink, 1).astype(np.uint8)
+        codes = np.zeros_like(padded)
+        for k, (dr, dc) in enumerate(_MOORE):
+            codes[1:-1, 1:-1] |= padded[1 + dr : 1 + dr + height, 1 + dc : 1 + dc + width] << k
+        self._stride = width + 2
+        self._codes = codes.tobytes()
+        self._offsets = tuple(dr * self._stride + dc for dr, dc in _MOORE)
+
+    def trace(self, start: tuple[int, int], back: tuple[int, int]):
+        """Follow one boundary from start, entered from the background pixel back.
+
+        Returns the visited pixel sequence. The walk is a deterministic map on
+        (pixel, backtrack) states, so it terminates when a state repeats; a
+        trailing revisit of the start pixel is dropped because closure is
+        implied.
+        """
+        stride, codes, offsets, table = self._stride, self._codes, self._offsets, _STEP
+        p = (start[0] + 1) * stride + start[1] + 1
+        d = _MOORE_INDEX[(back[0] - start[0], back[1] - start[1])]
+        flat = [p]
+        seen = {p * 8 + d}
+        while True:
+            entry = table[codes[p] * 8 + d]
+            if entry < 0:
+                break  # isolated pixel: no ink neighbor at all
+            p += offsets[entry >> 3]
+            d = entry & 7
+            state = p * 8 + d
+            if state in seen:
                 break
-        else:
-            break  # isolated pixel: no ink neighbor at all
-        state = (p, b)
-        if state in seen:
-            break
-        seen.add(state)
-        points.append(p)
-    if len(points) > 1 and points[-1] == points[0]:
-        points.pop()
-    return points
+            seen.add(state)
+            flat.append(p)
+        if len(flat) > 1 and flat[-1] == flat[0]:
+            flat.pop()
+        rows, cols = np.divmod(np.array(flat), stride)
+        return list(zip((rows - 1).tolist(), (cols - 1).tolist()))
+
+
+def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
+    """First raster-order pixel of label lab, found in the top row of its slice sl."""
+    top = sl[0].start
+    return top, int(np.argmax(labels[top, sl[1]] == lab)) + sl[1].start
 
 
 def _first_pixels(labels: np.ndarray, skip=()):
     """First raster-order pixel of each label, via per-label bounding slices."""
-    firsts = []
-    for lab, sl in enumerate(ndimage.find_objects(labels), start=1):
-        if lab in skip or sl is None:
-            continue
-        local = np.argwhere(labels[sl] == lab)[0]
-        firsts.append((int(local[0] + sl[0].start), int(local[1] + sl[1].start)))
+    firsts = [
+        _first_pixel(labels, lab, sl)
+        for lab, sl in enumerate(ndimage.find_objects(labels), start=1)
+        if lab not in skip and sl is not None
+    ]
     firsts.sort()
     return firsts
 
@@ -160,11 +240,12 @@ def trace_contours(img: BinaryRaster) -> list[ContourChain]:
     chains come first, each group ordered by start pixel.
     """
     ink = img.pixels
+    walker = _Walker(ink)
     chains = []
 
     labels, _ = ndimage.label(ink, structure=_EIGHT)
     for start in _first_pixels(labels):
-        points = _trace(ink, start, (start[0], start[1] - 1))
+        points = walker.trace(start, (start[0], start[1] - 1))
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="outer")
         )
@@ -179,7 +260,7 @@ def trace_contours(img: BinaryRaster) -> list[ContourChain]:
     for hole_first in _first_pixels(bg_labels, skip=touching):
         # The pixel above a hole's topmost-leftmost cell is always ink.
         seed = (hole_first[0] - 1, hole_first[1])
-        points = _trace(ink, seed, hole_first)
+        points = walker.trace(seed, hole_first)
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="inner")
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import connected_components
+from .geometry import Labelling, label_components
 from .raster import BinaryRaster
 
 __all__ = [
@@ -63,12 +63,14 @@ class LineBand:
 class Paw:
     """One word part: a body component plus any reattached detached marks.
 
-    order_index runs right to left, the rightmost part being 0.
+    order_index runs right to left, the rightmost part being 0. labels are
+    the part's component labels in the line's labelling.
     """
 
     bbox: tuple[int, int, int, int]
     pixels: np.ndarray
     order_index: int
+    labels: np.ndarray
 
     def pixel_set(self):
         return {(int(r), int(c)) for r, c in self.pixels}
@@ -113,59 +115,76 @@ def estimate_baselines(word: BinaryRaster, alpha: float = 0.5) -> Baselines:
     return Baselines(int(best[0]), int(best[-1]))
 
 
-def _column_overlap(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> int:
-    # Signed overlap: negative values measure the gap, so the horizontally
-    # nearest body still wins when no body overlaps the mark.
-    return min(a[3], b[3]) - max(a[1], b[1])
+# Marks are matched against every body in blocks of at most this many
+# (mark, body) pairs, which bounds memory on lines with many components.
+_PAIR_BLOCK = 1 << 20
+
+
+def _group(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
+    """values split into n groups by key, in their given order within a group."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
 
 
 def segment_paws(
     line: BinaryRaster,
     baselines: Baselines | None = None,
     alpha: float = 0.5,
+    labelling: Labelling | None = None,
 ) -> list[Paw]:
     """Group the ink of a single line into word parts, right to left.
 
     Components lying entirely above the upper baseline or entirely below the
     lower one are detached marks, not standalone parts; each is attached to
-    the body component with maximal column overlap (nearest centroid on
-    ties). The resulting pixel sets partition the line's ink.
+    the body component with maximal signed column overlap (a negative
+    overlap measures the gap), then the nearest centroid, then the first
+    body in (min_col, min_row) order. The resulting pixel sets partition the
+    line's ink. labelling, when given, must be label_components(line).
     """
-    comps = connected_components(line)
-    if not comps:
+    if labelling is None:
+        labelling = label_components(line)
+    n = labelling.count
+    if n == 0:
         return []
     b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
 
-    marks = [c for c in comps if c.bbox[2] < b.upper_row or c.bbox[0] > b.lower_row]
-    bodies = [c for c in comps if c not in marks]
-    if not bodies:
-        bodies, marks = comps, []
+    # Row i describes label i + 1: (min_row, min_col, max_row, max_col).
+    boxes = np.array([(s[0].start, s[1].start, s[0].stop - 1, s[1].stop - 1) for s in labelling.objects])
+    # Component order: bbox (min_col, min_row, max_col, max_row), labels on ties.
+    comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
+    detached = (boxes[comps, 2] < b.upper_row) | (boxes[comps, 0] > b.lower_row)
+    bodies, marks = comps[~detached], comps[detached]
+    if bodies.size == 0:
+        bodies, marks = comps, comps[:0]
 
-    groups = {id(body): [body] for body in bodies}
-    centroids = {id(body): body.pixels.mean(axis=0) for body in bodies}
-    for mark in marks:
-        mc = mark.pixels.mean(axis=0)
-        best = max(
-            bodies,
-            key=lambda body: (
-                _column_overlap(body.bbox, mark.bbox),
-                -float(np.hypot(*(centroids[id(body)] - mc))),
-            ),
-        )
-        groups[id(best)].append(mark)
+    rows, cols = np.nonzero(labelling.labels)
+    comp_of_pixel = labelling.labels[rows, cols] - 1
+    # Coordinate sums are exact in float64, so these equal the pixel means.
+    size = np.bincount(comp_of_pixel, minlength=n)
+    centroid_r = np.bincount(comp_of_pixel, weights=rows, minlength=n) / size
+    centroid_c = np.bincount(comp_of_pixel, weights=cols, minlength=n) / size
 
-    paws = []
-    for body in bodies:
-        members = groups[id(body)]
-        pixels = np.concatenate([m.pixels for m in members])
-        order = np.lexsort((pixels[:, 1], pixels[:, 0]))
-        pixels = pixels[order]
-        bbox = (
-            int(pixels[:, 0].min()),
-            int(pixels[:, 1].min()),
-            int(pixels[:, 0].max()),
-            int(pixels[:, 1].max()),
-        )
-        paws.append((bbox, pixels))
-    paws.sort(key=lambda t: (-t[0][3], -t[0][1], t[0][0]))
-    return [Paw(bbox, pixels, i) for i, (bbox, pixels) in enumerate(paws)]
+    owner = np.empty(n, dtype=np.intp)
+    owner[bodies] = np.arange(bodies.size)
+    block = max(1, _PAIR_BLOCK // bodies.size)
+    for i in range(0, marks.size, block):
+        m = marks[i : i + block, None]
+        overlap = np.minimum(boxes[bodies, 3], boxes[m, 3]) - np.maximum(boxes[bodies, 1], boxes[m, 1])
+        dist = np.hypot(centroid_r[bodies] - centroid_r[m], centroid_c[bodies] - centroid_c[m])
+        dist[overlap < overlap.max(axis=1, keepdims=True)] = np.inf
+        owner[m[:, 0]] = dist.argmin(axis=1)
+
+    extent = boxes[bodies]
+    for k, widen in enumerate((np.minimum, np.minimum, np.maximum, np.maximum)):
+        widen.at(extent[:, k], owner[marks], boxes[marks, k])
+    order = np.lexsort((extent[:, 0], -extent[:, 1], -extent[:, 3]))
+    part_of = np.empty(bodies.size, dtype=np.intp)
+    part_of[order] = np.arange(bodies.size)
+    part_of_comp = part_of[owner]
+
+    pixels = _group(part_of_comp[comp_of_pixel], np.stack((rows, cols), axis=1), bodies.size)
+    labels = _group(part_of_comp, np.arange(1, n + 1), bodies.size)
+    return [
+        Paw(tuple(int(v) for v in extent[j]), pixels[i], i, labels[i])
+        for i, j in enumerate(order)
+    ]

@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# Longest decimal run read as a number: 2**64 has 20 digits, and int() of a
+# run thousands of digits long is slow and raises once past the
+# interpreter's digit limit.
+_MAX_DIGITS = 20
 
 
 class PnmError(ValueError):
@@ -139,6 +143,8 @@ def _read_header_ints(data: bytes, pos: int, count: int):
             pos += 1
         if start == pos:
             raise PnmHeaderError("malformed header: expected an unsigned integer")
+        if pos - start > _MAX_DIGITS:
+            raise PnmHeaderError(f"malformed header: integer longer than {_MAX_DIGITS} digits")
         values.append(int(data[start:pos]))
     return values, pos
 
@@ -184,6 +190,8 @@ def _decode_plain_values(data: bytes, pos: int, count: int, maxval: int) -> np.n
             raise PnmPayloadError(
                 f"truncated payload: header promises {count} samples, file carries {filled}"
             )
+        if pos - start > _MAX_DIGITS:
+            raise PnmPayloadError(f"sample longer than {_MAX_DIGITS} digits in plain graymap payload")
         v = int(data[start:pos])
         if v > maxval:
             raise PnmPayloadError(f"sample {v} exceeds declared maxval {maxval}")

@@ -1,13 +1,17 @@
 """Independent brute-force oracles used to check the library's fast paths.
 
 Everything here is deliberately naive pure Python so its correctness is
-obvious: BFS flood fills for regions and holes, and direct neighborhood
-enumeration for dilation.
+obvious: BFS flood fills for regions and holes, direct neighborhood
+enumeration for dilation, a probe-by-probe Moore walk for contours, and a
+mark-by-mark grouping of word parts.
 """
 
 from collections import deque
 
 import numpy as np
+
+from scriptid.geometry import connected_components
+from scriptid.layout import estimate_baselines
 
 
 def bfs_regions(mask, connectivity=8):
@@ -44,16 +48,20 @@ def count_components(mask):
     return len(bfs_regions(mask, connectivity=8))
 
 
-def count_holes(mask):
-    """Number of 4-connected background regions not touching the border."""
+def hole_regions(mask):
+    """4-connected background regions not touching the border."""
     mask = np.asarray(mask, dtype=bool)
     height, width = mask.shape
-    holes = 0
-    for region in bfs_regions(~mask, connectivity=4):
-        if any(r in (0, height - 1) or c in (0, width - 1) for r, c in region):
-            continue
-        holes += 1
-    return holes
+    return [
+        region
+        for region in bfs_regions(~mask, connectivity=4)
+        if not any(r in (0, height - 1) or c in (0, width - 1) for r, c in region)
+    ]
+
+
+def count_holes(mask):
+    """Number of 4-connected background regions not touching the border."""
+    return len(hole_regions(mask))
 
 
 def brute_dilate(mask, radius):
@@ -81,3 +89,89 @@ def nearest_labelled(label_map, location, max_radius):
         if d <= max_radius and (best is None or d < best[0]):
             best = (d, int(value))
     return None if best is None else best[1]
+
+
+# Clockwise Moore neighborhood on screen coordinates, starting east.
+_MOORE = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
+_MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
+
+
+def reference_trace(ink, start, back):
+    """Moore neighbor walk from start, entered from the background pixel back.
+
+    Scans the 8-neighborhood clockwise from the backtrack pixel, one probe
+    at a time, and stops when a (pixel, backtrack) state repeats; a trailing
+    revisit of the start pixel is dropped.
+    """
+    height, width = ink.shape
+    points = [start]
+    seen = {(start, back)}
+    p, b = start, back
+    while True:
+        d0 = _MOORE_INDEX[(b[0] - p[0], b[1] - p[1])]
+        for k in range(1, 9):
+            dr, dc = _MOORE[(d0 + k) % 8]
+            r, c = p[0] + dr, p[1] + dc
+            if 0 <= r < height and 0 <= c < width and ink[r, c]:
+                br, bc = _MOORE[(d0 + k - 1) % 8]
+                b = (p[0] + br, p[1] + bc)
+                p = (r, c)
+                break
+        else:
+            break  # isolated pixel: no ink neighbor at all
+        state = (p, b)
+        if state in seen:
+            break
+        seen.add(state)
+        points.append(p)
+    if len(points) > 1 and points[-1] == points[0]:
+        points.pop()
+    return points
+
+
+def reference_segment_paws(line, baselines=None, alpha=0.5):
+    """Word parts grouped one mark at a time.
+
+    Each detached mark joins the body with the most column overlap, then the
+    nearest centroid, then the first body in component order; parts come
+    back as (bbox, raster-order pixels, order_index) triples, right to left.
+    """
+    comps = connected_components(line)
+    if not comps:
+        return []
+    b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
+
+    marks = [c for c in comps if c.bbox[2] < b.upper_row or c.bbox[0] > b.lower_row]
+    bodies = [c for c in comps if c not in marks]
+    if not bodies:
+        bodies, marks = comps, []
+
+    def overlap(a, m):
+        return min(a[3], m[3]) - max(a[1], m[1])
+
+    groups = {id(body): [body] for body in bodies}
+    centroids = {id(body): body.pixels.mean(axis=0) for body in bodies}
+    for mark in marks:
+        mc = mark.pixels.mean(axis=0)
+        best = max(
+            bodies,
+            key=lambda body: (
+                overlap(body.bbox, mark.bbox),
+                -float(np.hypot(*(centroids[id(body)] - mc))),
+            ),
+        )
+        groups[id(best)].append(mark)
+
+    paws = []
+    for body in bodies:
+        pixels = np.concatenate([m.pixels for m in groups[id(body)]])
+        pixels = pixels[np.lexsort((pixels[:, 1], pixels[:, 0]))]
+        bbox = (
+            int(pixels[:, 0].min()),
+            int(pixels[:, 1].min()),
+            int(pixels[:, 0].max()),
+            int(pixels[:, 1].max()),
+        )
+        paws.append((bbox, pixels))
+    paws.sort(key=lambda t: (-t[0][3], -t[0][1], t[0][0]))
+    return [(bbox, pixels, i) for i, (bbox, pixels) in enumerate(paws)]

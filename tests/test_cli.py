@@ -73,6 +73,15 @@ class TestFeatures:
         entry = next(e for e in json.loads(raw)["images"] if e["image"] == "bad.pbm")
         assert "error" in entry
 
+    def test_overlong_header_integer_reported_per_file(self, corpus, tmp_path):
+        (corpus / "huge.pbm").write_bytes(b"P1 " + b"9" * 5000 + b" 1\n1")
+        rc, raw = run_to_file(["features", "--input", str(corpus)], tmp_path / "f.json")
+        assert rc == EXIT_OK
+        entries = {e["image"]: e for e in json.loads(raw)["images"]}
+        assert "error" in entries.pop("huge.pbm")
+        assert len(entries) == 5
+        assert all("counts" in e for e in entries.values())
+
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["features", "--input", str(tmp_path / "nowhere")])
         assert rc == EXIT_IO
@@ -208,6 +217,32 @@ class TestDeterminism:
             assert rc == EXIT_OK
             digests[command] = hashlib.sha256(raw).hexdigest()
         assert digests == self.PINNED
+
+    # sha256 of the reports on two wide pages of 20-28 parts per line, where
+    # each line carries dozens of detached marks for the part grouping.
+    PINNED_WIDE = {
+        ("features", "1"): "2049891e9f2ff3544dc6d313d33ddf186d20672eb7a163ee0893c05b684630e7",
+        ("classify", "1"): "6a1879210fb93c0be16aed728540e76a2377cd983a1e263649bc26ae2c76e344",
+        ("features", "0"): "af50408037bae96a51269a52dcbf2acfdf52567ef8b6cb5f65b3a2cec6385d78",
+        ("classify", "0"): "86af12eb1c2ae9988d63a85b683f848a339913406226413ff69946e2d391a01f",
+    }
+
+    def test_wide_page_reports_match_pinned_hashes(self, tmp_path):
+        arabic, latin = builtin_profiles()
+        items = [
+            generate_page(arabic, seed=21, min_paws=20, max_paws=28),
+            generate_page(latin, seed=22, min_paws=20, max_paws=28),
+        ]
+        save_corpus(items, tmp_path / "corpus")
+        digests = {}
+        for command, radius in self.PINNED_WIDE:
+            rc, raw = run_to_file(
+                [command, "--input", str(tmp_path / "corpus"), "--dilate", radius],
+                tmp_path / f"{command}-{radius}.json",
+            )
+            assert rc == EXIT_OK
+            digests[command, radius] = hashlib.sha256(raw).hexdigest()
+        assert digests == self.PINNED_WIDE
 
     def test_generate_is_byte_identical(self, tmp_path):
         blobs = []

@@ -13,12 +13,13 @@ from scriptid.features import (
     detect_positions,
     extract_features,
     feature_zones,
+    label_line,
 )
 from scriptid.geometry import trace_contours
 from scriptid.layout import Baselines, NoInkError
 from scriptid.raster import BinaryRaster
 
-from oracles import nearest_labelled
+from oracles import bfs_regions, nearest_labelled, reference_trace
 
 
 def paint(canvas, r0, r1, c0, c1, value=True):
@@ -361,3 +362,30 @@ def test_nearest_paw_matches_brute_force(data):
             _nearest_paw(paw_map, location, radius)
     else:
         assert _nearest_paw(paw_map, location, radius) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shared_line_labels_match_fresh_ones(data):
+    h, w = data.draw(st.integers(2, 20)), data.draw(st.integers(1, 16))
+    cells = data.draw(st.lists(st.sampled_from([False, False, True]), min_size=h * w, max_size=h * w))
+    line = BinaryRaster(np.array(cells).reshape(h, w))
+    upper = data.draw(st.integers(0, h - 1))
+    baselines = Baselines(upper, data.draw(st.integers(upper, h - 1)))
+    t = FeatureThresholds(
+        data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)), data.draw(st.integers(1, 30))
+    )
+    labels = label_line(line, baselines, t)
+
+    # Regions in first-pixel raster order carry labels 1, 2, ...
+    dots = set()
+    for lab, region in enumerate(bfs_regions(line.pixels), start=1):
+        rows = [r for r, _ in region]
+        if min(rows) <= baselines.lower_row and max(rows) >= baselines.upper_row:
+            continue
+        r, c = min(region)
+        if len(reference_trace(line.pixels, (r, c), (r, c - 1))) < t.diacritic_max_contour:
+            dots.add(lab)
+    assert labels.dots == dots
+    assert detect_poles(line, baselines, t, labels) == detect_poles(line, baselines, t)
+    assert detect_jambs(line, baselines, t, labels) == detect_jambs(line, baselines, t)

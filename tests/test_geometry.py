@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scriptid.geometry import connected_components, project, trace_contours
 from scriptid.raster import BinaryRaster, dilate
 
-from oracles import bfs_regions, count_components, count_holes
+from oracles import bfs_regions, count_components, count_holes, hole_regions, reference_trace
 
 
 def random_raster(rng, max_side=24):
@@ -192,3 +192,51 @@ def test_every_chain_stays_inside_one_component(img):
         component_of.update(dict.fromkeys(region, i))
     for chain in trace_contours(img):
         assert len({component_of[p] for p in chain.points}) == 1
+
+
+@st.composite
+def walk_rasters(draw):
+    """Random ink, sometimes cleared, overlaid with nested square outlines
+    (holes inside holes), one-pixel spurs and isolated pixels."""
+    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    ink = np.array(cells).reshape(h, w) & draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["rings", "spur", "isolated"]))
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        if kind == "rings":
+            size = draw(st.integers(3, 14))
+            r1, c1 = min(h, r + size), min(w, c + size)
+            ink[r:r1, c:c1] = False
+            for k in range(0, size, 2):
+                box = ink[r + k : r1 - k, c + k : c1 - k]
+                if box.size == 0:
+                    break
+                box[[0, -1], :] = True
+                box[:, [0, -1]] = True
+        elif kind == "spur":
+            length = draw(st.integers(1, 8))
+            if draw(st.booleans()):
+                ink[r, c : c + length] = True
+            else:
+                ink[r : r + length, c] = True
+        else:
+            ink[max(0, r - 1) : r + 2, max(0, c - 1) : c + 2] = False
+            ink[r, c] = True
+    return BinaryRaster(ink)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters())
+def test_chains_match_reference_walk(img):
+    # Outer walks start at each region's first raster-order pixel, entered
+    # from the west; hole walks start above each hole's first pixel, entered
+    # from that pixel.
+    ink = img.pixels
+    expected = []
+    for r, c in sorted(min(region) for region in bfs_regions(ink)):
+        expected.append((tuple(reference_trace(ink, (r, c), (r, c - 1))), True, "outer"))
+    for r, c in sorted(min(region) for region in hole_regions(ink)):
+        expected.append((tuple(reference_trace(ink, (r - 1, c), (r, c))), True, "inner"))
+    chains = trace_contours(img)
+    assert [(ch.points, ch.closed, ch.polarity) for ch in chains] == expected

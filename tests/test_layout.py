@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scriptid.geometry import label_components
 from scriptid.layout import (
     Baselines,
     LineBand,
@@ -10,6 +13,8 @@ from scriptid.layout import (
     segment_paws,
 )
 from scriptid.raster import BinaryRaster
+
+from oracles import reference_segment_paws
 
 
 def canvas(h, w):
@@ -155,3 +160,65 @@ class TestSegmentPaws:
 
     def test_blank_line(self):
         assert segment_paws(BinaryRaster.blank(5, 5)) == []
+
+
+def paw_triples(paws):
+    return [(p.bbox, p.pixels.tolist(), p.order_index) for p in paws]
+
+
+def reference_triples(line, baselines=None):
+    return [(bbox, pixels.tolist(), i) for bbox, pixels, i in reference_segment_paws(line, baselines)]
+
+
+def tie_line(mark_cols):
+    # Two equal bodies on the same rows and a mark above, centred between
+    # them: column overlap and centroid distance both tie.
+    img = canvas(9, 13)
+    img[4:9, 0:5] = True
+    img[4:9, 8:13] = True
+    img[0:2, mark_cols[0] : mark_cols[1] + 1] = True
+    return BinaryRaster(img)
+
+
+class TestSegmentPawsOracle:
+    @pytest.mark.parametrize("mark_cols", [(4, 8), (5, 7)])  # overlap 0 each, gap 3 each
+    def test_full_tie_goes_to_first_body(self, mark_cols):
+        line = tie_line(mark_cols)
+        paws = segment_paws(line, Baselines(4, 8))
+        assert paw_triples(paws) == reference_triples(line, Baselines(4, 8))
+        left = paws[1]
+        assert left.bbox[1] == 0 and (0, mark_cols[0]) in left.pixel_set()
+
+    def test_tie_below_the_band(self):
+        line = BinaryRaster(tie_line((4, 8)).pixels[::-1])
+        for baselines in (Baselines(0, 4), None):
+            assert paw_triples(segment_paws(line, baselines)) == reference_triples(line, baselines)
+
+    def test_labels_cover_each_part(self):
+        line = tie_line((4, 8))
+        labelling = label_components(line)
+        for paw in segment_paws(line, Baselines(4, 8), labelling=labelling):
+            assert set(labelling.labels[tuple(paw.pixels.T)]) == set(paw.labels.tolist())
+
+
+@st.composite
+def paw_lines(draw):
+    """Sparse random ink: many small components on both sides of the band."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 24))
+    cells = draw(st.lists(st.sampled_from([False, False, False, True]), min_size=h * w, max_size=h * w))
+    line = BinaryRaster(np.array(cells).reshape(h, w))
+    upper = draw(st.integers(0, h - 1))
+    baselines = draw(st.sampled_from([None, Baselines(upper, draw(st.integers(upper, h - 1)))]))
+    return line, baselines
+
+
+@settings(max_examples=300, deadline=None)
+@given(paw_lines())
+def test_segment_paws_matches_reference(case):
+    line, baselines = case
+    if line.ink_count() == 0:
+        baselines = Baselines(0, 0)  # estimate_baselines needs ink
+    expected = reference_triples(line, baselines)
+    assert paw_triples(segment_paws(line, baselines)) == expected
+    labelling = label_components(line)
+    assert paw_triples(segment_paws(line, baselines, labelling=labelling)) == expected

@@ -85,6 +85,23 @@ class TestLoad:
         with pytest.raises(PnmPayloadError):
             load(write(tmp_path, data))
 
+    @pytest.mark.parametrize("data, error", [
+        (b"P1 " + b"9" * 5000 + b" 1\n1", PnmHeaderError),
+        (b"P1 1 " + b"0" * 20 + b"1\n1", PnmHeaderError),
+        (b"P2 1 1 " + b"9" * 5000 + b"\n1", PnmHeaderError),
+        (b"P5 1 1 " + b"9" * 5000 + b"\n\x00", PnmHeaderError),
+        (b"P2 1 1 255\n" + b"9" * 5000, PnmPayloadError),
+    ])
+    def test_overlong_integer_is_pnm_error(self, tmp_path, data, error):
+        # int() of an unbounded digit run is slow and, past the interpreter's
+        # digit limit, raises a plain ValueError.
+        with pytest.raises(error):
+            load(write(tmp_path, data))
+
+    def test_twenty_digit_integers_parse(self, tmp_path):
+        img = load(write(tmp_path, b"P2 " + b"0" * 19 + b"1 1 255\n" + b"0" * 18 + b"42"))
+        assert img.pixels.tolist() == [[42]]
+
 
 @st.composite
 def mutated_pnm(draw):
