@@ -89,6 +89,15 @@ def _load_binary(path: Path) -> BinaryRaster:
 
 
 def _params(args) -> PipelineParams:
+    """Pipeline parameters from the flags, rejecting values no stage accepts."""
+    if args.dilate < 0:
+        raise _UsageError(f"--dilate must be >= 0, not {args.dilate}")
+    if args.contour_max <= 0:
+        raise _UsageError(f"--contour-max must be positive, not {args.contour_max}")
+    if not 0 < args.alpha <= 1:
+        raise _UsageError(f"--alpha must lie in (0, 1], not {args.alpha}")
+    if args.merge_gap < 0:
+        raise _UsageError(f"--merge-gap must be >= 0, not {args.merge_gap}")
     return PipelineParams(
         dilation_radius=args.dilate,
         alpha=args.alpha,

@@ -17,7 +17,7 @@ pure function of its inputs and is independently parallelizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -370,7 +370,8 @@ def extract_features(
     t = thresholds if thresholds is not None else FeatureThresholds.from_baselines(baselines)
 
     stage = dilate(word, dilation_radius)
-    chains = trace_contours(stage)
+    # Only chains a dot or loop test can keep are walked; see trace_contours.
+    chains = trace_contours(stage, band=(baselines.upper_row, baselines.lower_row))
 
     p_hits, q_hits = detect_diacritics(chains, baselines, t)
     b_hits = detect_loops(chains, baselines, t)
@@ -393,14 +394,12 @@ def extract_features(
 
     hits = []
     for hit in (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits):
-        zone_idx = _zone_of_column(zones, hit.location[1])
-        hits.append(
-            replace(
-                hit,
-                paw_index=_nearest_paw(paw_map, hit.location, dilation_radius),
-                position=tags[zone_idx],
-            )
-        )
+        # A hit on a mapped pixel is its own unique nearest mapped pixel.
+        paw = int(paw_map[hit.location])
+        if paw < 0:
+            paw = _nearest_paw(paw_map, hit.location, dilation_radius)
+        position = tags[_zone_of_column(zones, hit.location[1])]
+        hits.append(FeatureHit(hit.kind, hit.location, paw, position))
     hits.sort(key=lambda h: (_KIND_ORDER[h.kind], h.location))
 
     counts = {k: sum(1 for h in hits if h.kind == k) for k in FEATURE_KINDS}

@@ -15,6 +15,16 @@ checks. A 256 x 8 table built at import maps (code, backtrack direction) to
 (step direction, new backtrack direction), so each step of the walk is one
 table lookup on a flat index into the padded grid, and a state is the
 integer pixel * 8 + backtrack direction.
+
+A caller that only needs the boundaries near a row band can pass that band
+to trace_contours, which then chooses boundaries by bounding box before
+walking any of them. An outer chain visits only pixels of its region and
+includes the region's topmost and bottommost pixels, so its rows are
+exactly the region's bounding-box rows. An inner chain visits the ink cells
+around its hole, and the ink directly above the hole's top cells and below
+its bottom cells closes it, so its rows are the hole's bounding-box rows
+widened by one. Box rows from find_objects therefore decide, with no walk,
+which chains lie entirely above or below the band and which reach it.
 """
 
 from __future__ import annotations
@@ -218,19 +228,20 @@ def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
     return top, int(np.argmax(labels[top, sl[1]] == lab)) + sl[1].start
 
 
-def _first_pixels(labels: np.ndarray, skip=()):
-    """First raster-order pixel of each label, via per-label bounding slices."""
+def _first_pixels(labels: np.ndarray, keep_rows, skip=()):
+    """Sorted first raster-order pixels of the labels not in skip whose
+    bounding-box rows (top, bottom) pass keep_rows."""
     firsts = [
         _first_pixel(labels, lab, sl)
         for lab, sl in enumerate(ndimage.find_objects(labels), start=1)
-        if lab not in skip and sl is not None
+        if sl is not None and lab not in skip and keep_rows(sl[0].start, sl[0].stop - 1)
     ]
     firsts.sort()
     return firsts
 
 
-def trace_contours(img: BinaryRaster) -> list[ContourChain]:
-    """Trace every region and hole boundary of the image.
+def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
+    """Trace the region and hole boundaries of the image.
 
     Each 8-connected ink region yields exactly one closed outer chain,
     started at its first raster-order pixel as if entered from the west.
@@ -238,13 +249,33 @@ def trace_contours(img: BinaryRaster) -> list[ContourChain]:
     border) yields exactly one closed inner chain over the ink pixels that
     enclose it, started above the hole's first raster-order pixel. Outer
     chains come first, each group ordered by start pixel.
+
+    band, an (upper_row, lower_row) pair, keeps only the chains a dot or
+    loop test can accept: outer chains of regions whose rows lie entirely
+    above upper_row or entirely below lower_row, and inner chains of holes
+    whose rows, widened by one on each side, meet [upper_row, lower_row].
+    An outer chain spans its region's box rows and an inner chain its
+    hole's box rows widened by one, so the choice is made from bounding
+    boxes and the other boundaries are never walked. The kept chains are
+    exactly those of the full trace that pass the same row tests, in the
+    same order.
     """
     ink = img.pixels
     walker = _Walker(ink)
     chains = []
+    if band is None:
+        outer_kept = hole_kept = lambda top, bottom: True
+    else:
+        upper, lower = band
+
+        def outer_kept(top, bottom):
+            return bottom < upper or top > lower
+
+        def hole_kept(top, bottom):
+            return bottom + 1 >= upper and top - 1 <= lower
 
     labels, _ = ndimage.label(ink, structure=_EIGHT)
-    for start in _first_pixels(labels):
+    for start in _first_pixels(labels, outer_kept):
         points = walker.trace(start, (start[0], start[1] - 1))
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="outer")
@@ -257,7 +288,7 @@ def trace_contours(img: BinaryRaster) -> list[ContourChain]:
         )
     )
     touching = set(int(lab) for lab in border if lab != 0)
-    for hole_first in _first_pixels(bg_labels, skip=touching):
+    for hole_first in _first_pixels(bg_labels, hole_kept, skip=touching):
         # The pixel above a hole's topmost-leftmost cell is always ink.
         seed = (hole_first[0] - 1, hole_first[1])
         points = walker.trace(seed, hole_first)

@@ -14,7 +14,6 @@ bit-exact and save/load round-trips losslessly.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "BinaryRaster",
@@ -318,6 +317,11 @@ def dilate(img: BinaryRaster, radius: int = 1) -> BinaryRaster:
     distance <= radius of an ink cell; dimensions are unchanged. Radius 0 is
     the identity. A single pass with the square element closes diagonal
     contour gaps, which is why it is the preprocessing default.
+
+    The square element is separable, so each of the radius passes ORs the
+    raster with itself shifted one column each way, then one row each way.
+    After max(height, width) passes every cell is within reach of any ink
+    cell, so further passes change nothing and are skipped.
     """
     if not isinstance(img, BinaryRaster):
         raise TypeError("dilate expects a BinaryRaster")
@@ -325,6 +329,12 @@ def dilate(img: BinaryRaster, radius: int = 1) -> BinaryRaster:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return img
-    side = 2 * radius + 1
-    grown = ndimage.binary_dilation(img.pixels, structure=np.ones((side, side), dtype=bool))
+    grown = img.pixels
+    for _ in range(min(radius, max(img.height, img.width))):
+        wide = grown.copy()
+        wide[:, 1:] |= grown[:, :-1]
+        wide[:, :-1] |= grown[:, 1:]
+        grown = wide.copy()
+        grown[1:] |= wide[:-1]
+        grown[:-1] |= wide[1:]
     return BinaryRaster(grown)

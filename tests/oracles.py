@@ -3,12 +3,14 @@
 Everything here is deliberately naive pure Python so its correctness is
 obvious: BFS flood fills for regions and holes, direct neighborhood
 enumeration for dilation, a probe-by-probe Moore walk for contours, and a
-mark-by-mark grouping of word parts.
+mark-by-mark grouping of word parts. The one exception is a second
+dilation reference, scipy's binary_dilation with a square element.
 """
 
 from collections import deque
 
 import numpy as np
+from scipy import ndimage
 
 from scriptid.geometry import connected_components
 from scriptid.layout import estimate_baselines
@@ -74,6 +76,16 @@ def brute_dilate(mask, radius):
         c0, c1 = max(0, c - radius), min(width, c + radius + 1)
         out[r0:r1, c0:c1] = True
     return out
+
+
+def scipy_dilate(mask, radius):
+    """Binary dilation by a (2r+1)-square structuring element, outside the
+    raster counted as background."""
+    mask = np.asarray(mask, dtype=bool)
+    if radius == 0:
+        return mask.copy()
+    side = 2 * radius + 1
+    return ndimage.binary_dilation(mask, structure=np.ones((side, side), dtype=bool))
 
 
 def nearest_labelled(label_map, location, max_radius):

@@ -176,6 +176,19 @@ class TestUsage:
     def test_missing_required_flag(self):
         assert main(["features"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["features", "classify", "evaluate"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--dilate", "-1"),
+        ("--contour-max", "0"),
+        ("--alpha", "0"),
+        ("--alpha", "nan"),
+        ("--merge-gap", "-1"),
+    ])
+    def test_out_of_range_parameter_is_usage_error(self, corpus, capsys, command, flag, value):
+        capsys.readouterr()
+        assert main([command, "--input", str(corpus), flag, value]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error")
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical(self, corpus, tmp_path):
@@ -219,12 +232,17 @@ class TestDeterminism:
         assert digests == self.PINNED
 
     # sha256 of the reports on two wide pages of 20-28 parts per line, where
-    # each line carries dozens of detached marks for the part grouping.
+    # each line carries dozens of detached marks for the part grouping. At
+    # --contour-max 20 both pages drop oversize loops, which no other pin
+    # exercises.
     PINNED_WIDE = {
-        ("features", "1"): "2049891e9f2ff3544dc6d313d33ddf186d20672eb7a163ee0893c05b684630e7",
-        ("classify", "1"): "6a1879210fb93c0be16aed728540e76a2377cd983a1e263649bc26ae2c76e344",
-        ("features", "0"): "af50408037bae96a51269a52dcbf2acfdf52567ef8b6cb5f65b3a2cec6385d78",
-        ("classify", "0"): "86af12eb1c2ae9988d63a85b683f848a339913406226413ff69946e2d391a01f",
+        ("features", "--dilate", "1"): "2049891e9f2ff3544dc6d313d33ddf186d20672eb7a163ee0893c05b684630e7",
+        ("classify", "--dilate", "1"): "6a1879210fb93c0be16aed728540e76a2377cd983a1e263649bc26ae2c76e344",
+        ("features", "--dilate", "0"): "af50408037bae96a51269a52dcbf2acfdf52567ef8b6cb5f65b3a2cec6385d78",
+        ("classify", "--dilate", "0"): "86af12eb1c2ae9988d63a85b683f848a339913406226413ff69946e2d391a01f",
+        ("features", "--dilate", "0", "--contour-max", "20"):
+            "a4fc0e786173df629b9491be925ae18f470f2ac83672a21228e728df7bfd14c8",
+        ("features", "--dilate", "2"): "97751d6ce462d6f79e6bb4882fa048ce294801d9f32a46c42bfdc3bbbca84327",
     }
 
     def test_wide_page_reports_match_pinned_hashes(self, tmp_path):
@@ -235,13 +253,14 @@ class TestDeterminism:
         ]
         save_corpus(items, tmp_path / "corpus")
         digests = {}
-        for command, radius in self.PINNED_WIDE:
+        for i, (command, *flags) in enumerate(self.PINNED_WIDE):
             rc, raw = run_to_file(
-                [command, "--input", str(tmp_path / "corpus"), "--dilate", radius],
-                tmp_path / f"{command}-{radius}.json",
+                [command, "--input", str(tmp_path / "corpus"), *flags], tmp_path / f"{i}.json"
             )
             assert rc == EXIT_OK
-            digests[command, radius] = hashlib.sha256(raw).hexdigest()
+            if "--contour-max" in flags:
+                assert all(e["dropped_oversize_loops"] > 0 for e in json.loads(raw)["images"])
+            digests[(command, *flags)] = hashlib.sha256(raw).hexdigest()
         assert digests == self.PINNED_WIDE
 
     def test_generate_is_byte_identical(self, tmp_path):

@@ -240,3 +240,44 @@ def test_chains_match_reference_walk(img):
         expected.append((tuple(reference_trace(ink, (r - 1, c), (r, c))), True, "inner"))
     chains = trace_contours(img)
     assert [(ch.points, ch.closed, ch.polarity) for ch in chains] == expected
+
+
+def _rows(points):
+    rows = [p[0] for p in points]
+    return min(rows), max(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters())
+def test_chain_rows_equal_box_rows(img):
+    # trace_contours chooses chains for a band from bounding boxes alone;
+    # that is exact because an outer chain spans its region's box rows and
+    # an inner chain its hole's box rows widened by one.
+    ink = img.pixels
+    regions = sorted(bfs_regions(ink), key=min)
+    holes = sorted(hole_regions(ink), key=min)
+    chains = trace_contours(img)
+    assert len(chains) == len(regions) + len(holes)
+    for chain, region in zip(chains, regions):
+        assert chain.polarity == "outer"
+        assert _rows(chain.points) == _rows(region)
+    for chain, hole in zip(chains[len(regions):], holes):
+        top, bottom = _rows(hole)
+        assert chain.polarity == "inner"
+        assert _rows(chain.points) == (top - 1, bottom + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters(), st.data())
+def test_band_keeps_exactly_the_chains_its_row_tests_accept(img, data):
+    upper = data.draw(st.integers(-1, img.height))
+    lower = data.draw(st.integers(upper - 1, img.height + 1))
+    kept = []
+    for chain in trace_contours(img):
+        # The zone test of detect_diacritics for outer chains, and of the
+        # loop stage for inner chains.
+        top, bottom = _rows(chain.points)
+        beyond_band = bottom < upper or top > lower
+        if beyond_band if chain.polarity == "outer" else not beyond_band:
+            kept.append(chain)
+    assert trace_contours(img, band=(upper, lower)) == kept

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from scriptid.raster import (
     save,
 )
 
-from oracles import brute_dilate
+from oracles import brute_dilate, scipy_dilate
 
 
 def write(tmp_path, data, name="img.pbm"):
@@ -239,6 +241,41 @@ class TestDilate:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             dilate(BinaryRaster.from_strings(["1"]), -1)
+
+    def test_type_checked(self):
+        with pytest.raises(TypeError):
+            dilate(GrayRaster([[0]]), 1)
+
+    def test_huge_radius_stops_once_every_cell_is_inked(self):
+        img = BinaryRaster.from_strings(["0000000", "0000000", "0000001"])
+        start = time.perf_counter()
+        out = dilate(img, 10**6)
+        # A million passes take seconds; the seven that can change anything
+        # take well under a millisecond.
+        assert time.perf_counter() - start < 1
+        assert out.pixels.all() and out.pixels.shape == (3, 7)
+
+
+@st.composite
+def dilation_cases(draw):
+    """Random ink on blank, 1x1, single-row, single-column and general
+    rasters, sometimes with ink forced onto the border."""
+    shape = draw(st.sampled_from(["any", "1x1", "row", "column"]))
+    h = 1 if shape in ("1x1", "row") else draw(st.integers(1, 14))
+    w = 1 if shape in ("1x1", "column") else draw(st.integers(1, 14))
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    mask = np.array(cells).reshape(h, w) & draw(st.booleans())
+    if draw(st.booleans()):
+        r, c = draw(st.sampled_from([(0, 0), (h - 1, w - 1), (0, w - 1), (h - 1, 0)]))
+        mask[r, c] = True
+    return mask, draw(st.integers(0, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dilation_cases())
+def test_dilate_matches_scipy_reference(case):
+    mask, radius = case
+    assert np.array_equal(dilate(BinaryRaster(mask), radius).pixels, scipy_dilate(mask, radius))
 
 
 class TestRasterTypes:
