@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import evaluate as evalmod
 from .classify import builtin_profiles, load_profiles
-from .features import FEATURE_KINDS
+from .features import FEATURE_KINDS, FeatureSet
 from .pipeline import PipelineParams, analyze_page, classify_page
 from .raster import BinaryRaster, GrayRaster, PnmError, load
 from .synthgen import generate_corpus, generate_page, save_corpus
@@ -264,8 +264,16 @@ def cmd_evaluate(args) -> int:
     params = _params(args)
 
     predictions = []
+    errors = []
     for path in paths:
-        page = _load_binary(path)
+        try:
+            page = _load_binary(path)
+        except (PnmError, OSError) as exc:
+            # Scored like a blank page, so its truth still counts as missed.
+            sys.stderr.write(f"{path.name}: error: {exc}\n")
+            errors.append({"image": path.name, "error": str(exc)})
+            predictions.append((path.stem, FeatureSet.empty()))
+            continue
         analysis = analyze_page(page, params)
         predictions.append((path.stem, analysis.features))
     report = evalmod.score(predictions, truth, _profiles(args), q_min=args.qmin)
@@ -280,6 +288,8 @@ def cmd_evaluate(args) -> int:
             "report": _report_dict(report),
             "_text": table,
         }
+        if errors:
+            payload["errors"] = errors
         _emit(payload, args)
 
     if args.ceiling is not None:

@@ -17,6 +17,7 @@ pure function of its inputs and is independently parallelizable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from .geometry import (
     ContourChain,
     Labelling,
     _first_pixel,
-    _Walker,
     label_components,
     trace_contours,
 )
@@ -173,16 +173,13 @@ class LineLabels:
 def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
     """Label the word's 8-connected ink and find its detached dots."""
     labelling = label_components(word)
-    walker = None
     dots = set()
     for lab, sl in enumerate(labelling.objects, start=1):
         top, bottom = sl[0].start, sl[0].stop - 1
         if not (bottom < baselines.upper_row or top > baselines.lower_row):
             continue
         start = _first_pixel(labelling.labels, lab, sl)
-        if walker is None:
-            walker = _Walker(word.pixels)
-        if len(walker.trace(start, (start[0], start[1] - 1))) < thresholds.diacritic_max_contour:
+        if len(labelling.walker.trace(start, (start[0], start[1] - 1))) < thresholds.diacritic_max_contour:
             dots.add(lab)
     return LineLabels(labelling, frozenset(dots))
 
@@ -191,7 +188,10 @@ def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None)
     """Common pole/jamb scan over one outer zone.
 
     Each 8-connected ink region beyond the baseline becomes one hit when its
-    extremal pixel clears the margin, with detached dots excluded.
+    extremal row clears the margin, with detached dots excluded. A region's
+    top and bottom rows are its bounding-box rows. Its first raster-order
+    pixel anchors the dot test and is also the pole tip; a jamb tip is the
+    first pixel of its bottom row.
     """
     if kind == "H":
         if baselines.upper_row == 0:
@@ -210,26 +210,20 @@ def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None)
     hits = []
     zone_labels, _ = ndimage.label(zone, structure=_EIGHT)
     for lab, sl in enumerate(ndimage.find_objects(zone_labels), start=1):
-        if sl is None:
-            continue
-        region = np.argwhere(zone_labels[sl] == lab) + (sl[0].start, sl[1].start)
-        anchor = (int(region[0][0] + offset), int(region[0][1]))
-        if int(label_of[anchor]) in labels.dots:
-            continue
+        top, bottom = sl[0].start, sl[0].stop - 1
         if kind == "H":
-            top = int(region[:, 0].min())
-            extent = baselines.upper_row - top
-            tip_rows = region[region[:, 0] == top]
-            tip = (top, int(tip_rows[:, 1].min()))
-            margin = thresholds.marge_h
+            clears = baselines.upper_row - top > thresholds.marge_h
         else:
-            bottom = int(region[:, 0].max())
-            extent = bottom + offset - baselines.lower_row
-            tip_rows = region[region[:, 0] == bottom]
-            tip = (bottom + offset, int(tip_rows[:, 1].min()))
-            margin = thresholds.marge_j
-        if extent > margin:
-            hits.append(FeatureHit(kind, tip))
+            clears = bottom + offset - baselines.lower_row > thresholds.marge_j
+        if not clears:
+            continue
+        row, col = _first_pixel(zone_labels, lab, sl)
+        if int(label_of[row + offset, col]) in labels.dots:
+            continue
+        if kind == "J":
+            row = bottom
+            col = int(np.argmax(zone_labels[bottom, sl[1]] == lab)) + sl[1].start
+        hits.append(FeatureHit(kind, (row + offset, col)))
     hits.sort(key=lambda h: h.location)
     return hits
 
@@ -265,34 +259,27 @@ def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
 
     Blank columns split zones outright; inside an inked run, every strict
     local-minimum plateau marks a boundary at its center column, which
-    belongs to neither neighboring zone.
+    belongs to neither neighboring zone. A plateau is a maximal run of equal
+    column counts; it is a strict local minimum when the plateaus on both
+    sides are higher, a blank neighbor or the image edge counting as 0, so a
+    plateau at the edge of a run never marks a boundary.
     """
     counts = word.pixels.sum(axis=0)
-    inked = np.flatnonzero(counts > 0)
-    if inked.size == 0:
+    # Plateau k spans columns starts[k]..ends[k] at count level[k].
+    starts = np.flatnonzero(np.diff(counts, prepend=-1))
+    ends = np.append(starts[1:], counts.size) - 1
+    level = counts[starts]
+    cut = (np.append(0, level[:-1]) > level) & (np.append(level[1:], 0) > level)
+    keep = counts > 0
+    keep[(starts[cut] + ends[cut]) // 2] = False
+    cols = np.flatnonzero(keep)
+    if cols.size == 0:
         return []
-    runs = np.split(inked, np.flatnonzero(np.diff(inked) > 1) + 1)
+    gaps = np.flatnonzero(np.diff(cols) > 1)
+    return list(zip(cols[np.append(0, gaps + 1)].tolist(), cols[np.append(gaps, -1)].tolist()))
 
-    zones = []
-    for run in runs:
-        start, end = int(run[0]), int(run[-1])
-        boundaries = []
-        i = start + 1
-        while i <= end - 1:
-            j = i
-            while j + 1 <= end - 1 and counts[j + 1] == counts[i]:
-                j += 1
-            if counts[i - 1] > counts[i] and counts[j + 1] > counts[j]:
-                boundaries.append((i + j) // 2)
-            i = j + 1
-        cursor = start
-        for boundary in boundaries:
-            if cursor <= boundary - 1:
-                zones.append((cursor, boundary - 1))
-            cursor = boundary + 1
-        if cursor <= end:
-            zones.append((cursor, end))
-    return zones
+
+_TAGS = "IFDM"  # indexed by 2 * (left inked) + (right inked)
 
 
 def detect_positions(
@@ -309,24 +296,29 @@ def detect_positions(
     both sides inked gives M, right only gives F, neither gives I.
     """
     band = word.pixels[baselines.upper_row : baselines.lower_row + 1]
+    # inked[c] counts the band columns before c that hold ink.
+    inked = np.concatenate(([0], np.cumsum(band.any(axis=0))))
     width = word.width
-    tags = []
-    for c0, c1 in zone_bounds:
-        left = bool(band[:, max(0, c0 - neighborhood) : c0].any()) if c0 > 0 else False
-        right = bool(band[:, c1 + 1 : min(width, c1 + 1 + neighborhood)].any())
-        tags.append({(True, False): "D", (True, True): "M", (False, True): "F", (False, False): "I"}[(left, right)])
-    return tags
+    c0, c1 = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
+    left = inked[c0] > inked[np.clip(c0 - neighborhood, 0, width)]
+    right_start = np.minimum(c1 + 1, width)
+    right = inked[np.clip(c1 + 1 + neighborhood, right_start, width)] > inked[right_start]
+    return [_TAGS[i] for i in (2 * left + right).tolist()]
 
 
-def _zone_of_column(zone_bounds, col: int) -> int:
-    best, best_dist = 0, None
-    for i, (c0, c1) in enumerate(zone_bounds):
-        if c0 <= col <= c1:
-            return i
-        dist = c0 - col if col < c0 else col - c1
-        if best_dist is None or dist < best_dist:
-            best, best_dist = i, dist
-    return best
+def _zone_index(zone_bounds, starts, col: int) -> int:
+    """Index of the zone holding col, else of the nearest zone, the left one on ties.
+
+    zone_bounds are disjoint and sorted, as feature_zones returns them, and
+    starts lists their first columns.
+    """
+    i = bisect_right(starts, col) - 1
+    if i < 0:
+        return 0
+    gap_left = col - zone_bounds[i][1]
+    if gap_left > 0 and i + 1 < len(starts) and starts[i + 1] - col < gap_left:
+        return i + 1
+    return i
 
 
 def _nearest_paw(paw_map: np.ndarray, location, max_radius: int) -> int:
@@ -369,16 +361,21 @@ def extract_features(
         raise NoInkError("cannot extract features from a blank image")
     t = thresholds if thresholds is not None else FeatureThresholds.from_baselines(baselines)
 
+    labels = label_line(word, baselines, t)
     stage = dilate(word, dilation_radius)
     # Only chains a dot or loop test can keep are walked; see trace_contours.
-    chains = trace_contours(stage, band=(baselines.upper_row, baselines.lower_row))
+    # Radius 0 leaves the word as it is, so its labelling serves the walk too.
+    chains = trace_contours(
+        stage,
+        band=(baselines.upper_row, baselines.lower_row),
+        labelling=labels.labelling if stage is word else None,
+    )
 
     p_hits, q_hits = detect_diacritics(chains, baselines, t)
     b_hits = detect_loops(chains, baselines, t)
     dropped = sum(
         1 for ch in _band_holes(chains, baselines) if ch.length >= t.diacritic_max_contour
     )
-    labels = label_line(word, baselines, t)
     h_hits = detect_poles(word, baselines, t, labels)
     j_hits = detect_jambs(word, baselines, t, labels)
 
@@ -391,6 +388,7 @@ def extract_features(
 
     zones = feature_zones(word)
     tags = detect_positions(word, baselines, zones)
+    starts = [c0 for c0, _ in zones]
 
     hits = []
     for hit in (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits):
@@ -398,7 +396,7 @@ def extract_features(
         paw = int(paw_map[hit.location])
         if paw < 0:
             paw = _nearest_paw(paw_map, hit.location, dilation_radius)
-        position = tags[_zone_of_column(zones, hit.location[1])]
+        position = tags[_zone_index(zones, starts, hit.location[1])]
         hits.append(FeatureHit(hit.kind, hit.location, paw, position))
     hits.sort(key=lambda h: (_KIND_ORDER[h.kind], h.location))
 

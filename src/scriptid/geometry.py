@@ -30,6 +30,7 @@ which chains lie entirely above or below the band and which reach it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -87,7 +88,8 @@ class Labelling:
     """8-connected ink labels of one raster plus each label's bounding slices.
 
     labels is 0 on background and numbers the regions 1..count in raster
-    order of their first pixel; objects[i] bounds label i + 1.
+    order of their first pixel; objects[i] bounds label i + 1. walker, the
+    Moore walker over the same ink, is built on first use and then cached.
     """
 
     labels: np.ndarray
@@ -96,6 +98,10 @@ class Labelling:
     @property
     def count(self) -> int:
         return len(self.objects)
+
+    @cached_property
+    def walker(self) -> "_Walker":
+        return _Walker(self.labels > 0)
 
 
 @dataclass(frozen=True)
@@ -228,19 +234,19 @@ def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
     return top, int(np.argmax(labels[top, sl[1]] == lab)) + sl[1].start
 
 
-def _first_pixels(labels: np.ndarray, keep_rows, skip=()):
+def _first_pixels(labels: np.ndarray, objects, keep_rows, skip=()):
     """Sorted first raster-order pixels of the labels not in skip whose
-    bounding-box rows (top, bottom) pass keep_rows."""
+    bounding-box rows (top, bottom) pass keep_rows; objects[i] bounds label i + 1."""
     firsts = [
         _first_pixel(labels, lab, sl)
-        for lab, sl in enumerate(ndimage.find_objects(labels), start=1)
+        for lab, sl in enumerate(objects, start=1)
         if sl is not None and lab not in skip and keep_rows(sl[0].start, sl[0].stop - 1)
     ]
     firsts.sort()
     return firsts
 
 
-def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
+def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = None) -> list[ContourChain]:
     """Trace the region and hole boundaries of the image.
 
     Each 8-connected ink region yields exactly one closed outer chain,
@@ -259,9 +265,13 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     boxes and the other boundaries are never walked. The kept chains are
     exactly those of the full trace that pass the same row tests, in the
     same order.
+
+    labelling, when given, must be label_components(img); the ink is then
+    not labelled again, and the labelling's walker is shared.
     """
     ink = img.pixels
-    walker = _Walker(ink)
+    if labelling is None:
+        labelling = label_components(img)
     chains = []
     if band is None:
         outer_kept = hole_kept = lambda top, bottom: True
@@ -274,9 +284,8 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
         def hole_kept(top, bottom):
             return bottom + 1 >= upper and top - 1 <= lower
 
-    labels, _ = ndimage.label(ink, structure=_EIGHT)
-    for start in _first_pixels(labels, outer_kept):
-        points = walker.trace(start, (start[0], start[1] - 1))
+    for start in _first_pixels(labelling.labels, labelling.objects, outer_kept):
+        points = labelling.walker.trace(start, (start[0], start[1] - 1))
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="outer")
         )
@@ -288,10 +297,11 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
         )
     )
     touching = set(int(lab) for lab in border if lab != 0)
-    for hole_first in _first_pixels(bg_labels, hole_kept, skip=touching):
+    bg_objects = ndimage.find_objects(bg_labels)
+    for hole_first in _first_pixels(bg_labels, bg_objects, hole_kept, skip=touching):
         # The pixel above a hole's topmost-leftmost cell is always ink.
         seed = (hole_first[0] - 1, hole_first[1])
-        points = walker.trace(seed, hole_first)
+        points = labelling.walker.trace(seed, hole_first)
         chains.append(
             ContourChain(tuple(points), closed=True, polarity="inner")
         )

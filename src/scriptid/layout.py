@@ -11,7 +11,8 @@ to runs that contain the peak itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,13 +65,21 @@ class Paw:
     """One word part: a body component plus any reattached detached marks.
 
     order_index runs right to left, the rightmost part being 0. labels are
-    the part's component labels in the line's labelling.
+    the part's component labels in label_image, the line's labelling.
+    pixels, the part's (row, col) pairs in raster order, is computed from
+    label_image on first access and then cached.
     """
 
     bbox: tuple[int, int, int, int]
-    pixels: np.ndarray
     order_index: int
     labels: np.ndarray
+    label_image: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pixels(self) -> np.ndarray:
+        r0, c0, r1, c1 = self.bbox
+        inside = np.isin(self.label_image[r0 : r1 + 1, c0 : c1 + 1], self.labels)
+        return np.argwhere(inside) + (r0, c0)
 
     def pixel_set(self):
         return {(int(r), int(c)) for r, c in self.pixels}
@@ -120,12 +129,6 @@ def estimate_baselines(word: BinaryRaster, alpha: float = 0.5) -> Baselines:
 _PAIR_BLOCK = 1 << 20
 
 
-def _group(keys: np.ndarray, values: np.ndarray, n: int) -> list[np.ndarray]:
-    """values split into n groups by key, in their given order within a group."""
-    order = np.argsort(keys, kind="stable")
-    return np.split(values[order], np.cumsum(np.bincount(keys, minlength=n))[:-1])
-
-
 def segment_paws(
     line: BinaryRaster,
     baselines: Baselines | None = None,
@@ -157,15 +160,16 @@ def segment_paws(
     if bodies.size == 0:
         bodies, marks = comps, comps[:0]
 
-    rows, cols = np.nonzero(labelling.labels)
-    comp_of_pixel = labelling.labels[rows, cols] - 1
-    # Coordinate sums are exact in float64, so these equal the pixel means.
-    size = np.bincount(comp_of_pixel, minlength=n)
-    centroid_r = np.bincount(comp_of_pixel, weights=rows, minlength=n) / size
-    centroid_c = np.bincount(comp_of_pixel, weights=cols, minlength=n) / size
-
     owner = np.empty(n, dtype=np.intp)
     owner[bodies] = np.arange(bodies.size)
+    if marks.size:
+        flat = np.flatnonzero(line.pixels)
+        comp_of_pixel = labelling.labels.ravel()[flat] - 1
+        rows, cols = np.divmod(flat, line.width)
+        # Coordinate sums are exact in float64, so these equal the pixel means.
+        size = np.bincount(comp_of_pixel, minlength=n)
+        centroid_r = np.bincount(comp_of_pixel, weights=rows, minlength=n) / size
+        centroid_c = np.bincount(comp_of_pixel, weights=cols, minlength=n) / size
     block = max(1, _PAIR_BLOCK // bodies.size)
     for i in range(0, marks.size, block):
         m = marks[i : i + block, None]
@@ -182,9 +186,11 @@ def segment_paws(
     part_of[order] = np.arange(bodies.size)
     part_of_comp = part_of[owner]
 
-    pixels = _group(part_of_comp[comp_of_pixel], np.stack((rows, cols), axis=1), bodies.size)
-    labels = _group(part_of_comp, np.arange(1, n + 1), bodies.size)
+    # Component labels grouped by part, in label order within a part.
+    grouped = np.argsort(part_of_comp, kind="stable") + 1
+    ends = np.cumsum(np.bincount(part_of_comp, minlength=bodies.size)).tolist()
+    extents = extent.tolist()
     return [
-        Paw(tuple(int(v) for v in extent[j]), pixels[i], i, labels[i])
-        for i, j in enumerate(order)
+        Paw(tuple(extents[j]), i, grouped[lo:hi], labelling.labels)
+        for i, (j, lo, hi) in enumerate(zip(order.tolist(), [0, *ends], ends))
     ]

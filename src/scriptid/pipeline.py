@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 from .classify import Verdict, classify
 from .features import (
+    FeatureHit,
     FeatureSet,
     FeatureThresholds,
     combine_feature_sets,
@@ -49,11 +50,7 @@ class PageAnalysis:
 
 def _shift_hits(fs: FeatureSet, row_offset: int, paw_offset: int) -> FeatureSet:
     hits = tuple(
-        replace(
-            h,
-            location=(h.location[0] + row_offset, h.location[1]),
-            paw_index=h.paw_index + paw_offset,
-        )
+        FeatureHit(h.kind, (h.location[0] + row_offset, h.location[1]), h.paw_index + paw_offset, h.position)
         for h in fs.hits
     )
     return replace(fs, hits=hits)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive pure Python so its correctness is
 obvious: BFS flood fills for regions and holes, direct neighborhood
-enumeration for dilation, a probe-by-probe Moore walk for contours, and a
-mark-by-mark grouping of word parts. The one exception is a second
-dilation reference, scipy's binary_dilation with a square element.
+enumeration for dilation, a probe-by-probe Moore walk for contours, a
+mark-by-mark grouping of word parts, and column-by-column loops for letter
+zones, positions, zone lookup and the pole/jamb region scan. Two keep
+scipy: a second dilation reference, binary_dilation with a square element,
+and the pole/jamb scan, which labels its zone with ndimage.label.
 """
 
 from collections import deque
@@ -12,6 +14,7 @@ from collections import deque
 import numpy as np
 from scipy import ndimage
 
+from scriptid.features import FeatureHit
 from scriptid.geometry import connected_components
 from scriptid.layout import estimate_baselines
 
@@ -187,3 +190,102 @@ def reference_segment_paws(line, baselines=None, alpha=0.5):
         paws.append((bbox, pixels))
     paws.sort(key=lambda t: (-t[0][3], -t[0][1], t[0][0]))
     return [(bbox, pixels, i) for i, (bbox, pixels) in enumerate(paws)]
+
+
+def reference_extremum_hits(word, baselines, thresholds, kind, labels):
+    """Pole (kind "H") or jamb ("J") hits by listing every pixel of each zone region.
+
+    labels is the line's LineLabels; regions whose first pixel belongs to a
+    detached dot are skipped. The tip is the first pixel of the region's
+    topmost (H) or bottommost (J) row.
+    """
+    if kind == "H":
+        if baselines.upper_row == 0:
+            return []
+        zone = word.pixels[: baselines.upper_row]
+        offset = 0
+    else:
+        if baselines.lower_row >= word.height - 1:
+            return []
+        zone = word.pixels[baselines.lower_row + 1 :]
+        offset = baselines.lower_row + 1
+    label_of = labels.labelling.labels
+    hits = []
+    zone_labels, _ = ndimage.label(zone, structure=np.ones((3, 3), dtype=int))
+    for lab, sl in enumerate(ndimage.find_objects(zone_labels), start=1):
+        if sl is None:
+            continue
+        region = np.argwhere(zone_labels[sl] == lab) + (sl[0].start, sl[1].start)
+        anchor = (int(region[0][0] + offset), int(region[0][1]))
+        if int(label_of[anchor]) in labels.dots:
+            continue
+        if kind == "H":
+            top = int(region[:, 0].min())
+            extent = baselines.upper_row - top
+            tip_rows = region[region[:, 0] == top]
+            tip = (top, int(tip_rows[:, 1].min()))
+            margin = thresholds.marge_h
+        else:
+            bottom = int(region[:, 0].max())
+            extent = bottom + offset - baselines.lower_row
+            tip_rows = region[region[:, 0] == bottom]
+            tip = (bottom + offset, int(tip_rows[:, 1].min()))
+            margin = thresholds.marge_j
+        if extent > margin:
+            hits.append(FeatureHit(kind, tip))
+    hits.sort(key=lambda h: h.location)
+    return hits
+
+
+def reference_feature_zones(word):
+    """Letter zones by walking each inked run plateau by plateau."""
+    counts = word.pixels.sum(axis=0)
+    inked = np.flatnonzero(counts > 0)
+    if inked.size == 0:
+        return []
+    runs = np.split(inked, np.flatnonzero(np.diff(inked) > 1) + 1)
+
+    zones = []
+    for run in runs:
+        start, end = int(run[0]), int(run[-1])
+        boundaries = []
+        i = start + 1
+        while i <= end - 1:
+            j = i
+            while j + 1 <= end - 1 and counts[j + 1] == counts[i]:
+                j += 1
+            if counts[i - 1] > counts[i] and counts[j + 1] > counts[j]:
+                boundaries.append((i + j) // 2)
+            i = j + 1
+        cursor = start
+        for boundary in boundaries:
+            if cursor <= boundary - 1:
+                zones.append((cursor, boundary - 1))
+            cursor = boundary + 1
+        if cursor <= end:
+            zones.append((cursor, end))
+    return zones
+
+
+def reference_detect_positions(word, baselines, zone_bounds, neighborhood=2):
+    """D/M/F/I tags from slicing the body band around each zone in turn."""
+    band = word.pixels[baselines.upper_row : baselines.lower_row + 1]
+    width = word.width
+    tags = []
+    for c0, c1 in zone_bounds:
+        left = bool(band[:, max(0, c0 - neighborhood) : c0].any()) if c0 > 0 else False
+        right = bool(band[:, c1 + 1 : min(width, c1 + 1 + neighborhood)].any())
+        tags.append({(True, False): "D", (True, True): "M", (False, True): "F", (False, False): "I"}[(left, right)])
+    return tags
+
+
+def reference_zone_of_column(zone_bounds, col):
+    """Index of the zone holding col, else of the nearest zone, the first on ties."""
+    best, best_dist = 0, None
+    for i, (c0, c1) in enumerate(zone_bounds):
+        if c0 <= col <= c1:
+            return i
+        dist = c0 - col if col < c0 else col - c1
+        if best_dist is None or dist < best_dist:
+            best, best_dist = i, dist
+    return best

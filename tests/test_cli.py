@@ -146,6 +146,35 @@ class TestEvaluate:
         rc = main(["evaluate", "--input", str(corpus), "--truth", str(moved)])
         assert rc == EXIT_OK
 
+    def test_truncated_image_is_scored_as_blank_and_run_continues(self, corpus, tmp_path, capsys):
+        target = sorted(corpus.glob("*.pbm"))[1]
+        image = target.read_bytes()
+        target.write_bytes(image[: len(image) // 2])
+        capsys.readouterr()
+        rc, raw = run_to_file(["evaluate", "--input", str(corpus)], tmp_path / "t.json")
+        assert rc == EXIT_OK
+        assert f"{target.name}: error: " in capsys.readouterr().err
+        truncated = json.loads(raw)
+        [error] = truncated["errors"]
+        assert error["image"] == target.name and error["error"]
+
+        # The same report as with a blank page in its place: nothing predicted,
+        # every expected feature of that image missed.
+        save(BinaryRaster.blank(20, 20), target)
+        rc, raw = run_to_file(["evaluate", "--input", str(corpus)], tmp_path / "b.json")
+        assert rc == EXIT_OK
+        blank = json.loads(raw)
+        assert "errors" not in blank
+        assert truncated["report"] == blank["report"]
+        missed = next(d for d in blank["report"]["per_document"] if d["image_id"] == target.stem)
+        assert set(missed["predicted"].values()) == {0} and sum(missed["expected"].values()) > 0
+
+    def test_truncated_image_counts_against_the_ceiling(self, corpus, tmp_path):
+        assert main(["evaluate", "--input", str(corpus), "--ceiling", "0"]) == EXIT_OK
+        target = sorted(corpus.glob("*.pbm"))[0]
+        target.write_bytes(target.read_bytes()[:-3])
+        assert main(["evaluate", "--input", str(corpus), "--ceiling", "0"]) == EXIT_CEILING
+
     @pytest.mark.parametrize("script, qmin, expected_label", [
         ("Farsi", "0.02", "Farsi"),  # a SCRIPT named by the profile file
         ("Latin", "0", "Farsi"),  # q_min 0 rules out every profile without lower dots

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scriptid.features import (
     FeatureThresholds,
     _nearest_paw,
+    _zone_index,
     detect_diacritics,
     detect_jambs,
     detect_loops,
@@ -19,7 +20,15 @@ from scriptid.geometry import trace_contours
 from scriptid.layout import Baselines, NoInkError
 from scriptid.raster import BinaryRaster
 
-from oracles import bfs_regions, nearest_labelled, reference_trace
+from oracles import (
+    bfs_regions,
+    nearest_labelled,
+    reference_detect_positions,
+    reference_extremum_hits,
+    reference_feature_zones,
+    reference_trace,
+    reference_zone_of_column,
+)
 
 
 def paint(canvas, r0, r1, c0, c1, value=True):
@@ -389,3 +398,74 @@ def test_shared_line_labels_match_fresh_ones(data):
     assert labels.dots == dots
     assert detect_poles(line, baselines, t, labels) == detect_poles(line, baselines, t)
     assert detect_jambs(line, baselines, t, labels) == detect_jambs(line, baselines, t)
+
+
+@st.composite
+def column_profiles(draw):
+    """Words drawn column by column from a few ink counts, so equal-count
+    plateaus, blank columns and inked border columns are common."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    counts = draw(st.lists(st.integers(0, min(h, 3)), min_size=w, max_size=w))
+    img = word(h, w)
+    for c, n in enumerate(counts):
+        rows = draw(st.permutations(range(h)))[:n]
+        img[list(rows), c] = True
+    return BinaryRaster(img)
+
+
+@st.composite
+def banded_words(draw):
+    """Random ink with baselines that may sit on the first or the last row."""
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 20))
+    density = draw(st.sampled_from([[False, True], [False, False, True], [False, True, True]]))
+    cells = draw(st.lists(st.sampled_from(density), min_size=h * w, max_size=h * w))
+    upper = draw(st.one_of(st.just(0), st.integers(0, h - 1)))
+    lower = draw(st.one_of(st.just(h - 1), st.integers(upper, h - 1)))
+    return BinaryRaster(np.array(cells).reshape(h, w)), Baselines(upper, lower)
+
+
+@st.composite
+def sorted_zones(draw, width):
+    """Sorted column intervals inside [0, width), at least one, with at least
+    one column between neighbors, as feature_zones leaves them."""
+    zones, c0 = [], draw(st.integers(0, width - 1))
+    while c0 < width:
+        c1 = min(width - 1, c0 + draw(st.integers(0, 3)))
+        zones.append((c0, c1))
+        c0 = c1 + 1 + draw(st.integers(1, 4))
+    return zones
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(column_profiles(), banded_words().map(lambda case: case[0])))
+def test_feature_zones_match_reference(img):
+    assert feature_zones(img) == reference_feature_zones(img)
+
+
+@settings(max_examples=500, deadline=None)
+@given(banded_words(), st.integers(0, 3), st.data())
+def test_detect_positions_match_reference(case, neighborhood, data):
+    img, baselines = case
+    zones = data.draw(st.one_of(st.just(feature_zones(img)), sorted_zones(img.width)))
+    expected = reference_detect_positions(img, baselines, zones, neighborhood)
+    assert detect_positions(img, baselines, zones, neighborhood) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_zone_index_matches_reference(data):
+    width = data.draw(st.integers(1, 24))
+    zones = data.draw(sorted_zones(width))
+    starts = [c0 for c0, _ in zones]
+    for col in range(-2, width + 2):
+        assert _zone_index(zones, starts, col) == reference_zone_of_column(zones, col)
+
+
+@settings(max_examples=500, deadline=None)
+@given(banded_words(), st.integers(0, 6), st.integers(0, 6), st.integers(1, 30))
+def test_pole_and_jamb_scans_match_reference(case, marge_h, marge_j, cap):
+    img, baselines = case
+    t = FeatureThresholds(marge_h, marge_j, cap)
+    labels = label_line(img, baselines, t)
+    assert detect_poles(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "H", labels)
+    assert detect_jambs(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "J", labels)

@@ -1,7 +1,16 @@
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from scriptid import features, geometry
 from scriptid.classify import builtin_profiles
 from scriptid.pipeline import PipelineParams, analyze_page, classify_page
 from scriptid.raster import BinaryRaster
 from scriptid.synthgen import generate_page
+
+
+def wide_page():
+    return generate_page(builtin_profiles()[0], seed=1, min_paws=20, max_paws=28).raster
 
 
 class TestAnalyzePage:
@@ -55,3 +64,48 @@ class TestClassifyPage:
     def test_blank_page_is_unknown(self):
         verdict, _ = classify_page(BinaryRaster.blank(25, 25))
         assert verdict.label == "Unknown"
+
+
+class TestPassesPerLine:
+    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 5, 2)])
+    def test_label_calls_and_walkers_per_line(self, monkeypatch, radius, labels_per_line, walkers_per_line):
+        # Every line of this page has ink above and below its body band, so
+        # both the pole and the jamb zone are labelled, and detached dots to
+        # walk. At radius 0 the contour walk reuses the line's labelling and
+        # its walker.
+        label, labels = ndimage.label, []
+        walker, walkers = geometry._Walker, []
+
+        def counting_label(*args, **kwargs):
+            labels.append(1)
+            return label(*args, **kwargs)
+
+        def counting_walker(ink):
+            walkers.append(1)
+            return walker(ink)
+
+        monkeypatch.setattr(ndimage, "label", counting_label)
+        monkeypatch.setattr(geometry, "_Walker", counting_walker)
+        analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
+        for line in analysis.lines:
+            assert 0 < line.baselines.upper_row - line.band.top_row
+            assert line.baselines.lower_row < line.band.bottom_row
+        assert len(labels) == labels_per_line * len(analysis.lines)
+        assert len(walkers) == walkers_per_line * len(analysis.lines)
+
+    def test_word_part_pixels_stay_lazy(self, monkeypatch):
+        segment, paws = features.segment_paws, []
+
+        def recording_segment(*args, **kwargs):
+            found = segment(*args, **kwargs)
+            paws.extend(found)
+            return found
+
+        monkeypatch.setattr(features, "segment_paws", recording_segment)
+        analysis = analyze_page(wide_page())
+        assert len(paws) == analysis.features.nb_paws > 0
+        assert all("pixels" not in paw.__dict__ for paw in paws)
+        paw = paws[0]
+        inside = np.isin(paw.label_image, paw.labels)
+        assert np.array_equal(paw.pixels, np.argwhere(inside))
+        assert "pixels" in paw.__dict__
