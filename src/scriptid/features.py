@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -27,6 +28,7 @@ from .geometry import (
     ContourChain,
     Labelling,
     _first_pixel,
+    _run_counts,
     label_components,
     trace_contours,
 )
@@ -171,15 +173,25 @@ class LineLabels:
 
 
 def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
-    """Label the word's 8-connected ink and find its detached dots."""
+    """Label the word's 8-connected ink and find its detached dots.
+
+    A candidate's run count is its outer chain length plus its hole chain
+    lengths, so a count under the cap makes a dot with no walk; only a
+    count at or over the cap walks the outer chain.
+    """
     labelling = label_components(word)
-    dots = set()
+    cap = thresholds.diacritic_max_contour
+    candidate = np.zeros(labelling.count + 1, dtype=bool)
     for lab, sl in enumerate(labelling.objects, start=1):
-        top, bottom = sl[0].start, sl[0].stop - 1
-        if not (bottom < baselines.upper_row or top > baselines.lower_row):
-            continue
-        start = _first_pixel(labelling.labels, lab, sl)
-        if len(labelling.walker.trace(start, (start[0], start[1] - 1))) < thresholds.diacritic_max_contour:
+        candidate[lab] = sl[0].stop - 1 < baselines.upper_row or sl[0].start > baselines.lower_row
+    dots = set()
+    if candidate.any():
+        totals = _run_counts(labelling.labels, candidate)
+        for lab in np.flatnonzero(candidate).tolist():
+            if totals[lab] >= cap:
+                start = _first_pixel(labelling.labels, lab, labelling.objects[lab - 1])
+                if len(labelling.walker.trace(start, (start[0], start[1] - 1))) >= cap:
+                    continue
             dots.add(lab)
     return LineLabels(labelling, frozenset(dots))
 
@@ -321,22 +333,46 @@ def _zone_index(zone_bounds, starts, col: int) -> int:
     return i
 
 
-def _nearest_paw(paw_map: np.ndarray, location, max_radius: int) -> int:
-    """Word-part index of the mapped pixel nearest to location.
+@lru_cache(maxsize=16)
+def _search_offsets(row_reach: int, col_reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) offsets within the given reaches, nearest first by
+    Chebyshev distance, in raster order on ties."""
+    dr, dc = np.meshgrid(
+        np.arange(-row_reach, row_reach + 1), np.arange(-col_reach, col_reach + 1), indexing="ij"
+    )
+    dr, dc = dr.ravel(), dc.ravel()
+    order = np.argsort(np.maximum(np.abs(dr), np.abs(dc)), kind="stable")
+    return dr[order], dc[order]
 
-    Contour hits live on the expanded stage, so their pixel can sit in the
-    halo up to the expansion radius away from the original ink. The nearest
-    mapped pixel by Chebyshev distance wins, the first in raster order on
-    ties.
+
+def _nearest_paws(label_image: np.ndarray, index_of_label: np.ndarray, locations, max_radius: int) -> list[int]:
+    """Word-part index of the part pixel nearest to each location.
+
+    index_of_label maps each label of label_image to its part index, -1 for
+    none. Contour hits live on the expanded stage, so their pixel can sit in
+    the halo up to the expansion radius away from the original ink. The
+    nearest part pixel by Chebyshev distance wins, the first in raster order
+    on ties. A location on a part pixel is its own answer; the windows of
+    the others are gathered at once, their offsets ordered nearest first,
+    so the first part pixel in a window row is the answer. Raises KeyError
+    when a location has no part pixel within max_radius.
     """
-    r0, c0 = location
-    top, left = max(0, r0 - max_radius), max(0, c0 - max_radius)
-    window = paw_map[top : r0 + max_radius + 1, left : c0 + max_radius + 1]
-    rows, cols = np.nonzero(window >= 0)
-    if rows.size == 0:
-        raise KeyError(f"no word part within {max_radius} of {location}")
-    k = int(np.argmin(np.maximum(np.abs(rows + top - r0), np.abs(cols + left - c0))))
-    return int(window[rows[k], cols[k]])
+    height, width = label_image.shape
+    loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
+    paws = index_of_label[label_image[loc[:, 0], loc[:, 1]]]
+    off = np.flatnonzero(paws < 0)
+    if off.size:
+        dr, dc = _search_offsets(min(max_radius, height - 1), min(max_radius, width - 1))
+        rows = loc[off, :1] + dr
+        cols = loc[off, 1:] + dc
+        inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        found = index_of_label[label_image[rows.clip(0, height - 1), cols.clip(0, width - 1)]]
+        found[~inside] = -1
+        paws[off] = found[np.arange(off.size), np.argmax(found >= 0, axis=1)]
+    missing = np.flatnonzero(paws < 0)
+    if missing.size:
+        raise KeyError(f"no word part within {max_radius} of {tuple(loc[missing[0]].tolist())}")
+    return paws.tolist()
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
@@ -380,22 +416,21 @@ def extract_features(
     j_hits = detect_jambs(word, baselines, t, labels)
 
     paws = segment_paws(word, baselines=baselines, labelling=labels.labelling)
-    # Word-part index of every pixel, -1 where no part has ink.
+    # Word-part index of every label, -1 for the background.
     index_of_label = np.full(labels.labelling.count + 1, -1)
     for paw in paws:
         index_of_label[paw.labels] = paw.order_index
-    paw_map = index_of_label[labels.labelling.labels]
 
     zones = feature_zones(word)
     tags = detect_positions(word, baselines, zones)
     starts = [c0 for c0, _ in zones]
 
+    found = (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits)
+    paw_of = _nearest_paws(
+        labels.labelling.labels, index_of_label, [hit.location for hit in found], dilation_radius
+    )
     hits = []
-    for hit in (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits):
-        # A hit on a mapped pixel is its own unique nearest mapped pixel.
-        paw = int(paw_map[hit.location])
-        if paw < 0:
-            paw = _nearest_paw(paw_map, hit.location, dilation_radius)
+    for hit, paw in zip(found, paw_of):
         position = tags[_zone_index(zones, starts, hit.location[1])]
         hits.append(FeatureHit(hit.kind, hit.location, paw, position))
     hits.sort(key=lambda h: (_KIND_ORDER[h.kind], h.location))

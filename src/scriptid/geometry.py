@@ -16,6 +16,23 @@ checks. A 256 x 8 table built at import maps (code, backtrack direction) to
 table lookup on a flat index into the padded grid, and a state is the
 integer pixel * 8 + backtrack direction.
 
+A chain's length can also be counted without walking it (after Gray, "Local
+properties of binary images in two dimensions", IEEE Trans. Computers
+C-20(5), 1971). Around each ink pixel, split the 8 neighbors, read
+cyclically, into maximal runs of background, and count the runs that hold
+one of the pixel's 4-neighbors; a 256-entry table built at import gives
+that count for every neighbor code, 1 for an isolated pixel and 0 for a
+surrounded one. A run is 4-connected, so it lies in one background region,
+and a chain's length is the number of such runs that face its own
+background region. Summed over a region's pixels, the count therefore
+equals the length of its outer chain plus those of its hole chains, and a
+region whose sum stays under a cap has an outer chain under it too.
+
+Holes come from one 4-connected labelling of the background framed by a
+one-pixel border of background: the frame and every region touching the
+image border share label 1, so the holes are exactly the labels from 2 up,
+numbered in raster order of their first pixel.
+
 A caller that only needs the boundaries near a row band can pass that band
 to trace_contours, which then chooses boundaries by bounding box before
 walking any of them. An outer chain visits only pixels of its region and
@@ -23,8 +40,9 @@ includes the region's topmost and bottommost pixels, so its rows are
 exactly the region's bounding-box rows. An inner chain visits the ink cells
 around its hole, and the ink directly above the hole's top cells and below
 its bottom cells closes it, so its rows are the hole's bounding-box rows
-widened by one. Box rows from find_objects therefore decide, with no walk,
-which chains lie entirely above or below the band and which reach it.
+widened by one. Box rows (from find_objects for regions, from the
+labelling's hole pixels for holes) therefore decide, with no walk, which
+chains lie entirely above or below the band and which reach it.
 """
 
 from __future__ import annotations
@@ -181,6 +199,31 @@ def _step_table() -> tuple[int, ...]:
 _STEP = _step_table()
 
 
+def _run_table() -> np.ndarray:
+    """Background runs holding a 4-neighbor, for every neighbor code.
+
+    Bit k of a code is set when the neighbor in direction _MOORE[k] is ink;
+    the 4-neighbors are the even directions. Runs are read cyclically, so a
+    code with no ink is one run, and a code with all eight bits set has none.
+    """
+    table = np.zeros(256, dtype=np.intp)
+    for code in range(1, 256):
+        for k in range(8):
+            if code >> k & 1 or not code >> (k - 1) % 8 & 1:
+                continue  # k does not start a background run
+            j = k
+            while not code >> j % 8 & 1:
+                if j % 2 == 0:
+                    table[code] += 1
+                    break
+                j += 1
+    table[0] = 1
+    return table
+
+
+_RUNS = _run_table()
+
+
 class _Walker:
     """Moore neighbor walks over one raster, driven by _STEP.
 
@@ -234,16 +277,66 @@ def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
     return top, int(np.argmax(labels[top, sl[1]] == lab)) + sl[1].start
 
 
-def _first_pixels(labels: np.ndarray, objects, keep_rows, skip=()):
-    """Sorted first raster-order pixels of the labels not in skip whose
-    bounding-box rows (top, bottom) pass keep_rows; objects[i] bounds label i + 1."""
+def _first_pixels(labels: np.ndarray, objects, keep_rows):
+    """Sorted first raster-order pixels of the labels whose bounding-box rows
+    (top, bottom) pass keep_rows; objects[i] bounds label i + 1."""
     firsts = [
         _first_pixel(labels, lab, sl)
         for lab, sl in enumerate(objects, start=1)
-        if sl is not None and lab not in skip and keep_rows(sl[0].start, sl[0].stop - 1)
+        if keep_rows(sl[0].start, sl[0].stop - 1)
     ]
     firsts.sort()
     return firsts
+
+
+def _run_counts(labels: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per-label sums of the _RUNS count over the pixels of the kept labels.
+
+    labels is an 8-connected ink labelling and keep a boolean per label,
+    index 0 (background) False. Entry lab of the result is the summed
+    count of label lab, its outer chain length plus its hole chain
+    lengths, and 0 for labels not kept. Codes are read only at kept
+    pixels: distinct regions are never 8-adjacent, so every ink neighbor
+    of a pixel is in its own region.
+    """
+    width = labels.shape[1]
+    flat = np.flatnonzero(np.take(keep, labels))
+    rows, cols = np.divmod(flat, width)
+    stride = width + 2
+    at = (rows + 1) * stride + cols + 1
+    ink = np.pad(labels > 0, 1).ravel().view(np.uint8)
+    codes = np.zeros(flat.size, dtype=np.uint8)
+    for k, (dr, dc) in enumerate(_MOORE):
+        codes |= ink[at + dr * stride + dc] << k
+    totals = np.bincount(labels.ravel()[flat], weights=_RUNS[codes], minlength=keep.size)
+    return totals.astype(np.intp)
+
+
+def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:
+    """(first raster-order pixel, bottom row) of every hole, in raster order.
+
+    A hole is a 4-connected background region not touching the image
+    border. One labelling of the background framed by a one-pixel border of
+    background finds them all: the frame joins every border-touching region
+    into label 1, and the holes are labels 2 and up, numbered in raster
+    order of their first pixel.
+    """
+    framed, count = ndimage.label(np.pad(~ink, 1, constant_values=True), structure=_FOUR)
+    if count < 2:
+        return []
+    stride = ink.shape[1] + 2
+    flat = np.flatnonzero(framed > 1)
+    labs = framed.ravel()[flat]
+    rows, cols = np.divmod(flat, stride)
+    _, first = np.unique(labs, return_index=True)
+    bottom = np.zeros(count + 1, dtype=np.intp)
+    np.maximum.at(bottom, labs, rows)
+    return list(
+        zip(
+            zip((rows[first] - 1).tolist(), (cols[first] - 1).tolist()),
+            (bottom[2:] - 1).tolist(),
+        )
+    )
 
 
 def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = None) -> list[ContourChain]:
@@ -269,7 +362,6 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
     labelling, when given, must be label_components(img); the ink is then
     not labelled again, and the labelling's walker is shared.
     """
-    ink = img.pixels
     if labelling is None:
         labelling = label_components(img)
     chains = []
@@ -290,15 +382,9 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
             ContourChain(tuple(points), closed=True, polarity="outer")
         )
 
-    bg_labels, _ = ndimage.label(~ink, structure=_FOUR)
-    border = np.unique(
-        np.concatenate(
-            [bg_labels[0, :], bg_labels[-1, :], bg_labels[:, 0], bg_labels[:, -1]]
-        )
-    )
-    touching = set(int(lab) for lab in border if lab != 0)
-    bg_objects = ndimage.find_objects(bg_labels)
-    for hole_first in _first_pixels(bg_labels, bg_objects, hole_kept, skip=touching):
+    for hole_first, bottom in _holes(img.pixels):
+        if not hole_kept(hole_first[0], bottom):
+            continue
         # The pixel above a hole's topmost-leftmost cell is always ink.
         seed = (hole_first[0] - 1, hole_first[1])
         points = labelling.walker.trace(seed, hole_first)

@@ -2,11 +2,12 @@
 
 Everything here is deliberately naive pure Python so its correctness is
 obvious: BFS flood fills for regions and holes, direct neighborhood
-enumeration for dilation, a probe-by-probe Moore walk for contours, a
-mark-by-mark grouping of word parts, and column-by-column loops for letter
-zones, positions, zone lookup and the pole/jamb region scan. Two keep
-scipy: a second dilation reference, binary_dilation with a square element,
-and the pole/jamb scan, which labels its zone with ndimage.label.
+enumeration for dilation, a probe-by-probe Moore walk for contours and
+the dot test, a mark-by-mark grouping of word parts, and column-by-column
+loops for letter zones, positions, zone lookup and the pole/jamb region
+scan. Two keep scipy: a second dilation reference, binary_dilation with a
+square element, and the pole/jamb scan, which labels its zone with
+ndimage.label.
 """
 
 from collections import deque
@@ -142,6 +143,21 @@ def reference_trace(ink, start, back):
     if len(points) > 1 and points[-1] == points[0]:
         points.pop()
     return points
+
+
+def reference_line_dots(ink, baselines, cap):
+    """First pixels of the regions entirely above the upper baseline or
+    below the lower one whose outer walk from that pixel, entered from the
+    west, is shorter than cap."""
+    dots = set()
+    for region in bfs_regions(ink):
+        rows = [r for r, _ in region]
+        if not (max(rows) < baselines.upper_row or min(rows) > baselines.lower_row):
+            continue
+        r, c = min(region)
+        if len(reference_trace(ink, (r, c), (r, c - 1))) < cap:
+            dots.add((r, c))
+    return dots
 
 
 def reference_segment_paws(line, baselines=None, alpha=0.5):

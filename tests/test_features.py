@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scriptid.features import (
     FeatureThresholds,
-    _nearest_paw,
+    _nearest_paws,
     _zone_index,
     detect_diacritics,
     detect_jambs,
@@ -26,6 +26,7 @@ from oracles import (
     reference_detect_positions,
     reference_extremum_hits,
     reference_feature_zones,
+    reference_line_dots,
     reference_trace,
     reference_zone_of_column,
 )
@@ -366,11 +367,13 @@ def test_nearest_paw_matches_brute_force(data):
     location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
     radius = data.draw(st.integers(0, 3))
     expected = nearest_labelled(paw_map, location, radius)
+    # Label k + 1 belongs to part k, and label 0 to no part.
+    labels, index_of_label = paw_map + 1, np.array([-1, 0, 1, 2])
     if expected is None:
         with pytest.raises(KeyError):
-            _nearest_paw(paw_map, location, radius)
+            _nearest_paws(labels, index_of_label, [location], radius)
     else:
-        assert _nearest_paw(paw_map, location, radius) == expected
+        assert _nearest_paws(labels, index_of_label, [location], radius) == [expected]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,6 +401,37 @@ def test_shared_line_labels_match_fresh_ones(data):
     assert labels.dots == dots
     assert detect_poles(line, baselines, t, labels) == detect_poles(line, baselines, t)
     assert detect_jambs(line, baselines, t, labels) == detect_jambs(line, baselines, t)
+
+
+@st.composite
+def ringed_lines(draw):
+    """Sparse random ink over hollow squares, with baselines and a dot cap.
+
+    A ring's run count adds its hole chain to its outer chain, so rings
+    give candidates whose count reaches the cap while their outer chain
+    stays under it: those dots are decided by the walk, the rest by the
+    count alone.
+    """
+    h, w = draw(st.integers(2, 24)), draw(st.integers(1, 24))
+    cells = draw(st.lists(st.sampled_from([False, False, False, True]), min_size=h * w, max_size=h * w))
+    ink = np.array(cells).reshape(h, w)
+    for _ in range(draw(st.integers(0, 3))):
+        r, c, size = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)), draw(st.integers(3, 9))
+        ink[r : r + size, c : c + size] = True
+        ink[r + 1 : r + size - 1, c + 1 : c + size - 1] = False
+    upper = draw(st.integers(0, h - 1))
+    baselines = Baselines(upper, draw(st.integers(upper, h - 1)))
+    return BinaryRaster(ink), baselines, draw(st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ringed_lines())
+def test_label_line_dots_match_reference_walk(case):
+    line, baselines, cap = case
+    labels = label_line(line, baselines, FeatureThresholds(0, 0, cap))
+    label_of = labels.labelling.labels
+    firsts = {tuple(np.argwhere(label_of == lab)[0].tolist()) for lab in labels.dots}
+    assert firsts == reference_line_dots(line.pixels, baselines, cap)
 
 
 @st.composite

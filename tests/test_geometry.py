@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scriptid.geometry import connected_components, project, trace_contours
+from scriptid.geometry import (
+    _RUNS,
+    _holes,
+    _run_counts,
+    connected_components,
+    label_components,
+    project,
+    trace_contours,
+)
 from scriptid.raster import BinaryRaster, dilate
 
 from oracles import bfs_regions, count_components, count_holes, hole_regions, reference_trace
@@ -281,3 +289,45 @@ def test_band_keeps_exactly_the_chains_its_row_tests_accept(img, data):
         if beyond_band if chain.polarity == "outer" else not beyond_band:
             kept.append(chain)
     assert trace_contours(img, band=(upper, lower)) == kept
+
+
+def test_run_table_extremes():
+    # An isolated pixel is one run, a surrounded pixel none; ink east and
+    # west leaves a north and a south run, and ink on the four diagonals
+    # leaves four runs of one 4-neighbor each.
+    assert _RUNS[0] == 1
+    assert _RUNS[255] == 0
+    assert _RUNS[0b00010001] == 2
+    assert _RUNS[0b10101010] == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters(), st.data())
+def test_run_count_is_outer_plus_hole_chain_lengths(img, data):
+    # A hole chain belongs to the region holding its start, the ink pixel
+    # above the hole's first pixel. A region without holes has a run count
+    # equal to its outer chain length, and every region's is at least that.
+    ink = img.pixels
+    labelling = label_components(img)
+    keep = np.array([False] + data.draw(st.lists(st.booleans(), min_size=labelling.count, max_size=labelling.count)))
+    totals = _run_counts(labelling.labels, keep)
+    assert totals.shape == (labelling.count + 1,)
+    starts = [(r - 1, c) for r, c in (min(hole) for hole in hole_regions(ink))]
+    for region in bfs_regions(ink):
+        r, c = min(region)
+        lab = labelling.labels[r, c]
+        if not keep[lab]:
+            assert totals[lab] == 0
+            continue
+        outer = len(reference_trace(ink, (r, c), (r, c - 1)))
+        inner = sum(len(reference_trace(ink, s, (s[0] + 1, s[1]))) for s in starts if s in region)
+        assert totals[lab] >= outer
+        assert totals[lab] == outer + inner
+    assert totals[0] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters())
+def test_holes_match_bfs_holes(img):
+    expected = [(min(hole), max(r for r, _ in hole)) for hole in sorted(hole_regions(img.pixels), key=min)]
+    assert _holes(img.pixels) == expected

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from scriptid import features, geometry
 from scriptid.classify import builtin_profiles
 from scriptid.pipeline import PipelineParams, analyze_page, classify_page
 from scriptid.raster import BinaryRaster
-from scriptid.synthgen import generate_page
+from scriptid.synthgen import apply_salt, generate_page
 
 
 def wide_page():
@@ -67,12 +69,13 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 5, 2)])
+    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 5, 1)])
     def test_label_calls_and_walkers_per_line(self, monkeypatch, radius, labels_per_line, walkers_per_line):
         # Every line of this page has ink above and below its body band, so
         # both the pole and the jamb zone are labelled, and detached dots to
-        # walk. At radius 0 the contour walk reuses the line's labelling and
-        # its walker.
+        # test. The dot test counts neighbor runs and builds no walker, so
+        # the one walker per line is the contour walk's. At radius 0 that
+        # walk reuses the line's labelling.
         label, labels = ndimage.label, []
         walker, walkers = geometry._Walker, []
 
@@ -109,3 +112,32 @@ class TestPassesPerLine:
         inside = np.isin(paw.label_image, paw.labels)
         assert np.array_equal(paw.pixels, np.argwhere(inside))
         assert "pixels" in paw.__dict__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_blank_margins_only_shift_hits(data):
+    # Dilation clips at the line crop, so pages whose ink comes within the
+    # radius of the left or right edge would grow a longer contour once
+    # padded; the generator keeps its ink farther in than that.
+    seed, radius = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 2))
+    page = generate_page(builtin_profiles()[seed % 2], seed=seed).raster
+    if data.draw(st.booleans()):
+        page = apply_salt(page, 0.01, seed=seed)
+    cols = np.flatnonzero(page.pixels.any(axis=0))
+    assume(cols[0] >= radius and cols[-1] < page.width - radius)
+    top, bottom, left, right = (data.draw(st.integers(0, 12)) for _ in range(4))
+    padded = BinaryRaster(np.pad(page.pixels, ((top, bottom), (left, right))))
+
+    params = PipelineParams(dilation_radius=radius)
+    verdict, analysis = classify_page(page, params=params)
+    padded_verdict, padded_analysis = classify_page(padded, params=params)
+    assert padded_verdict == verdict
+    fs, padded_fs = analysis.features, padded_analysis.features
+    assert padded_fs.counts == fs.counts
+    assert padded_fs.nb_paws == fs.nb_paws
+    assert padded_fs.dropped_oversize_loops == fs.dropped_oversize_loops
+    assert padded_fs.hits == tuple(
+        features.FeatureHit(h.kind, (h.location[0] + top, h.location[1] + left), h.paw_index, h.position)
+        for h in fs.hits
+    )

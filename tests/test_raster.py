@@ -137,6 +137,21 @@ def test_mutated_file_decodes_or_raises_pnm_error(data):
     assert isinstance(img, (BinaryRaster, GrayRaster))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["p1", "p2", "p4", "p5"]), st.integers(1, 9), st.integers(1, 17), st.data())
+def test_save_then_load_round_trips(tmp_path_factory, fmt, h, w, data):
+    # Widths 1-17 cover P4 rows that end mid-byte and rows of whole bytes.
+    if fmt in ("p1", "p4"):
+        cells = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        img = BinaryRaster(np.array(cells).reshape(h, w))
+    else:
+        cells = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+        img = GrayRaster(np.array(cells).reshape(h, w))
+    path = tmp_path_factory.mktemp("rt") / f"img.{fmt}"
+    save(img, path, fmt)
+    assert load(path) == img
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["p1", "p4"])
     def test_binary_round_trip(self, tmp_path, fmt):
