@@ -116,7 +116,7 @@ def _params_dict(params: PipelineParams) -> dict:
 
 
 def _profiles(args):
-    if getattr(args, "profile_file", None):
+    if args.profile_file:
         return load_profiles(args.profile_file)
     return builtin_profiles()
 
@@ -330,24 +330,34 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, with_input=True):
-    if with_input:
-        parser.add_argument("--input", required=True, help="image file or directory")
+def _add_report(parser):
     parser.add_argument("--output", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "text"), default="json")
+
+
+def _add_profiles(parser):
+    parser.add_argument("--profile-file", dest="profile_file",
+                        help="script profiles to use instead of the built-ins")
+
+
+def _add_features(parser):
+    """The features command's flags: input, report, and pipeline parameters."""
+    parser.add_argument("--input", required=True, help="image file or directory")
+    _add_report(parser)
     parser.add_argument("--dilate", type=int, default=1, help="contour expansion radius")
     parser.add_argument("--alpha", type=float, default=0.5, help="baseline band density fraction")
     parser.add_argument("--contour-max", type=int, default=60, dest="contour_max",
                         help="diacritic/loop contour point cap")
-    parser.add_argument("--qmin", type=float, default=0.02,
-                        help="lower-dot frequency that rules out dot-free scripts")
     parser.add_argument("--merge-gap", type=int, default=2, dest="merge_gap",
                         help="blank rows tolerated inside a line")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--profile-file", dest="profile_file",
-                        help="script profiles to use instead of the built-ins")
-    parser.add_argument("--ceiling", type=float, default=None,
-                        help="fail (exit 3) if any feature error rate exceeds this percentage")
+
+
+def _add_classify(parser):
+    """The classify command's flags: the features flags plus the classifier's."""
+    _add_features(parser)
+    parser.add_argument("--qmin", type=float, default=0.02,
+                        help="lower-dot frequency that rules out dot-free scripts")
+    _add_profiles(parser)
 
 
 def build_parser() -> _Parser:
@@ -355,24 +365,28 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("features", help="extract structural features per image")
-    _add_common(p)
+    _add_features(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="label each page Arabic, Latin, or Unknown")
-    _add_common(p)
+    _add_classify(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("evaluate", help="score extracted features against ground truth")
-    _add_common(p)
+    _add_classify(p)
     p.add_argument("--truth", help="ground-truth file (default: <input>/truth.txt)")
+    p.add_argument("--ceiling", type=float, default=None,
+                   help="fail (exit 3) if any feature error rate exceeds this percentage")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="write a synthetic corpus with ground truth")
-    _add_common(p, with_input=False)
     p.add_argument("--output-dir", required=True, help="directory for images and truth file")
     p.add_argument("--script", default="Arabic", help="profile name to draw from")
     p.add_argument("--words", type=int, default=50, help="number of word images")
     p.add_argument("--pages", type=int, default=0, help="generate multi-line pages instead")
+    p.add_argument("--seed", type=int, default=0)
+    _add_profiles(p)
+    _add_report(p)
     p.set_defaults(func=cmd_generate)
     return parser
 

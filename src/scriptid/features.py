@@ -190,7 +190,7 @@ def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThre
         for lab in np.flatnonzero(candidate).tolist():
             if totals[lab] >= cap:
                 start = _first_pixel(labelling.labels, lab, labelling.objects[lab - 1])
-                if len(labelling.walker.trace(start, (start[0], start[1] - 1))) >= cap:
+                if len(labelling.walker.walk(start, (start[0], start[1] - 1))) >= cap:
                     continue
             dots.add(lab)
     return LineLabels(labelling, frozenset(dots))
@@ -393,11 +393,10 @@ def extract_features(
     the body would smear one extra body row into the upper zone, fusing
     separate ascenders. Radius 0 skips the expansion entirely.
     """
-    if word.ink_count() == 0:
-        raise NoInkError("cannot extract features from a blank image")
     t = thresholds if thresholds is not None else FeatureThresholds.from_baselines(baselines)
-
     labels = label_line(word, baselines, t)
+    if labels.labelling.count == 0:
+        raise NoInkError("cannot extract features from a blank image")
     stage = dilate(word, dilation_radius)
     # Only chains a dot or loop test can keep are walked; see trace_contours.
     # Radius 0 leaves the word as it is, so its labelling serves the walk too.

@@ -8,12 +8,13 @@ handles single pixels and one-pixel-wide spurs. A chain records every visit,
 so a thin spur contributes each boundary pixel once per pass; chain length
 is therefore a visit count, not a Euclidean arc length.
 
-The walk is table-driven. Each traced raster gets, once, an 8-bit code per
-pixel whose bit k says whether the neighbor in clockwise direction k is ink,
-computed with numpy over a one-pixel zero pad so the border needs no bounds
-checks. A 256 x 8 table built at import maps (code, backtrack direction) to
-(step direction, new backtrack direction), so each step of the walk is one
-table lookup on a flat index into the padded grid, and a state is the
+The walk probes the ink directly. Each traced raster is stored once as the
+bytes of its ink over a one-pixel zero pad, so the border needs no bounds
+checks and a pixel is a flat index into the padded grid. From a state, the
+walk probes the neighbors clockwise from the backtrack direction; the first
+ink probe is the next pixel, and the background probe just before it, seen
+from the next pixel, is the next backtrack. That relative direction depends
+only on the step direction, so an 8-entry table gives it, and a state is the
 integer pixel * 8 + backtrack direction.
 
 A chain's length can also be counted without walking it (after Gray, "Local
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 from scipy import ndimage
@@ -171,32 +173,19 @@ def connected_components(img: BinaryRaster) -> list[Component]:
     return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]
 
 
-def _step_table() -> tuple[int, ...]:
-    """Moore steps for every (neighbor code, backtrack direction) pair.
+def _back_table() -> tuple[int, ...]:
+    """New backtrack direction for every step direction.
 
-    Bit k of a pixel's code is set when its neighbor in direction _MOORE[k]
-    is ink. Scanning clockwise from the backtrack direction, the first ink
-    neighbor is the next pixel, and the background probe just before it is
-    the next backtrack pixel. An entry packs the step direction and the new
-    backtrack direction, seen from the next pixel, as step * 8 + backtrack;
-    -1 marks an isolated pixel.
+    The probe just before step direction s is direction s - 1, a background
+    pixel; the entry is its direction seen from the pixel the step reaches.
     """
-    table = []
-    for code in range(256):
-        for back in range(8):
-            entry = -1
-            for k in range(1, 9):
-                step = (back + k) % 8
-                if code >> step & 1:
-                    probe = _MOORE[(back + k - 1) % 8]
-                    rel = (probe[0] - _MOORE[step][0], probe[1] - _MOORE[step][1])
-                    entry = step * 8 + _MOORE_INDEX[rel]
-                    break
-            table.append(entry)
-    return tuple(table)
+    return tuple(
+        _MOORE_INDEX[(_MOORE[s - 1][0] - _MOORE[s][0], _MOORE[s - 1][1] - _MOORE[s][1])]
+        for s in range(8)
+    )
 
 
-_STEP = _step_table()
+_BACK = _back_table()
 
 
 def _run_table() -> np.ndarray:
@@ -225,41 +214,43 @@ _RUNS = _run_table()
 
 
 class _Walker:
-    """Moore neighbor walks over one raster, driven by _STEP.
+    """Moore neighbor walks over one raster, probing its padded ink bytes.
 
-    Every pixel's 8-neighbor code is computed once over a one-pixel zero pad,
-    so a step is one table lookup on flat indices into the padded grid.
+    The ink is stored once over a one-pixel zero pad, and a walk probes it
+    at flat indices into the padded grid; _BACK gives each step's new
+    backtrack direction.
     """
 
     def __init__(self, ink: np.ndarray):
-        height, width = ink.shape
-        padded = np.pad(ink, 1).astype(np.uint8)
-        codes = np.zeros_like(padded)
-        for k, (dr, dc) in enumerate(_MOORE):
-            codes[1:-1, 1:-1] |= padded[1 + dr : 1 + dr + height, 1 + dc : 1 + dc + width] << k
-        self._stride = width + 2
-        self._codes = codes.tobytes()
-        self._offsets = tuple(dr * self._stride + dc for dr, dc in _MOORE)
+        self._stride = ink.shape[1] + 2
+        self._ink = np.pad(ink, 1).tobytes()
+        offsets = [dr * self._stride + dc for dr, dc in _MOORE]
+        # _probes[d]: (offset, new backtrack) per probe, clockwise after direction d.
+        self._probes = tuple(
+            tuple((offsets[(d + k) % 8], _BACK[(d + k) % 8]) for k in range(1, 9)) for d in range(8)
+        )
 
-    def trace(self, start: tuple[int, int], back: tuple[int, int]):
+    def walk(self, start: tuple[int, int], back: tuple[int, int]) -> list[int]:
         """Follow one boundary from start, entered from the background pixel back.
 
-        Returns the visited pixel sequence. The walk is a deterministic map on
-        (pixel, backtrack) states, so it terminates when a state repeats; a
-        trailing revisit of the start pixel is dropped because closure is
-        implied.
+        Returns the visited pixels as flat indices into the padded grid. The
+        walk is a deterministic map on (pixel, backtrack) states, so it
+        terminates when a state repeats; a trailing revisit of the start
+        pixel is dropped because closure is implied.
         """
-        stride, codes, offsets, table = self._stride, self._codes, self._offsets, _STEP
-        p = (start[0] + 1) * stride + start[1] + 1
+        ink, probes = self._ink, self._probes
+        p = (start[0] + 1) * self._stride + start[1] + 1
         d = _MOORE_INDEX[(back[0] - start[0], back[1] - start[1])]
         flat = [p]
         seen = {p * 8 + d}
         while True:
-            entry = table[codes[p] * 8 + d]
-            if entry < 0:
+            for offset, new_back in probes[d]:
+                if ink[p + offset]:
+                    p += offset
+                    d = new_back
+                    break
+            else:
                 break  # isolated pixel: no ink neighbor at all
-            p += offsets[entry >> 3]
-            d = entry & 7
             state = p * 8 + d
             if state in seen:
                 break
@@ -267,8 +258,18 @@ class _Walker:
             flat.append(p)
         if len(flat) > 1 and flat[-1] == flat[0]:
             flat.pop()
-        rows, cols = np.divmod(np.array(flat), stride)
-        return list(zip((rows - 1).tolist(), (cols - 1).tolist()))
+        return flat
+
+    def points(self, walks: list[list[int]]) -> list[tuple[tuple[int, int], ...]]:
+        """The (row, col) pixels of each walk, converted in one pass."""
+        rows, cols = np.divmod(np.fromiter(chain.from_iterable(walks), dtype=np.intp), self._stride)
+        pixels = list(zip((rows - 1).tolist(), (cols - 1).tolist()))
+        ends = list(accumulate(map(len, walks)))
+        return [tuple(pixels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+
+    def trace(self, start: tuple[int, int], back: tuple[int, int]):
+        """The (row, col) pixels of walk(start, back), in visiting order."""
+        return list(self.points([self.walk(start, back)])[0])
 
 
 def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
@@ -364,7 +365,6 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
     """
     if labelling is None:
         labelling = label_components(img)
-    chains = []
     if band is None:
         outer_kept = hole_kept = lambda top, bottom: True
     else:
@@ -376,19 +376,17 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
         def hole_kept(top, bottom):
             return bottom + 1 >= upper and top - 1 <= lower
 
-    for start in _first_pixels(labelling.labels, labelling.objects, outer_kept):
-        points = labelling.walker.trace(start, (start[0], start[1] - 1))
-        chains.append(
-            ContourChain(tuple(points), closed=True, polarity="outer")
-        )
-
-    for hole_first, bottom in _holes(img.pixels):
-        if not hole_kept(hole_first[0], bottom):
-            continue
-        # The pixel above a hole's topmost-leftmost cell is always ink.
-        seed = (hole_first[0] - 1, hole_first[1])
-        points = labelling.walker.trace(seed, hole_first)
-        chains.append(
-            ContourChain(tuple(points), closed=True, polarity="inner")
-        )
-    return chains
+    outer = [
+        (start, (start[0], start[1] - 1))
+        for start in _first_pixels(labelling.labels, labelling.objects, outer_kept)
+    ]
+    # The pixel above a hole's topmost-leftmost cell is always ink.
+    inner = [((r - 1, c), (r, c)) for (r, c), bottom in _holes(img.pixels) if hole_kept(r, bottom)]
+    if not outer and not inner:
+        return []
+    walker = labelling.walker
+    walks = [walker.walk(start, back) for start, back in outer + inner]
+    return [
+        ContourChain(points, closed=True, polarity="outer" if i < len(outer) else "inner")
+        for i, points in enumerate(walker.points(walks))
+    ]

@@ -129,6 +129,20 @@ def estimate_baselines(word: BinaryRaster, alpha: float = 0.5) -> Baselines:
 _PAIR_BLOCK = 1 << 20
 
 
+def _centroids(labelling: Labelling, comps: np.ndarray) -> np.ndarray:
+    """(row, col) pixel means of the components comps, each label - 1.
+
+    Absolute coordinates are summed as integers, so each mean is the
+    correctly rounded quotient of the exact sum and the pixel count.
+    """
+    means = np.empty((comps.size, 2))
+    for i, k in enumerate(comps.tolist()):
+        sl = labelling.objects[k]
+        rows, cols = np.nonzero(labelling.labels[sl] == k + 1)
+        means[i] = (rows + sl[0].start).sum() / rows.size, (cols + sl[1].start).sum() / cols.size
+    return means
+
+
 def segment_paws(
     line: BinaryRaster,
     baselines: Baselines | None = None,
@@ -141,8 +155,10 @@ def segment_paws(
     lower one are detached marks, not standalone parts; each is attached to
     the body component with maximal signed column overlap (a negative
     overlap measures the gap), then the nearest centroid, then the first
-    body in (min_col, min_row) order. The resulting pixel sets partition the
-    line's ink. labelling, when given, must be label_components(line).
+    body in (min_col, min_row) order. Centroids are computed only for marks
+    that tie on overlap and for their tied bodies. The resulting pixel sets
+    partition the line's ink. labelling, when given, must be
+    label_components(line).
     """
     if labelling is None:
         labelling = label_components(line)
@@ -162,21 +178,22 @@ def segment_paws(
 
     owner = np.empty(n, dtype=np.intp)
     owner[bodies] = np.arange(bodies.size)
-    if marks.size:
-        flat = np.flatnonzero(line.pixels)
-        comp_of_pixel = labelling.labels.ravel()[flat] - 1
-        rows, cols = np.divmod(flat, line.width)
-        # Coordinate sums are exact in float64, so these equal the pixel means.
-        size = np.bincount(comp_of_pixel, minlength=n)
-        centroid_r = np.bincount(comp_of_pixel, weights=rows, minlength=n) / size
-        centroid_c = np.bincount(comp_of_pixel, weights=cols, minlength=n) / size
     block = max(1, _PAIR_BLOCK // bodies.size)
     for i in range(0, marks.size, block):
         m = marks[i : i + block, None]
         overlap = np.minimum(boxes[bodies, 3], boxes[m, 3]) - np.maximum(boxes[bodies, 1], boxes[m, 1])
-        dist = np.hypot(centroid_r[bodies] - centroid_r[m], centroid_c[bodies] - centroid_c[m])
-        dist[overlap < overlap.max(axis=1, keepdims=True)] = np.inf
-        owner[m[:, 0]] = dist.argmin(axis=1)
+        top = overlap == overlap.max(axis=1, keepdims=True)
+        owner[m[:, 0]] = top.argmax(axis=1)
+        # Only a mark with several bodies at its largest overlap needs centroids.
+        tied = np.flatnonzero(top.sum(axis=1) > 1)
+        if tied.size:
+            t, ties = m[tied], top[tied]
+            centroid = np.zeros((n, 2))
+            need = np.union1d(t, bodies[ties.any(axis=0)])
+            centroid[need] = _centroids(labelling, need)
+            dist = np.hypot(centroid[bodies, 0] - centroid[t, 0], centroid[bodies, 1] - centroid[t, 1])
+            dist[~ties] = np.inf
+            owner[t[:, 0]] = dist.argmin(axis=1)
 
     extent = boxes[bodies]
     for k, widen in enumerate((np.minimum, np.minimum, np.maximum, np.maximum)):

@@ -7,8 +7,10 @@ distinct images can be processed concurrently without locking.
 
 Supported file formats are the plain and raw portable bitmap (P1/P4) and
 portable graymap (P2/P5). Payloads are row-major, top to bottom; P4 rows are
-padded to a byte boundary with the most significant bit first. Decoding is
-bit-exact and save/load round-trips losslessly.
+padded to a byte boundary with the most significant bit first. Graymap
+samples are rescaled from [0, maxval] to [0, 255] on decoding, rounding to
+nearest, which is the identity at maxval 255; graymaps are saved at maxval
+255, so save/load round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -199,6 +201,14 @@ def _decode_plain_values(data: bytes, pos: int, count: int, maxval: int) -> np.n
     return values
 
 
+def _scale_samples(samples: np.ndarray, maxval: int) -> np.ndarray:
+    """Graymap samples rescaled from [0, maxval] to [0, 255], rounding to nearest.
+
+    The identity at maxval 255, so thresholds always read the 0..255 scale.
+    """
+    return ((samples.astype(np.uint32) * 255 + maxval // 2) // maxval).astype(np.uint8)
+
+
 def _decode(data: bytes):
     if len(data) < 2:
         raise PnmHeaderError("empty or truncated file: no magic number")
@@ -224,7 +234,7 @@ def _decode(data: bytes):
         if not 1 <= maxval <= 255:
             raise PnmHeaderError(f"unsupported maxval {maxval} (1..255 expected)")
         samples = _decode_plain_values(data, pos, width * height, maxval)
-        return GrayRaster(samples.reshape(height, width))
+        return GrayRaster(_scale_samples(samples, maxval).reshape(height, width))
 
     # Raw formats: exactly one whitespace byte separates header and payload.
     if magic == b"P4":
@@ -255,8 +265,10 @@ def _decode(data: bytes):
         raise PnmPayloadError(
             f"truncated payload: need {need} bytes, file carries {len(payload)}"
         )
-    samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayRaster(samples)
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if samples.max() > maxval:
+        raise PnmPayloadError(f"sample {samples.max()} exceeds declared maxval {maxval}")
+    return GrayRaster(_scale_samples(samples, maxval).reshape(height, width))
 
 
 def load(path):

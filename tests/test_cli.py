@@ -2,11 +2,12 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from scriptid.classify import ScriptProfile, builtin_profiles, save_profiles
 from scriptid.cli import EXIT_CEILING, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from scriptid.raster import BinaryRaster, dilate, save
+from scriptid.raster import BinaryRaster, dilate, load, save
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page, save_corpus
 
 
@@ -186,7 +187,8 @@ class TestEvaluate:
         flags = ["--profile-file", str(profiles), "--qmin", qmin]
         pages = tmp_path / "pages"
         assert main(["generate", "--output-dir", str(pages), "--script", script, "--pages", "3",
-                     "--seed", "2", "--output", str(tmp_path / "g.json")] + flags) == EXIT_OK
+                     "--seed", "2", "--output", str(tmp_path / "g.json"),
+                     "--profile-file", str(profiles)]) == EXIT_OK
 
         rc, raw = run_to_file(["classify", "--input", str(pages)] + flags, tmp_path / "c.json")
         assert rc == EXIT_OK
@@ -217,6 +219,79 @@ class TestUsage:
         capsys.readouterr()
         assert main([command, "--input", str(corpus), flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error")
+
+
+    # Flags every command accepted before each got its own set; each belongs
+    # to some other command.
+    @pytest.mark.parametrize("command, flag, value", [
+        ("features", "--qmin", "0.1"),
+        ("features", "--profile-file", "profiles.txt"),
+        ("features", "--ceiling", "3"),
+        ("features", "--seed", "1"),
+        ("classify", "--seed", "1"),
+        ("classify", "--ceiling", "3"),
+        ("evaluate", "--seed", "1"),
+        ("generate", "--dilate", "2"),
+        ("generate", "--alpha", "0.5"),
+        ("generate", "--contour-max", "9"),
+        ("generate", "--merge-gap", "1"),
+        ("generate", "--qmin", "0.1"),
+        ("generate", "--ceiling", "3"),
+    ])
+    def test_foreign_flag_is_usage_error(self, corpus, tmp_path, capsys, command, flag, value):
+        save_profiles(builtin_profiles(), tmp_path / "profiles.txt")
+        if command == "generate":
+            args = [command, "--output-dir", str(tmp_path / "out")]
+        else:
+            args = [command, "--input", str(corpus)]
+        value = str(tmp_path / value) if flag == "--profile-file" else value
+        capsys.readouterr()
+        assert main(args + [flag, value, "--output", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_own_flags_at_their_defaults_change_no_report(self, corpus, tmp_path):
+        profiles = tmp_path / "profiles.txt"
+        save_profiles(builtin_profiles(), profiles)
+        pipeline = ["--dilate", "1", "--alpha", "0.5", "--contour-max", "60", "--merge-gap", "2"]
+        classifier = ["--qmin", "0.02", "--profile-file", str(profiles)]
+        for command, own in [
+            ("features", pipeline),
+            ("classify", pipeline + classifier),
+            ("evaluate", pipeline + classifier + ["--truth", str(corpus / "truth.txt"), "--ceiling", "100"]),
+        ]:
+            base = [command, "--input", str(corpus), "--format", "json"]
+            assert run_to_file(base + own, tmp_path / "a.json") == run_to_file(base, tmp_path / "b.json")
+        for out, extra in [("g1", []), ("g2", ["--script", "Arabic", "--words", "50", "--pages", "0",
+                                               "--seed", "0", "--profile-file", str(profiles),
+                                               "--format", "text"])]:
+            assert main(["generate", "--output-dir", str(tmp_path / out), "--words", "50",
+                         "--output", str(tmp_path / f"{out}.txt")] + extra) == EXIT_OK
+        images = [{p.name: p.read_bytes() for p in sorted((tmp_path / out).iterdir())} for out in ("g1", "g2")]
+        assert images[0] == images[1]
+
+
+class TestGraymapMaxval:
+    def test_picture_reads_the_same_at_any_maxval(self, tmp_path):
+        # The same picture, white at maxval and ink at 0, in P2 and P5 at three maxvals.
+        ink = generate_corpus(builtin_profiles()[0], 1, seed=12)[0].raster.pixels
+        pixels, reports = [], []
+        for maxval in (1, 15, 255):
+            gray = np.where(ink, 0, maxval).astype(np.uint8)
+            header = b"%d %d\n%d\n" % (gray.shape[1], gray.shape[0], maxval)
+            for magic, body in [
+                (b"P2", b"\n".join(b" ".join(b"%d" % v for v in row) for row in gray) + b"\n"),
+                (b"P5", gray.tobytes()),
+            ]:
+                folder = tmp_path / f"{magic.decode()}_{maxval}"
+                folder.mkdir()
+                (folder / "word.pgm").write_bytes(magic + b"\n" + header + body)
+                pixels.append(load(folder / "word.pgm").pixels)
+                reports.append(run_to_file(["features", "--input", str(folder)], tmp_path / "f.json"))
+        assert all(np.array_equal(p, pixels[-1]) for p in pixels)
+        assert set(np.unique(pixels[-1]).tolist()) == {0, 255}
+        assert all(r == reports[-1] for r in reports)
+        assert reports[-1][0] == EXIT_OK and json.loads(reports[-1][1])["images"][0]["nb_paws"] > 0
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from scriptid.geometry import (
     _RUNS,
+    _Walker,
     _holes,
     _run_counts,
     connected_components,
@@ -248,6 +249,22 @@ def test_chains_match_reference_walk(img):
         expected.append((tuple(reference_trace(ink, (r - 1, c), (r, c))), True, "inner"))
     chains = trace_contours(img)
     assert [(ch.points, ch.closed, ch.polarity) for ch in chains] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters())
+def test_walker_matches_reference_from_every_entry(img):
+    # Every ink pixel entered from each background 4-neighbor, the west one
+    # (outer chains) and the south one (hole chains) included; a neighbor
+    # off the raster counts as background.
+    ink = img.pixels
+    height, width = ink.shape
+    walker = _Walker(ink)
+    for r, c in np.argwhere(ink).tolist():
+        for back in ((r, c - 1), (r + 1, c), (r, c + 1), (r - 1, c)):
+            if 0 <= back[0] < height and 0 <= back[1] < width and ink[back]:
+                continue
+            assert walker.trace((r, c), back) == reference_trace(ink, (r, c), back)
 
 
 def _rows(points):

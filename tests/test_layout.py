@@ -222,3 +222,50 @@ def test_segment_paws_matches_reference(case):
     assert paw_triples(segment_paws(line, baselines)) == expected
     labelling = label_components(line)
     assert paw_triples(segment_paws(line, baselines, labelling=labelling)) == expected
+
+
+@st.composite
+def tie_lines(draw):
+    """Lines whose marks tie on column overlap: n bodies of one width at one
+    pitch in the band, and marks above or below it that sit centred in a
+    gap, span whole bodies, or lie anywhere. With equal body heights a
+    centred mark also ties on centroid distance; unequal heights make the
+    centroid decide."""
+    n = draw(st.integers(2, 4))
+    body_w, gap, band_h = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pitch = body_w + gap
+    left = draw(st.integers(0, 3))
+    width = left + n * pitch + draw(st.integers(0, 3))
+    # Mark rows 0-1, a blank row, the band, a blank row, mark rows.
+    height = band_h + 6
+    ink = np.zeros((height, width), dtype=bool)
+    equal = draw(st.booleans())
+    for i in range(n):
+        c = left + i * pitch
+        ink[3 : 3 + (band_h if equal else draw(st.integers(1, band_h))), c : c + body_w] = True
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, n - 2))
+        kind = draw(st.sampled_from(["gap", "span", "any"]))
+        if kind == "gap":
+            g0, g1 = left + a * pitch + body_w, left + (a + 1) * pitch - 1
+            k = draw(st.integers(0, (g1 - g0) // 2))
+            c0, c1 = g0 + k, g1 - k
+        elif kind == "span":
+            last = draw(st.integers(a + 1, n - 1))
+            c0 = max(0, left + a * pitch - draw(st.integers(0, 1)))
+            c1 = min(width - 1, left + last * pitch + body_w - 1 + draw(st.integers(0, 1)))
+        else:
+            c0 = draw(st.integers(0, width - 1))
+            c1 = draw(st.integers(c0, min(width - 1, c0 + 3)))
+        rows = draw(st.sampled_from([slice(0, 1), slice(0, 2), slice(1, 2)]))
+        if draw(st.booleans()):
+            rows = slice(height - rows.stop, height - rows.start)
+        ink[rows, c0 : c1 + 1] = True
+    return BinaryRaster(ink), Baselines(3, 2 + band_h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_lines())
+def test_segment_paws_matches_reference_on_ties(case):
+    line, baselines = case
+    assert paw_triples(segment_paws(line, baselines)) == reference_triples(line, baselines)

@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from scriptid import features, geometry
+from scriptid import features, geometry, layout
 from scriptid.classify import builtin_profiles
 from scriptid.pipeline import PipelineParams, analyze_page, classify_page
+from scriptid.layout import Baselines, segment_paws
 from scriptid.raster import BinaryRaster
 from scriptid.synthgen import apply_salt, generate_page
 
@@ -95,6 +96,23 @@ class TestPassesPerLine:
             assert line.baselines.lower_row < line.band.bottom_row
         assert len(labels) == labels_per_line * len(analysis.lines)
         assert len(walkers) == walkers_per_line * len(analysis.lines)
+
+    def test_centroids_only_for_tied_marks(self, monkeypatch):
+        # No mark of the wide page ties on column overlap, so no centroid is
+        # computed; a mark centred between two equal bodies ties and needs them.
+        centroids, calls = layout._centroids, []
+
+        def counting_centroids(*args):
+            calls.append(1)
+            return centroids(*args)
+
+        monkeypatch.setattr(layout, "_centroids", counting_centroids)
+        analysis = analyze_page(wide_page())
+        assert analysis.features.nb_paws > 0 and calls == []
+        tied = np.zeros((9, 13), dtype=bool)
+        tied[4:9, 0:5] = tied[4:9, 8:13] = tied[0:2, 5:8] = True
+        paws = segment_paws(BinaryRaster(tied), Baselines(4, 8))
+        assert len(paws) == 2 and len(calls) == 1
 
     def test_word_part_pixels_stay_lazy(self, monkeypatch):
         segment, paws = features.segment_paws, []

@@ -81,6 +81,16 @@ class TestLoad:
         with pytest.raises(PnmPayloadError):
             load(write(tmp_path, "P2\n1 1\n100\n101\n"))
 
+    def test_raw_graymap_sample_above_maxval(self, tmp_path):
+        with pytest.raises(PnmPayloadError):
+            load(write(tmp_path, b"P5\n2 1\n100\n\x64\x65"))
+
+    @pytest.mark.parametrize("magic, payload", [(b"P2", b"0 7 8 15\n"), (b"P5", b"\x00\x07\x08\x0f")])
+    def test_graymap_samples_scale_to_255(self, tmp_path, magic, payload):
+        # v -> (255 v + maxval // 2) // maxval: 7/15 and 8/15 of 255 round to 119 and 136.
+        img = load(write(tmp_path, magic + b"\n4 1\n15\n" + payload))
+        assert img.pixels.tolist() == [[0, 119, 136, 255]]
+
     @pytest.mark.parametrize("data", [b"P1 1000000 1000000\n1", b"P2 1000000 1000000 255\n1"])
     def test_oversized_plain_header_is_payload_error(self, tmp_path, data):
         # Rejected from the byte count alone, before any cell is allocated.
