@@ -42,14 +42,7 @@ from .features import (
     extract_features,
     feature_zones,
 )
-from .geometry import (
-    Component,
-    ContourChain,
-    ProjectionProfile,
-    connected_components,
-    project,
-    trace_contours,
-)
+from .geometry import ContourChain, trace_contours
 from .layout import (
     Baselines,
     LineBand,

@@ -13,13 +13,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from . import evaluate as evalmod
 from .classify import builtin_profiles, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
-from .pipeline import PipelineParams, analyze_page, classify_page
-from .raster import BinaryRaster, GrayRaster, PnmError, load
+from .pipeline import DEFAULT_PARAMS, PipelineParams, analyze_page, classify_page
+from .raster import BinaryRaster, GrayRaster, PnmError, binarize, load
 from .synthgen import generate_corpus, generate_page, save_corpus
 
 EXIT_OK = 0
@@ -82,8 +85,6 @@ def _input_paths(raw: str) -> list[Path]:
 def _load_binary(path: Path) -> BinaryRaster:
     img = load(path)
     if isinstance(img, GrayRaster):
-        from .raster import binarize
-
         return binarize(img, 128)
     return img
 
@@ -104,15 +105,6 @@ def _params(args) -> PipelineParams:
         merge_gap=args.merge_gap,
         diacritic_max_contour=args.contour_max,
     )
-
-
-def _params_dict(params: PipelineParams) -> dict:
-    return {
-        "dilation_radius": params.dilation_radius,
-        "alpha": params.alpha,
-        "merge_gap": params.merge_gap,
-        "diacritic_max_contour": params.diacritic_max_contour,
-    }
 
 
 def _profiles(args):
@@ -182,7 +174,7 @@ def cmd_features(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "features",
-        "parameters": _params_dict(params),
+        "parameters": asdict(params),
         "images": entries,
         "_text": _features_text(entries),
     }
@@ -224,7 +216,7 @@ def cmd_classify(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "classify",
-        "parameters": {**_params_dict(params), "q_min": args.qmin},
+        "parameters": {**asdict(params), "q_min": args.qmin},
         "images": entries,
         "_text": "\n".join(text_lines),
     }
@@ -284,7 +276,7 @@ def cmd_evaluate(args) -> int:
         payload = {
             "schema": SCHEMA,
             "command": "evaluate",
-            "parameters": _params_dict(params),
+            "parameters": asdict(params),
             "report": _report_dict(report),
             "_text": table,
         }
@@ -303,6 +295,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.pages < 0:
+        raise _UsageError(f"--pages must be >= 0, not {args.pages}")
+    if args.pages and args.words is not None:
+        raise _UsageError("--words does not apply with --pages above 0")
+    words = 50 if args.words is None else args.words
+    if words <= 0:
+        raise _UsageError(f"--words must be positive, not {words}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, not {args.seed}")
     profiles = _profiles(args)
     wanted = {p.name: p for p in profiles}
     if args.script not in wanted:
@@ -310,11 +311,12 @@ def cmd_generate(args) -> int:
     profile = wanted[args.script]
 
     if args.pages:
-        items = [
-            generate_page(profile, seed=args.seed + i) for i in range(args.pages)
-        ]
+        # One seed stream, as generate_corpus draws its word seeds, so the
+        # pages of nearby seeds never coincide.
+        rng = np.random.default_rng(args.seed)
+        items = [generate_page(profile, seed=int(rng.integers(2**31))) for _ in range(args.pages)]
     else:
-        items = generate_corpus(profile, args.words, seed=args.seed)
+        items = generate_corpus(profile, words, seed=args.seed)
     image_paths, truth_path = save_corpus(items, args.output_dir)
     payload = {
         "schema": SCHEMA,
@@ -344,11 +346,13 @@ def _add_features(parser):
     """The features command's flags: input, report, and pipeline parameters."""
     parser.add_argument("--input", required=True, help="image file or directory")
     _add_report(parser)
-    parser.add_argument("--dilate", type=int, default=1, help="contour expansion radius")
-    parser.add_argument("--alpha", type=float, default=0.5, help="baseline band density fraction")
-    parser.add_argument("--contour-max", type=int, default=60, dest="contour_max",
-                        help="diacritic/loop contour point cap")
-    parser.add_argument("--merge-gap", type=int, default=2, dest="merge_gap",
+    parser.add_argument("--dilate", type=int, default=DEFAULT_PARAMS.dilation_radius,
+                        help="contour expansion radius")
+    parser.add_argument("--alpha", type=float, default=DEFAULT_PARAMS.alpha,
+                        help="baseline band density fraction")
+    parser.add_argument("--contour-max", type=int, default=DEFAULT_PARAMS.diacritic_max_contour,
+                        dest="contour_max", help="diacritic/loop contour point cap")
+    parser.add_argument("--merge-gap", type=int, default=DEFAULT_PARAMS.merge_gap, dest="merge_gap",
                         help="blank rows tolerated inside a line")
 
 
@@ -382,7 +386,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write a synthetic corpus with ground truth")
     p.add_argument("--output-dir", required=True, help="directory for images and truth file")
     p.add_argument("--script", default="Arabic", help="profile name to draw from")
-    p.add_argument("--words", type=int, default=50, help="number of word images")
+    p.add_argument("--words", type=int, default=None,
+                   help="number of word images (default 50); not with --pages")
     p.add_argument("--pages", type=int, default=0, help="generate multi-line pages instead")
     p.add_argument("--seed", type=int, default=0)
     _add_profiles(p)

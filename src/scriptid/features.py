@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import (
     ContourChain,
@@ -55,8 +54,6 @@ __all__ = [
 
 FEATURE_KINDS = ("H", "J", "P", "Q", "B")
 POSITIONS = ("D", "M", "F", "I")
-
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -181,9 +178,7 @@ def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThre
     """
     labelling = label_components(word)
     cap = thresholds.diacritic_max_contour
-    candidate = np.zeros(labelling.count + 1, dtype=bool)
-    for lab, sl in enumerate(labelling.objects, start=1):
-        candidate[lab] = sl[0].stop - 1 < baselines.upper_row or sl[0].start > baselines.lower_row
+    candidate = np.concatenate(([False], labelling.beyond(baselines.upper_row, baselines.lower_row)))
     dots = set()
     if candidate.any():
         totals = _run_counts(labelling.labels, candidate)
@@ -220,21 +215,21 @@ def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None)
         labels = label_line(word, baselines, thresholds)
     label_of = labels.labelling.labels
     hits = []
-    zone_labels, _ = ndimage.label(zone, structure=_EIGHT)
-    for lab, sl in enumerate(ndimage.find_objects(zone_labels), start=1):
-        top, bottom = sl[0].start, sl[0].stop - 1
+    regions = label_components(BinaryRaster(zone))
+    # A zone holds a few regions, so a Python loop beats array work here.
+    for i, (top, _, bottom, _) in enumerate(regions.boxes.tolist()):
         if kind == "H":
             clears = baselines.upper_row - top > thresholds.marge_h
         else:
             clears = bottom + offset - baselines.lower_row > thresholds.marge_j
         if not clears:
             continue
-        row, col = _first_pixel(zone_labels, lab, sl)
+        sl = regions.objects[i]
+        row, col = _first_pixel(regions.labels, i + 1, sl)
         if int(label_of[row + offset, col]) in labels.dots:
             continue
         if kind == "J":
-            row = bottom
-            col = int(np.argmax(zone_labels[bottom, sl[1]] == lab)) + sl[1].start
+            row, col = _first_pixel(regions.labels, i + 1, sl, bottom)
         hits.append(FeatureHit(kind, (row + offset, col)))
     hits.sort(key=lambda h: h.location)
     return hits

@@ -1,4 +1,4 @@
-"""Pixel-geometry primitives: projection profiles, components, contour chains.
+"""Pixel-geometry primitives: ink labellings and contour chains.
 
 Ink regions use 8-connectivity and background uses 4-connectivity, the
 standard complementary pair that avoids topological paradoxes. Boundaries
@@ -41,9 +41,12 @@ includes the region's topmost and bottommost pixels, so its rows are
 exactly the region's bounding-box rows. An inner chain visits the ink cells
 around its hole, and the ink directly above the hole's top cells and below
 its bottom cells closes it, so its rows are the hole's bounding-box rows
-widened by one. Box rows (from find_objects for regions, from the
-labelling's hole pixels for holes) therefore decide, with no walk, which
-chains lie entirely above or below the band and which reach it.
+widened by one. Box rows therefore decide, with no walk, which chains
+lie entirely above or below the band and which reach it. For regions they
+come from Labelling.boxes, which also decides every other box-row test of
+the pipeline: the detached-dot candidates, the detached marks of word
+parts, and the pole and jamb margins. For holes they come from the
+labelling's hole pixels.
 """
 
 from __future__ import annotations
@@ -58,13 +61,9 @@ from scipy import ndimage
 from .raster import BinaryRaster
 
 __all__ = [
-    "ProjectionProfile",
-    "Component",
     "ContourChain",
     "Labelling",
-    "project",
     "label_components",
-    "connected_components",
     "trace_contours",
 ]
 
@@ -76,40 +75,14 @@ _MOORE = ((0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
 _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
 
 
-@dataclass(frozen=True)
-class ProjectionProfile:
-    """Per-row ('horizontal') or per-column ('vertical') ink pixel counts."""
-
-    axis: str
-    counts: tuple[int, ...]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(eq=False)
-class Component:
-    """One 8-connected ink region.
-
-    pixels is an (n, 2) array of (row, col) pairs in raster-scan order and
-    bbox is the tight (min_row, min_col, max_row, max_col) bound.
-    """
-
-    label: int
-    pixels: np.ndarray
-    bbox: tuple[int, int, int, int]
-
-    def pixel_set(self):
-        return {(int(r), int(c)) for r, c in self.pixels}
-
-
 @dataclass(frozen=True, eq=False)
 class Labelling:
     """8-connected ink labels of one raster plus each label's bounding slices.
 
     labels is 0 on background and numbers the regions 1..count in raster
-    order of their first pixel; objects[i] bounds label i + 1. walker, the
-    Moore walker over the same ink, is built on first use and then cached.
+    order of their first pixel; objects[i] bounds label i + 1. boxes and
+    walker, the Moore walker over the same ink, are built on first use and
+    then cached.
     """
 
     labels: np.ndarray
@@ -118,6 +91,20 @@ class Labelling:
     @property
     def count(self) -> int:
         return len(self.objects)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """Read-only (count, 4) array of inclusive (top, left, bottom, right)
+        bounds; row i bounds label i + 1."""
+        bounds = chain.from_iterable((s[0].start, s[1].start, s[0].stop - 1, s[1].stop - 1) for s in self.objects)
+        boxes = np.fromiter(bounds, dtype=np.intp, count=4 * self.count).reshape(-1, 4)
+        boxes.flags.writeable = False
+        return boxes
+
+    def beyond(self, upper: int, lower: int) -> np.ndarray:
+        """Per label, whether its rows lie entirely above upper or entirely
+        below lower: the detached-region test. Entry i is label i + 1."""
+        return (self.boxes[:, 2] < upper) | (self.boxes[:, 0] > lower)
 
     @cached_property
     def walker(self) -> "_Walker":
@@ -142,35 +129,10 @@ class ContourChain:
         return len(self.points)
 
 
-def project(img: BinaryRaster, axis: str = "horizontal") -> ProjectionProfile:
-    """Count ink pixels per row (horizontal) or per column (vertical)."""
-    if axis == "horizontal":
-        counts = img.pixels.sum(axis=1)
-    elif axis == "vertical":
-        counts = img.pixels.sum(axis=0)
-    else:
-        raise ValueError(f"axis must be 'horizontal' or 'vertical', not {axis!r}")
-    return ProjectionProfile(axis, tuple(int(c) for c in counts))
-
-
 def label_components(img: BinaryRaster) -> Labelling:
     """Label the 8-connected ink regions of the image."""
     labels, _ = ndimage.label(img.pixels, structure=_EIGHT)
     return Labelling(labels, ndimage.find_objects(labels))
-
-
-def connected_components(img: BinaryRaster) -> list[Component]:
-    """8-connected ink regions, ordered by (bbox min_col, min_row)."""
-    labelling = label_components(img)
-    labels = labelling.labels
-    found = []
-    for lab, sl in enumerate(labelling.objects, start=1):
-        local = np.argwhere(labels[sl] == lab)
-        pixels = local + (sl[0].start, sl[1].start)
-        bbox = (sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1)
-        found.append((bbox, pixels))
-    found.sort(key=lambda t: (t[0][1], t[0][0], t[0][3], t[0][2]))
-    return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]
 
 
 def _back_table() -> tuple[int, ...]:
@@ -267,27 +229,12 @@ class _Walker:
         ends = list(accumulate(map(len, walks)))
         return [tuple(pixels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
-    def trace(self, start: tuple[int, int], back: tuple[int, int]):
-        """The (row, col) pixels of walk(start, back), in visiting order."""
-        return list(self.points([self.walk(start, back)])[0])
 
-
-def _first_pixel(labels: np.ndarray, lab: int, sl) -> tuple[int, int]:
-    """First raster-order pixel of label lab, found in the top row of its slice sl."""
-    top = sl[0].start
-    return top, int(np.argmax(labels[top, sl[1]] == lab)) + sl[1].start
-
-
-def _first_pixels(labels: np.ndarray, objects, keep_rows):
-    """Sorted first raster-order pixels of the labels whose bounding-box rows
-    (top, bottom) pass keep_rows; objects[i] bounds label i + 1."""
-    firsts = [
-        _first_pixel(labels, lab, sl)
-        for lab, sl in enumerate(objects, start=1)
-        if keep_rows(sl[0].start, sl[0].stop - 1)
-    ]
-    firsts.sort()
-    return firsts
+def _first_pixel(labels: np.ndarray, lab: int, sl, row: int | None = None) -> tuple[int, int]:
+    """First pixel of label lab in row, by default its top row and so its
+    first raster-order pixel; sl is the label's bounding slice."""
+    row = sl[0].start if row is None else row
+    return row, int(np.argmax(labels[row, sl[1]] == lab)) + sl[1].start
 
 
 def _run_counts(labels: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -365,23 +312,17 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
     """
     if labelling is None:
         labelling = label_components(img)
-    if band is None:
-        outer_kept = hole_kept = lambda top, bottom: True
-    else:
-        upper, lower = band
-
-        def outer_kept(top, bottom):
-            return bottom < upper or top > lower
-
-        def hole_kept(top, bottom):
-            return bottom + 1 >= upper and top - 1 <= lower
-
-    outer = [
-        (start, (start[0], start[1] - 1))
-        for start in _first_pixels(labelling.labels, labelling.objects, outer_kept)
-    ]
+    labels, objects = labelling.labels, labelling.objects
+    kept = range(labelling.count) if band is None else np.flatnonzero(labelling.beyond(*band)).tolist()
+    # Labels number regions in raster order of their first pixel, so the starts come sorted.
+    starts = [_first_pixel(labels, i + 1, objects[i]) for i in kept]
+    outer = [((r, c), (r, c - 1)) for r, c in starts]
     # The pixel above a hole's topmost-leftmost cell is always ink.
-    inner = [((r - 1, c), (r, c)) for (r, c), bottom in _holes(img.pixels) if hole_kept(r, bottom)]
+    inner = [
+        ((r - 1, c), (r, c))
+        for (r, c), bottom in _holes(img.pixels)
+        if band is None or (bottom + 1 >= band[0] and r - 1 <= band[1])
+    ]
     if not outer and not inner:
         return []
     walker = labelling.walker

@@ -168,10 +168,10 @@ def segment_paws(
     b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
 
     # Row i describes label i + 1: (min_row, min_col, max_row, max_col).
-    boxes = np.array([(s[0].start, s[1].start, s[0].stop - 1, s[1].stop - 1) for s in labelling.objects])
+    boxes = labelling.boxes
     # Component order: bbox (min_col, min_row, max_col, max_row), labels on ties.
     comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
-    detached = (boxes[comps, 2] < b.upper_row) | (boxes[comps, 0] > b.lower_row)
+    detached = labelling.beyond(b.upper_row, b.lower_row)[comps]
     bodies, marks = comps[~detached], comps[detached]
     if bodies.size == 0:
         bodies, marks = comps, comps[:0]

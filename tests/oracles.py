@@ -8,16 +8,22 @@ loops for letter zones, positions, zone lookup and the pole/jamb region
 scan. Two keep scipy: a second dilation reference, binary_dilation with a
 square element, and the pole/jamb scan, which labels its zone with
 ndimage.label.
+
+The projection profiles and the component list at the end are test
+helpers the pipeline does not use; the component list is built on the
+library's labelling.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from scriptid.features import FeatureHit
-from scriptid.geometry import connected_components
+from scriptid.geometry import label_components
 from scriptid.layout import estimate_baselines
+from scriptid.raster import BinaryRaster
 
 
 def bfs_regions(mask, connectivity=8):
@@ -305,3 +311,55 @@ def reference_zone_of_column(zone_bounds, col):
         if best_dist is None or dist < best_dist:
             best, best_dist = i, dist
     return best
+
+
+@dataclass(frozen=True)
+class ProjectionProfile:
+    """Per-row ('horizontal') or per-column ('vertical') ink pixel counts."""
+
+    axis: str
+    counts: tuple[int, ...]
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+
+def project(img: BinaryRaster, axis: str = "horizontal") -> ProjectionProfile:
+    """Count ink pixels per row (horizontal) or per column (vertical)."""
+    if axis == "horizontal":
+        counts = img.pixels.sum(axis=1)
+    elif axis == "vertical":
+        counts = img.pixels.sum(axis=0)
+    else:
+        raise ValueError(f"axis must be 'horizontal' or 'vertical', not {axis!r}")
+    return ProjectionProfile(axis, tuple(int(c) for c in counts))
+
+
+@dataclass(eq=False)
+class Component:
+    """One 8-connected ink region.
+
+    pixels is an (n, 2) array of (row, col) pairs in raster-scan order and
+    bbox is the tight (min_row, min_col, max_row, max_col) bound.
+    """
+
+    label: int
+    pixels: np.ndarray
+    bbox: tuple[int, int, int, int]
+
+    def pixel_set(self):
+        return {(int(r), int(c)) for r, c in self.pixels}
+
+
+def connected_components(img: BinaryRaster) -> list[Component]:
+    """8-connected ink regions, ordered by (bbox min_col, min_row)."""
+    labelling = label_components(img)
+    labels = labelling.labels
+    found = []
+    for lab, sl in enumerate(labelling.objects, start=1):
+        local = np.argwhere(labels[sl] == lab)
+        pixels = local + (sl[0].start, sl[1].start)
+        bbox = (sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1)
+        found.append((bbox, pixels))
+    found.sort(key=lambda t: (t[0][1], t[0][0], t[0][3], t[0][2]))
+    return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]

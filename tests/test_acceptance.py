@@ -19,13 +19,13 @@ from scriptid.features import (
     detect_poles,
     extract_features,
 )
-from scriptid.geometry import ContourChain, project, trace_contours
+from scriptid.geometry import ContourChain, trace_contours
 from scriptid.layout import Baselines, estimate_baselines
 from scriptid.pipeline import classify_page
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page
 
-from oracles import count_components, count_holes
+from oracles import count_components, count_holes, project
 
 
 def _report(number, name, ok):

@@ -46,6 +46,30 @@ class TestGenerate:
         rc = main(["generate", "--output-dir", str(tmp_path / "x"), "--script", "Klingon"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("values", [
+        ["--pages", "1", "--words", "3"],  # --words would be ignored
+        ["--words", "0"],
+        ["--words", "-1"],
+        ["--pages", "-2"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_values_are_usage_errors_and_write_nothing(self, tmp_path, capsys, values):
+        out, report = tmp_path / "out", tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["generate", "--output-dir", str(out), "--output", str(report)] + values) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+        assert not report.exists()
+
+    def test_pages_of_nearby_seeds_share_no_image(self, tmp_path):
+        images = set()
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            assert main(["generate", "--output-dir", str(out), "--pages", "2", "--seed", seed,
+                         "--output", str(tmp_path / f"{seed}.json")]) == EXIT_OK
+            images |= {p.read_bytes() for p in out.glob("*.pbm")}
+        assert len(images) == 4
+
 
 class TestFeatures:
     def test_directory_entries_in_filename_order(self, corpus, tmp_path):
@@ -368,12 +392,13 @@ class TestDeterminism:
         assert digests == self.PINNED_WIDE
 
     def test_generate_is_byte_identical(self, tmp_path):
-        blobs = []
-        for name in ("g1", "g2"):
-            out = tmp_path / name
-            main(["generate", "--output-dir", str(out), "--script", "Latin",
-                  "--words", "4", "--seed", "77", "--output", str(tmp_path / f"{name}.json")])
-            blobs.append(
-                {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            )
-        assert blobs[0] == blobs[1]
+        for count in (["--words", "4"], ["--pages", "2"]):
+            blobs = []
+            for name in ("g1", "g2"):
+                out = tmp_path / count[0].strip("-") / name
+                main(["generate", "--output-dir", str(out), "--script", "Latin",
+                      *count, "--seed", "77", "--output", str(tmp_path / f"{name}.json")])
+                blobs.append(
+                    {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                )
+            assert blobs[0] == blobs[1]

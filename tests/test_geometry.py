@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scriptid.geometry import (
@@ -8,14 +8,20 @@ from scriptid.geometry import (
     _Walker,
     _holes,
     _run_counts,
-    connected_components,
     label_components,
-    project,
     trace_contours,
 )
 from scriptid.raster import BinaryRaster, dilate
 
-from oracles import bfs_regions, count_components, count_holes, hole_regions, reference_trace
+from oracles import (
+    bfs_regions,
+    connected_components,
+    count_components,
+    count_holes,
+    hole_regions,
+    project,
+    reference_trace,
+)
 
 
 def random_raster(rng, max_side=24):
@@ -264,7 +270,7 @@ def test_walker_matches_reference_from_every_entry(img):
         for back in ((r, c - 1), (r + 1, c), (r, c + 1), (r - 1, c)):
             if 0 <= back[0] < height and 0 <= back[1] < width and ink[back]:
                 continue
-            assert walker.trace((r, c), back) == reference_trace(ink, (r, c), back)
+            assert list(walker.points([walker.walk((r, c), back)])[0]) == reference_trace(ink, (r, c), back)
 
 
 def _rows(points):
@@ -306,6 +312,29 @@ def test_band_keeps_exactly_the_chains_its_row_tests_accept(img, data):
         if beyond_band if chain.polarity == "outer" else not beyond_band:
             kept.append(chain)
     assert trace_contours(img, band=(upper, lower)) == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters(), st.integers(-1, 21), st.integers(-2, 22))
+@example(BinaryRaster.blank(3, 4), 1, 1)
+@example(BinaryRaster(np.ones((2, 3), dtype=bool)), 0, 0)
+@example(BinaryRaster.from_strings(["1"]), 0, 0)
+@example(BinaryRaster.from_strings(["1"]), 1, -1)
+@example(BinaryRaster.from_strings(["100", "000", "001"]), 1, 1)
+def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
+    # Row i bounds the region whose first raster-order pixel comes i-th, and
+    # beyond is the row test of detached dots and marks.
+    labelling = label_components(img)
+    expected = []
+    for region in sorted(bfs_regions(img.pixels), key=min):
+        rows, cols = [r for r, _ in region], [c for _, c in region]
+        expected.append([min(rows), min(cols), max(rows), max(cols)])
+    assert labelling.boxes.shape == (len(expected), 4)
+    assert labelling.boxes.dtype == np.intp
+    assert labelling.boxes.tolist() == expected
+    assert not labelling.boxes.flags.writeable
+    beyond = [bottom < upper or top > lower for top, _, bottom, _ in expected]
+    assert labelling.beyond(upper, lower).tolist() == beyond
 
 
 def test_run_table_extremes():
