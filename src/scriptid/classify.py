@@ -138,7 +138,7 @@ def load_profiles(path) -> list[ScriptProfile]:
     block: dict[str, str] = {}
     block_start = 0
 
-    def finish(lineno):
+    def finish():
         if not block:
             return
         missing = [k for k in _PROFILE_KEYS if k not in block]
@@ -159,7 +159,7 @@ def load_profiles(path) -> list[ScriptProfile]:
     for lineno, line in enumerate(raw_lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
-            finish(lineno)
+            finish()
             continue
         parts = text.split(None, 1)
         if len(parts) != 2:
@@ -172,7 +172,7 @@ def load_profiles(path) -> list[ScriptProfile]:
         if key in block:
             raise ProfileFormatError(f"{path}:{lineno}: duplicate key {key!r}")
         block[key] = value
-    finish(len(raw_lines) + 1)
+    finish()
     if not profiles:
         raise ProfileFormatError(f"{path}: no profiles found")
     return profiles

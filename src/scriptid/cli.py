@@ -107,6 +107,12 @@ def _params(args) -> PipelineParams:
     )
 
 
+def _check_nonnegative(flag: str, value: float):
+    """Reject a flag value that is not a finite number >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise _UsageError(f"{flag} must be a finite number >= 0, not {value}")
+
+
 def _profiles(args):
     if args.profile_file:
         return load_profiles(args.profile_file)
@@ -183,6 +189,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_nonnegative("--qmin", args.qmin)
     paths = _input_paths(args.input)
     params = _params(args)
     profiles = _profiles(args)
@@ -250,6 +257,9 @@ def _report_dict(report) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    _check_nonnegative("--qmin", args.qmin)
+    if args.ceiling is not None:
+        _check_nonnegative("--ceiling", args.ceiling)
     paths = _input_paths(args.input)
     truth_path = Path(args.truth) if args.truth else Path(args.input) / "truth.txt"
     truth = evalmod.load_ground_truth(truth_path)

@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import geometry
 from .geometry import (
     ContourChain,
     Labelling,
@@ -67,6 +68,8 @@ class FeatureThresholds:
     def __post_init__(self):
         if self.diacritic_max_contour <= 0:
             raise ValueError("diacritic_max_contour must be positive")
+        if self.marge_h < 0 or self.marge_j < 0:
+            raise ValueError("marge_h and marge_j must be >= 0")
 
     @classmethod
     def from_baselines(cls, baselines: Baselines, diacritic_max_contour: int = 60):
@@ -158,79 +161,78 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
 
 @dataclass(frozen=True, eq=False)
 class LineLabels:
-    """One labelling of a line's raw ink, shared by the pole, jamb and part stages.
+    """The two labellings of a line's raw ink that the pole, jamb and part
+    stages share.
 
-    dots holds the labels of detached dots: components entirely above the
-    upper baseline or entirely below the lower one whose closed outer
-    contour stays under the cap. Dots never feed the pole/jamb detectors.
+    labelling labels the whole word. zones labels it with the band rows
+    upper_row..lower_row blanked, so each of its regions lies wholly in the
+    upper zone or wholly in the lower one. dots holds the labelling labels
+    of detached dots: components entirely above the upper baseline or
+    entirely below the lower one whose closed outer contour stays under the
+    cap. Dots never feed the pole/jamb detectors.
     """
 
     labelling: Labelling
+    zones: Labelling
     dots: frozenset
 
 
 def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
-    """Label the word's 8-connected ink and find its detached dots.
+    """Label the word's 8-connected ink, label its two outer zones, and find
+    its detached dots.
 
     A candidate's run count is its outer chain length plus its hole chain
     lengths, so a count under the cap makes a dot with no walk; only a
-    count at or over the cap walks the outer chain.
+    count at or over the cap walks the outer chain, and only then is a
+    walker built over the word.
     """
     labelling = label_components(word)
     cap = thresholds.diacritic_max_contour
     candidate = np.concatenate(([False], labelling.beyond(baselines.upper_row, baselines.lower_row)))
     dots = set()
+    walker = None
     if candidate.any():
         totals = _run_counts(labelling.labels, candidate)
         for lab in np.flatnonzero(candidate).tolist():
             if totals[lab] >= cap:
+                # Looked up on geometry, where the per-line walker count is taken.
+                walker = walker or geometry._Walker(word.pixels)
                 start = _first_pixel(labelling.labels, lab, labelling.objects[lab - 1])
-                if len(labelling.walker.walk(start, (start[0], start[1] - 1))) >= cap:
+                if len(walker.walk(start, (start[0], start[1] - 1))) >= cap:
                     continue
             dots.add(lab)
-    return LineLabels(labelling, frozenset(dots))
+    outside = word.pixels.copy()
+    outside[baselines.upper_row : baselines.lower_row + 1] = False
+    return LineLabels(labelling, label_components(BinaryRaster(outside)), frozenset(dots))
 
 
 def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None):
-    """Common pole/jamb scan over one outer zone.
+    """Common pole/jamb scan over the regions of labels.zones.
 
-    Each 8-connected ink region beyond the baseline becomes one hit when its
-    extremal row clears the margin, with detached dots excluded. A region's
-    top and bottom rows are its bounding-box rows. Its first raster-order
-    pixel anchors the dot test and is also the pole tip; a jamb tip is the
-    first pixel of its bottom row.
+    Each region becomes one hit when its extremal box row clears the
+    margin, with detached dots excluded. Margins are never negative, so a
+    top row that clears the pole margin also puts the region in the upper
+    zone, and a bottom row that clears the jamb margin in the lower one. A
+    region's first raster-order pixel anchors the dot test and is also the
+    pole tip; a jamb tip is the first pixel of its bottom row.
     """
-    if kind == "H":
-        if baselines.upper_row == 0:
-            return []
-        zone = word.pixels[: baselines.upper_row]
-        offset = 0
-    else:
-        if baselines.lower_row >= word.height - 1:
-            return []
-        zone = word.pixels[baselines.lower_row + 1 :]
-        offset = baselines.lower_row + 1
-
     if labels is None:
         labels = label_line(word, baselines, thresholds)
+    zones = labels.zones
+    if kind == "H":
+        clears = baselines.upper_row - zones.boxes[:, 0] > thresholds.marge_h
+    else:
+        clears = zones.boxes[:, 2] - baselines.lower_row > thresholds.marge_j
     label_of = labels.labelling.labels
     hits = []
-    regions = label_components(BinaryRaster(zone))
-    # A zone holds a few regions, so a Python loop beats array work here.
-    for i, (top, _, bottom, _) in enumerate(regions.boxes.tolist()):
-        if kind == "H":
-            clears = baselines.upper_row - top > thresholds.marge_h
-        else:
-            clears = bottom + offset - baselines.lower_row > thresholds.marge_j
-        if not clears:
-            continue
-        sl = regions.objects[i]
-        row, col = _first_pixel(regions.labels, i + 1, sl)
-        if int(label_of[row + offset, col]) in labels.dots:
+    for i in np.flatnonzero(clears).tolist():
+        sl = zones.objects[i]
+        row, col = _first_pixel(zones.labels, i + 1, sl)
+        if int(label_of[row, col]) in labels.dots:
             continue
         if kind == "J":
-            row, col = _first_pixel(regions.labels, i + 1, sl, bottom)
-        hits.append(FeatureHit(kind, (row + offset, col)))
+            row, col = _first_pixel(zones.labels, i + 1, sl, sl[0].stop - 1)
+        hits.append(FeatureHit(kind, (row, col)))
     hits.sort(key=lambda h: h.location)
     return hits
 
@@ -394,12 +396,7 @@ def extract_features(
         raise NoInkError("cannot extract features from a blank image")
     stage = dilate(word, dilation_radius)
     # Only chains a dot or loop test can keep are walked; see trace_contours.
-    # Radius 0 leaves the word as it is, so its labelling serves the walk too.
-    chains = trace_contours(
-        stage,
-        band=(baselines.upper_row, baselines.lower_row),
-        labelling=labels.labelling if stage is word else None,
-    )
+    chains = trace_contours(stage, band=(baselines.upper_row, baselines.lower_row))
 
     p_hits, q_hits = detect_diacritics(chains, baselines, t)
     b_hits = detect_loops(chains, baselines, t)

@@ -46,7 +46,12 @@ lie entirely above or below the band and which reach it. For regions they
 come from Labelling.boxes, which also decides every other box-row test of
 the pipeline: the detached-dot candidates, the detached marks of word
 parts, and the pole and jamb margins. For holes they come from the
-labelling's hole pixels.
+labelling's hole pixels. The margins are read off one labelling of the
+word with its band rows blanked: no 8-connected region crosses a blank
+row, so each of its regions lies wholly in one outer zone.
+
+trace_contours labels the raster it is given and walks it with its own
+walker; nothing is shared with a labelling of some other stage.
 """
 
 from __future__ import annotations
@@ -80,9 +85,8 @@ class Labelling:
     """8-connected ink labels of one raster plus each label's bounding slices.
 
     labels is 0 on background and numbers the regions 1..count in raster
-    order of their first pixel; objects[i] bounds label i + 1. boxes and
-    walker, the Moore walker over the same ink, are built on first use and
-    then cached.
+    order of their first pixel; objects[i] bounds label i + 1. boxes is
+    built on first use and then cached.
     """
 
     labels: np.ndarray
@@ -105,10 +109,6 @@ class Labelling:
         """Per label, whether its rows lie entirely above upper or entirely
         below lower: the detached-region test. Entry i is label i + 1."""
         return (self.boxes[:, 2] < upper) | (self.boxes[:, 0] > lower)
-
-    @cached_property
-    def walker(self) -> "_Walker":
-        return _Walker(self.labels > 0)
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:
     )
 
 
-def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = None) -> list[ContourChain]:
+def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     """Trace the region and hole boundaries of the image.
 
     Each 8-connected ink region yields exactly one closed outer chain,
@@ -307,11 +307,9 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
     exactly those of the full trace that pass the same row tests, in the
     same order.
 
-    labelling, when given, must be label_components(img); the ink is then
-    not labelled again, and the labelling's walker is shared.
+    The image is labelled once here and walked by one walker over its ink.
     """
-    if labelling is None:
-        labelling = label_components(img)
+    labelling = label_components(img)
     labels, objects = labelling.labels, labelling.objects
     kept = range(labelling.count) if band is None else np.flatnonzero(labelling.beyond(*band)).tolist()
     # Labels number regions in raster order of their first pixel, so the starts come sorted.
@@ -325,7 +323,7 @@ def trace_contours(img: BinaryRaster, band=None, labelling: Labelling | None = N
     ]
     if not outer and not inner:
         return []
-    walker = labelling.walker
+    walker = _Walker(img.pixels)
     walks = [walker.walk(start, back) for start, back in outer + inner]
     return [
         ContourChain(points, closed=True, polarity="outer" if i < len(outer) else "inner")

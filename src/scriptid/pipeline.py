@@ -91,16 +91,7 @@ def classify_page(
     profiles=None,
     params: PipelineParams = DEFAULT_PARAMS,
     q_min: float = 0.02,
-    min_mass: int = 3,
-    min_margin: float = 0.05,
 ) -> tuple[Verdict, PageAnalysis]:
     """Analyze a page and label its script; blank pages come back Unknown."""
     analysis = analyze_page(page, params)
-    verdict = classify(
-        analysis.features,
-        profiles,
-        q_min=q_min,
-        min_mass=min_mass,
-        min_margin=min_margin,
-    )
-    return verdict, analysis
+    return classify(analysis.features, profiles, q_min=q_min), analysis

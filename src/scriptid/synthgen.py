@@ -455,8 +455,9 @@ def apply_salt(raster: BinaryRaster, fraction: float, seed: int = 0) -> BinaryRa
     return BinaryRaster(pixels)
 
 
-def save_corpus(items, out_dir, prefix: str = "img", fmt: str = "p4"):
-    """Write items as portable bitmaps plus a matching ground-truth file.
+def save_corpus(items, out_dir):
+    """Write items as P4 bitmaps named img_0000.pbm, img_0001.pbm, ... plus a
+    matching ground-truth file.
 
     Returns (image paths, truth path). Page items carry their script into
     the SCRIPT field; the evaluation harness reads the file back as-is.
@@ -466,9 +467,9 @@ def save_corpus(items, out_dir, prefix: str = "img", fmt: str = "p4"):
     image_paths = []
     lines = []
     for i, item in enumerate(items):
-        stem = f"{prefix}_{i:04d}"
+        stem = f"img_{i:04d}"
         path = out / f"{stem}.pbm"
-        save(item.raster, path, fmt)
+        save(item.raster, path, "p4")
         image_paths.append(path)
         exp = item.expected
         fields = " ".join(f"{k}={exp.counts[k]}" for k in FEATURE_KINDS)

@@ -214,12 +214,12 @@ def reference_segment_paws(line, baselines=None, alpha=0.5):
     return [(bbox, pixels, i) for i, (bbox, pixels) in enumerate(paws)]
 
 
-def reference_extremum_hits(word, baselines, thresholds, kind, labels):
+def reference_extremum_hits(word, baselines, thresholds, kind):
     """Pole (kind "H") or jamb ("J") hits by listing every pixel of each zone region.
 
-    labels is the line's LineLabels; regions whose first pixel belongs to a
-    detached dot are skipped. The tip is the first pixel of the region's
-    topmost (H) or bottommost (J) row.
+    Regions whose first pixel belongs to a detached dot, a BFS region that
+    reference_line_dots keeps, are skipped. The tip is the first pixel of
+    the region's topmost (H) or bottommost (J) row.
     """
     if kind == "H":
         if baselines.upper_row == 0:
@@ -231,7 +231,8 @@ def reference_extremum_hits(word, baselines, thresholds, kind, labels):
             return []
         zone = word.pixels[baselines.lower_row + 1 :]
         offset = baselines.lower_row + 1
-    label_of = labels.labelling.labels
+    dot_firsts = reference_line_dots(word.pixels, baselines, thresholds.diacritic_max_contour)
+    dot_pixels = set().union(*(r for r in bfs_regions(word.pixels) if min(r) in dot_firsts))
     hits = []
     zone_labels, _ = ndimage.label(zone, structure=np.ones((3, 3), dtype=int))
     for lab, sl in enumerate(ndimage.find_objects(zone_labels), start=1):
@@ -239,7 +240,7 @@ def reference_extremum_hits(word, baselines, thresholds, kind, labels):
             continue
         region = np.argwhere(zone_labels[sl] == lab) + (sl[0].start, sl[1].start)
         anchor = (int(region[0][0] + offset), int(region[0][1]))
-        if int(label_of[anchor]) in labels.dots:
+        if anchor in dot_pixels:
             continue
         if kind == "H":
             top = int(region[:, 0].min())

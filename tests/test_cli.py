@@ -244,6 +244,23 @@ class TestUsage:
         assert main([command, "--input", str(corpus), flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error")
 
+    # --qmin and --ceiling take a finite number >= 0; --qmin 0 stays valid.
+    @pytest.mark.parametrize("command, flag, value", [
+        ("classify", "--qmin", "-1"),
+        ("classify", "--qmin", "nan"),
+        ("classify", "--qmin", "inf"),
+        ("evaluate", "--qmin", "-1"),
+        ("evaluate", "--qmin", "nan"),
+        ("evaluate", "--ceiling", "-1"),
+        ("evaluate", "--ceiling", "nan"),
+        ("evaluate", "--ceiling", "inf"),
+    ])
+    def test_out_of_range_classifier_value_is_usage_error(self, corpus, tmp_path, capsys, command, flag, value):
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([command, "--input", str(corpus), flag, value, "--output", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not report.exists()
 
     # Flags every command accepted before each got its own set; each belongs
     # to some other command.

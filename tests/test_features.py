@@ -46,6 +46,15 @@ B8 = Baselines(24, 32)
 T8 = FeatureThresholds.from_baselines(B8)
 
 
+class TestThresholds:
+    @pytest.mark.parametrize("marge_h, marge_j", [(-1, 0), (0, -1)])
+    def test_negative_margin_is_rejected(self, marge_h, marge_j):
+        # A negative jamb margin would let a region above the band pass the
+        # jamb test, since the scans read both zones from one labelling.
+        with pytest.raises(ValueError):
+            FeatureThresholds(marge_h, marge_j)
+
+
 class TestPoles:
     def test_tall_stroke_is_pole(self):
         img = word(56, 30)
@@ -501,5 +510,5 @@ def test_pole_and_jamb_scans_match_reference(case, marge_h, marge_j, cap):
     img, baselines = case
     t = FeatureThresholds(marge_h, marge_j, cap)
     labels = label_line(img, baselines, t)
-    assert detect_poles(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "H", labels)
-    assert detect_jambs(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "J", labels)
+    assert detect_poles(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "H")
+    assert detect_jambs(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "J")

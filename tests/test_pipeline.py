@@ -70,13 +70,13 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 5, 1)])
+    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 4, 1)])
     def test_label_calls_and_walkers_per_line(self, monkeypatch, radius, labels_per_line, walkers_per_line):
-        # Every line of this page has ink above and below its body band, so
-        # both the pole and the jamb zone are labelled, and detached dots to
-        # test. The dot test counts neighbor runs and builds no walker, so
-        # the one walker per line is the contour walk's. At radius 0 that
-        # walk reuses the line's labelling.
+        # Every line of this page has ink above and below its body band and
+        # detached dots to test. Each line is labelled whole, with its band
+        # rows blanked (both outer zones at once), as the contour stage, and
+        # as framed background. The dot test counts neighbor runs and builds
+        # no walker, so the one walker per line is the contour walk's.
         label, labels = ndimage.label, []
         walker, walkers = geometry._Walker, []
 
