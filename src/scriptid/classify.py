@@ -146,14 +146,17 @@ def load_profiles(path) -> list[ScriptProfile]:
             raise ProfileFormatError(
                 f"{path}: profile starting at line {block_start} missing {missing}"
             )
+        if any(p.name == block["name"] for p in profiles):
+            raise ProfileFormatError(
+                f"{path}: profile starting at line {block_start} repeats the name {block['name']!r}"
+            )
         try:
             counts = {k: int(block[k]) for k in FEATURE_KINDS}
-            form_count = int(block["form_count"])
-        except ValueError as exc:
+            profiles.append(ScriptProfile(block["name"], int(block["form_count"]), counts))
+        except ValueError as exc:  # a non-integer, or a count ScriptProfile rejects
             raise ProfileFormatError(
                 f"{path}: profile starting at line {block_start}: {exc}"
             ) from None
-        profiles.append(ScriptProfile(block["name"], form_count, counts))
         block.clear()
 
     for lineno, line in enumerate(raw_lines, start=1):

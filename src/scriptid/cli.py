@@ -3,8 +3,8 @@
 Reports are deterministic: keys are emitted in a fixed order, floats are
 rounded to 4 decimals, infinities become the string "inf", and directory
 inputs are processed in filename order, so identical inputs always produce
-byte-identical output. Exit codes: 0 success, 1 usage error, 2 I/O error,
-3 evaluation ceiling breach.
+byte-identical output. Exit codes: 0 success, 1 usage error, 2 I/O, ground
+truth or profile error, 3 evaluation ceiling breach.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as evalmod
-from .classify import builtin_profiles, load_profiles
+from .classify import ProfileFormatError, builtin_profiles, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
 from .pipeline import DEFAULT_PARAMS, PipelineParams, analyze_page, classify_page
 from .raster import BinaryRaster, GrayRaster, PnmError, binarize, load
@@ -113,10 +113,16 @@ def _check_nonnegative(flag: str, value: float):
         raise _UsageError(f"{flag} must be a finite number >= 0, not {value}")
 
 
-def _profiles(args):
-    if args.profile_file:
-        return load_profiles(args.profile_file)
-    return builtin_profiles()
+def _profiles(args, needed=1):
+    """The --profile-file profiles, or the built-ins; fewer than needed is a profile error."""
+    if not args.profile_file:
+        return builtin_profiles()
+    profiles = load_profiles(args.profile_file)
+    if len(profiles) < needed:
+        raise ProfileFormatError(
+            f"{args.profile_file}: {args.command} needs at least {needed} profiles, found {len(profiles)}"
+        )
+    return profiles
 
 
 def _hit_dict(hit) -> dict:
@@ -192,7 +198,7 @@ def cmd_classify(args) -> int:
     _check_nonnegative("--qmin", args.qmin)
     paths = _input_paths(args.input)
     params = _params(args)
-    profiles = _profiles(args)
+    profiles = _profiles(args, needed=2)
     entries = []
     for path in paths:
         try:
@@ -231,31 +237,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _report_dict(report) -> dict:
-    return {
-        "per_feature": {
-            k: {
-                "total": row.total,
-                "correct": row.correct,
-                "error_rate": row.error_rate,
-                "undefined": row.undefined,
-            }
-            for k, row in report.per_feature.items()
-        },
-        "paw_mismatch": report.paw_mismatch,
-        "paw_mismatch_rate": report.paw_mismatch_rate,
-        "per_document": [
-            {
-                "image_id": doc.image_id,
-                "predicted": doc.predicted,
-                "expected": doc.expected,
-                "verdict_ok": doc.verdict_ok,
-            }
-            for doc in report.per_document
-        ],
-    }
-
-
 def cmd_evaluate(args) -> int:
     _check_nonnegative("--qmin", args.qmin)
     if args.ceiling is not None:
@@ -264,6 +245,7 @@ def cmd_evaluate(args) -> int:
     truth_path = Path(args.truth) if args.truth else Path(args.input) / "truth.txt"
     truth = evalmod.load_ground_truth(truth_path)
     params = _params(args)
+    profiles = _profiles(args, needed=2)
 
     predictions = []
     errors = []
@@ -278,7 +260,7 @@ def cmd_evaluate(args) -> int:
             continue
         analysis = analyze_page(page, params)
         predictions.append((path.stem, analysis.features))
-    report = evalmod.score(predictions, truth, _profiles(args), q_min=args.qmin)
+    report = evalmod.score(predictions, truth, profiles, q_min=args.qmin)
 
     table = evalmod.format_report(report)
     sys.stdout.write(table + "\n")
@@ -287,7 +269,7 @@ def cmd_evaluate(args) -> int:
             "schema": SCHEMA,
             "command": "evaluate",
             "parameters": asdict(params),
-            "report": _report_dict(report),
+            "report": asdict(report),
             "_text": table,
         }
         if errors:
@@ -416,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except evalmod.GroundTruthError as exc:
         sys.stderr.write(f"ground truth error: {exc}\n")
+        return EXIT_IO
+    except ProfileFormatError as exc:
+        sys.stderr.write(f"profile error: {exc}\n")
         return EXIT_IO
     except (PnmError, OSError) as exc:
         sys.stderr.write(f"I/O error: {exc}\n")

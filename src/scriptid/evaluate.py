@@ -72,10 +72,12 @@ class DocumentResult:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Scoring outcome; the fields are in the order the JSON report lists them."""
+
     per_feature: dict[str, FeatureScore]
-    per_document: tuple[DocumentResult, ...]
     paw_mismatch: int
     paw_mismatch_rate: float
+    per_document: tuple[DocumentResult, ...]
 
 
 def error_rate(total: int, correct: int) -> float:
@@ -175,9 +177,9 @@ def score(predictions, truth, profiles=None, q_min: float = 0.02) -> EvalReport:
     paw_total = totals["nbPAWs"]
     return EvalReport(
         per_feature=per_feature,
-        per_document=tuple(documents),
         paw_mismatch=paw_mismatch,
         paw_mismatch_rate=paw_mismatch / paw_total if paw_total else 0.0,
+        per_document=tuple(documents),
     )
 
 

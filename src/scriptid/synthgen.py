@@ -14,10 +14,19 @@ solid bar spanning the band, ascenders and descenders are 3-wide strokes
 rooted in it, dots are 4x4 squares floating 7 rows outside the band, loops
 are holes carved into the body, and floating rings are 1-pixel-thick
 hollow squares in an outer zone.
+
+Each primitive is described once, by the feature it contributes and the
+rectangles it paints: ink for a bar, tail or dot, a square then its inset
+cleared for a floating ring, one cleared rectangle for a band ring. Zone
+extents, slot widths and painting all read those rectangles. A part with
+a floating mark in a zone that no bar or tail of the word already spans
+gets one internal 1-pixel whisker between the band and the mark; specs
+cannot name whiskers themselves.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,66 +140,63 @@ class SyntheticPage:
     script: str
 
 
-def _contribution(stroke: Stroke) -> dict[str, int]:
-    """Expected feature counts implied by one primitive, by construction.
+def _shape(stroke: Stroke):
+    """The feature one primitive contributes, by construction, or None, and
+    the rectangles (top, bottom, left, right, ink) it paints, in order.
 
-    Heights and depths within 2 pixels of a margin are rejected: the
-    pipeline's contour expansion would make their outcome depend on the
-    radius, and the whole point of the generator is an exact expectation.
+    Rows count from the upper baseline and columns from the primitive's
+    slot; bottom and right are exclusive. Heights and depths within 2 rows
+    of a margin are rejected: the pipeline's contour expansion would make
+    their outcome depend on the radius, and the whole point of the
+    generator is an exact expectation.
     """
-    zero = {k: 0 for k in FEATURE_KINDS}
-    if stroke.kind == "body":
-        if stroke.width < 0:
-            raise GlyphSpecError("body width must be >= 0")
-        return zero
+    below = BAND_HEIGHT + 1  # first row under the lower baseline
+
+    def floating(side):
+        top = -_ZONE_GAP - side if stroke.zone == "upper" else below + _ZONE_GAP
+        return "P" if stroke.zone == "upper" else "Q", [(top, top + side, 0, side, True)]
+
     if stroke.kind == "bar":
         h = stroke.height
-        if h >= 2 * BAND_HEIGHT + 3:
-            return {**zero, "H": 1}
-        if 1 <= h <= 2 * BAND_HEIGHT - 3:
-            return zero
-        raise GlyphSpecError(
-            f"bar height {h} is ambiguous near the pole margin {2 * BAND_HEIGHT}"
-        )
+        if not (1 <= h <= 2 * BAND_HEIGHT - 3 or h >= 2 * BAND_HEIGHT + 3):
+            raise GlyphSpecError(
+                f"bar height {h} is ambiguous near the pole margin {2 * BAND_HEIGHT}"
+            )
+        return "H" if h > 2 * BAND_HEIGHT else None, [(-h, 0, 0, 3, True)]
     if stroke.kind == "tail":
         d = stroke.depth
-        if d >= BAND_HEIGHT + 3:
-            return {**zero, "J": 1}
-        if 1 <= d <= BAND_HEIGHT - 3:
-            return zero
-        raise GlyphSpecError(
-            f"tail depth {d} is ambiguous near the jamb margin {BAND_HEIGHT}"
-        )
+        if not (1 <= d <= BAND_HEIGHT - 3 or d >= BAND_HEIGHT + 3):
+            raise GlyphSpecError(
+                f"tail depth {d} is ambiguous near the jamb margin {BAND_HEIGHT}"
+            )
+        return "J" if d > BAND_HEIGHT else None, [(below, below + d, 0, 3, True)]
     if stroke.kind == "dot":
-        if stroke.zone == "upper":
-            return {**zero, "P": 1}
-        if stroke.zone == "lower":
-            return {**zero, "Q": 1}
-        raise GlyphSpecError(f"dot zone must be 'upper' or 'lower', not {stroke.zone!r}")
+        if stroke.zone not in ("upper", "lower"):
+            raise GlyphSpecError(f"dot zone must be 'upper' or 'lower', not {stroke.zone!r}")
+        return floating(_DOT_SIDE)
     if stroke.kind == "ring":
         d = stroke.diameter
         if stroke.zone == "band":
             if not 7 <= d <= 9:
                 raise GlyphSpecError("band ring diameter must lie in 7..9")
-            return {**zero, "B": 1}
+            hole = d - 4
+            wall = (below - hole) // 2
+            return "B", [(wall, wall + hole, 0, hole, False)]
         if stroke.zone in ("upper", "lower"):
             if not 7 <= d <= 11:
                 raise GlyphSpecError("floating ring diameter must lie in 7..11")
-            return {**zero, "P" if stroke.zone == "upper" else "Q": 1}
+            feature, rects = floating(d)
+            top = rects[0][0]
+            return feature, rects + [(top + 1, top + d - 1, 1, d - 1, False)]
         raise GlyphSpecError(f"ring zone must be 'band', 'upper' or 'lower', not {stroke.zone!r}")
     raise GlyphSpecError(f"unknown stroke kind {stroke.kind!r}")
 
 
-def _painted_width(stroke: Stroke) -> int:
-    if stroke.kind == "bar" or stroke.kind == "tail":
-        return 3
-    if stroke.kind == "dot":
-        return _DOT_SIDE
-    if stroke.kind == "ring":
-        return stroke.diameter - 4 if stroke.zone == "band" else stroke.diameter
-    if stroke.kind in ("riser", "sinker"):
-        return 1
-    raise GlyphSpecError(f"unknown stroke kind {stroke.kind!r}")
+# The whisker bridging each outer zone, keyed by the mark that floats there.
+_WHISKERS = (
+    ("P", (-_ZONE_GAP, 0, 0, 1, True)),
+    ("Q", (BAND_HEIGHT + 1, BAND_HEIGHT + 1 + _ZONE_GAP, 0, 1, True)),
+)
 
 
 def _inject_bridges(paws):
@@ -198,34 +204,17 @@ def _inject_bridges(paws):
 
     A detached dot sits 7 rows outside the band; without ink in between,
     row-projection line finding would break the word into two bands. A bar
-    or tail long enough already bridges those rows. Otherwise a 1-pixel
-    whisker is grown from the body toward the first floating mark: 7 rows
-    tall, far below the pole margin (16) and at, not past, the jamb margin
-    (8), so it never reads as a feature.
+    or tail long enough already paints those rows. Otherwise a 1-pixel
+    whisker is grown from the body in the first part with a mark in that
+    zone: 7 rows tall, far below the pole margin (16) and at, not past,
+    the jamb margin (8), so it never reads as a feature.
     """
-    has_upper_float = any(
-        s.zone == "upper" for _, prims in paws for s in prims if s.kind in ("dot", "ring")
-    )
-    has_lower_float = any(
-        s.zone == "lower" for _, prims in paws for s in prims if s.kind in ("dot", "ring")
-    )
-    bridged_above = any(
-        s.kind == "bar" and s.height >= _ZONE_GAP for _, prims in paws for s in prims
-    )
-    bridged_below = any(
-        s.kind == "tail" and s.depth >= _ZONE_GAP for _, prims in paws for s in prims
-    )
-
-    def first_paw_with(zone):
-        for _, prims in paws:
-            if any(s.kind in ("dot", "ring") and s.zone == zone for s in prims):
-                return prims
-        raise AssertionError("float zone without a float")
-
-    if has_upper_float and not bridged_above:
-        first_paw_with("upper").append(Stroke("riser"))
-    if has_lower_float and not bridged_below:
-        first_paw_with("lower").append(Stroke("sinker"))
+    for mark, whisker in _WHISKERS:
+        top, bottom = whisker[:2]
+        ink = [r for _, part in paws for _, rects in part for r in rects if r[4]]
+        first = next((part for _, part in paws if any(f == mark for f, _ in part)), None)
+        if first is not None and not any(r[0] <= top and r[1] >= bottom for r in ink):
+            first.append((None, [whisker]))
 
 
 def _split_paws(strokes):
@@ -244,49 +233,30 @@ def _split_paws(strokes):
 
 def generate(spec: GlyphSpec) -> SyntheticWord:
     """Render a spec to a word raster with its by-construction feature set."""
-    paws = _split_paws(spec.strokes)
+    paws = [(width, [_shape(s) for s in prims]) for width, prims in _split_paws(spec.strokes)]
     rng = np.random.default_rng(spec.seed)
 
-    counts = {k: 0 for k in FEATURE_KINDS}
-    for _, prims in paws:
-        for stroke in prims:
-            for k, v in _contribution(stroke).items():
-                counts[k] += v
+    found = Counter(feature for _, part in paws for feature, _ in part)
+    counts = {k: found[k] for k in FEATURE_KINDS}
     _inject_bridges(paws)
 
-    above = 12
-    below = 12
+    painted = [r for _, part in paws for _, rects in part for r in rects]
+    above = max([12] + [-r[0] for r in painted])
+    below = max([12] + [r[1] - BAND_HEIGHT - 1 for r in painted])
     paw_layouts = []
-    for explicit_width, prims in paws:
-        for stroke in prims:
-            if stroke.kind == "bar":
-                above = max(above, stroke.height)
-            elif stroke.kind == "tail":
-                below = max(below, stroke.depth)
-            elif stroke.kind == "dot":
-                above_or_below = _ZONE_GAP + _DOT_SIDE
-                if stroke.zone == "upper":
-                    above = max(above, above_or_below)
-                else:
-                    below = max(below, above_or_below)
-            elif stroke.kind == "ring" and stroke.zone != "band":
-                extent = _ZONE_GAP + stroke.diameter
-                if stroke.zone == "upper":
-                    above = max(above, extent)
-                else:
-                    below = max(below, extent)
-        widths = [_painted_width(s) for s in prims]
+    for explicit_width, part in paws:
+        widths = [max(r[3] for r in rects) for _, rects in part]
         needed = sum(widths) + _SLOT_GAP * (len(widths) - 1) + 6 if widths else 12
         if explicit_width and explicit_width < needed:
             raise GlyphSpecError(
                 f"body width {explicit_width} cannot hold its primitives (needs {needed})"
             )
-        paw_layouts.append((max(explicit_width, needed), list(prims)))
+        paw_layouts.append((max(explicit_width, needed), part, widths))
 
     upper = above + _MARGIN
     lower = upper + BAND_HEIGHT
     height = lower + 1 + below + _MARGIN
-    width = 2 * _MARGIN + sum(w for w, _ in paw_layouts) + _PAW_GAP * (len(paw_layouts) - 1)
+    width = 2 * _MARGIN + sum(w for w, _, _ in paw_layouts) + _PAW_GAP * (len(paw_layouts) - 1)
 
     if spec.canvas_height is not None or spec.canvas_width is not None:
         ch = spec.canvas_height if spec.canvas_height is not None else height
@@ -299,41 +269,15 @@ def generate(spec: GlyphSpec) -> SyntheticWord:
 
     canvas = np.zeros((height, width), dtype=bool)
     x = _MARGIN
-    for body_width, prims in paw_layouts:
+    for body_width, part, widths in paw_layouts:
         canvas[upper : lower + 1, x : x + body_width] = True
-        order = list(range(len(prims)))
+        order = list(range(len(part)))
         rng.shuffle(order)
         anchor = x + 3
         for idx in order:
-            stroke = prims[idx]
-            w = _painted_width(stroke)
-            if stroke.kind == "bar":
-                canvas[upper - stroke.height : upper, anchor : anchor + 3] = True
-            elif stroke.kind == "tail":
-                canvas[lower + 1 : lower + 1 + stroke.depth, anchor : anchor + 3] = True
-            elif stroke.kind == "dot":
-                if stroke.zone == "upper":
-                    top = upper - _ZONE_GAP - _DOT_SIDE
-                else:
-                    top = lower + 1 + _ZONE_GAP
-                canvas[top : top + _DOT_SIDE, anchor : anchor + _DOT_SIDE] = True
-            elif stroke.kind == "ring" and stroke.zone == "band":
-                hole = stroke.diameter - 4
-                wall = (BAND_HEIGHT + 1 - hole) // 2
-                canvas[upper + wall : upper + wall + hole, anchor : anchor + hole] = False
-            elif stroke.kind == "riser":
-                canvas[upper - _ZONE_GAP : upper, anchor : anchor + 1] = True
-            elif stroke.kind == "sinker":
-                canvas[lower + 1 : lower + 1 + _ZONE_GAP, anchor : anchor + 1] = True
-            else:  # floating ring
-                d = stroke.diameter
-                if stroke.zone == "upper":
-                    top = upper - _ZONE_GAP - d
-                else:
-                    top = lower + 1 + _ZONE_GAP
-                canvas[top : top + d, anchor : anchor + d] = True
-                canvas[top + 1 : top + d - 1, anchor + 1 : anchor + d - 1] = False
-            anchor += w + _SLOT_GAP
+            for top, bottom, left, right, ink in part[idx][1]:
+                canvas[upper + top : upper + bottom, anchor + left : anchor + right] = ink
+            anchor += widths[idx] + _SLOT_GAP
         x += body_width + _PAW_GAP
 
     expected = FeatureSet(counts=counts, nb_paws=len(paw_layouts))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -154,4 +155,21 @@ class TestProfileFiles:
         path = tmp_path / "p.txt"
         path.write_text("name X\nform_count 10\nH one\nJ 1\nP 1\nQ 1\nB 1\n")
         with pytest.raises(ProfileFormatError):
+            load_profiles(path)
+
+    def test_repeated_name(self, tmp_path):
+        path = tmp_path / "p.txt"
+        save_profiles([builtin_profiles()[0]] * 2, path)
+        with pytest.raises(ProfileFormatError, match="line 9 repeats the name 'Arabic'"):
+            load_profiles(path)
+
+    # Counts ScriptProfile itself rejects are format errors too.
+    @pytest.mark.parametrize("form_count, h", [("0", "1"), ("-3", "1"), ("10", "-1")])
+    def test_rejected_count_names_the_file_and_block(self, tmp_path, form_count, h):
+        path = tmp_path / "p.txt"
+        path.write_text(
+            f"# header\n\nname X\nform_count {form_count}\nH {h}\nJ 1\nP 1\nQ 1\nB 1\n"
+        )
+        prefix = re.escape(f"{path}: profile starting at line 3: ")
+        with pytest.raises(ProfileFormatError, match=prefix):
             load_profiles(path)

@@ -224,6 +224,43 @@ class TestEvaluate:
         assert verdicts == [label == script for label in labels]
 
 
+class TestProfileFile:
+    # A profile file with one defect each; both scoring commands need two profiles.
+    @pytest.mark.parametrize("command, text", [
+        ("classify", "name X\nform_count 10\nH 1\nJ 1\nP 1\nQ 1\n"),  # no B
+        ("evaluate", "name X\nform_count 10\nH 1\nJ 1\nP 1\nQ 1\n"),
+        ("generate", "name X\nform_count 10\nH 1\nJ 1\nP 1\nQ 1\n"),
+        ("classify", "name X\nform_count 0\nH 1\nJ 1\nP 1\nQ 1\nB 1\n"),
+        ("evaluate", "name X\nform_count 10\nH 1\nJ 1\nP -2\nQ 1\nB 1\n"),
+        ("classify", "name Arabic\nform_count 120\nH 29\nJ 28\nP 30\nQ 11\nB 22\n"),
+        ("evaluate", "name Arabic\nform_count 120\nH 29\nJ 28\nP 30\nQ 11\nB 22\n"),
+    ])
+    def test_bad_profile_file_is_profile_error_and_writes_nothing(
+        self, corpus, tmp_path, capsys, command, text
+    ):
+        profiles = tmp_path / "profiles.txt"
+        profiles.write_text(text)
+        report = tmp_path / "r.json"
+        if command == "generate":
+            args = [command, "--output-dir", str(tmp_path / "out"), "--script", "X"]
+        else:
+            args = [command, "--input", str(corpus)]
+        capsys.readouterr()
+        rc = main(args + ["--profile-file", str(profiles), "--output", str(report)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"profile error: {profiles}")
+        assert not report.exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_accepts_one_profile(self, tmp_path):
+        profiles = tmp_path / "profiles.txt"
+        save_profiles(builtin_profiles()[1:], profiles)
+        out = tmp_path / "out"
+        assert main(["generate", "--output-dir", str(out), "--script", "Latin", "--words", "2",
+                     "--profile-file", str(profiles), "--output", str(tmp_path / "g.json")]) == EXIT_OK
+        assert len(list(out.glob("*.pbm"))) == 2
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -347,10 +384,11 @@ class TestDeterminism:
             assert first == second, command[0]
 
     # sha256 of the reports on the corpus below; any change to a count, hit,
-    # word-part index or position changes them.
+    # word-part index, position, score or verdict changes them.
     PINNED = {
         "features": "1970fe97469034b08326db42569d4c89d8f31bc3a6e5a3a2c5a7e2afb0dfd119",
         "classify": "a79f5d23370c02fa39b1427a49d9b32f452c022b3137f3027481ffe0c6f4e9be",
+        "evaluate": "83e4aca9fd4e4022cd26dbf534931949e0e92a317b356805f8366a21b48e3d93",
     }
 
     def test_reports_match_pinned_hashes(self, tmp_path):

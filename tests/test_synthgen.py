@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scriptid.classify import builtin_profiles
@@ -9,6 +11,7 @@ from scriptid.synthgen import (
     CanvasFitError,
     GlyphSpec,
     GlyphSpecError,
+    Stroke,
     apply_salt,
     bar,
     body,
@@ -79,6 +82,11 @@ class TestGenerate:
     def test_deterministic_for_seed(self):
         spec = GlyphSpec((body(), bar(), dot("upper"), ring()), seed=9)
         assert generate(spec).raster == generate(spec).raster
+
+    @pytest.mark.parametrize("kind", ["riser", "sinker"])
+    def test_internal_whisker_kinds_rejected(self, kind):
+        with pytest.raises(GlyphSpecError):
+            generate(GlyphSpec((body(), Stroke(kind))))
 
     def test_seed_shuffles_slot_order(self):
         strokes = (body(), bar(), tail(), dot("upper"), ring())
@@ -213,3 +221,48 @@ class TestSaveCorpus:
         _, truth_path = save_corpus(pages, tmp_path)
         records = load_ground_truth(truth_path)
         assert all(r.script == "Latin" for r in records)
+
+
+def _digest(items):
+    """sha256 over each item's pixels, shape, band and expected counts."""
+    h = hashlib.sha256()
+    for item in items:
+        band = getattr(item, "band", None)
+        rows = None if band is None else (band.upper_row, band.lower_row)
+        counts = tuple(item.expected.counts[k] for k in FEATURE_KINDS)
+        h.update(repr((item.raster.pixels.shape, rows, counts, item.expected.nb_paws)).encode())
+        h.update(item.raster.pixels.tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratorPin:
+    """Generated rasters, bands and counts, pinned byte for byte."""
+
+    SPECS = [
+        ((bar(5),), {}),
+        ((bar(13), dot("upper")), {}),  # the bar already bridges the upper zone
+        ((bar(19), tail(5)), {}),
+        ((bar(22), tail(11), dot("lower")), {}),  # the tail already bridges the lower zone
+        ((tail(13), dot("upper")), {}),
+        ((dot("upper"), dot("lower")), {}),  # whiskers above and below
+        ((ring(7), ring(8), ring(9)), {}),
+        ((ring(7, "upper"), ring(11, "lower")), {}),
+        ((ring(11, "upper"), ring(7, "lower"), bar(5), tail(5)), {}),
+        ((body(), bar(5), body(), dot("upper"), body(), ring(7, "upper")), {}),
+        ((body(), body(), dot("lower")), {}),
+        ((tail(), body(), dot("lower"), body(40), ring(), bar()), {}),  # a stroke before the first body
+        ((body(), bar(), dot("lower")), {"canvas_height": 80, "canvas_width": 70}),
+    ]
+    DIGEST = "15d4cd942c601fa83716e0a1ee3325ac2ce9d605c4988811d9e0ffe27127cefc"
+
+    def test_outputs_match_pinned_digest(self):
+        items = [
+            generate(GlyphSpec(strokes, seed=seed, **canvas))
+            for strokes, canvas in self.SPECS
+            for seed in range(5)
+        ]
+        for profile in (ARABIC, LATIN):
+            items += [generate_page(profile, seed=s) for s in range(10)]
+            items += [generate_page(profile, seed=s, min_paws=20, max_paws=28) for s in range(2)]
+            items += generate_corpus(profile, 20, seed=5)
+        assert _digest(items) == self.DIGEST
