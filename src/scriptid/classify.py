@@ -95,11 +95,15 @@ def classify(
     to infinite distance whenever the normalized Q frequency reaches q_min.
     The verdict is Unknown when fewer than min_mass primitives were seen in
     total or when the best two distances differ by less than min_margin.
+    Raises ValueError unless there are at least two profiles, all with
+    distinct names.
     """
     if profiles is None:
         profiles = builtin_profiles()
     if len(profiles) < 2:
         raise ValueError("classification needs at least two profiles")
+    if len({profile.name for profile in profiles}) < len(profiles):
+        raise ValueError("classification needs profiles with distinct names")
 
     if fs.total_hits() < min_mass:
         return Verdict("Unknown", {}, 0.0)

@@ -28,7 +28,6 @@ from .geometry import (
     ContourChain,
     Labelling,
     _first_pixel,
-    _run_counts,
     label_components,
     trace_contours,
 )
@@ -166,70 +165,62 @@ class LineLabels:
 
     labelling labels the whole word. zones labels it with the band rows
     upper_row..lower_row blanked, so each of its regions lies wholly in the
-    upper zone or wholly in the lower one. dots holds the labelling labels
-    of detached dots: components entirely above the upper baseline or
-    entirely below the lower one whose closed outer contour stays under the
-    cap. Dots never feed the pole/jamb detectors.
+    upper zone or wholly in the lower one.
     """
 
     labelling: Labelling
     zones: Labelling
-    dots: frozenset
 
 
 def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
-    """Label the word's 8-connected ink, label its two outer zones, and find
-    its detached dots.
+    """Label the word's 8-connected ink, and label it again with its band
+    rows blanked, which labels both outer zones at once.
 
-    A candidate's run count is its outer chain length plus its hole chain
-    lengths, so a count under the cap makes a dot with no walk; only a
-    count at or over the cap walks the outer chain, and only then is a
-    walker built over the word.
+    thresholds is not read: the pole and jamb scans decide detached dots
+    themselves, and only for the regions that clear a margin.
     """
-    labelling = label_components(word)
-    cap = thresholds.diacritic_max_contour
-    candidate = np.concatenate(([False], labelling.beyond(baselines.upper_row, baselines.lower_row)))
-    dots = set()
-    walker = None
-    if candidate.any():
-        totals = _run_counts(labelling.labels, candidate)
-        for lab in np.flatnonzero(candidate).tolist():
-            if totals[lab] >= cap:
-                # Looked up on geometry, where the per-line walker count is taken.
-                walker = walker or geometry._Walker(word.pixels)
-                start = _first_pixel(labelling.labels, lab, labelling.objects[lab - 1])
-                if len(walker.walk(start, (start[0], start[1] - 1))) >= cap:
-                    continue
-            dots.add(lab)
     outside = word.pixels.copy()
     outside[baselines.upper_row : baselines.lower_row + 1] = False
-    return LineLabels(labelling, label_components(BinaryRaster(outside)), frozenset(dots))
+    return LineLabels(label_components(word), label_components(BinaryRaster(outside)))
 
 
 def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None):
     """Common pole/jamb scan over the regions of labels.zones.
 
     Each region becomes one hit when its extremal box row clears the
-    margin, with detached dots excluded. Margins are never negative, so a
+    margin, unless it is a detached dot. Margins are never negative, so a
     top row that clears the pole margin also puts the region in the upper
-    zone, and a bottom row that clears the jamb margin in the lower one. A
-    region's first raster-order pixel anchors the dot test and is also the
-    pole tip; a jamb tip is the first pixel of its bottom row.
+    zone, and a bottom row that clears the jamb margin in the lower one.
+
+    The raw component at a clearing region's first raster-order pixel
+    decides the dot rule. When that component lies wholly above or below
+    the band, blanking the band left it whole, so the region is that
+    component and the pixel starts its outer chain. The region is then a
+    dot, and no hit, when that chain, walked on the word, is shorter than
+    the contour cap; the walker is built at the first such region. This is
+    the only place a region is decided to be a dot.
+
+    The first pixel is also the pole tip; a jamb tip is the first pixel of
+    its bottom row.
     """
     if labels is None:
         labels = label_line(word, baselines, thresholds)
-    zones = labels.zones
+    zones, labelling = labels.zones, labels.labelling
     if kind == "H":
         clears = baselines.upper_row - zones.boxes[:, 0] > thresholds.marge_h
     else:
         clears = zones.boxes[:, 2] - baselines.lower_row > thresholds.marge_j
-    label_of = labels.labelling.labels
+    detached = labelling.beyond(baselines.upper_row, baselines.lower_row)
+    walker = None
     hits = []
     for i in np.flatnonzero(clears).tolist():
         sl = zones.objects[i]
         row, col = _first_pixel(zones.labels, i + 1, sl)
-        if int(label_of[row, col]) in labels.dots:
-            continue
+        if detached[labelling.labels[row, col] - 1]:
+            # Looked up on geometry, where the per-line walker count is taken.
+            walker = walker or geometry._Walker(word.pixels)
+            if len(walker.walk((row, col), (row, col - 1))) < thresholds.diacritic_max_contour:
+                continue
         if kind == "J":
             row, col = _first_pixel(zones.labels, i + 1, sl, sl[0].stop - 1)
         hits.append(FeatureHit(kind, (row, col)))

@@ -6,7 +6,8 @@ are traced with Moore neighbor following: the walk scans the 8-neighborhood
 clockwise from the backtrack pixel and stops once its state repeats, which
 handles single pixels and one-pixel-wide spurs. A chain records every visit,
 so a thin spur contributes each boundary pixel once per pass; chain length
-is therefore a visit count, not a Euclidean arc length.
+is therefore a visit count, not a Euclidean arc length, and the walk is the
+only way the pipeline measures it.
 
 The walk probes the ink directly. Each traced raster is stored once as the
 bytes of its ink over a one-pixel zero pad, so the border needs no bounds
@@ -16,18 +17,6 @@ ink probe is the next pixel, and the background probe just before it, seen
 from the next pixel, is the next backtrack. That relative direction depends
 only on the step direction, so an 8-entry table gives it, and a state is the
 integer pixel * 8 + backtrack direction.
-
-A chain's length can also be counted without walking it (after Gray, "Local
-properties of binary images in two dimensions", IEEE Trans. Computers
-C-20(5), 1971). Around each ink pixel, split the 8 neighbors, read
-cyclically, into maximal runs of background, and count the runs that hold
-one of the pixel's 4-neighbors; a 256-entry table built at import gives
-that count for every neighbor code, 1 for an isolated pixel and 0 for a
-surrounded one. A run is 4-connected, so it lies in one background region,
-and a chain's length is the number of such runs that face its own
-background region. Summed over a region's pixels, the count therefore
-equals the length of its outer chain plus those of its hole chains, and a
-region whose sum stays under a cap has an outer chain under it too.
 
 Holes come from one 4-connected labelling of the background framed by a
 one-pixel border of background: the frame and every region touching the
@@ -44,11 +33,11 @@ its bottom cells closes it, so its rows are the hole's bounding-box rows
 widened by one. Box rows therefore decide, with no walk, which chains
 lie entirely above or below the band and which reach it. For regions they
 come from Labelling.boxes, which also decides every other box-row test of
-the pipeline: the detached-dot candidates, the detached marks of word
-parts, and the pole and jamb margins. For holes they come from the
-labelling's hole pixels. The margins are read off one labelling of the
-word with its band rows blanked: no 8-connected region crosses a blank
-row, so each of its regions lies wholly in one outer zone.
+the pipeline: the detached marks of word parts, and the pole and jamb
+margins. For holes they come from the labelling's hole pixels. The margins
+are read off one labelling of the word with its band rows blanked: no
+8-connected region crosses a blank row, so each of its regions lies wholly
+in one outer zone.
 
 trace_contours labels the raster it is given and walks it with its own
 walker; nothing is shared with a labelling of some other stage.
@@ -150,31 +139,6 @@ def _back_table() -> tuple[int, ...]:
 _BACK = _back_table()
 
 
-def _run_table() -> np.ndarray:
-    """Background runs holding a 4-neighbor, for every neighbor code.
-
-    Bit k of a code is set when the neighbor in direction _MOORE[k] is ink;
-    the 4-neighbors are the even directions. Runs are read cyclically, so a
-    code with no ink is one run, and a code with all eight bits set has none.
-    """
-    table = np.zeros(256, dtype=np.intp)
-    for code in range(1, 256):
-        for k in range(8):
-            if code >> k & 1 or not code >> (k - 1) % 8 & 1:
-                continue  # k does not start a background run
-            j = k
-            while not code >> j % 8 & 1:
-                if j % 2 == 0:
-                    table[code] += 1
-                    break
-                j += 1
-    table[0] = 1
-    return table
-
-
-_RUNS = _run_table()
-
-
 class _Walker:
     """Moore neighbor walks over one raster, probing its padded ink bytes.
 
@@ -235,29 +199,6 @@ def _first_pixel(labels: np.ndarray, lab: int, sl, row: int | None = None) -> tu
     first raster-order pixel; sl is the label's bounding slice."""
     row = sl[0].start if row is None else row
     return row, int(np.argmax(labels[row, sl[1]] == lab)) + sl[1].start
-
-
-def _run_counts(labels: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Per-label sums of the _RUNS count over the pixels of the kept labels.
-
-    labels is an 8-connected ink labelling and keep a boolean per label,
-    index 0 (background) False. Entry lab of the result is the summed
-    count of label lab, its outer chain length plus its hole chain
-    lengths, and 0 for labels not kept. Codes are read only at kept
-    pixels: distinct regions are never 8-adjacent, so every ink neighbor
-    of a pixel is in its own region.
-    """
-    width = labels.shape[1]
-    flat = np.flatnonzero(np.take(keep, labels))
-    rows, cols = np.divmod(flat, width)
-    stride = width + 2
-    at = (rows + 1) * stride + cols + 1
-    ink = np.pad(labels > 0, 1).ravel().view(np.uint8)
-    codes = np.zeros(flat.size, dtype=np.uint8)
-    for k, (dr, dc) in enumerate(_MOORE):
-        codes |= ink[at + dr * stride + dc] << k
-    totals = np.bincount(labels.ravel()[flat], weights=_RUNS[codes], minlength=keep.size)
-    return totals.astype(np.intp)
 
 
 def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:

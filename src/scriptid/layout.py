@@ -11,8 +11,7 @@ to runs that contain the peak itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,24 +64,12 @@ class Paw:
     """One word part: a body component plus any reattached detached marks.
 
     order_index runs right to left, the rightmost part being 0. labels are
-    the part's component labels in label_image, the line's labelling.
-    pixels, the part's (row, col) pairs in raster order, is computed from
-    label_image on first access and then cached.
+    the part's component labels in the line's labelling.
     """
 
     bbox: tuple[int, int, int, int]
     order_index: int
     labels: np.ndarray
-    label_image: np.ndarray = field(repr=False)
-
-    @cached_property
-    def pixels(self) -> np.ndarray:
-        r0, c0, r1, c1 = self.bbox
-        inside = np.isin(self.label_image[r0 : r1 + 1, c0 : c1 + 1], self.labels)
-        return np.argwhere(inside) + (r0, c0)
-
-    def pixel_set(self):
-        return {(int(r), int(c)) for r, c in self.pixels}
 
 
 def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
@@ -208,6 +195,6 @@ def segment_paws(
     ends = np.cumsum(np.bincount(part_of_comp, minlength=bodies.size)).tolist()
     extents = extent.tolist()
     return [
-        Paw(tuple(extents[j]), i, grouped[lo:hi], labelling.labels)
+        Paw(tuple(extents[j]), i, grouped[lo:hi])
         for i, (j, lo, hi) in enumerate(zip(order.tolist(), [0, *ends], ends))
     ]

@@ -9,9 +9,9 @@ scan. Two keep scipy: a second dilation reference, binary_dilation with a
 square element, and the pole/jamb scan, which labels its zone with
 ndimage.label.
 
-The projection profiles and the component list at the end are test
-helpers the pipeline does not use; the component list is built on the
-library's labelling.
+The projection profiles, the component list and the word-part pixel
+reader at the end are test helpers the pipeline does not use; the
+component list is built on the library's labelling.
 """
 
 from collections import deque
@@ -364,3 +364,11 @@ def connected_components(img: BinaryRaster) -> list[Component]:
         found.append((bbox, pixels))
     found.sort(key=lambda t: (t[0][1], t[0][0], t[0][3], t[0][2]))
     return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]
+
+
+def paw_pixels(paw, labels):
+    """A word part's (row, col) pixels in raster order: the pixels inside its
+    box whose label in the line's label image is one of the part's labels."""
+    r0, c0, r1, c1 = paw.bbox
+    inside = np.isin(labels[r0 : r1 + 1, c0 : c1 + 1], paw.labels)
+    return np.argwhere(inside) + (r0, c0)

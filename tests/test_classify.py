@@ -122,6 +122,15 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(fs({"H": 5}, 5), profiles=builtin_profiles()[:1])
 
+    # One feature set clears min_mass and one falls under it, where the
+    # verdict would otherwise be Unknown before the names are compared.
+    @pytest.mark.parametrize("counts", [{"H": 5, "Q": 2}, {"H": 1}])
+    def test_repeated_profile_names_are_rejected(self, counts):
+        arabic, latin = builtin_profiles()
+        twins = [arabic, ScriptProfile("Arabic", 103, latin.raw)]
+        with pytest.raises(ValueError, match="distinct names"):
+            classify(fs(counts, 5), profiles=twins)
+
 
 class TestProfileFiles:
     def test_round_trip(self, tmp_path):

@@ -14,11 +14,17 @@ from scriptid.layout import (
 )
 from scriptid.raster import BinaryRaster
 
-from oracles import reference_segment_paws
+from oracles import paw_pixels, reference_segment_paws
 
 
 def canvas(h, w):
     return np.zeros((h, w), dtype=bool)
+
+
+def pixel_sets(paws, line):
+    """Each part's (row, col) pixels as a set, read off a fresh labelling of line."""
+    labels = label_components(line).labels
+    return [set(map(tuple, paw_pixels(paw, labels).tolist())) for paw in paws]
 
 
 class TestExtractLines:
@@ -132,7 +138,7 @@ class TestSegmentPaws:
         img[2:4, 8:10] = True  # dot well above it, spans overlap
         paws = segment_paws(BinaryRaster(img))
         assert len(paws) == 1
-        assert (2, 8) in paws[0].pixel_set()
+        assert (2, 8) in pixel_sets(paws, BinaryRaster(img))[0]
 
     def test_dot_attaches_to_nearest_body_by_overlap(self):
         img = canvas(20, 40)
@@ -141,7 +147,7 @@ class TestSegmentPaws:
         img[2:4, 27:30] = True  # overlaps only the left span of the right body
         paws = segment_paws(BinaryRaster(img))
         assert len(paws) == 2
-        assert (2, 27) in paws[0].pixel_set()  # rightmost paw is index 0
+        assert (2, 27) in pixel_sets(paws, BinaryRaster(img))[0]  # rightmost paw is index 0
 
     def test_paws_partition_ink(self):
         rng = np.random.default_rng(34)
@@ -150,10 +156,8 @@ class TestSegmentPaws:
             if img.ink_count() == 0:
                 assert segment_paws(img) == []
                 continue
-            paws = segment_paws(img)
             seen = set()
-            for paw in paws:
-                pset = paw.pixel_set()
+            for pset in pixel_sets(segment_paws(img), img):
                 assert not (pset & seen)
                 seen |= pset
             assert len(seen) == img.ink_count()
@@ -162,8 +166,9 @@ class TestSegmentPaws:
         assert segment_paws(BinaryRaster.blank(5, 5)) == []
 
 
-def paw_triples(paws):
-    return [(p.bbox, p.pixels.tolist(), p.order_index) for p in paws]
+def paw_triples(paws, line):
+    labels = label_components(line).labels
+    return [(p.bbox, paw_pixels(p, labels).tolist(), p.order_index) for p in paws]
 
 
 def reference_triples(line, baselines=None):
@@ -185,20 +190,20 @@ class TestSegmentPawsOracle:
     def test_full_tie_goes_to_first_body(self, mark_cols):
         line = tie_line(mark_cols)
         paws = segment_paws(line, Baselines(4, 8))
-        assert paw_triples(paws) == reference_triples(line, Baselines(4, 8))
-        left = paws[1]
-        assert left.bbox[1] == 0 and (0, mark_cols[0]) in left.pixel_set()
+        assert paw_triples(paws, line) == reference_triples(line, Baselines(4, 8))
+        assert paws[1].bbox[1] == 0 and (0, mark_cols[0]) in pixel_sets(paws, line)[1]
 
     def test_tie_below_the_band(self):
         line = BinaryRaster(tie_line((4, 8)).pixels[::-1])
         for baselines in (Baselines(0, 4), None):
-            assert paw_triples(segment_paws(line, baselines)) == reference_triples(line, baselines)
+            assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)
 
     def test_labels_cover_each_part(self):
         line = tie_line((4, 8))
         labelling = label_components(line)
         for paw in segment_paws(line, Baselines(4, 8), labelling=labelling):
-            assert set(labelling.labels[tuple(paw.pixels.T)]) == set(paw.labels.tolist())
+            pixels = paw_pixels(paw, labelling.labels)
+            assert set(labelling.labels[tuple(pixels.T)]) == set(paw.labels.tolist())
 
 
 @st.composite
@@ -219,9 +224,9 @@ def test_segment_paws_matches_reference(case):
     if line.ink_count() == 0:
         baselines = Baselines(0, 0)  # estimate_baselines needs ink
     expected = reference_triples(line, baselines)
-    assert paw_triples(segment_paws(line, baselines)) == expected
+    assert paw_triples(segment_paws(line, baselines), line) == expected
     labelling = label_components(line)
-    assert paw_triples(segment_paws(line, baselines, labelling=labelling)) == expected
+    assert paw_triples(segment_paws(line, baselines, labelling=labelling), line) == expected
 
 
 @st.composite
@@ -268,4 +273,4 @@ def tie_lines(draw):
 @given(tie_lines())
 def test_segment_paws_matches_reference_on_ties(case):
     line, baselines = case
-    assert paw_triples(segment_paws(line, baselines)) == reference_triples(line, baselines)
+    assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)

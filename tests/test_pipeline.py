@@ -70,13 +70,14 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 1), (1, 4, 1)])
+    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 2), (1, 4, 2)])
     def test_label_calls_and_walkers_per_line(self, monkeypatch, radius, labels_per_line, walkers_per_line):
-        # Every line of this page has ink above and below its body band and
-        # detached dots to test. Each line is labelled whole, with its band
-        # rows blanked (both outer zones at once), as the contour stage, and
-        # as framed background. The dot test counts neighbor runs and builds
-        # no walker, so the one walker per line is the contour walk's.
+        # Every line of this page has ink above and below its body band.
+        # Each line is labelled whole, with its band rows blanked (both outer
+        # zones at once), as the contour stage, and as framed background.
+        # One walker per line is the contour walk's. The other is the jamb
+        # scan's: every line has a lower dot that clears the jamb margin, and
+        # the scan walks it to decide that it is a dot, not a jamb.
         label, labels = ndimage.label, []
         walker, walkers = geometry._Walker, []
 
@@ -113,23 +114,6 @@ class TestPassesPerLine:
         tied[4:9, 0:5] = tied[4:9, 8:13] = tied[0:2, 5:8] = True
         paws = segment_paws(BinaryRaster(tied), Baselines(4, 8))
         assert len(paws) == 2 and len(calls) == 1
-
-    def test_word_part_pixels_stay_lazy(self, monkeypatch):
-        segment, paws = features.segment_paws, []
-
-        def recording_segment(*args, **kwargs):
-            found = segment(*args, **kwargs)
-            paws.extend(found)
-            return found
-
-        monkeypatch.setattr(features, "segment_paws", recording_segment)
-        analysis = analyze_page(wide_page())
-        assert len(paws) == analysis.features.nb_paws > 0
-        assert all("pixels" not in paw.__dict__ for paw in paws)
-        paw = paws[0]
-        inside = np.isin(paw.label_image, paw.labels)
-        assert np.array_equal(paw.pixels, np.argwhere(inside))
-        assert "pixels" in paw.__dict__
 
 
 @settings(max_examples=60, deadline=None)
