@@ -135,8 +135,11 @@ def load_profiles(path) -> list[ScriptProfile]:
     Each profile is a block of "key value" lines (name, form_count, H, J, P,
     Q, B); blank lines separate blocks and '#' starts a comment.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ProfileFormatError(f"{path}: not UTF-8 text") from None
 
     profiles = []
     block: dict[str, str] = {}

@@ -92,8 +92,11 @@ _REQUIRED_KEYS = FEATURE_KINDS + ("PAW",)
 
 def load_ground_truth(path) -> list[GroundTruth]:
     """Parse a ground-truth file; malformed lines are reported by number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise GroundTruthError(f"{path}: not UTF-8 text") from None
 
     records = []
     seen: dict[str, int] = {}

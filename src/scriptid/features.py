@@ -11,27 +11,30 @@ boundary touches the band counts as a loop (B) if that boundary stays under
 the same cap; larger holes are dropped but tallied.
 
 Classification order is dots, then loops, then poles and jambs, so a deep
-detached dot can never double as a pole or a jamb. Per-word extraction is a
-pure function of its inputs and is independently parallelizable.
+detached dot can never double as a pole or a jamb.
+
+A page is analysed in one pass, not line by line. Its text lines are
+stacked in one buffer with blank rows between them, at least one and at
+least the expansion radius. No 8-connected region, hole, expansion halo or
+nearest-part window of one line can then reach another, and every line
+keeps the borders it would have as a crop of its own. Each labelling is
+built once over the buffer: the raw ink, the ink with every line's band
+rows blanked, the expanded stage, and the stage's framed background. A
+label's line is the line of its top row, and every stage runs on the labels
+of all lines at once, each against its own line's baselines and margins.
+A single word is the one-line case of the same code.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import geometry
-from .geometry import (
-    ContourChain,
-    Labelling,
-    _first_pixel,
-    label_components,
-    trace_contours,
-)
-from .layout import Baselines, NoInkError, segment_paws
+from .geometry import ContourChain, Labelling, _label, trace_contours
+from .layout import Baselines, LineBand, NoInkError, _group_parts
 from .raster import BinaryRaster, dilate
 
 __all__ = [
@@ -40,8 +43,6 @@ __all__ = [
     "FeatureThresholds",
     "FeatureHit",
     "FeatureSet",
-    "LineLabels",
-    "label_line",
     "detect_poles",
     "detect_jambs",
     "detect_diacritics",
@@ -158,100 +159,171 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class LineLabels:
-    """The two labellings of a line's raw ink that the pole, jamb and part
-    stages share.
+class _Lines:
+    """Text lines of one raster stacked in a buffer, gap blank rows apart.
 
-    labelling labels the whole word. zones labels it with the band rows
-    upper_row..lower_row blanked, so each of its regions lies wholly in the
-    upper zone or wholly in the lower one.
+    Row r of the buffer belongs to line line[r]; a line's rows and its gap
+    rows carry its key, and spans holds each line's (first row, height).
+    baselines, upper and lower hold each line's baselines in buffer rows,
+    and marge_h, marge_j and cap its thresholds. Adding shift[k] to a
+    buffer row of line k gives the raster row.
     """
 
-    labelling: Labelling
-    zones: Labelling
+    def __init__(self, ink: np.ndarray, bands, baselines, thresholds, gap: int = 1):
+        self.thresholds = thresholds
+        table, start = [], 0
+        for band, b, t in zip(bands, baselines, thresholds):
+            height = band.bottom_row - band.top_row + 1
+            shift = band.top_row - start
+            upper, lower = b.upper_row - shift, b.lower_row - shift
+            table.append((start, height, shift, upper, lower, t.marge_h, t.marge_j, t.diacritic_max_contour))
+            start += height + gap
+        size = start - gap
+        self.ink = np.zeros((size, ink.shape[1]), dtype=bool)
+        self.in_band = np.zeros(size, dtype=bool)
+        for start, height, shift, upper, lower, *_ in table:
+            self.ink[start : start + height] = ink[start + shift : start + shift + height]
+            # The band, clipped to the line's rows and gap rows.
+            self.in_band[max(upper, start) : min(lower + 1, start + height + gap)] = True
+        self.spans = [row[:2] for row in table]
+        self.baselines = [Baselines(*row[3:5]) for row in table]
+        columns = np.array(table).T
+        self.starts, heights, self.shift, self.upper, self.lower = columns[:5]
+        self.marge_h, self.marge_j, self.cap = columns[5:]
+        self.line = np.arange(len(table)).repeat(heights + gap)[:size]
+
+    @cached_property
+    def raw(self) -> Labelling:
+        return _label(self.ink)
+
+    @cached_property
+    def zones(self) -> Labelling:
+        """The ink with every line's band rows blanked: no 8-connected region
+        crosses a blank row, so each region lies wholly in one outer zone."""
+        return _label(self.ink & ~self.in_band[:, None])
+
+    def line_of(self, labelling: Labelling) -> np.ndarray:
+        """Line of each label, the line of its top row."""
+        return self.line[labelling.boxes[:, 0]]
+
+    def poles_and_jambs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kinds (0 pole, 1 jamb), rows and columns of every line's pole and
+        jamb tips, one per region of zones that clears its line's margin and
+        is not a detached dot.
+
+        Margins are never negative, so a top row that clears the pole margin
+        also puts the region in the upper zone, and a bottom row that clears
+        the jamb margin in the lower one; no region clears both.
+
+        The raw component at a clearing region's first raster-order pixel
+        decides the dot rule. When that component lies wholly above or below
+        its line's band, blanking the band left it whole, so the region is
+        that component and the pixel starts its outer chain. The region is
+        then a dot, and no tip, when that chain, walked on the raw ink, is
+        shorter than the contour cap; the walker is built at the first such
+        region. This is the only place a region is decided to be a dot.
+
+        The first pixel is also the pole tip; a jamb tip is the first pixel
+        of its bottom row.
+        """
+        zones, raw = self.zones, self.raw
+        top, bottom = zones.boxes[:, 0], zones.boxes[:, 2]
+        line = self.line_of(zones)
+        pole = self.upper[line] - top > self.marge_h[line]
+        clears = np.flatnonzero(pole | (bottom - self.lower[line] > self.marge_j[line]))
+        rows, cols = zones.first_pixels(clears)
+        raw_line = self.line_of(raw)
+        detached = raw.beyond(self.upper[raw_line], self.lower[raw_line])
+        keep = np.ones(clears.size, dtype=bool)
+        walker = None
+        for j in np.flatnonzero(detached[raw.labels[rows, cols] - 1]).tolist():
+            # Looked up on geometry, where the walker count is taken.
+            walker = walker or geometry._Walker(self.ink)
+            start = (int(rows[j]), int(cols[j]))
+            keep[j] = len(walker.walk(start, (start[0], start[1] - 1))) >= self.cap[line[clears[j]]]
+        jamb = ~pole[clears]
+        rows[jamb], cols[jamb] = zones.first_pixels(clears[jamb], bottom[clears[jamb]])
+        return jamb[keep].astype(np.intp), rows[keep], cols[keep]
+
+    def dots_and_loops(self, stage: BinaryRaster):
+        """Kinds (2 P, 3 Q, 4 B), rows and columns of every line's dots and
+        loops on the stacked stage, plus each line's count of holes dropped
+        for reaching the cap.
+
+        One trace of the stage, keyed by row to each line's band, walks only
+        the chains a dot or loop test can keep; each line's chains then meet
+        that line's tests.
+        """
+        chains = trace_contours(stage, band=(self.upper[self.line], self.lower[self.line]))
+        per_line = [[] for _ in self.thresholds]
+        for chain, k in zip(chains, self.line[[chain.points[0][0] for chain in chains]].tolist()):
+            per_line[k].append(chain)
+        found, dropped = [], []
+        for mine, b, t in zip(per_line, self.baselines, self.thresholds):
+            p_hits, q_hits = detect_diacritics(mine, b, t)
+            for hit in (*p_hits, *q_hits, *detect_loops(mine, b, t)):
+                found.extend((_KIND_ORDER[hit.kind], *hit.location))
+            dropped.append(sum(1 for ch in _band_holes(mine, b) if ch.length >= t.diacritic_max_contour))
+        kinds, rows, cols = np.array(found, dtype=np.intp).reshape(-1, 3).T
+        return kinds, rows, cols, dropped
+
+    def stage(self, radius: int) -> BinaryRaster:
+        """The ink of every line expanded by radius and clipped to the line's
+        rows, as if each line were expanded alone: the gap rows stay blank."""
+        stage = dilate(BinaryRaster(self.ink), radius).pixels.copy()
+        for (start, height), (after, _) in zip(self.spans, self.spans[1:]):
+            stage[start + height : after] = False
+        return BinaryRaster(stage)
+
+    def column_table(self, ink: np.ndarray) -> np.ndarray:
+        """Per line and column, the count of ink pixels of ink's rows of that line."""
+        return np.add.reduceat(ink, self.starts, axis=0)
 
 
-def label_line(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds) -> LineLabels:
-    """Label the word's 8-connected ink, and label it again with its band
-    rows blanked, which labels both outer zones at once.
+def _scan_hits(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds, kind: int):
+    lines = _Lines(word.pixels, [LineBand(0, word.height - 1)], [baselines], [thresholds])
+    kinds, rows, cols = lines.poles_and_jambs()
+    pick = kinds == kind
+    tips = sorted(zip(rows[pick].tolist(), cols[pick].tolist()))
+    return [FeatureHit(FEATURE_KINDS[kind], tip) for tip in tips]
 
-    thresholds is not read: the pole and jamb scans decide detached dots
-    themselves, and only for the regions that clear a margin.
+
+def detect_poles(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
+    """Poles: ink regions whose top rises more than marge_h above the upper
+    baseline, detached dots excepted; hits sorted by location."""
+    return _scan_hits(word, baselines, thresholds, 0)
+
+
+def detect_jambs(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
+    """Jambs: ink regions whose bottom drops more than marge_j below the
+    lower baseline, detached dots excepted; hits sorted by location."""
+    return _scan_hits(word, baselines, thresholds, 1)
+
+
+def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Letter zones of every row of counts, a (lines, width) table of column
+    ink counts: (line, first column, last column) arrays, sorted.
+
+    The rows are laid end to end, each after a blank column, which splits
+    zones and counts as the edge of its line, and a last blank column
+    closes the final row; one pass over that row finds every line's zones.
     """
-    outside = word.pixels.copy()
-    outside[baselines.upper_row : baselines.lower_row + 1] = False
-    return LineLabels(label_components(word), label_components(BinaryRaster(outside)))
-
-
-def _extremum_hits(word, baselines, thresholds, kind, labels: LineLabels | None):
-    """Common pole/jamb scan over the regions of labels.zones.
-
-    Each region becomes one hit when its extremal box row clears the
-    margin, unless it is a detached dot. Margins are never negative, so a
-    top row that clears the pole margin also puts the region in the upper
-    zone, and a bottom row that clears the jamb margin in the lower one.
-
-    The raw component at a clearing region's first raster-order pixel
-    decides the dot rule. When that component lies wholly above or below
-    the band, blanking the band left it whole, so the region is that
-    component and the pixel starts its outer chain. The region is then a
-    dot, and no hit, when that chain, walked on the word, is shorter than
-    the contour cap; the walker is built at the first such region. This is
-    the only place a region is decided to be a dot.
-
-    The first pixel is also the pole tip; a jamb tip is the first pixel of
-    its bottom row.
-    """
-    if labels is None:
-        labels = label_line(word, baselines, thresholds)
-    zones, labelling = labels.zones, labels.labelling
-    if kind == "H":
-        clears = baselines.upper_row - zones.boxes[:, 0] > thresholds.marge_h
-    else:
-        clears = zones.boxes[:, 2] - baselines.lower_row > thresholds.marge_j
-    detached = labelling.beyond(baselines.upper_row, baselines.lower_row)
-    walker = None
-    hits = []
-    for i in np.flatnonzero(clears).tolist():
-        sl = zones.objects[i]
-        row, col = _first_pixel(zones.labels, i + 1, sl)
-        if detached[labelling.labels[row, col] - 1]:
-            # Looked up on geometry, where the per-line walker count is taken.
-            walker = walker or geometry._Walker(word.pixels)
-            if len(walker.walk((row, col), (row, col - 1))) < thresholds.diacritic_max_contour:
-                continue
-        if kind == "J":
-            row, col = _first_pixel(zones.labels, i + 1, sl, sl[0].stop - 1)
-        hits.append(FeatureHit(kind, (row, col)))
-    hits.sort(key=lambda h: h.location)
-    return hits
-
-
-def detect_poles(
-    word: BinaryRaster,
-    baselines: Baselines,
-    thresholds: FeatureThresholds,
-    labels: LineLabels | None = None,
-):
-    """Poles: ink regions whose top rises more than marge_h above the upper baseline.
-
-    labels, when given, must be label_line(word, baselines, thresholds).
-    """
-    return _extremum_hits(word, baselines, thresholds, "H", labels)
-
-
-def detect_jambs(
-    word: BinaryRaster,
-    baselines: Baselines,
-    thresholds: FeatureThresholds,
-    labels: LineLabels | None = None,
-):
-    """Jambs: ink regions whose bottom drops more than marge_j below the lower baseline.
-
-    labels, when given, must be label_line(word, baselines, thresholds).
-    """
-    return _extremum_hits(word, baselines, thresholds, "J", labels)
+    lines, width = counts.shape
+    laid = np.zeros(lines * (width + 1) + 1, dtype=counts.dtype)
+    laid[:-1].reshape(lines, width + 1)[:, 1:] = counts
+    # Plateau k spans columns starts[k]..ends[k] at count level[k]. The
+    # first and last plateaus are blank, and no blank plateau is a strict
+    # minimum.
+    starts = np.flatnonzero(laid[1:] != laid[:-1]) + 1
+    starts, ends = np.append(0, starts), np.append(starts - 1, laid.size - 1)
+    level = laid[starts]
+    cut = np.flatnonzero((level[:-2] > level[1:-1]) & (level[2:] > level[1:-1])) + 1
+    keep = laid > 0
+    keep[(starts[cut] + ends[cut]) // 2] = False
+    # A zone is a maximal run of kept columns.
+    edges = np.diff(keep.view(np.int8))
+    first, last = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    return first // (width + 1), first % (width + 1), last % (width + 1)
 
 
 def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
@@ -264,22 +336,29 @@ def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
     sides are higher, a blank neighbor or the image edge counting as 0, so a
     plateau at the edge of a run never marks a boundary.
     """
-    counts = word.pixels.sum(axis=0)
-    # Plateau k spans columns starts[k]..ends[k] at count level[k].
-    starts = np.flatnonzero(np.diff(counts, prepend=-1))
-    ends = np.append(starts[1:], counts.size) - 1
-    level = counts[starts]
-    cut = (np.append(0, level[:-1]) > level) & (np.append(level[1:], 0) > level)
-    keep = counts > 0
-    keep[(starts[cut] + ends[cut]) // 2] = False
-    cols = np.flatnonzero(keep)
-    if cols.size == 0:
-        return []
-    gaps = np.flatnonzero(np.diff(cols) > 1)
-    return list(zip(cols[np.append(0, gaps + 1)].tolist(), cols[np.append(gaps, -1)].tolist()))
+    _, first, last = _letter_zones(word.pixels.sum(axis=0)[None])
+    return list(zip(first.tolist(), last.tolist()))
 
 
 _TAGS = "IFDM"  # indexed by 2 * (left inked) + (right inked)
+
+
+def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: int) -> np.ndarray:
+    """_TAGS index of each zone first..last of its line, from band_columns,
+    a (lines, width) table of whether each column holds body-band ink."""
+    width = band_columns.shape[1]
+    # inked[k, c] counts the band columns of line k before c that hold ink.
+    inked = np.zeros((band_columns.shape[0], width + 1), dtype=np.intp)
+    np.cumsum(band_columns, axis=1, out=inked[:, 1:])
+    # Flat indices into inked: column c of line k is at row_start[k] + c.
+    inked = inked.ravel()
+    row_start = line * (width + 1)
+    left_end = np.minimum(np.maximum(first - neighborhood, 0), width)
+    left = inked[row_start + first] > inked[row_start + left_end]
+    right_start = np.minimum(last + 1, width)
+    right_end = np.minimum(np.maximum(last + 1 + neighborhood, right_start), width)
+    right = inked[row_start + right_end] > inked[row_start + right_start]
+    return 2 * left + right
 
 
 def detect_positions(
@@ -295,30 +374,22 @@ def detect_positions(
     but not rightward starts a word part: left > 0 and right = 0 gives D,
     both sides inked gives M, right only gives F, neither gives I.
     """
-    band = word.pixels[baselines.upper_row : baselines.lower_row + 1]
-    # inked[c] counts the band columns before c that hold ink.
-    inked = np.concatenate(([0], np.cumsum(band.any(axis=0))))
-    width = word.width
-    c0, c1 = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
-    left = inked[c0] > inked[np.clip(c0 - neighborhood, 0, width)]
-    right_start = np.minimum(c1 + 1, width)
-    right = inked[np.clip(c1 + 1 + neighborhood, right_start, width)] > inked[right_start]
-    return [_TAGS[i] for i in (2 * left + right).tolist()]
+    band = word.pixels[baselines.upper_row : baselines.lower_row + 1].any(axis=0)[None]
+    first, last = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
+    codes = _position_codes(band, np.zeros_like(first), first, last, neighborhood)
+    return [_TAGS[i] for i in codes.tolist()]
 
 
-def _zone_index(zone_bounds, starts, col: int) -> int:
-    """Index of the zone holding col, else of the nearest zone, the left one on ties.
+def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
+    """Index of the zone of line holding col, else of the nearest zone of
+    that line, the left one on ties, for arrays of lines and columns.
 
-    zone_bounds are disjoint and sorted, as feature_zones returns them, and
-    starts lists their first columns.
+    Zones are sorted by (zone_line, first), as _letter_zones gives them,
+    and every line asked about has one.
     """
-    i = bisect_right(starts, col) - 1
-    if i < 0:
-        return 0
-    gap_left = col - zone_bounds[i][1]
-    if gap_left > 0 and i + 1 < len(starts) and starts[i + 1] - col < gap_left:
-        return i + 1
-    return i
+    gap = np.maximum(np.maximum(first - col[:, None], col[:, None] - last), 0)
+    gap[zone_line != line[:, None]] = np.iinfo(gap.dtype).max
+    return gap.argmin(axis=1)
 
 
 @lru_cache(maxsize=16)
@@ -333,7 +404,7 @@ def _search_offsets(row_reach: int, col_reach: int) -> tuple[np.ndarray, np.ndar
     return dr[order], dc[order]
 
 
-def _nearest_paws(label_image: np.ndarray, index_of_label: np.ndarray, locations, max_radius: int) -> list[int]:
+def _nearest_paws(label_image: np.ndarray, index_of_label: np.ndarray, locations, max_radius: int) -> np.ndarray:
     """Word-part index of the part pixel nearest to each location.
 
     index_of_label maps each label of label_image to its part index, -1 for
@@ -360,7 +431,7 @@ def _nearest_paws(label_image: np.ndarray, index_of_label: np.ndarray, locations
     missing = np.flatnonzero(paws < 0)
     if missing.size:
         raise KeyError(f"no word part within {max_radius} of {tuple(loc[missing[0]].tolist())}")
-    return paws.tolist()
+    return paws
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
@@ -368,11 +439,12 @@ _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
 
 def extract_features(
     word: BinaryRaster,
-    baselines: Baselines,
-    thresholds: FeatureThresholds | None = None,
+    baselines,
+    thresholds=None,
     dilation_radius: int = 1,
-) -> FeatureSet:
-    """Run the full per-word pipeline and consolidate the results.
+    bands=None,
+):
+    """Run the full pipeline on a word, or on every text line of a page at once.
 
     The ink is expanded so every contour closes, and the contour-bound
     primitives (dots and loops) are read off that expanded stage. Poles,
@@ -380,50 +452,65 @@ def extract_features(
     as given: expansion exists to close contours, and letting it thicken
     the body would smear one extra body row into the upper zone, fusing
     separate ascenders. Radius 0 skips the expansion entirely.
+
+    bands, when given, is a sequence of LineBands of word, a page. baselines
+    and thresholds are then sequences with one entry per band, baselines in
+    page rows with each upper baseline at or below its band's top row, and
+    thresholds None to derive each from its baselines. Each
+    band is measured as if cropped from the page, its expansion clipped to
+    its rows, and one FeatureSet comes back per band, its hits in page
+    coordinates and its word parts numbered across the page in band order.
+    Without bands the word is one band and its FeatureSet is returned.
     """
-    t = thresholds if thresholds is not None else FeatureThresholds.from_baselines(baselines)
-    labels = label_line(word, baselines, t)
-    if labels.labelling.count == 0:
+    single = bands is None
+    if single:
+        bands, baselines, thresholds = [LineBand(0, word.height - 1)], [baselines], [thresholds]
+    elif thresholds is None:
+        thresholds = [None] * len(bands)
+    if not len(bands) == len(baselines) == len(thresholds):
+        raise ValueError("need one baselines and one thresholds entry per band")
+    thresholds = [
+        t if t is not None else FeatureThresholds.from_baselines(b) for b, t in zip(baselines, thresholds)
+    ]
+    height = max(band.bottom_row - band.top_row + 1 for band in bands)
+    # Past the larger side of every band, expansion fills each inked band whole.
+    radius = min(dilation_radius, max(height, word.width))
+    lines = _Lines(word.pixels, bands, baselines, thresholds, gap=max(1, radius))
+    columns = lines.column_table(lines.ink)
+    if not columns.any(axis=1).all():
         raise NoInkError("cannot extract features from a blank image")
-    stage = dilate(word, dilation_radius)
+    raw = lines.raw
+    raw_line = lines.line_of(raw)
+    stage = lines.stage(radius)
     # Only chains a dot or loop test can keep are walked; see trace_contours.
-    chains = trace_contours(stage, band=(baselines.upper_row, baselines.lower_row))
+    dot_kinds, dot_rows, dot_cols, dropped = lines.dots_and_loops(stage)
+    tip_kinds, tip_rows, tip_cols = lines.poles_and_jambs()
+    kinds = np.concatenate((tip_kinds, dot_kinds))
+    rows = np.concatenate((tip_rows, dot_rows))
+    cols = np.concatenate((tip_cols, dot_cols))
+    line = lines.line[rows]
 
-    p_hits, q_hits = detect_diacritics(chains, baselines, t)
-    b_hits = detect_loops(chains, baselines, t)
-    dropped = sum(
-        1 for ch in _band_holes(chains, baselines) if ch.length >= t.diacritic_max_contour
-    )
-    h_hits = detect_poles(word, baselines, t, labels)
-    j_hits = detect_jambs(word, baselines, t, labels)
+    part, _, part_line = _group_parts(raw, lines.upper[raw_line], lines.lower[raw_line], raw_line)
+    paws = _nearest_paws(raw.labels, np.append(-1, part), np.column_stack((rows, cols)), radius)
 
-    paws = segment_paws(word, baselines=baselines, labelling=labels.labelling)
-    # Word-part index of every label, -1 for the background.
-    index_of_label = np.full(labels.labelling.count + 1, -1)
-    for paw in paws:
-        index_of_label[paw.labels] = paw.order_index
+    zone_line, first, last = _letter_zones(columns)
+    band_columns = lines.column_table(lines.ink & lines.in_band[:, None]) > 0
+    codes = _position_codes(band_columns, zone_line, first, last, 2)
+    positions = codes[_zone_index(zone_line, first, last, line, cols)]
 
-    zones = feature_zones(word)
-    tags = detect_positions(word, baselines, zones)
-    starts = [c0 for c0, _ in zones]
-
-    found = (*h_hits, *j_hits, *p_hits, *q_hits, *b_hits)
-    paw_of = _nearest_paws(
-        labels.labelling.labels, index_of_label, [hit.location for hit in found], dilation_radius
-    )
-    hits = []
-    for hit, paw in zip(found, paw_of):
-        position = tags[_zone_index(zones, starts, hit.location[1])]
-        hits.append(FeatureHit(hit.kind, hit.location, paw, position))
-    hits.sort(key=lambda h: (_KIND_ORDER[h.kind], h.location))
-
-    counts = {k: sum(1 for h in hits if h.kind == k) for k in FEATURE_KINDS}
-    return FeatureSet(
-        counts=counts,
-        nb_paws=len(paws),
-        hits=tuple(hits),
-        dropped_oversize_loops=dropped,
-    )
+    # One row per hit, sorted by line, kind and location.
+    table = np.column_stack((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))
+    table = table[np.lexsort(table[:, 3::-1].T)]
+    hits = [[] for _ in bands]
+    counts = [dict.fromkeys(FEATURE_KINDS, 0) for _ in bands]
+    for k, kind, _, col, row, paw, position in table.tolist():
+        hits[k].append(FeatureHit(FEATURE_KINDS[kind], (row, col), paw, _TAGS[position]))
+        counts[k][FEATURE_KINDS[kind]] += 1
+    sets = [
+        FeatureSet(counts=c, nb_paws=n, hits=tuple(h), dropped_oversize_loops=d)
+        for c, n, h, d in zip(counts, np.bincount(part_line, minlength=len(bands)).tolist(), hits, dropped)
+    ]
+    return sets[0] if single else sets
 
 
 def combine_feature_sets(sets) -> FeatureSet:

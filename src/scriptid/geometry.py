@@ -16,7 +16,8 @@ walk probes the neighbors clockwise from the backtrack direction; the first
 ink probe is the next pixel, and the background probe just before it, seen
 from the next pixel, is the next backtrack. That relative direction depends
 only on the step direction, so an 8-entry table gives it, and a state is the
-integer pixel * 8 + backtrack direction.
+integer pixel * 8 + backtrack direction. The probe offsets depend only on
+the padded row stride, so their table is built once per stride and cached.
 
 Holes come from one 4-connected labelling of the background framed by a
 one-pixel border of background: the frame and every region touching the
@@ -31,13 +32,17 @@ exactly the region's bounding-box rows. An inner chain visits the ink cells
 around its hole, and the ink directly above the hole's top cells and below
 its bottom cells closes it, so its rows are the hole's bounding-box rows
 widened by one. Box rows therefore decide, with no walk, which chains
-lie entirely above or below the band and which reach it. For regions they
-come from Labelling.boxes, which also decides every other box-row test of
-the pipeline: the detached marks of word parts, and the pole and jamb
-margins. For holes they come from the labelling's hole pixels. The margins
+lie entirely above or below the band and which reach it. A raster that
+stacks several text lines passes one band per row instead, and each
+boundary is tested against the band of the line it starts in. For regions
+the box rows come from Labelling.boxes, which also decides every other
+box-row test of the pipeline: the detached marks of word parts, and the
+pole and jamb margins. For holes they come from the labelling's hole pixels. The margins
 are read off one labelling of the word with its band rows blanked: no
 8-connected region crosses a blank row, so each of its regions lies wholly
-in one outer zone.
+in one outer zone. A region's first pixel, the start of its outer chain
+and the tip of a pole, is found in its box's top row; Labelling.first_pixels
+reads the top rows of many regions in one gather.
 
 trace_contours labels the raster it is given and walks it with its own
 walker; nothing is shared with a labelling of some other stage.
@@ -46,7 +51,7 @@ walker; nothing is shared with a labelling of some other stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -62,6 +67,8 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=int)
+# Labelling.first_pixels compares at most this many label pixels at once.
+_GATHER = 1 << 20
 _FOUR = ndimage.generate_binary_structure(2, 1)
 
 # Clockwise Moore neighborhood on screen coordinates, starting east.
@@ -94,10 +101,24 @@ class Labelling:
         boxes.flags.writeable = False
         return boxes
 
-    def beyond(self, upper: int, lower: int) -> np.ndarray:
+    def beyond(self, upper, lower) -> np.ndarray:
         """Per label, whether its rows lie entirely above upper or entirely
-        below lower: the detached-region test. Entry i is label i + 1."""
+        below lower: the detached-region test. Entry i is label i + 1, and
+        upper and lower are rows, or arrays of one row per label."""
         return (self.boxes[:, 2] < upper) | (self.boxes[:, 0] > lower)
+
+    def first_pixels(self, index: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the first pixel of each label index + 1 in the
+        given rows, by default its top rows, which gives its first
+        raster-order pixel. Each row must hold a pixel of its label."""
+        rows = self.boxes[index, 0] if rows is None else rows
+        # Whole rows are read, at most _GATHER pixels at a time.
+        step = max(1, _GATHER // self.labels.shape[1])
+        cols = [
+            (self.labels[rows[i : i + step]] == index[i : i + step, None] + 1).argmax(axis=1)
+            for i in range(0, index.size, step)
+        ]
+        return rows, np.concatenate([index[:0], *cols])
 
 
 @dataclass(frozen=True)
@@ -120,8 +141,19 @@ class ContourChain:
 
 def label_components(img: BinaryRaster) -> Labelling:
     """Label the 8-connected ink regions of the image."""
-    labels, _ = ndimage.label(img.pixels, structure=_EIGHT)
+    return _label(img.pixels)
+
+
+def _label(ink: np.ndarray) -> Labelling:
+    labels, _ = ndimage.label(ink, structure=_EIGHT)
     return Labelling(labels, ndimage.find_objects(labels))
+
+
+def _framed(pixels: np.ndarray, border: bool) -> np.ndarray:
+    """pixels inside a one-pixel frame of the value border."""
+    out = np.full((pixels.shape[0] + 2, pixels.shape[1] + 2), border)
+    out[1:-1, 1:-1] = pixels
+    return out
 
 
 def _back_table() -> tuple[int, ...]:
@@ -139,6 +171,14 @@ def _back_table() -> tuple[int, ...]:
 _BACK = _back_table()
 
 
+@lru_cache(maxsize=64)
+def _probe_table(stride: int) -> tuple:
+    """Per backtrack direction d, the (flat offset, new backtrack) of each
+    probe, clockwise after d, in a padded grid of the given row stride."""
+    offsets = [dr * stride + dc for dr, dc in _MOORE]
+    return tuple(tuple((offsets[(d + k) % 8], _BACK[(d + k) % 8]) for k in range(1, 9)) for d in range(8))
+
+
 class _Walker:
     """Moore neighbor walks over one raster, probing its padded ink bytes.
 
@@ -149,12 +189,8 @@ class _Walker:
 
     def __init__(self, ink: np.ndarray):
         self._stride = ink.shape[1] + 2
-        self._ink = np.pad(ink, 1).tobytes()
-        offsets = [dr * self._stride + dc for dr, dc in _MOORE]
-        # _probes[d]: (offset, new backtrack) per probe, clockwise after direction d.
-        self._probes = tuple(
-            tuple((offsets[(d + k) % 8], _BACK[(d + k) % 8]) for k in range(1, 9)) for d in range(8)
-        )
+        self._ink = _framed(ink, False).tobytes()
+        self._probes = _probe_table(self._stride)
 
     def walk(self, start: tuple[int, int], back: tuple[int, int]) -> list[int]:
         """Follow one boundary from start, entered from the background pixel back.
@@ -194,15 +230,9 @@ class _Walker:
         return [tuple(pixels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
-def _first_pixel(labels: np.ndarray, lab: int, sl, row: int | None = None) -> tuple[int, int]:
-    """First pixel of label lab in row, by default its top row and so its
-    first raster-order pixel; sl is the label's bounding slice."""
-    row = sl[0].start if row is None else row
-    return row, int(np.argmax(labels[row, sl[1]] == lab)) + sl[1].start
-
-
-def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:
-    """(first raster-order pixel, bottom row) of every hole, in raster order.
+def _holes(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols) of the first raster-order pixel and the bottom row of
+    every hole, holes in raster order of that pixel.
 
     A hole is a 4-connected background region not touching the image
     border. One labelling of the background framed by a one-pixel border of
@@ -210,9 +240,10 @@ def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:
     into label 1, and the holes are labels 2 and up, numbered in raster
     order of their first pixel.
     """
-    framed, count = ndimage.label(np.pad(~ink, 1, constant_values=True), structure=_FOUR)
+    framed, count = ndimage.label(_framed(~ink, True), structure=_FOUR)
     if count < 2:
-        return []
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, empty
     stride = ink.shape[1] + 2
     flat = np.flatnonzero(framed > 1)
     labs = framed.ravel()[flat]
@@ -220,12 +251,12 @@ def _holes(ink: np.ndarray) -> list[tuple[tuple[int, int], int]]:
     _, first = np.unique(labs, return_index=True)
     bottom = np.zeros(count + 1, dtype=np.intp)
     np.maximum.at(bottom, labs, rows)
-    return list(
-        zip(
-            zip((rows[first] - 1).tolist(), (cols[first] - 1).tolist()),
-            (bottom[2:] - 1).tolist(),
-        )
-    )
+    return rows[first] - 1, cols[first] - 1, bottom[2:] - 1
+
+
+def _at(row, rows: np.ndarray):
+    """row, or the entries of a per-row array at rows."""
+    return row[rows] if np.ndim(row) else row
 
 
 def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
@@ -246,22 +277,27 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     hole's box rows widened by one, so the choice is made from bounding
     boxes and the other boundaries are never walked. The kept chains are
     exactly those of the full trace that pass the same row tests, in the
-    same order.
+    same order. Either entry of band may instead be an array with one row
+    per image row, for an image of several text lines: a region is then
+    tested against the band given at its top row, and a hole against the
+    band given at the row of its first pixel.
 
     The image is labelled once here and walked by one walker over its ink.
     """
-    labelling = label_components(img)
-    labels, objects = labelling.labels, labelling.objects
-    kept = range(labelling.count) if band is None else np.flatnonzero(labelling.beyond(*band)).tolist()
+    labelling = _label(img.pixels)
+    hole_rows, hole_cols, hole_bottoms = _holes(img.pixels)
+    if band is None:
+        kept = np.arange(labelling.count)
+    else:
+        top = labelling.boxes[:, 0]
+        kept = np.flatnonzero(labelling.beyond(_at(band[0], top), _at(band[1], top)))
+        near = (hole_bottoms + 1 >= _at(band[0], hole_rows)) & (hole_rows - 1 <= _at(band[1], hole_rows))
+        hole_rows, hole_cols = hole_rows[near], hole_cols[near]
     # Labels number regions in raster order of their first pixel, so the starts come sorted.
-    starts = [_first_pixel(labels, i + 1, objects[i]) for i in kept]
-    outer = [((r, c), (r, c - 1)) for r, c in starts]
+    rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
+    outer = [((r, c), (r, c - 1)) for r, c in zip(rows, cols)]
     # The pixel above a hole's topmost-leftmost cell is always ink.
-    inner = [
-        ((r - 1, c), (r, c))
-        for (r, c), bottom in _holes(img.pixels)
-        if band is None or (bottom + 1 >= band[0] and r - 1 <= band[1])
-    ]
+    inner = [((r - 1, c), (r, c)) for r, c in zip(hole_rows.tolist(), hole_cols.tolist())]
     if not outer and not inner:
         return []
     walker = _Walker(img.pixels)

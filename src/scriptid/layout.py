@@ -114,6 +114,8 @@ def estimate_baselines(word: BinaryRaster, alpha: float = 0.5) -> Baselines:
 # Marks are matched against every body in blocks of at most this many
 # (mark, body) pairs, which bounds memory on lines with many components.
 _PAIR_BLOCK = 1 << 20
+# Column overlap of a mark with a body of another line: below any real overlap.
+_FAR = np.iinfo(np.intp).min
 
 
 def _centroids(labelling: Labelling, comps: np.ndarray) -> np.ndarray:
@@ -149,19 +151,43 @@ def segment_paws(
     """
     if labelling is None:
         labelling = label_components(line)
-    n = labelling.count
-    if n == 0:
+    if labelling.count == 0:
         return []
     b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
+    one_line = np.zeros(labelling.count, dtype=np.intp)
+    part, extents, _ = _group_parts(labelling, b.upper_row, b.lower_row, one_line)
+    # Component labels grouped by part, in label order within a part.
+    grouped = np.argsort(part, kind="stable") + 1
+    ends = np.cumsum(np.bincount(part, minlength=len(extents))).tolist()
+    return [
+        Paw(tuple(extent), i, grouped[lo:hi])
+        for i, (extent, lo, hi) in enumerate(zip(extents.tolist(), [0, *ends], ends))
+    ]
 
-    # Row i describes label i + 1: (min_row, min_col, max_row, max_col).
+
+def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray):
+    """Word parts of the components of one or several text lines.
+
+    line gives each label's line key, 0 and up, and upper and lower the
+    band rows of its line, as arrays with entry i for label i + 1 or as
+    rows shared by every label. The rules are segment_paws's, applied to
+    each line alone: a mark joins only a body of its own line, and a line
+    whose components are all detached keeps them all as bodies.
+
+    Returns the part index of every label (entry i for label i + 1), each
+    part's (top, left, bottom, right) extent, and each part's line key.
+    Parts are numbered line by line in key order, right to left within a
+    line.
+    """
+    n = labelling.count
     boxes = labelling.boxes
-    # Component order: bbox (min_col, min_row, max_col, max_row), labels on ties.
-    comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1]))
-    detached = labelling.beyond(b.upper_row, b.lower_row)[comps]
+    # Component order: line, then bbox (min_col, min_row, max_col, max_row), labels on ties.
+    comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1], line))
+    detached = labelling.beyond(upper, lower)
+    detached &= np.bincount(line[~detached], minlength=int(line.max()) + 1)[line] > 0
+    detached = detached[comps]
     bodies, marks = comps[~detached], comps[detached]
-    if bodies.size == 0:
-        bodies, marks = comps, comps[:0]
+    body_line = line[bodies]
 
     owner = np.empty(n, dtype=np.intp)
     owner[bodies] = np.arange(bodies.size)
@@ -169,6 +195,7 @@ def segment_paws(
     for i in range(0, marks.size, block):
         m = marks[i : i + block, None]
         overlap = np.minimum(boxes[bodies, 3], boxes[m, 3]) - np.maximum(boxes[bodies, 1], boxes[m, 1])
+        overlap[body_line != line[m]] = _FAR
         top = overlap == overlap.max(axis=1, keepdims=True)
         owner[m[:, 0]] = top.argmax(axis=1)
         # Only a mark with several bodies at its largest overlap needs centroids.
@@ -185,16 +212,7 @@ def segment_paws(
     extent = boxes[bodies]
     for k, widen in enumerate((np.minimum, np.minimum, np.maximum, np.maximum)):
         widen.at(extent[:, k], owner[marks], boxes[marks, k])
-    order = np.lexsort((extent[:, 0], -extent[:, 1], -extent[:, 3]))
+    order = np.lexsort((extent[:, 0], -extent[:, 1], -extent[:, 3], body_line))
     part_of = np.empty(bodies.size, dtype=np.intp)
     part_of[order] = np.arange(bodies.size)
-    part_of_comp = part_of[owner]
-
-    # Component labels grouped by part, in label order within a part.
-    grouped = np.argsort(part_of_comp, kind="stable") + 1
-    ends = np.cumsum(np.bincount(part_of_comp, minlength=bodies.size)).tolist()
-    extents = extent.tolist()
-    return [
-        Paw(tuple(extents[j]), i, grouped[lo:hi])
-        for i, (j, lo, hi) in enumerate(zip(order.tolist(), [0, *ends], ends))
-    ]
+    return part_of[owner], extent[order], body_line[order]

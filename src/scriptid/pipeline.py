@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .classify import Verdict, classify
-from .features import (
-    FeatureHit,
-    FeatureSet,
-    FeatureThresholds,
-    combine_feature_sets,
-    extract_features,
-)
+from .features import FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
 from .layout import Baselines, LineBand, estimate_baselines, extract_lines
 from .raster import BinaryRaster
 
@@ -48,42 +42,27 @@ class PageAnalysis:
     lines: tuple[LineAnalysis, ...]
 
 
-def _shift_hits(fs: FeatureSet, row_offset: int, paw_offset: int) -> FeatureSet:
-    hits = tuple(
-        FeatureHit(h.kind, (h.location[0] + row_offset, h.location[1]), h.paw_index + paw_offset, h.position)
-        for h in fs.hits
-    )
-    return replace(fs, hits=hits)
-
-
 def analyze_page(page: BinaryRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:
-    """Split a page into lines, extract features per line, and aggregate.
+    """Split a page into lines and extract every line's features in one pass.
 
-    Hit coordinates and word-part indices are reported in page coordinates,
+    Each line is measured as if cropped from the page: its baselines come
+    from its own rows, and its expansion is clipped to them. Hit
+    coordinates and word-part indices are reported in page coordinates,
     with parts numbered top line first, right to left within each line.
     A blank page yields an empty analysis with zero counts and parts.
     """
     bands = extract_lines(page, params.merge_gap)
-    line_results = []
-    paw_offset = 0
+    baselines = []
     for band in bands:
         crop = BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1])
         local = estimate_baselines(crop, params.alpha)
-        thresholds = FeatureThresholds.from_baselines(local, params.diacritic_max_contour)
-        fs = extract_features(
-            crop,
-            local,
-            thresholds=thresholds,
-            dilation_radius=params.dilation_radius,
-        )
-        fs = _shift_hits(fs, band.top_row, paw_offset)
-        paw_offset += fs.nb_paws
-        baselines = Baselines(
-            local.upper_row + band.top_row, local.lower_row + band.top_row
-        )
-        line_results.append(LineAnalysis(band, baselines, fs))
-    aggregate = combine_feature_sets([line.features for line in line_results])
-    return PageAnalysis(aggregate, tuple(line_results))
+        baselines.append(Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row))
+    thresholds = [FeatureThresholds.from_baselines(b, params.diacritic_max_contour) for b in baselines]
+    sets = (
+        extract_features(page, baselines, thresholds, params.dilation_radius, bands=bands) if bands else []
+    )
+    lines = tuple(map(LineAnalysis, bands, baselines, sets))
+    return PageAnalysis(combine_feature_sets(sets), lines)
 
 
 def classify_page(

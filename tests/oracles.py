@@ -9,20 +9,25 @@ scan. Two keep scipy: a second dilation reference, binary_dilation with a
 square element, and the pole/jamb scan, which labels its zone with
 ndimage.label.
 
+The page oracle runs the library's own single-word extraction once per
+text line, on each line cropped from the page, which is how pages were
+analysed before one pass covered every line.
+
 The projection profiles, the component list and the word-part pixel
 reader at the end are test helpers the pipeline does not use; the
 component list is built on the library's labelling.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 
-from scriptid.features import FeatureHit
+from scriptid.features import FeatureHit, FeatureThresholds, combine_feature_sets, extract_features
 from scriptid.geometry import label_components
-from scriptid.layout import estimate_baselines
+from scriptid.layout import Baselines, estimate_baselines, extract_lines
+from scriptid.pipeline import DEFAULT_PARAMS, LineAnalysis, PageAnalysis
 from scriptid.raster import BinaryRaster
 
 
@@ -258,6 +263,27 @@ def reference_extremum_hits(word, baselines, thresholds, kind):
             hits.append(FeatureHit(kind, tip))
     hits.sort(key=lambda h: h.location)
     return hits
+
+
+def reference_analyze_page(page, params=DEFAULT_PARAMS):
+    """Page analysis line by line: each band is cropped from the page, its
+    baselines are estimated on the crop, its features are extracted as one
+    word, and its hits are shifted to page rows with its word parts
+    numbered after those of the lines above."""
+    lines, paw_offset = [], 0
+    for band in extract_lines(page, params.merge_gap):
+        crop = BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1])
+        local = estimate_baselines(crop, params.alpha)
+        thresholds = FeatureThresholds.from_baselines(local, params.diacritic_max_contour)
+        fs = extract_features(crop, local, thresholds=thresholds, dilation_radius=params.dilation_radius)
+        hits = tuple(
+            FeatureHit(h.kind, (h.location[0] + band.top_row, h.location[1]), h.paw_index + paw_offset, h.position)
+            for h in fs.hits
+        )
+        paw_offset += fs.nb_paws
+        baselines = Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row)
+        lines.append(LineAnalysis(band, baselines, replace(fs, hits=hits)))
+    return PageAnalysis(combine_feature_sets([line.features for line in lines]), tuple(lines))
 
 
 def reference_feature_zones(word):

@@ -165,6 +165,16 @@ class TestEvaluate:
         rc = main(["evaluate", "--input", str(corpus)])
         assert rc == EXIT_IO
 
+    def test_non_utf8_truth_is_ground_truth_error(self, corpus, tmp_path, capsys):
+        truth = tmp_path / "truth.txt"
+        truth.write_bytes((corpus / "truth.txt").read_bytes() + b"# \xff\n")
+        report = tmp_path / "e.json"
+        capsys.readouterr()
+        rc = main(["evaluate", "--input", str(corpus), "--truth", str(truth), "--output", str(report)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"ground truth error: {truth}")
+        assert not report.exists()
+
     def test_explicit_truth_path(self, corpus, tmp_path):
         moved = tmp_path / "elsewhere.txt"
         moved.write_text((corpus / "truth.txt").read_text())
@@ -251,6 +261,18 @@ class TestProfileFile:
         assert capsys.readouterr().err.startswith(f"profile error: {profiles}")
         assert not report.exists()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_non_utf8_profile_file_is_profile_error(self, corpus, tmp_path, capsys, command):
+        profiles = tmp_path / "profiles.txt"
+        save_profiles(builtin_profiles(), profiles)
+        profiles.write_bytes(profiles.read_bytes() + b"# \xff\n")
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        rc = main([command, "--input", str(corpus), "--profile-file", str(profiles), "--output", str(report)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"profile error: {profiles}")
+        assert not report.exists()
 
     def test_generate_accepts_one_profile(self, tmp_path):
         profiles = tmp_path / "profiles.txt"

@@ -14,9 +14,8 @@ from scriptid.features import (
     detect_positions,
     extract_features,
     feature_zones,
-    label_line,
 )
-from scriptid.geometry import trace_contours
+from scriptid.geometry import label_components, trace_contours
 from scriptid.layout import Baselines, NoInkError
 from scriptid.raster import BinaryRaster
 
@@ -380,23 +379,7 @@ def test_nearest_paw_matches_brute_force(data):
         with pytest.raises(KeyError):
             _nearest_paws(labels, index_of_label, [location], radius)
     else:
-        assert _nearest_paws(labels, index_of_label, [location], radius) == [expected]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_shared_line_labels_match_fresh_ones(data):
-    h, w = data.draw(st.integers(2, 20)), data.draw(st.integers(1, 16))
-    cells = data.draw(st.lists(st.sampled_from([False, False, True]), min_size=h * w, max_size=h * w))
-    line = BinaryRaster(np.array(cells).reshape(h, w))
-    upper = data.draw(st.integers(0, h - 1))
-    baselines = Baselines(upper, data.draw(st.integers(upper, h - 1)))
-    t = FeatureThresholds(
-        data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6)), data.draw(st.integers(1, 30))
-    )
-    labels = label_line(line, baselines, t)
-    assert detect_poles(line, baselines, t, labels) == detect_poles(line, baselines, t)
-    assert detect_jambs(line, baselines, t, labels) == detect_jambs(line, baselines, t)
+        assert _nearest_paws(labels, index_of_label, [location], radius).tolist() == [expected]
 
 
 @st.composite
@@ -420,16 +403,17 @@ def ringed_lines(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ringed_lines())
-def test_label_line_dots_match_reference_walk(case):
+def test_scan_dots_match_reference_walk(case):
     # At zero margins every zone region clears its margin in exactly one of
     # the two scans, so the regions neither scan reports are the line's dots.
     line, baselines, cap = case
     t = FeatureThresholds(0, 0, cap)
-    labels = label_line(line, baselines, t)
-    zone_of = labels.zones.labels
-    hits = detect_poles(line, baselines, t, labels) + detect_jambs(line, baselines, t, labels)
+    outside = line.pixels.copy()
+    outside[baselines.upper_row : baselines.lower_row + 1] = False
+    zone_of = label_components(BinaryRaster(outside)).labels
+    hits = detect_poles(line, baselines, t) + detect_jambs(line, baselines, t)
     reported = {int(zone_of[hit.location]) for hit in hits}
-    skipped = set(range(1, labels.zones.count + 1)) - reported
+    skipped = set(range(1, int(zone_of.max()) + 1)) - reported
     firsts = {tuple(np.argwhere(zone_of == lab)[0].tolist()) for lab in skipped}
     assert firsts == reference_line_dots(line.pixels, baselines, cap)
 
@@ -488,11 +472,17 @@ def test_detect_positions_match_reference(case, neighborhood, data):
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_zone_index_matches_reference(data):
+    # Zones of several lines side by side; a column only looks at its own line's.
     width = data.draw(st.integers(1, 24))
-    zones = data.draw(sorted_zones(width))
-    starts = [c0 for c0, _ in zones]
-    for col in range(-2, width + 2):
-        assert _zone_index(zones, starts, col) == reference_zone_of_column(zones, col)
+    lines = data.draw(st.lists(sorted_zones(width), min_size=1, max_size=3))
+    zone_line = np.array([k for k, zones in enumerate(lines) for _ in zones])
+    first, last = np.array([zone for zones in lines for zone in zones]).T
+    cols = np.arange(-2, width + 2)
+    offset = 0
+    for k, zones in enumerate(lines):
+        got = _zone_index(zone_line, first, last, np.full_like(cols, k), cols) - offset
+        assert got.tolist() == [reference_zone_of_column(zones, col) for col in cols.tolist()]
+        offset += len(zones)
 
 
 @settings(max_examples=600, deadline=None)
@@ -504,6 +494,5 @@ def test_zone_index_matches_reference(data):
 def test_pole_and_jamb_scans_match_reference(case, marge_h, marge_j):
     img, baselines, cap = case
     t = FeatureThresholds(marge_h, marge_j, cap)
-    labels = label_line(img, baselines, t)
-    assert detect_poles(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "H")
-    assert detect_jambs(img, baselines, t, labels) == reference_extremum_hits(img, baselines, t, "J")
+    assert detect_poles(img, baselines, t) == reference_extremum_hits(img, baselines, t, "H")
+    assert detect_jambs(img, baselines, t) == reference_extremum_hits(img, baselines, t, "J")

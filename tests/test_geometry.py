@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scriptid import geometry
 from scriptid.geometry import (
     _Walker,
     _holes,
@@ -313,6 +314,45 @@ def test_band_keeps_exactly_the_chains_its_row_tests_accept(img, data):
 
 
 @settings(max_examples=300, deadline=None)
+@given(walk_rasters(), st.data())
+def test_per_row_bands_test_each_chain_at_its_first_row(img, data):
+    # A raster of stacked text lines passes one band per row. A region is
+    # tested against the band at its top row, and a hole against the band
+    # at its first row, one below the top row of its chain.
+    height = img.height
+    upper = np.array(data.draw(st.lists(st.integers(-1, height), min_size=height, max_size=height)))
+    lower = upper + np.array(data.draw(st.lists(st.integers(-1, 4), min_size=height, max_size=height)))
+    kept = []
+    for chain in trace_contours(img):
+        top, bottom = _rows(chain.points)
+        key = top if chain.polarity == "outer" else top + 1
+        beyond_band = bottom < upper[key] or top > lower[key]
+        if beyond_band if chain.polarity == "outer" else not beyond_band:
+            kept.append(chain)
+    assert trace_contours(img, band=(upper, lower)) == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters(), st.data())
+def test_first_pixels_match_bfs_regions(img, data):
+    # By default the first raster-order pixel of each region; given a row
+    # the region crosses, the first pixel of that row. Rows are compared a
+    # few at a time when the gather is small.
+    labelling = label_components(img)
+    regions = sorted(bfs_regions(img.pixels), key=min)
+    index = np.arange(len(regions))
+    picks = [data.draw(st.sampled_from(sorted({r for r, _ in region}))) for region in regions]
+    gather, geometry._GATHER = geometry._GATHER, data.draw(st.sampled_from([1, 16, geometry._GATHER]))
+    try:
+        rows, cols = labelling.first_pixels(index)
+        _, pick_cols = labelling.first_pixels(index, np.array(picks, dtype=np.intp))
+    finally:
+        geometry._GATHER = gather
+    assert list(zip(rows.tolist(), cols.tolist())) == [min(region) for region in regions]
+    assert pick_cols.tolist() == [min(c for r, c in region if r == row) for region, row in zip(regions, picks)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(walk_rasters(), st.integers(-1, 21), st.integers(-2, 22))
 @example(BinaryRaster.blank(3, 4), 1, 1)
 @example(BinaryRaster(np.ones((2, 3), dtype=bool)), 0, 0)
@@ -339,4 +379,5 @@ def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
 @given(walk_rasters())
 def test_holes_match_bfs_holes(img):
     expected = [(min(hole), max(r for r, _ in hole)) for hole in sorted(hole_regions(img.pixels), key=min)]
-    assert _holes(img.pixels) == expected
+    rows, cols, bottoms = _holes(img.pixels)
+    assert list(zip(zip(rows.tolist(), cols.tolist()), bottoms.tolist())) == expected

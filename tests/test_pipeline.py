@@ -4,12 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from scriptid import features, geometry, layout
+from scriptid import features, geometry, layout, pipeline
 from scriptid.classify import builtin_profiles
 from scriptid.pipeline import PipelineParams, analyze_page, classify_page
 from scriptid.layout import Baselines, segment_paws
-from scriptid.raster import BinaryRaster
+from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
+
+from oracles import reference_analyze_page
 
 
 def wide_page():
@@ -70,14 +72,15 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_line, walkers_per_line", [(0, 4, 2), (1, 4, 2)])
-    def test_label_calls_and_walkers_per_line(self, monkeypatch, radius, labels_per_line, walkers_per_line):
-        # Every line of this page has ink above and below its body band.
-        # Each line is labelled whole, with its band rows blanked (both outer
-        # zones at once), as the contour stage, and as framed background.
-        # One walker per line is the contour walk's. The other is the jamb
-        # scan's: every line has a lower dot that clears the jamb margin, and
-        # the scan walks it to decide that it is a dot, not a jamb.
+    @pytest.mark.parametrize("radius, labels_per_page, walkers_per_page", [(0, 4, 2), (1, 4, 2)])
+    def test_label_calls_and_walkers_per_page(self, monkeypatch, radius, labels_per_page, walkers_per_page):
+        # Every line of this page has ink above and below its body band. The
+        # page is labelled whole, with every line's band rows blanked (all
+        # outer zones at once), as the contour stage, and as framed
+        # background, however many lines it has. One walker is the contour
+        # walk's. The other is the pole and jamb scan's: every line has a
+        # lower dot that clears the jamb margin, and the scan walks it to
+        # decide that it is a dot, not a jamb.
         label, labels = ndimage.label, []
         walker, walkers = geometry._Walker, []
 
@@ -92,11 +95,30 @@ class TestPassesPerLine:
         monkeypatch.setattr(ndimage, "label", counting_label)
         monkeypatch.setattr(geometry, "_Walker", counting_walker)
         analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
+        assert len(analysis.lines) == 4
         for line in analysis.lines:
             assert 0 < line.baselines.upper_row - line.band.top_row
             assert line.baselines.lower_row < line.band.bottom_row
-        assert len(labels) == labels_per_line * len(analysis.lines)
-        assert len(walkers) == walkers_per_line * len(analysis.lines)
+        assert len(labels) == labels_per_page
+        assert len(walkers) == walkers_per_page
+
+    def test_page_reaches_the_stages_through_module_attributes(self, monkeypatch):
+        # bench/tracing.py::PATCHES wraps these names to count text lines as
+        # calls to pipeline.extract_features and to time the contour and loop
+        # stages; a page must reach each of them through that attribute.
+        calls = {}
+        for module, name in ((pipeline, "extract_features"), (features, "trace_contours"), (features, "detect_loops")):
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        analysis = analyze_page(wide_page())
+        assert analysis.features.nb_paws > 0
+        assert calls["extract_features"] == 1
+        assert calls["trace_contours"] >= 1 and calls["detect_loops"] >= 1
 
     def test_centroids_only_for_tied_marks(self, monkeypatch):
         # No mark of the wide page ties on column overlap, so no centroid is
@@ -143,3 +165,40 @@ def test_blank_margins_only_shift_hits(data):
         features.FeatureHit(h.kind, (h.location[0] + top, h.location[1] + left), h.paw_index, h.position)
         for h in fs.hits
     )
+
+
+@st.composite
+def analysed_pages(draw):
+    """Generator pages, clean, salted at 1%, or dilated and salted at 0.1%,
+    with blank margins that may be 0 so bands touch the page's first or last
+    row, sometimes restacked so their lines sit exactly merge_gap + 1 blank
+    rows apart, and pipeline settings."""
+    seed = draw(st.integers(0, 10_000))
+    parts = draw(st.sampled_from([(1, 3), (5, 8), (20, 28)]))
+    page = generate_page(builtin_profiles()[seed % 2], seed=seed, min_paws=parts[0], max_paws=parts[1]).raster
+    params = PipelineParams(
+        dilation_radius=draw(st.integers(0, 3)),
+        merge_gap=draw(st.integers(0, 2)),
+        diacritic_max_contour=draw(st.sampled_from([20, 60, 200])),
+    )
+    ink = page.pixels
+    if draw(st.booleans()):
+        gap = np.zeros((params.merge_gap + 1, page.width), dtype=bool)
+        crops = [ink[band.top_row : band.bottom_row + 1] for band in layout.extract_lines(page)]
+        ink = np.concatenate([part for crop in crops for part in (gap, crop)][1:])
+    margin = st.one_of(st.just(0), st.integers(0, 12))
+    ink = np.pad(ink, ((draw(margin), draw(margin)), (draw(margin), draw(margin))))
+    page = BinaryRaster(ink)
+    noise = draw(st.sampled_from(["clean", "salt", "grown"]))
+    if noise == "salt":
+        page = apply_salt(page, 0.01, seed=seed)
+    elif noise == "grown":
+        page = apply_salt(dilate(page, 1), 0.001, seed=seed)
+    return page, params
+
+
+@settings(max_examples=80, deadline=None)
+@given(analysed_pages())
+def test_page_pass_matches_line_by_line_analysis(case):
+    page, params = case
+    assert repr(analyze_page(page, params)) == repr(reference_analyze_page(page, params))
