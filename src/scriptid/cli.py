@@ -242,7 +242,8 @@ def cmd_evaluate(args) -> int:
     if args.ceiling is not None:
         _check_nonnegative("--ceiling", args.ceiling)
     paths = _input_paths(args.input)
-    truth_path = Path(args.truth) if args.truth else Path(args.input) / "truth.txt"
+    # By default, truth.txt beside the images, where generate writes it.
+    truth_path = Path(args.truth) if args.truth else paths[0].parent / "truth.txt"
     truth = evalmod.load_ground_truth(truth_path)
     params = _params(args)
     profiles = _profiles(args, needed=2)
@@ -370,7 +371,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="score extracted features against ground truth")
     _add_classify(p)
-    p.add_argument("--truth", help="ground-truth file (default: <input>/truth.txt)")
+    p.add_argument("--truth",
+                   help="ground-truth file (default: truth.txt in the input directory or beside the input file)")
     p.add_argument("--ceiling", type=float, default=None,
                    help="fail (exit 3) if any feature error rate exceeds this percentage")
     p.set_defaults(func=cmd_evaluate)

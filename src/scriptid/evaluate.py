@@ -139,20 +139,24 @@ def load_ground_truth(path) -> list[GroundTruth]:
 def score(predictions, truth, profiles=None, q_min: float = 0.02) -> EvalReport:
     """Compare (image_id, FeatureSet) predictions against ground truth.
 
-    Every prediction id must appear in the truth; extra truth records are
-    ignored. Totals and correct counts accumulate per feature over matched
-    documents, so scoring shards separately and summing the pairs gives the
-    same report. Verdicts use classify with the given profiles and q_min.
+    Every prediction id must appear in the truth, and only once; extra truth
+    records are ignored. Totals and correct counts accumulate per feature
+    over matched documents, so scoring shards separately and summing the
+    pairs gives the same report. Verdicts use classify with the given profiles and q_min.
     """
     by_id = {gt.image_id: gt for gt in truth}
     totals = {k: 0 for k in _REPORT_ROWS}
     corrects = {k: 0 for k in _REPORT_ROWS}
     paw_mismatch = 0
     documents = []
+    scored = set()
 
     for image_id, fs in predictions:
         if image_id not in by_id:
             raise GroundTruthError(f"no ground truth for image id {image_id!r}")
+        if image_id in scored:
+            raise GroundTruthError(f"image id {image_id!r} is predicted more than once")
+        scored.add(image_id)
         gt = by_id[image_id]
         predicted = {k: fs.counts[k] for k in FEATURE_KINDS}
         predicted["PAW"] = fs.nb_paws

@@ -7,13 +7,19 @@ distinct images can be processed concurrently without locking.
 
 Supported file formats are the plain and raw portable bitmap (P1/P4) and
 portable graymap (P2/P5). Payloads are row-major, top to bottom; P4 rows are
-padded to a byte boundary with the most significant bit first. Graymap
+padded to a byte boundary with the most significant bit first. Whitespace
+and '#' comments, which run to the end of their line, may separate header
+fields and plain cells, and P1 digits may also be packed; one whitespace
+byte ends a raw header. Bytes after the last cell are ignored. Graymap
 samples are rescaled from [0, maxval] to [0, 255] on decoding, rounding to
 nearest, which is the identity at maxval 255; graymaps are saved at maxval
 255, so save/load round-trips losslessly.
 """
 
 from __future__ import annotations
+
+import itertools
+import re
 
 import numpy as np
 
@@ -29,7 +35,11 @@ __all__ = [
     "dilate",
 ]
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+# The portable-map token rule: a comment runs from '#' to the end of its
+# line, a cell is a run of digits or one other non-whitespace byte, and
+# whitespace only separates. Bytes patterns read \d and \s as ASCII, the
+# same whitespace as bytes.isspace().
+_TOKEN = re.compile(rb"#[^\r\n]*|\d+|\S")
 # Longest decimal run read as a number: 2**64 has 20 digits, and int() of a
 # run thousands of digits long is slow and raises once past the
 # interpreter's digit limit.
@@ -121,84 +131,48 @@ class GrayRaster(_Raster):
         return arr.astype(np.uint8)
 
 
-def _skip_header_space(data: bytes, pos: int) -> int:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
+def _header_int(cells):
+    """The next cell as a header integer, and the file position past it."""
+    cell = next(cells, None)
+    digits = cell[0] if cell else b""
+    if not digits.isdigit():
+        raise PnmHeaderError("malformed header: expected an unsigned integer")
+    if len(digits) > _MAX_DIGITS:
+        raise PnmHeaderError(f"malformed header: integer longer than {_MAX_DIGITS} digits")
+    return int(digits), cell.end()
 
 
-def _read_header_ints(data: bytes, pos: int, count: int):
-    values = []
-    for _ in range(count):
-        pos = _skip_header_space(data, pos)
-        start = pos
-        while pos < len(data) and data[pos : pos + 1].isdigit():
-            pos += 1
-        if start == pos:
-            raise PnmHeaderError("malformed header: expected an unsigned integer")
-        if pos - start > _MAX_DIGITS:
-            raise PnmHeaderError(f"malformed header: integer longer than {_MAX_DIGITS} digits")
-        values.append(int(data[start:pos]))
-    return values, pos
-
-
-def _decode_plain_bits(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
-    bits = np.empty(width * height, dtype=bool)
-    filled = 0
-    n = len(data)
-    while filled < bits.size and pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        elif c in (ord("0"), ord("1")):
-            bits[filled] = c == ord("1")
-            filled += 1
-            pos += 1
-        else:
-            raise PnmPayloadError(f"unexpected byte {bytes([c])!r} in plain bitmap payload")
-    if filled < bits.size:
+def _plain_bits(cells, count: int) -> np.ndarray:
+    # Digits may be packed, so the bits are the cells' bytes run together;
+    # every cell holds at least one, so the first count cells hold them all.
+    bits = b"".join(cell[0] for cell in itertools.islice(cells, count))[:count]
+    stray = bits.translate(None, b"01")
+    if stray:
+        raise PnmPayloadError(f"unexpected byte {stray[:1]!r} in plain bitmap payload")
+    if len(bits) < count:
         raise PnmPayloadError(
-            f"truncated payload: header promises {bits.size} cells, file carries {filled}"
+            f"truncated payload: header promises {count} cells, file carries {len(bits)}"
         )
-    return bits.reshape(height, width)
+    return np.frombuffer(bits, dtype=np.uint8) == ord("1")
 
 
-def _decode_plain_values(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:
-    values = np.empty(count, dtype=np.uint8)
-    filled = 0
-    n = len(data)
-    while filled < count:
-        pos = _skip_header_space(data, pos)
-        start = pos
-        while pos < n and data[pos : pos + 1].isdigit():
-            pos += 1
-        if start == pos:
-            if pos < n:
-                raise PnmPayloadError(
-                    f"unexpected byte {data[pos:pos + 1]!r} in plain graymap payload"
-                )
-            raise PnmPayloadError(
-                f"truncated payload: header promises {count} samples, file carries {filled}"
-            )
-        if pos - start > _MAX_DIGITS:
+def _plain_samples(cells, count: int, maxval: int) -> np.ndarray:
+    samples = []
+    for cell in itertools.islice(cells, count):
+        token = cell[0]
+        if not token.isdigit():
+            raise PnmPayloadError(f"unexpected byte {token!r} in plain graymap payload")
+        if len(token) > _MAX_DIGITS:
             raise PnmPayloadError(f"sample longer than {_MAX_DIGITS} digits in plain graymap payload")
-        v = int(data[start:pos])
+        v = int(token)
         if v > maxval:
             raise PnmPayloadError(f"sample {v} exceeds declared maxval {maxval}")
-        values[filled] = v
-        filled += 1
-    return values
+        samples.append(v)
+    if len(samples) < count:
+        raise PnmPayloadError(
+            f"truncated payload: header promises {count} samples, file carries {len(samples)}"
+        )
+    return np.array(samples, dtype=np.uint8)
 
 
 def _scale_samples(samples: np.ndarray, maxval: int) -> np.ndarray:
@@ -216,59 +190,44 @@ def _decode(data: bytes):
     if magic not in (b"P1", b"P2", b"P4", b"P5"):
         raise PnmHeaderError(f"unsupported magic {magic!r} (P1/P2/P4/P5 expected)")
 
-    (width, height), pos = _read_header_ints(data, 2, 2)
+    # Header fields, then plain cells, in file order; comments are dropped.
+    cells = (m for m in _TOKEN.finditer(data, 2) if not m[0].startswith(b"#"))
+    width, pos = _header_int(cells)
+    height, pos = _header_int(cells)
     if width < 1 or height < 1:
         raise PnmHeaderError(f"invalid dimensions {width}x{height}")
+    count = width * height
     # Every plain cell or sample takes at least one byte, so a plain header
     # that promises more cells than bytes remain is rejected before allocating.
-    if magic in (b"P1", b"P2") and width * height > len(data) - pos:
+    if magic in (b"P1", b"P2") and count > len(data) - pos:
         raise PnmPayloadError(
-            f"truncated payload: header promises {width * height} cells, file carries {len(data) - pos} bytes"
+            f"truncated payload: header promises {count} cells, file carries {len(data) - pos} bytes"
         )
-
-    if magic == b"P1":
-        return BinaryRaster(_decode_plain_bits(data, pos, width, height))
-
-    if magic == b"P2":
-        (maxval,), pos = _read_header_ints(data, pos, 1)
+    if magic in (b"P2", b"P5"):
+        maxval, pos = _header_int(cells)
         if not 1 <= maxval <= 255:
             raise PnmHeaderError(f"unsupported maxval {maxval} (1..255 expected)")
-        samples = _decode_plain_values(data, pos, width * height, maxval)
+
+    if magic == b"P1":
+        return BinaryRaster(_plain_bits(cells, count).reshape(height, width))
+    if magic == b"P2":
+        samples = _plain_samples(cells, count, maxval)
         return GrayRaster(_scale_samples(samples, maxval).reshape(height, width))
 
     # Raw formats: exactly one whitespace byte separates header and payload.
-    if magic == b"P4":
-        payload_at = pos + 1
-    else:
-        (maxval,), pos = _read_header_ints(data, pos, 1)
-        if not 1 <= maxval <= 255:
-            raise PnmHeaderError(f"unsupported maxval {maxval} (1..255 expected)")
-        payload_at = pos + 1
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise PnmHeaderError("malformed header: missing whitespace before raw payload")
-
-    if magic == b"P4":
-        row_bytes = (width + 7) // 8
-        need = row_bytes * height
-        payload = data[payload_at : payload_at + need]
-        if len(payload) < need:
-            raise PnmPayloadError(
-                f"truncated payload: need {need} bytes, file carries {len(payload)}"
-            )
-        packed = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
-        bits = np.unpackbits(packed, axis=1)[:, :width]
-        return BinaryRaster(bits.astype(bool))
-
-    need = width * height
-    payload = data[payload_at : payload_at + need]
+    row_bytes = (width + 7) // 8 if magic == b"P4" else width
+    need = row_bytes * height
+    payload = data[pos + 1 : pos + 1 + need]
     if len(payload) < need:
-        raise PnmPayloadError(
-            f"truncated payload: need {need} bytes, file carries {len(payload)}"
-        )
-    samples = np.frombuffer(payload, dtype=np.uint8)
-    if samples.max() > maxval:
-        raise PnmPayloadError(f"sample {samples.max()} exceeds declared maxval {maxval}")
-    return GrayRaster(_scale_samples(samples, maxval).reshape(height, width))
+        raise PnmPayloadError(f"truncated payload: need {need} bytes, file carries {len(payload)}")
+    rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
+    if magic == b"P4":
+        return BinaryRaster(np.unpackbits(rows, axis=1)[:, :width].astype(bool))
+    if rows.max() > maxval:
+        raise PnmPayloadError(f"sample {rows.max()} exceeds declared maxval {maxval}")
+    return GrayRaster(_scale_samples(rows, maxval))
 
 
 def load(path):

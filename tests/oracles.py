@@ -13,6 +13,10 @@ The page oracle runs the library's own single-word extraction once per
 text line, on each line cropped from the page, which is how pages were
 analysed before one pass covered every line.
 
+The portable-map oracle decodes byte by byte, reading whitespace and '#'
+comments as it meets them; the library's decoder must return the same
+raster, or raise the same exception with the same message, on any input.
+
 The projection profiles, the component list and the word-part pixel
 reader at the end are test helpers the pipeline does not use; the
 component list is built on the library's labelling.
@@ -28,7 +32,7 @@ from scriptid.features import FeatureHit, FeatureThresholds, combine_feature_set
 from scriptid.geometry import label_components
 from scriptid.layout import Baselines, estimate_baselines, extract_lines
 from scriptid.pipeline import DEFAULT_PARAMS, LineAnalysis, PageAnalysis
-from scriptid.raster import BinaryRaster
+from scriptid.raster import BinaryRaster, GrayRaster, PnmHeaderError, PnmPayloadError
 
 
 def bfs_regions(mask, connectivity=8):
@@ -284,6 +288,120 @@ def reference_analyze_page(page, params=DEFAULT_PARAMS):
         baselines = Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row)
         lines.append(LineAnalysis(band, baselines, replace(fs, hits=hits)))
     return PageAnalysis(combine_feature_sets([line.features for line in lines]), tuple(lines))
+
+
+_PNM_WHITESPACE = b" \t\r\n\x0b\x0c"
+_PNM_MAX_DIGITS = 20
+
+
+def _reference_skip(data, pos):
+    while pos < len(data):
+        if data[pos] in _PNM_WHITESPACE:
+            pos += 1
+        elif data[pos] == ord("#"):
+            while pos < len(data) and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    return pos
+
+
+def _reference_digits(data, pos):
+    start = pos = _reference_skip(data, pos)
+    while pos < len(data) and data[pos : pos + 1].isdigit():
+        pos += 1
+    return data[start:pos], pos
+
+
+def _reference_header_int(data, pos):
+    digits, pos = _reference_digits(data, pos)
+    if not digits:
+        raise PnmHeaderError("malformed header: expected an unsigned integer")
+    if len(digits) > _PNM_MAX_DIGITS:
+        raise PnmHeaderError(f"malformed header: integer longer than {_PNM_MAX_DIGITS} digits")
+    return int(digits), pos
+
+
+def _reference_scale(samples, maxval):
+    return [(v * 255 + maxval // 2) // maxval for v in samples]
+
+
+def reference_decode(data):
+    """Portable-map decoding one byte at a time (P1/P2/P4/P5)."""
+    if len(data) < 2:
+        raise PnmHeaderError("empty or truncated file: no magic number")
+    magic = data[:2]
+    if magic not in (b"P1", b"P2", b"P4", b"P5"):
+        raise PnmHeaderError(f"unsupported magic {magic!r} (P1/P2/P4/P5 expected)")
+    width, pos = _reference_header_int(data, 2)
+    height, pos = _reference_header_int(data, pos)
+    if width < 1 or height < 1:
+        raise PnmHeaderError(f"invalid dimensions {width}x{height}")
+    count = width * height
+    if magic in (b"P1", b"P2") and count > len(data) - pos:
+        raise PnmPayloadError(
+            f"truncated payload: header promises {count} cells, file carries {len(data) - pos} bytes"
+        )
+
+    if magic == b"P1":
+        bits = []
+        while len(bits) < count and pos < len(data):
+            c = data[pos]
+            if c in _PNM_WHITESPACE:
+                pos += 1
+            elif c == ord("#"):
+                while pos < len(data) and data[pos] not in b"\r\n":
+                    pos += 1
+            elif c in b"01":
+                bits.append(c == ord("1"))
+                pos += 1
+            else:
+                raise PnmPayloadError(f"unexpected byte {bytes([c])!r} in plain bitmap payload")
+        if len(bits) < count:
+            raise PnmPayloadError(
+                f"truncated payload: header promises {count} cells, file carries {len(bits)}"
+            )
+        return BinaryRaster(np.array(bits).reshape(height, width))
+
+    if magic in (b"P2", b"P5"):
+        maxval, pos = _reference_header_int(data, pos)
+        if not 1 <= maxval <= 255:
+            raise PnmHeaderError(f"unsupported maxval {maxval} (1..255 expected)")
+
+    if magic == b"P2":
+        samples = []
+        while len(samples) < count:
+            digits, pos = _reference_digits(data, pos)
+            if not digits:
+                if pos < len(data):
+                    raise PnmPayloadError(
+                        f"unexpected byte {data[pos:pos + 1]!r} in plain graymap payload"
+                    )
+                raise PnmPayloadError(
+                    f"truncated payload: header promises {count} samples, file carries {len(samples)}"
+                )
+            if len(digits) > _PNM_MAX_DIGITS:
+                raise PnmPayloadError(
+                    f"sample longer than {_PNM_MAX_DIGITS} digits in plain graymap payload"
+                )
+            if int(digits) > maxval:
+                raise PnmPayloadError(f"sample {int(digits)} exceeds declared maxval {maxval}")
+            samples.append(int(digits))
+        return GrayRaster(np.array(_reference_scale(samples, maxval)).reshape(height, width))
+
+    if pos >= len(data) or data[pos] not in _PNM_WHITESPACE:
+        raise PnmHeaderError("malformed header: missing whitespace before raw payload")
+    row_bytes = (width + 7) // 8 if magic == b"P4" else width
+    need = row_bytes * height
+    payload = data[pos + 1 : pos + 1 + need]
+    if len(payload) < need:
+        raise PnmPayloadError(f"truncated payload: need {need} bytes, file carries {len(payload)}")
+    if magic == b"P4":
+        rows = [payload[r * row_bytes : (r + 1) * row_bytes] for r in range(height)]
+        return BinaryRaster([[bool(row[c // 8] >> (7 - c % 8) & 1) for c in range(width)] for row in rows])
+    if max(payload) > maxval:
+        raise PnmPayloadError(f"sample {max(payload)} exceeds declared maxval {maxval}")
+    return GrayRaster(np.array(_reference_scale(payload, maxval)).reshape(height, width))
 
 
 def reference_feature_zones(word):

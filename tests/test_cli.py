@@ -181,6 +181,24 @@ class TestEvaluate:
         rc = main(["evaluate", "--input", str(corpus), "--truth", str(moved)])
         assert rc == EXIT_OK
 
+    def test_single_file_input_reads_the_truth_beside_it(self, corpus, tmp_path):
+        target = sorted(corpus.glob("*.pbm"))[0]
+        rc, raw = run_to_file(["evaluate", "--input", str(target)], tmp_path / "e.json")
+        assert rc == EXIT_OK
+        [document] = json.loads(raw)["report"]["per_document"]
+        assert document["image_id"] == target.stem
+
+    def test_two_images_with_one_stem_are_a_ground_truth_error(self, corpus, tmp_path, capsys):
+        target = sorted(corpus.glob("*.pbm"))[0]
+        target.with_suffix(".pnm").write_bytes(target.read_bytes())
+        report = tmp_path / "e.json"
+        capsys.readouterr()
+        rc = main(["evaluate", "--input", str(corpus), "--output", str(report)])
+        assert rc == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("ground truth error: ") and repr(target.stem) in err
+        assert not report.exists()
+
     def test_truncated_image_is_scored_as_blank_and_run_continues(self, corpus, tmp_path, capsys):
         target = sorted(corpus.glob("*.pbm"))[1]
         image = target.read_bytes()

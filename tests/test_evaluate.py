@@ -141,6 +141,11 @@ class TestScore:
         with pytest.raises(GroundTruthError, match="mystery"):
             score([("mystery", fs({}, 1))], [gt("a", {}, 1)])
 
+    def test_repeated_prediction_id_is_an_error(self):
+        # Two images with one stem would otherwise count one truth record twice.
+        with pytest.raises(GroundTruthError, match="'a'"):
+            score([("a", fs({}, 1)), ("a", fs({}, 1))], [gt("a", {"H": 3}, 1)])
+
     def test_extra_truth_records_are_ignored(self):
         truth = [gt("a", {"H": 1}, 1), gt("unused", {"H": 9}, 9)]
         report = score([("a", fs({"H": 1}, 1))], truth)

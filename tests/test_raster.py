@@ -19,7 +19,7 @@ from scriptid.raster import (
     save,
 )
 
-from oracles import brute_dilate, scipy_dilate
+from oracles import brute_dilate, reference_decode, scipy_dilate
 
 
 def write(tmp_path, data, name="img.pbm"):
@@ -117,7 +117,9 @@ class TestLoad:
 
 @st.composite
 def mutated_pnm(draw):
-    """A small valid P1/P2/P4/P5 file with a few bytes replaced or inserted."""
+    """A small valid P1/P2/P4/P5 file, perhaps with a comment at each line
+    end, with a few bytes after the magic number replaced, inserted or
+    deleted, and perhaps cut short."""
     fmt = draw(st.sampled_from(["p1", "p2", "p4", "p5"]))
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if fmt in ("p1", "p4"):
@@ -126,25 +128,62 @@ def mutated_pnm(draw):
     else:
         cells = draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
         raster = GrayRaster(np.array(cells).reshape(h, w))
-    data = bytearray(_encode(raster, fmt))
+    data = _encode(raster, fmt)
+    if draw(st.booleans()):
+        data = data.replace(b"\n", draw(st.sampled_from([b" # c\n", b"#\r", b"\t#1 2\n"])))
+    data = bytearray(data)
     byte = st.one_of(st.sampled_from(b"0123456789 \n#"), st.integers(0, 255))
     for _ in range(draw(st.integers(1, 6))):
-        at = draw(st.integers(0, len(data) - 1))
-        if draw(st.booleans()):
+        at = draw(st.integers(2, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "digits", "delete"]))
+        if edit == "replace":
             data[at] = draw(byte)
-        else:
+        elif edit == "insert":
             data[at:at] = bytes(draw(st.lists(byte, min_size=1, max_size=8)))
+        elif edit == "digits":
+            # Longer than any number the decoder reads, once joined to one.
+            data[at:at] = b"7" * draw(st.integers(16, 24))
+        else:
+            del data[at : at + draw(st.integers(1, 3))]
+        if len(data) < 3:
+            break
+    if len(data) > 2 and draw(st.booleans()):
+        del data[len(data) - draw(st.integers(1, len(data) - 2)):]
     return bytes(data)
 
 
-@settings(max_examples=300, deadline=None)
+def decode_outcome(decode, data):
+    """What decoding gives: the raster, or the exception's class and message."""
+    try:
+        return decode(data)
+    except PnmError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=1000, deadline=None)
 @given(mutated_pnm())
 def test_mutated_file_decodes_or_raises_pnm_error(data):
-    try:
-        img = _decode(data)
-    except PnmError:
-        return
-    assert isinstance(img, (BinaryRaster, GrayRaster))
+    got = decode_outcome(_decode, data)
+    assert got == decode_outcome(reference_decode, data)
+
+
+@pytest.mark.parametrize("data, expected", [
+    # Bytes after the last sample are never read.
+    (b"P2 2 1 255\n7 12x", [[7, 12]]),
+    # A comment is not a stray byte, even where the payload ends early.
+    (b"P2 2 1 255\n7 #c", (PnmPayloadError, "truncated payload: header promises 2 samples, file carries 1")),
+    # A comment may sit between two cells of a plain bitmap.
+    (b"P1 3 1\n1#c\n0 1", [[1, 0, 1]]),
+    # Samples are checked in file order, so the first failing one is reported.
+    (b"P2 3 1 9\n12 x 1", (PnmPayloadError, "sample 12 exceeds declared maxval 9")),
+])
+def test_plain_payload_edge_cases_match_reference(data, expected):
+    got = decode_outcome(_decode, data)
+    assert got == decode_outcome(reference_decode, data)
+    if isinstance(got, tuple):
+        assert got == expected
+    else:
+        assert got.pixels.tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
