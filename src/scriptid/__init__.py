@@ -57,6 +57,7 @@ from .pipeline import (
     PageAnalysis,
     PipelineParams,
     analyze_page,
+    analyze_pages,
     classify_page,
 )
 from .raster import (

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as evalmod
-from .classify import ProfileFormatError, builtin_profiles, load_profiles
+from .classify import ProfileFormatError, builtin_profiles, classify, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
-from .pipeline import DEFAULT_PARAMS, PipelineParams, analyze_page, classify_page
+from .pipeline import DEFAULT_PARAMS, PageAnalysis, PipelineParams, analyze_pages
 from .raster import BinaryRaster, GrayRaster, PnmError, binarize, load
 from .synthgen import generate_corpus, generate_page, save_corpus
 
@@ -32,6 +32,11 @@ EXIT_CEILING = 3
 
 SCHEMA = "scriptid-report/1"
 _IMAGE_SUFFIXES = (".pbm", ".pgm", ".pnm")
+# Consecutive images are analysed in one pass while their stacked area,
+# total height times largest width, stays within this many pixels. The
+# pass allocates about 15 bytes per pixel at its peak, so this bounds its
+# working memory near 2 MB; a larger image is analysed alone.
+_GATHER = 1 << 17
 
 
 class _UsageError(Exception):
@@ -89,6 +94,39 @@ def _load_binary(path: Path) -> BinaryRaster:
     return img
 
 
+def _analyses(paths, params: PipelineParams) -> list:
+    """Each path's PageAnalysis, or the PnmError or OSError that loading it
+    raised, in path order.
+
+    Images are loaded one at a time and analysed in runs of consecutive
+    loaded images, each run as one analyze_pages call of at most _GATHER
+    stacked pixels, so a batch of small words pays the pipeline's fixed
+    costs once. A page's analysis does not depend on its run.
+    """
+    results, run, rows, width = [], [], 0, 0
+
+    def flush():
+        for i, analysis in zip(run, analyze_pages([results[i] for i in run], params)):
+            results[i] = analysis
+        run.clear()
+
+    for path in paths:
+        try:
+            page = _load_binary(path)
+        except (PnmError, OSError) as exc:
+            results.append(exc)
+            continue
+        rows, width = rows + page.height, max(width, page.width)
+        if run and rows * width > _GATHER:
+            flush()
+            rows, width = page.height, page.width
+        run.append(len(results))
+        results.append(page)
+    if run:
+        flush()
+    return results
+
+
 def _params(args) -> PipelineParams:
     """Pipeline parameters from the flags, rejecting values no stage accepts."""
     if args.dilate < 0:
@@ -144,14 +182,14 @@ def _paw_tokens(fs) -> list[dict]:
     ]
 
 
-def _feature_entry(path: Path, params: PipelineParams) -> dict:
-    page = _load_binary(path)
-    if page.ink_count() == 0:
-        return {"image": path.name, "error": "blank image"}
-    analysis = analyze_page(page, params)
+def _feature_entry(name: str, analysis) -> dict:
+    if not isinstance(analysis, PageAnalysis):
+        return {"image": name, "error": str(analysis)}
+    if not analysis.lines:
+        return {"image": name, "error": "blank image"}
     fs = analysis.features
     return {
-        "image": path.name,
+        "image": name,
         "counts": {k: fs.counts[k] for k in FEATURE_KINDS},
         "nb_paws": fs.nb_paws,
         "dropped_oversize_loops": fs.dropped_oversize_loops,
@@ -177,12 +215,7 @@ def _features_text(entries) -> str:
 def cmd_features(args) -> int:
     paths = _input_paths(args.input)
     params = _params(args)
-    entries = []
-    for path in paths:
-        try:
-            entries.append(_feature_entry(path, params))
-        except (PnmError, OSError) as exc:
-            entries.append({"image": path.name, "error": str(exc)})
+    entries = [_feature_entry(path.name, analysis) for path, analysis in zip(paths, _analyses(paths, params))]
     payload = {
         "schema": SCHEMA,
         "command": "features",
@@ -200,16 +233,12 @@ def cmd_classify(args) -> int:
     params = _params(args)
     profiles = _profiles(args, needed=2)
     entries = []
-    for path in paths:
-        try:
-            page = _load_binary(path)
-        except (PnmError, OSError) as exc:
-            entries.append({"image": path.name, "error": str(exc)})
+    for path, analysis in zip(paths, _analyses(paths, params)):
+        if not isinstance(analysis, PageAnalysis):
+            entries.append({"image": path.name, "error": str(analysis)})
             continue
-        verdict, analysis = classify_page(
-            page, profiles, params, q_min=args.qmin
-        )
         fs = analysis.features
+        verdict = classify(fs, profiles, q_min=args.qmin)
         entries.append(
             {
                 "image": path.name,
@@ -250,16 +279,13 @@ def cmd_evaluate(args) -> int:
 
     predictions = []
     errors = []
-    for path in paths:
-        try:
-            page = _load_binary(path)
-        except (PnmError, OSError) as exc:
+    for path, analysis in zip(paths, _analyses(paths, params)):
+        if not isinstance(analysis, PageAnalysis):
             # Scored like a blank page, so its truth still counts as missed.
-            sys.stderr.write(f"{path.name}: error: {exc}\n")
-            errors.append({"image": path.name, "error": str(exc)})
+            sys.stderr.write(f"{path.name}: error: {analysis}\n")
+            errors.append({"image": path.name, "error": str(analysis)})
             predictions.append((path.stem, FeatureSet.empty()))
             continue
-        analysis = analyze_page(page, params)
         predictions.append((path.stem, analysis.features))
     report = evalmod.score(predictions, truth, profiles, q_min=args.qmin)
 

@@ -13,9 +13,11 @@ the same cap; larger holes are dropped but tallied.
 Classification order is dots, then loops, then poles and jambs, so a deep
 detached dot can never double as a pole or a jamb.
 
-A page is analysed in one pass, not line by line. Its text lines are
-stacked in one buffer with blank rows between them, at least one and at
-least the expansion radius. No 8-connected region, hole, expansion halo or
+Pages are analysed in one pass, not line by line. The text lines of every
+page are stacked in one buffer with blank rows between them, at least one
+and at least the expansion radius, left-aligned and padded with blank
+columns to the widest page. The expansion is clipped to each line's rows
+and its page's columns. No 8-connected region, hole, expansion halo or
 nearest-part window of one line can then reach another, and every line
 keeps the borders it would have as a crop of its own. Each labelling is
 built once over the buffer: the raw ink, the ink with every line's band
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -160,36 +163,38 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
 
 
 class _Lines:
-    """Text lines of one raster stacked in a buffer, gap blank rows apart.
+    """Text lines of one or several rasters stacked in a buffer, gap blank
+    rows apart, left-aligned and as wide as the widest raster.
 
-    Row r of the buffer belongs to line line[r]; a line's rows and its gap
-    rows carry its key, and spans holds each line's (first row, height).
-    baselines, upper and lower hold each line's baselines in buffer rows,
-    and marge_h, marge_j and cap its thresholds. Adding shift[k] to a
-    buffer row of line k gives the raster row.
+    Row r of the buffer belongs to line line[r]; a line's rows and the gap
+    rows after it carry its key, and spans holds each line's (first row, height,
+    width of its raster). baselines, upper and lower hold each line's
+    baselines in buffer rows, and marge_h, marge_j and cap its thresholds.
+    Adding shift[k] to a buffer row of line k gives the row of its raster.
     """
 
-    def __init__(self, ink: np.ndarray, bands, baselines, thresholds, gap: int = 1):
-        self.thresholds = thresholds
+    def __init__(self, inks, bands, baselines, thresholds, gap: int = 1):
+        self.thresholds, self.gap = thresholds, gap
         table, start = [], 0
-        for band, b, t in zip(bands, baselines, thresholds):
+        for ink, band, b, t in zip(inks, bands, baselines, thresholds):
             height = band.bottom_row - band.top_row + 1
             shift = band.top_row - start
             upper, lower = b.upper_row - shift, b.lower_row - shift
-            table.append((start, height, shift, upper, lower, t.marge_h, t.marge_j, t.diacritic_max_contour))
+            width = ink.shape[1]
+            table.append((start, height, shift, upper, lower, width, t.marge_h, t.marge_j, t.diacritic_max_contour))
             start += height + gap
         size = start - gap
-        self.ink = np.zeros((size, ink.shape[1]), dtype=bool)
+        self.ink = np.zeros((size, max(row[5] for row in table)), dtype=bool)
         self.in_band = np.zeros(size, dtype=bool)
-        for start, height, shift, upper, lower, *_ in table:
-            self.ink[start : start + height] = ink[start + shift : start + shift + height]
+        for ink, (start, height, shift, upper, lower, width, *_) in zip(inks, table):
+            self.ink[start : start + height, :width] = ink[start + shift : start + shift + height]
             # The band, clipped to the line's rows and gap rows.
             self.in_band[max(upper, start) : min(lower + 1, start + height + gap)] = True
-        self.spans = [row[:2] for row in table]
+        self.spans = [(start, height, width) for start, height, _, _, _, width, *_ in table]
         self.baselines = [Baselines(*row[3:5]) for row in table]
         columns = np.array(table).T
         self.starts, heights, self.shift, self.upper, self.lower = columns[:5]
-        self.marge_h, self.marge_j, self.cap = columns[5:]
+        self.marge_h, self.marge_j, self.cap = columns[6:]
         self.line = np.arange(len(table)).repeat(heights + gap)[:size]
 
     @cached_property
@@ -269,10 +274,12 @@ class _Lines:
 
     def stage(self, radius: int) -> BinaryRaster:
         """The ink of every line expanded by radius and clipped to the line's
-        rows, as if each line were expanded alone: the gap rows stay blank."""
+        rows and its raster's columns, as if each line were expanded alone:
+        the gap rows and the padding columns stay blank."""
         stage = dilate(BinaryRaster(self.ink), radius).pixels.copy()
-        for (start, height), (after, _) in zip(self.spans, self.spans[1:]):
-            stage[start + height : after] = False
+        for start, height, width in self.spans:
+            stage[start : start + height, width:] = False
+            stage[start + height : start + height + self.gap] = False
         return BinaryRaster(stage)
 
     def column_table(self, ink: np.ndarray) -> np.ndarray:
@@ -281,7 +288,7 @@ class _Lines:
 
 
 def _scan_hits(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds, kind: int):
-    lines = _Lines(word.pixels, [LineBand(0, word.height - 1)], [baselines], [thresholds])
+    lines = _Lines([word.pixels], [LineBand(0, word.height - 1)], [baselines], [thresholds])
     kinds, rows, cols = lines.poles_and_jambs()
     pick = kinds == kind
     tips = sorted(zip(rows[pick].tolist(), cols[pick].tolist()))
@@ -444,7 +451,7 @@ def extract_features(
     dilation_radius: int = 1,
     bands=None,
 ):
-    """Run the full pipeline on a word, or on every text line of a page at once.
+    """Run the full pipeline on a word, or on every text line of several pages at once.
 
     The ink is expanded so every contour closes, and the contour-bound
     primitives (dots and loops) are read off that expanded stage. Poles,
@@ -453,29 +460,37 @@ def extract_features(
     the body would smear one extra body row into the upper zone, fusing
     separate ascenders. Radius 0 skips the expansion entirely.
 
-    bands, when given, is a sequence of LineBands of word, a page. baselines
-    and thresholds are then sequences with one entry per band, baselines in
-    page rows with each upper baseline at or below its band's top row, and
-    thresholds None to derive each from its baselines. Each
-    band is measured as if cropped from the page, its expansion clipped to
-    its rows, and one FeatureSet comes back per band, its hits in page
-    coordinates and its word parts numbered across the page in band order.
-    Without bands the word is one band and its FeatureSet is returned.
+    bands, when given, makes word a sequence of pages and holds, per page,
+    a sequence of its LineBands. baselines and thresholds then hold, per
+    page, one entry per band, baselines in page rows with each upper
+    baseline at or below its band's top row, and thresholds None to derive
+    each from its baselines. Each band is measured as if cropped from its
+    page, its expansion clipped to its rows and its page's columns. One
+    list comes back per page, holding one FeatureSet per band, its hits in
+    page coordinates and its word parts numbered across the page in band
+    order. Without bands the word is one band and its FeatureSet is
+    returned.
     """
     single = bands is None
     if single:
-        bands, baselines, thresholds = [LineBand(0, word.height - 1)], [baselines], [thresholds]
+        bands, baselines, thresholds = [[LineBand(0, word.height - 1)]], [[baselines]], [[thresholds]]
+        word = [word]
     elif thresholds is None:
-        thresholds = [None] * len(bands)
-    if not len(bands) == len(baselines) == len(thresholds):
-        raise ValueError("need one baselines and one thresholds entry per band")
-    thresholds = [
-        t if t is not None else FeatureThresholds.from_baselines(b) for b, t in zip(baselines, thresholds)
+        thresholds = [[None] * len(page_bands) for page_bands in bands]
+    # Every line of every page, page by page: its page's ink, band, baselines and thresholds.
+    flat = [
+        (page.pixels, band, b, t if t is not None else FeatureThresholds.from_baselines(b))
+        for page, *per_line in zip(word, bands, baselines, thresholds, strict=True)
+        for band, b, t in zip(*per_line, strict=True)
     ]
+    per_page = [len(page_bands) for page_bands in bands]
+    if not flat:
+        return [[] for _ in per_page]
+    inks, bands, baselines, thresholds = zip(*flat)
     height = max(band.bottom_row - band.top_row + 1 for band in bands)
     # Past the larger side of every band, expansion fills each inked band whole.
-    radius = min(dilation_radius, max(height, word.width))
-    lines = _Lines(word.pixels, bands, baselines, thresholds, gap=max(1, radius))
+    radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
+    lines = _Lines(inks, bands, baselines, thresholds, gap=max(1, radius))
     columns = lines.column_table(lines.ink)
     if not columns.any(axis=1).all():
         raise NoInkError("cannot extract features from a blank image")
@@ -490,8 +505,16 @@ def extract_features(
     cols = np.concatenate((tip_cols, dot_cols))
     line = lines.line[rows]
 
-    part, _, part_line = _group_parts(raw, lines.upper[raw_line], lines.lower[raw_line], raw_line)
+    # Centroids are taken in line rows, as in a crop of the line.
+    part, _, part_line = _group_parts(
+        raw, lines.upper[raw_line], lines.lower[raw_line], raw_line, lines.starts[raw_line]
+    )
     paws = _nearest_paws(raw.labels, np.append(-1, part), np.column_stack((rows, cols)), radius)
+    # Parts are numbered line by line across the buffer; each page counts
+    # from the first part of its first line.
+    line_parts = np.bincount(part_line, minlength=len(flat))
+    page_first_line = np.repeat(np.cumsum(per_page) - per_page, per_page)
+    paws -= (np.cumsum(line_parts) - line_parts)[page_first_line][line]
 
     zone_line, first, last = _letter_zones(columns)
     band_columns = lines.column_table(lines.ink & lines.in_band[:, None]) > 0
@@ -501,16 +524,19 @@ def extract_features(
     # One row per hit, sorted by line, kind and location.
     table = np.column_stack((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))
     table = table[np.lexsort(table[:, 3::-1].T)]
-    hits = [[] for _ in bands]
-    counts = [dict.fromkeys(FEATURE_KINDS, 0) for _ in bands]
+    hits = [[] for _ in flat]
+    counts = [dict.fromkeys(FEATURE_KINDS, 0) for _ in flat]
     for k, kind, _, col, row, paw, position in table.tolist():
         hits[k].append(FeatureHit(FEATURE_KINDS[kind], (row, col), paw, _TAGS[position]))
         counts[k][FEATURE_KINDS[kind]] += 1
     sets = [
         FeatureSet(counts=c, nb_paws=n, hits=tuple(h), dropped_oversize_loops=d)
-        for c, n, h, d in zip(counts, np.bincount(part_line, minlength=len(bands)).tolist(), hits, dropped)
+        for c, n, h, d in zip(counts, line_parts.tolist(), hits, dropped)
     ]
-    return sets[0] if single else sets
+    if single:
+        return sets[0]
+    ends = list(accumulate(per_page))
+    return [sets[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 def combine_feature_sets(sets) -> FeatureSet:

@@ -118,17 +118,19 @@ _PAIR_BLOCK = 1 << 20
 _FAR = np.iinfo(np.intp).min
 
 
-def _centroids(labelling: Labelling, comps: np.ndarray) -> np.ndarray:
-    """(row, col) pixel means of the components comps, each label - 1.
+def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """(row, col) pixel means of the components comps, each label - 1, with
+    rows counted from origin[k] for component k.
 
-    Absolute coordinates are summed as integers, so each mean is the
-    correctly rounded quotient of the exact sum and the pixel count.
+    Coordinates are summed as integers, so each mean is the correctly
+    rounded quotient of the exact sum and the pixel count.
     """
     means = np.empty((comps.size, 2))
     for i, k in enumerate(comps.tolist()):
         sl = labelling.objects[k]
         rows, cols = np.nonzero(labelling.labels[sl] == k + 1)
-        means[i] = (rows + sl[0].start).sum() / rows.size, (cols + sl[1].start).sum() / cols.size
+        top = sl[0].start - origin[k]
+        means[i] = (rows + top).sum() / rows.size, (cols + sl[1].start).sum() / cols.size
     return means
 
 
@@ -155,7 +157,7 @@ def segment_paws(
         return []
     b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
     one_line = np.zeros(labelling.count, dtype=np.intp)
-    part, extents, _ = _group_parts(labelling, b.upper_row, b.lower_row, one_line)
+    part, extents, _ = _group_parts(labelling, b.upper_row, b.lower_row, one_line, one_line)
     # Component labels grouped by part, in label order within a part.
     grouped = np.argsort(part, kind="stable") + 1
     ends = np.cumsum(np.bincount(part, minlength=len(extents))).tolist()
@@ -165,14 +167,16 @@ def segment_paws(
     ]
 
 
-def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray):
+def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray, origin: np.ndarray):
     """Word parts of the components of one or several text lines.
 
     line gives each label's line key, 0 and up, and upper and lower the
     band rows of its line, as arrays with entry i for label i + 1 or as
-    rows shared by every label. The rules are segment_paws's, applied to
-    each line alone: a mark joins only a body of its own line, and a line
-    whose components are all detached keeps them all as bodies.
+    rows shared by every label; origin gives the first row of each label's
+    line, from which centroid rows are counted. The rules are
+    segment_paws's, applied to each line alone: a mark joins only a body
+    of its own line, and a line whose components are all detached keeps
+    them all as bodies.
 
     Returns the part index of every label (entry i for label i + 1), each
     part's (top, left, bottom, right) extent, and each part's line key.
@@ -204,7 +208,7 @@ def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray):
             t, ties = m[tied], top[tied]
             centroid = np.zeros((n, 2))
             need = np.union1d(t, bodies[ties.any(axis=0)])
-            centroid[need] = _centroids(labelling, need)
+            centroid[need] = _centroids(labelling, need, origin)
             dist = np.hypot(centroid[bodies, 0] - centroid[t, 0], centroid[bodies, 1] - centroid[t, 1])
             dist[~ties] = np.inf
             owner[t[:, 0]] = dist.argmin(axis=1)

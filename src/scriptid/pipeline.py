@@ -9,7 +9,7 @@ from .features import FeatureSet, FeatureThresholds, combine_feature_sets, extra
 from .layout import Baselines, LineBand, estimate_baselines, extract_lines
 from .raster import BinaryRaster
 
-__all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "classify_page"]
+__all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
 
 
 @dataclass(frozen=True)
@@ -42,27 +42,44 @@ class PageAnalysis:
     lines: tuple[LineAnalysis, ...]
 
 
-def analyze_page(page: BinaryRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:
-    """Split a page into lines and extract every line's features in one pass.
+def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAnalysis]:
+    """Split each page into lines and extract the features of every line of
+    every page in one pass; one PageAnalysis per page.
 
-    Each line is measured as if cropped from the page: its baselines come
-    from its own rows, and its expansion is clipped to them. Hit
-    coordinates and word-part indices are reported in page coordinates,
-    with parts numbered top line first, right to left within each line.
-    A blank page yields an empty analysis with zero counts and parts.
+    Each line is measured as if cropped from its page: its baselines come
+    from its own rows, and its expansion is clipped to them and to its
+    page's columns, so the result for a page does not depend on the pages
+    analysed with it. Hit coordinates and word-part indices are reported in
+    page coordinates, with each page's parts numbered from 0, top line
+    first, right to left within each line. A blank page yields an empty
+    analysis with zero counts and parts.
     """
-    bands = extract_lines(page, params.merge_gap)
-    baselines = []
-    for band in bands:
-        crop = BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1])
-        local = estimate_baselines(crop, params.alpha)
-        baselines.append(Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row))
-    thresholds = [FeatureThresholds.from_baselines(b, params.diacritic_max_contour) for b in baselines]
-    sets = (
-        extract_features(page, baselines, thresholds, params.dilation_radius, bands=bands) if bands else []
-    )
-    lines = tuple(map(LineAnalysis, bands, baselines, sets))
-    return PageAnalysis(combine_feature_sets(sets), lines)
+    bands = [extract_lines(page, params.merge_gap) for page in pages]
+    baselines = [
+        [_line_baselines(page, band, params.alpha) for band in page_bands]
+        for page, page_bands in zip(pages, bands)
+    ]
+    thresholds = [
+        [FeatureThresholds.from_baselines(b, params.diacritic_max_contour) for b in page_baselines]
+        for page_baselines in baselines
+    ]
+    sets = extract_features(pages, baselines, thresholds, params.dilation_radius, bands=bands)
+    analyses = []
+    for page_bands, page_baselines, page_sets in zip(bands, baselines, sets):
+        lines = tuple(map(LineAnalysis, page_bands, page_baselines, page_sets))
+        analyses.append(PageAnalysis(combine_feature_sets(page_sets), lines))
+    return analyses
+
+
+def _line_baselines(page: BinaryRaster, band: LineBand, alpha: float) -> Baselines:
+    """Baselines estimated on the band's rows alone, in page rows."""
+    local = estimate_baselines(BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1]), alpha)
+    return Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row)
+
+
+def analyze_page(page: BinaryRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:
+    """analyze_pages of the one page."""
+    return analyze_pages([page], params)[0]
 
 
 def classify_page(

@@ -44,6 +44,8 @@ _TOKEN = re.compile(rb"#[^\r\n]*|\d+|\S")
 # run thousands of digits long is slow and raises once past the
 # interpreter's digit limit.
 _MAX_DIGITS = 20
+# The decimal bytes of every graymap sample, for plain (P2) encoding.
+_DIGITS = tuple(b"%d" % v for v in range(256))
 
 
 class PnmError(ValueError):
@@ -255,9 +257,7 @@ def _encode(raster, fmt: str) -> bytes:
         if not isinstance(raster, GrayRaster):
             raise ValueError(f"format {fmt} stores grayscale rasters only")
         if fmt == "p2":
-            body = b"\n".join(
-                b" ".join(b"%d" % v for v in row) for row in raster.pixels
-            )
+            body = b"\n".join(b" ".join(map(_DIGITS.__getitem__, row)) for row in raster.pixels.tolist())
             return b"P2\n%d %d\n255\n" % (raster.width, raster.height) + body + b"\n"
         return b"P5\n%d %d\n255\n" % (raster.width, raster.height) + raster.pixels.tobytes()
     raise ValueError(f"unknown portable-map format {fmt!r}")

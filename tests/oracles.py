@@ -16,6 +16,7 @@ analysed before one pass covered every line.
 The portable-map oracle decodes byte by byte, reading whitespace and '#'
 comments as it meets them; the library's decoder must return the same
 raster, or raise the same exception with the same message, on any input.
+The plain graymap encoder's oracle formats one sample at a time.
 
 The projection profiles, the component list and the word-part pixel
 reader at the end are test helpers the pipeline does not use; the
@@ -324,6 +325,12 @@ def _reference_header_int(data, pos):
 
 def _reference_scale(samples, maxval):
     return [(v * 255 + maxval // 2) // maxval for v in samples]
+
+
+def reference_encode_p2(gray):
+    """A plain (P2) graymap file, each sample formatted on its own."""
+    body = b"\n".join(b" ".join(b"%d" % v for v in row) for row in gray.pixels)
+    return b"P2\n%d %d\n255\n" % (gray.width, gray.height) + body + b"\n"
 
 
 def reference_decode(data):

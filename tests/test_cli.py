@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from scriptid.classify import ScriptProfile, builtin_profiles, save_profiles
+from scriptid import cli
 from scriptid.cli import EXIT_CEILING, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from scriptid.raster import BinaryRaster, dilate, load, save
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page, save_corpus
@@ -136,6 +137,96 @@ class TestClassify:
         )
         assert rc == EXIT_OK
         assert json.loads(raw)["images"][0]["label"] == "Unknown"
+
+
+class TestBatches:
+    """A directory's images are analysed together, in runs of at most
+    cli._GATHER stacked pixels, with reports as if each ran alone."""
+
+    COMMANDS = ("features", "classify", "evaluate")
+
+    @pytest.fixture()
+    def mixed(self, tmp_path):
+        arabic, latin = builtin_profiles()
+        items = [
+            *generate_corpus(arabic, 3, seed=7),
+            generate_page(latin, seed=8),
+            *generate_corpus(latin, 3, seed=9),
+            generate_page(arabic, seed=10),
+        ]
+        folder = tmp_path / "mixed"
+        save_corpus(items, folder)
+        # Sorted between img_0002 and img_0003, and between img_0005 and img_0006.
+        (folder / "img_0002a.pbm").write_bytes(b"P4\n16 16\n\x00\x01")
+        save(BinaryRaster.blank(12, 30), folder / "img_0005a.pbm")
+        with (folder / "truth.txt").open("a", encoding="utf-8") as fh:
+            fh.write("img_0002a H=0 J=0 P=0 Q=0 B=0 PAW=0\nimg_0005a H=0 J=0 P=0 Q=0 B=0 PAW=0\n")
+        return folder
+
+    def _reports(self, folder, tmp_path, capsys):
+        """Each command's exit code, report bytes and stdout on the folder."""
+        out = {}
+        for command in self.COMMANDS:
+            capsys.readouterr()
+            rc, raw = run_to_file([command, "--input", str(folder)], tmp_path / f"{command}.json")
+            out[command] = (rc, raw, capsys.readouterr().out)
+        return out
+
+    @pytest.mark.parametrize("command", ["features", "classify"])
+    def test_entries_match_each_file_alone(self, mixed, tmp_path, command):
+        rc, raw = run_to_file([command, "--input", str(mixed)], tmp_path / "all.json")
+        alone = []
+        for i, path in enumerate(sorted(mixed.glob("*.pbm"))):
+            assert run_to_file([command, "--input", str(path)], tmp_path / f"{i}.json")[0] == EXIT_OK
+            alone.extend(json.loads((tmp_path / f"{i}.json").read_bytes())["images"])
+        assert rc == EXIT_OK
+        assert json.loads(raw)["images"] == alone
+        entries = {e["image"]: e for e in alone}
+        assert len(entries) == 10
+        assert entries["img_0002a.pbm"]["error"].startswith("truncated payload")
+        blank = entries["img_0005a.pbm"]
+        assert blank.get("error") == "blank image" if command == "features" else blank["label"] == "Unknown"
+
+    def test_evaluation_matches_each_file_alone(self, mixed, tmp_path):
+        rc, raw = run_to_file(["evaluate", "--input", str(mixed)], tmp_path / "all.json")
+        assert rc == EXIT_OK
+        documents, errors, rows = [], [], {}
+        for i, path in enumerate(sorted(mixed.glob("*.pbm"))):
+            args = ["evaluate", "--input", str(path), "--truth", str(mixed / "truth.txt")]
+            assert run_to_file(args, tmp_path / f"{i}.json")[0] == EXIT_OK
+            one = json.loads((tmp_path / f"{i}.json").read_bytes())
+            documents.extend(one["report"]["per_document"])
+            errors.extend(one.get("errors", []))
+            for k, row in one["report"]["per_feature"].items():
+                total, correct = rows.get(k, (0, 0))
+                rows[k] = (total + row["total"], correct + row["correct"])
+        together = json.loads(raw)
+        assert together["report"]["per_document"] == documents
+        assert together["errors"] == errors and [e["image"] for e in errors] == ["img_0002a.pbm"]
+        assert {k: (r["total"], r["correct"]) for k, r in together["report"]["per_feature"].items()} == rows
+
+    def test_reports_do_not_depend_on_the_budget(self, mixed, tmp_path, capsys, monkeypatch):
+        runs = []
+        original = cli.analyze_pages
+
+        def counting(pages, params):
+            runs[-1].append(len(pages))
+            return original(pages, params)
+
+        monkeypatch.setattr(cli, "analyze_pages", counting)
+        reports = []
+        for budget in (cli._GATHER, 5000, 1):
+            monkeypatch.setattr(cli, "_GATHER", budget)
+            runs.append([])
+            reports.append(self._reports(mixed, tmp_path, capsys))
+        assert all(report == reports[0] for report in reports)
+        assert all(rc == EXIT_OK for rc, _, _ in reports[0].values())
+        # Per command, 9 images load. At the default budget a run reaches
+        # past the corrupt file and the blank one, and at budget 1 each
+        # image runs alone.
+        assert sum(runs[0]) == sum(runs[1]) == sum(runs[2]) == 27
+        assert len(runs[0]) < len(runs[1]) < len(runs[2]) == 27
+        assert max(runs[0]) >= 7
 
 
 class TestEvaluate:

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from scriptid import features, geometry, layout, pipeline
 from scriptid.classify import builtin_profiles
-from scriptid.pipeline import PipelineParams, analyze_page, classify_page
+from scriptid.pipeline import PipelineParams, analyze_page, analyze_pages, classify_page
 from scriptid.layout import Baselines, segment_paws
 from scriptid.raster import BinaryRaster, dilate
-from scriptid.synthgen import apply_salt, generate_page
+from scriptid.synthgen import apply_salt, generate_corpus, generate_page
 
 from oracles import reference_analyze_page
 
@@ -202,3 +202,68 @@ def analysed_pages(draw):
 def test_page_pass_matches_line_by_line_analysis(case):
     page, params = case
     assert repr(analyze_page(page, params)) == repr(reference_analyze_page(page, params))
+
+
+@st.composite
+def page_lists(draw):
+    """1-5 generator pages and words of different sizes, some cropped so
+    ink meets their first row, last row or last column, some padded with
+    blank rows and columns, some salted or grown, and now and then a blank
+    image; plus pipeline settings."""
+    params = PipelineParams(
+        dilation_radius=draw(st.integers(0, 3)),
+        merge_gap=draw(st.integers(0, 2)),
+        diacritic_max_contour=draw(st.sampled_from([20, 60, 200])),
+    )
+    pages = []
+    for _ in range(draw(st.integers(1, 5))):
+        seed = draw(st.integers(0, 10_000))
+        profile = builtin_profiles()[seed % 2]
+        kind = draw(st.sampled_from(["word", "word", "page", "blank"]))
+        if kind == "blank":
+            pages.append(BinaryRaster.blank(draw(st.integers(1, 30)), draw(st.integers(1, 90))))
+            continue
+        if kind == "word":
+            raster = generate_corpus(profile, 1, seed=seed, max_paws=draw(st.integers(1, 4)))[0].raster
+        else:
+            lines = draw(st.integers(1, 3))
+            raster = generate_page(profile, seed=seed, n_lines=lines, min_paws=1, max_paws=5).raster
+        noise = draw(st.sampled_from(["clean", "clean", "salt", "grown"]))
+        if noise == "salt":
+            raster = apply_salt(raster, 0.01, seed=seed)
+        elif noise == "grown":
+            raster = apply_salt(dilate(raster, 1), 0.001, seed=seed)
+        ink = raster.pixels
+        rows, cols = np.flatnonzero(ink.any(axis=1)), np.flatnonzero(ink.any(axis=0))
+        top = rows[0] if draw(st.booleans()) else 0
+        bottom = rows[-1] + 1 if draw(st.booleans()) else ink.shape[0]
+        # Cut at the right edge of an ink region, often a dot, so that it
+        # meets the last column.
+        regions = ndimage.find_objects(ndimage.label(ink, structure=np.ones((3, 3)))[0])
+        right = draw(st.sampled_from([ink.shape[1], draw(st.sampled_from(regions))[1].stop]))
+        pad = ((0, draw(st.integers(0, 6))), (0, draw(st.integers(0, 20))))
+        pages.append(BinaryRaster(np.pad(ink[top:bottom, :right], pad)))
+    cuts = sorted(draw(st.sets(st.integers(1, len(pages) - 1)))) if len(pages) > 1 else []
+    return pages, params, cuts
+
+
+def _dot_at_right_border():
+    """A word cut at the right edge of its upper dot, before the whole word.
+    Expanded by 1, the dot's outer chain has 18 points, under the cap of
+    20, only while the expansion stops at the cut's last column."""
+    word = generate_corpus(builtin_profiles()[1], 1, seed=15)[0].raster
+    params = PipelineParams(dilation_radius=1, diacritic_max_contour=20)
+    return [BinaryRaster(word.pixels[:, :59]), word], params, []
+
+
+@settings(max_examples=60, deadline=None)
+@example(_dot_at_right_border())
+@given(page_lists())
+def test_batched_pages_match_one_page_at_a_time(case):
+    pages, params, cuts = case
+    alone = [repr(analyze_page(page, params)) for page in pages]
+    assert [repr(a) for a in analyze_pages(pages, params)] == alone
+    # Any split into runs of consecutive pages, and the reverse order, give the same.
+    runs = [pages[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(pages)])]
+    assert [repr(a) for run in runs for a in analyze_pages(run, params)] == alone
+    assert [repr(a) for a in analyze_pages(pages[::-1], params)][::-1] == alone

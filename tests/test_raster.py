@@ -19,7 +19,7 @@ from scriptid.raster import (
     save,
 )
 
-from oracles import brute_dilate, reference_decode, scipy_dilate
+from oracles import brute_dilate, reference_decode, reference_encode_p2, scipy_dilate
 
 
 def write(tmp_path, data, name="img.pbm"):
@@ -199,6 +199,19 @@ def test_save_then_load_round_trips(tmp_path_factory, fmt, h, w, data):
     path = tmp_path_factory.mktemp("rt") / f"img.{fmt}"
     save(img, path, fmt)
     assert load(path) == img
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.data())
+def test_plain_graymap_bytes_match_sample_by_sample_encoding(h, w, data):
+    cells = data.draw(st.lists(st.integers(0, 255), min_size=h * w, max_size=h * w))
+    img = GrayRaster(np.array(cells).reshape(h, w))
+    assert _encode(img, "p2") == reference_encode_p2(img)
+
+
+def test_plain_graymap_encodes_every_sample_value():
+    img = GrayRaster(np.arange(256).reshape(16, 16))
+    assert _encode(img, "p2") == reference_encode_p2(img)
 
 
 class TestRoundTrip:
