@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -416,10 +417,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built on the first call of a process and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -21,7 +21,7 @@ and its page's columns. No 8-connected region, hole, expansion halo or
 nearest-part window of one line can then reach another, and every line
 keeps the borders it would have as a crop of its own. Each labelling is
 built once over the buffer: the raw ink, the ink with every line's band
-rows blanked, the expanded stage, and the stage's framed background. A
+rows blanked, the expanded stage, and the stage's background. A
 label's line is the line of its top row, and every stage runs on the labels
 of all lines at once, each against its own line's baselines and margins.
 A single word is the one-line case of the same code.

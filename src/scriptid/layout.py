@@ -122,16 +122,24 @@ def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> n
     """(row, col) pixel means of the components comps, each label - 1, with
     rows counted from origin[k] for component k.
 
-    Coordinates are summed as integers, so each mean is the correctly
-    rounded quotient of the exact sum and the pixel count.
+    Coordinates are summed exactly as integers, run by run: a run from
+    column s to e holds e - s + 1 pixels, whose columns sum to
+    (s + e)(e - s + 1) / 2. Each mean is then the correctly rounded
+    quotient of the exact sum and the pixel count.
     """
-    means = np.empty((comps.size, 2))
-    for i, k in enumerate(comps.tolist()):
-        sl = labelling.objects[k]
-        rows, cols = np.nonzero(labelling.labels[sl] == k + 1)
-        top = sl[0].start - origin[k]
-        means[i] = (rows + top).sum() / rows.size, (cols + sl[1].start).sum() / cols.size
-    return means
+    slot = np.full(labelling.count, -1)
+    slot[comps] = np.arange(comps.size)
+    # Entry i of comps for each run of comps[i].
+    k = slot[labelling.run_labels - 1]
+    mine = k >= 0
+    k, rows = k[mine], labelling.rows[mine]
+    starts, ends = labelling.starts[mine], labelling.ends[mine]
+    lengths = ends - starts + 1
+    pixels, row_sums, col_sums = np.zeros((3, comps.size), dtype=np.int64)
+    np.add.at(pixels, k, lengths)
+    np.add.at(row_sums, k, lengths * (rows - origin[comps][k]))
+    np.add.at(col_sums, k, (starts + ends) * lengths // 2)
+    return np.column_stack((row_sums / pixels, col_sums / pixels))
 
 
 def segment_paws(

@@ -5,9 +5,12 @@ obvious: BFS flood fills for regions and holes, direct neighborhood
 enumeration for dilation, a probe-by-probe Moore walk for contours and
 the dot test, a mark-by-mark grouping of word parts, and column-by-column
 loops for letter zones, positions, zone lookup and the pole/jamb region
-scan. Two keep scipy: a second dilation reference, binary_dilation with a
-square element, and the pole/jamb scan, which labels its zone with
-ndimage.label.
+scan. The rest use scipy, which the library itself does not import: a
+second dilation reference, binary_dilation with a square element; the
+pole/jamb scan, which labels its zone with ndimage.label; and the
+references for the run labeller, ndimage.label with find_objects for ink
+regions and a labelling of the framed background for holes. The worst-case
+rasters for the run labeller are here too.
 
 The page oracle runs the library's own single-word extraction once per
 text line, on each line cropped from the page, which is how pages were
@@ -106,6 +109,57 @@ def scipy_dilate(mask, radius):
         return mask.copy()
     side = 2 * radius + 1
     return ndimage.binary_dilation(mask, structure=np.ones((side, side), dtype=bool))
+
+
+def scipy_label(mask):
+    """8-connected ink labels and each label's inclusive (top, left, bottom,
+    right) box, by ndimage.label and find_objects."""
+    labels, _ = ndimage.label(np.asarray(mask, dtype=bool), structure=np.ones((3, 3), dtype=int))
+    boxes = [(s[0].start, s[1].start, s[0].stop - 1, s[1].stop - 1) for s in ndimage.find_objects(labels)]
+    return labels, boxes
+
+
+def scipy_holes(mask):
+    """(rows, cols) of the first raster-order pixel and the bottom row of
+    every hole, in raster order of that pixel, from one 4-connected
+    labelling of the background framed by a one-pixel border of background:
+    the frame joins every region touching the border into label 1, so the
+    holes are the labels from 2 up."""
+    mask = np.asarray(mask, dtype=bool)
+    framed = np.pad(~mask, 1, constant_values=True)
+    labels, count = ndimage.label(framed, structure=ndimage.generate_binary_structure(2, 1))
+    rows, cols = np.nonzero(labels > 1)
+    labs = labels[rows, cols]
+    _, first = np.unique(labs, return_index=True)
+    bottom = np.zeros(count + 1, dtype=np.intp)
+    np.maximum.at(bottom, labs, rows)
+    return rows[first] - 1, cols[first] - 1, bottom[2:] - 1
+
+
+def worst_case_rasters(height=400, width=600):
+    """Rasters that are hard for run labelling: a checkerboard, whose runs
+    are single pixels joined only diagonally; 50% noise; a comb of one-pixel
+    teeth joined by its bottom row; and a square spiral, one region whose
+    runs chain from the border to the centre."""
+    rows, cols = np.indices((height, width))
+    comb = cols % 2 == 0
+    comb[-1] = True
+    spiral = np.zeros((height, width), dtype=bool)
+    t, l, b, r = 0, 0, height - 1, width - 1
+    while t <= b and l <= r:
+        # Each ring starts where the left side of the one outside it ends.
+        spiral[t, max(0, l - 2) : r + 1] = True
+        spiral[t : b + 1, r] = True
+        if t + 2 <= b:
+            spiral[b, l : r + 1] = True
+            spiral[t + 2 : b + 1, l] = True
+        t, l, b, r = t + 2, l + 2, b - 2, r - 2
+    return {
+        "checkerboard": (rows + cols) % 2 == 0,
+        "noise": np.random.default_rng(2008).random((height, width)) < 0.5,
+        "comb": comb,
+        "spiral": spiral,
+    }
 
 
 def nearest_labelled(label_map, location, max_radius):
@@ -508,11 +562,9 @@ def connected_components(img: BinaryRaster) -> list[Component]:
     labelling = label_components(img)
     labels = labelling.labels
     found = []
-    for lab, sl in enumerate(labelling.objects, start=1):
-        local = np.argwhere(labels[sl] == lab)
-        pixels = local + (sl[0].start, sl[1].start)
-        bbox = (sl[0].start, sl[1].start, sl[0].stop - 1, sl[1].stop - 1)
-        found.append((bbox, pixels))
+    for lab, (r0, c0, r1, c1) in enumerate(labelling.boxes.tolist(), start=1):
+        pixels = np.argwhere(labels[r0 : r1 + 1, c0 : c1 + 1] == lab) + (r0, c0)
+        found.append(((r0, c0, r1, c1), pixels))
     found.sort(key=lambda t: (t[0][1], t[0][0], t[0][3], t[0][2]))
     return [Component(i + 1, pixels, bbox) for i, (bbox, pixels) in enumerate(found)]
 

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,3 +592,63 @@ class TestDeterminism:
                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}
                 )
             assert blobs[0] == blobs[1]
+
+
+def _fresh_main(argv, cwd):
+    """Exit code, stdout and stderr of scriptid run with argv in a new
+    interpreter, with scipy blocked from importing."""
+    child = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from scriptid.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _own_main(argv, capsys):
+    """Exit code, stdout and stderr of cli.main(argv) in this process."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestProcesses:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # The parser is built once per process, so each call must leave
+        # nothing behind that changes the next one.
+        calls = [
+            ["generate", "--output-dir", "c", "--words", "3", "--seed", "1"],
+            ["features", "--input", "c", "--format", "text"],
+            ["classify", "--input", "c"],
+            ["classify", "--input", "c", "--qmin", "-1"],
+            ["--help"],
+        ]
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "own").mkdir()
+        fresh = [_fresh_main(argv, tmp_path / "fresh") for argv in calls]
+        monkeypatch.chdir(tmp_path / "own")
+        monkeypatch.setenv("COLUMNS", "80")
+        own = [_own_main(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in own] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert own == fresh
+
+    def test_reports_need_no_scipy(self, tmp_path):
+        # The same reports, byte for byte, from a process that cannot import
+        # scipy and from this one, which has it.
+        arabic, latin = builtin_profiles()
+        items = [*generate_corpus(arabic, 3, seed=3), generate_page(latin, seed=6)]
+        save_corpus(items, tmp_path / "corpus")
+        for command in ("features", "classify"):
+            argv = [command, "--input", "corpus", "--output", f"{command}-fresh.json"]
+            assert _fresh_main(argv, tmp_path)[0] == EXIT_OK
+            _, own = run_to_file([command, "--input", str(tmp_path / "corpus")], tmp_path / f"{command}.json")
+            assert (tmp_path / f"{command}-fresh.json").read_bytes() == own

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scriptid import geometry
 from scriptid.geometry import (
     _Walker,
     _holes,
@@ -336,18 +335,13 @@ def test_per_row_bands_test_each_chain_at_its_first_row(img, data):
 @given(walk_rasters(), st.data())
 def test_first_pixels_match_bfs_regions(img, data):
     # By default the first raster-order pixel of each region; given a row
-    # the region crosses, the first pixel of that row. Rows are compared a
-    # few at a time when the gather is small.
+    # the region crosses, the first pixel of that row.
     labelling = label_components(img)
     regions = sorted(bfs_regions(img.pixels), key=min)
     index = np.arange(len(regions))
     picks = [data.draw(st.sampled_from(sorted({r for r, _ in region}))) for region in regions]
-    gather, geometry._GATHER = geometry._GATHER, data.draw(st.sampled_from([1, 16, geometry._GATHER]))
-    try:
-        rows, cols = labelling.first_pixels(index)
-        _, pick_cols = labelling.first_pixels(index, np.array(picks, dtype=np.intp))
-    finally:
-        geometry._GATHER = gather
+    rows, cols = labelling.first_pixels(index)
+    _, pick_cols = labelling.first_pixels(index, np.array(picks, dtype=np.intp))
     assert list(zip(rows.tolist(), cols.tolist())) == [min(region) for region in regions]
     assert pick_cols.tolist() == [min(c for r, c in region if r == row) for region, row in zip(regions, picks)]
 

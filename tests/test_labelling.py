@@ -1,0 +1,120 @@
+"""The run labeller against scipy's pixel labelling, on shapes from empty
+rasters to salted pages and on its worst cases."""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from scriptid.classify import builtin_profiles
+from scriptid.geometry import _holes, label_components
+from scriptid.layout import _centroids
+from scriptid.raster import BinaryRaster, dilate
+from scriptid.synthgen import apply_salt, generate_page
+
+from oracles import scipy_holes, scipy_label, worst_case_rasters
+
+KINDS = ("empty", "pixel", "row", "column", "full", "border", "checkerboard", "random", "page")
+
+
+@lru_cache(maxsize=None)
+def _page(seed):
+    return generate_page(builtin_profiles()[seed % 2], seed=seed).raster
+
+
+@st.composite
+def label_rasters(draw):
+    """Rasters of one kind: empty, a single pixel, 1×N, N×1, full, random
+    with ink on the border, a checkerboard, random, or a crop of a salted
+    page, sometimes thickened first so its salt opens holes."""
+    kind = draw(st.sampled_from(KINDS))
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    if kind == "row":
+        h = 1
+    elif kind == "column":
+        w = 1
+    cells = np.array(draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(h, w)
+    if kind == "empty":
+        ink = np.zeros((h, w), dtype=bool)
+    elif kind == "pixel":
+        ink = np.zeros((h, w), dtype=bool)
+        ink[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = True
+    elif kind == "full":
+        ink = np.ones((h, w), dtype=bool)
+    elif kind == "border":
+        ink = cells.copy()
+        ink[[0, -1], :] |= draw(st.booleans())
+        ink[:, [0, -1]] = True
+    elif kind == "checkerboard":
+        ink = np.indices((h, w)).sum(axis=0) % 2 == draw(st.integers(0, 1))
+    elif kind == "page":
+        page = _page(draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            page = dilate(page, 1)
+        page = apply_salt(page, draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])), seed=draw(st.integers(0, 99)))
+        top = draw(st.integers(0, page.height - 1))
+        left = draw(st.integers(0, page.width - 1))
+        ink = page.pixels[top : top + draw(st.integers(1, page.height)), left : left + draw(st.integers(1, page.width))]
+    else:
+        ink = cells
+    return BinaryRaster(ink)
+
+
+def _first_pixels_by_row(labels):
+    """Labels, rows and first columns of every (label, row) pair that holds
+    ink, and the first raster-order pixel of every label."""
+    rows, cols = np.nonzero(labels)
+    labs = labels[rows, cols]
+    _, pair = np.unique(labs.astype(np.int64) * labels.shape[0] + rows, return_index=True)
+    _, first = np.unique(labs, return_index=True)
+    return labs[pair], rows[pair], cols[pair], list(zip(rows[first].tolist(), cols[first].tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rasters())
+def test_labelling_matches_scipy(img):
+    labelling = label_components(img)
+    labels, boxes = scipy_label(img.pixels)
+    assert labelling.count == len(boxes)
+    assert np.array_equal(labelling.labels, labels)
+    assert labelling.boxes.tolist() == [list(box) for box in boxes]
+    labs, rows, cols, firsts = _first_pixels_by_row(labels)
+    top_rows, top_cols = labelling.first_pixels(np.arange(labelling.count))
+    assert list(zip(top_rows.tolist(), top_cols.tolist())) == firsts
+    assert labelling.first_pixels(labs - 1, rows)[1].tolist() == cols.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rasters())
+def test_holes_match_scipy(img):
+    ours = _holes(img.pixels)
+    theirs = scipy_holes(img.pixels)
+    assert [a.tolist() for a in ours] == [a.tolist() for a in theirs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_rasters(), st.data())
+def test_centroids_are_pixel_means(img, data):
+    labelling = label_components(img)
+    assume(labelling.count > 0)
+    comps = np.array(sorted(data.draw(st.sets(st.integers(0, labelling.count - 1), min_size=1))))
+    origin = np.array(data.draw(st.lists(st.integers(0, 30), min_size=labelling.count, max_size=labelling.count)))
+    rows, cols = np.nonzero(labelling.labels)
+    k = labelling.labels[rows, cols] - 1
+    pixels = np.bincount(k, minlength=labelling.count)
+    row_means = np.bincount(k, weights=rows - origin[k], minlength=labelling.count) / pixels
+    col_means = np.bincount(k, weights=cols, minlength=labelling.count) / pixels
+    expected = np.column_stack((row_means[comps], col_means[comps]))
+    assert np.array_equal(_centroids(labelling, comps, origin), expected)
+
+
+@pytest.mark.parametrize("name", sorted(worst_case_rasters()))
+def test_worst_case_rasters_match_scipy(name):
+    ink = worst_case_rasters()[name]
+    labelling = label_components(BinaryRaster(ink))
+    labels, boxes = scipy_label(ink)
+    assert np.array_equal(labelling.labels, labels)
+    assert labelling.boxes.tolist() == [list(box) for box in boxes]
+    assert [a.tolist() for a in _holes(ink)] == [a.tolist() for a in scipy_holes(ink)]

@@ -80,19 +80,20 @@ class TestPassesPerLine:
         # background, however many lines it has. One walker is the contour
         # walk's. The other is the pole and jamb scan's: every line has a
         # lower dot that clears the jamb margin, and the scan walks it to
-        # decide that it is a dot, not a jamb.
-        label, labels = ndimage.label, []
+        # decide that it is a dot, not a jamb. Each labelling joins its runs
+        # with one call to the run labeller.
+        components, labels = geometry._components, []
         walker, walkers = geometry._Walker, []
 
-        def counting_label(*args, **kwargs):
+        def counting_components(*args, **kwargs):
             labels.append(1)
-            return label(*args, **kwargs)
+            return components(*args, **kwargs)
 
         def counting_walker(ink):
             walkers.append(1)
             return walker(ink)
 
-        monkeypatch.setattr(ndimage, "label", counting_label)
+        monkeypatch.setattr(geometry, "_components", counting_components)
         monkeypatch.setattr(geometry, "_Walker", counting_walker)
         analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
         assert len(analysis.lines) == 4
