@@ -29,6 +29,9 @@ __all__ = [
     "save_profiles",
 ]
 
+# Normalized lower-dot frequency at which a script without lower dots is ruled out.
+DEFAULT_Q_MIN = 0.02
+
 
 class ProfileFormatError(ValueError):
     """Malformed script profile file."""
@@ -84,7 +87,7 @@ def normalize(fs: FeatureSet) -> dict[str, float]:
 def classify(
     fs: FeatureSet,
     profiles=None,
-    q_min: float = 0.02,
+    q_min: float = DEFAULT_Q_MIN,
     min_mass: int = 3,
     min_margin: float = 0.05,
 ) -> Verdict:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate as evalmod
-from .classify import ProfileFormatError, builtin_profiles, classify, load_profiles
+from .classify import DEFAULT_Q_MIN, ProfileFormatError, builtin_profiles, classify, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
 from .pipeline import DEFAULT_PARAMS, PageAnalysis, PipelineParams, analyze_pages
 from .raster import BinaryRaster, GrayRaster, PnmError, binarize, load
@@ -35,8 +35,8 @@ SCHEMA = "scriptid-report/1"
 _IMAGE_SUFFIXES = (".pbm", ".pgm", ".pnm")
 # Consecutive images are analysed in one pass while their stacked area,
 # total height times largest width, stays within this many pixels. The
-# pass allocates about 15 bytes per pixel at its peak, so this bounds its
-# working memory near 2 MB; a larger image is analysed alone.
+# pass allocates under 10 bytes per pixel at its peak, so this bounds its
+# working memory near 1.3 MB; a larger image is analysed alone.
 _GATHER = 1 << 17
 
 
@@ -91,7 +91,7 @@ def _input_paths(raw: str) -> list[Path]:
 def _load_binary(path: Path) -> BinaryRaster:
     img = load(path)
     if isinstance(img, GrayRaster):
-        return binarize(img, 128)
+        return binarize(img)
     return img
 
 
@@ -379,7 +379,7 @@ def _add_features(parser):
 def _add_classify(parser):
     """The classify command's flags: the features flags plus the classifier's."""
     _add_features(parser)
-    parser.add_argument("--qmin", type=float, default=0.02,
+    parser.add_argument("--qmin", type=float, default=DEFAULT_Q_MIN,
                         help="lower-dot frequency that rules out dot-free scripts")
     _add_profiles(parser)
 

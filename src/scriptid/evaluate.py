@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import classify
+from .classify import DEFAULT_Q_MIN, classify
 from .features import FEATURE_KINDS, FeatureSet
 
 __all__ = [
@@ -136,7 +136,7 @@ def load_ground_truth(path) -> list[GroundTruth]:
     return records
 
 
-def score(predictions, truth, profiles=None, q_min: float = 0.02) -> EvalReport:
+def score(predictions, truth, profiles=None, q_min: float = DEFAULT_Q_MIN) -> EvalReport:
     """Compare (image_id, FeatureSet) predictions against ground truth.
 
     Every prediction id must appear in the truth, and only once; extra truth

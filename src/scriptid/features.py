@@ -21,9 +21,11 @@ and its page's columns. No 8-connected region, hole, expansion halo or
 nearest-part window of one line can then reach another, and every line
 keeps the borders it would have as a crop of its own. Each labelling is
 built once over the buffer: the raw ink, the ink with every line's band
-rows blanked, the expanded stage, and the stage's background. A
-label's line is the line of its top row, and every stage runs on the labels
-of all lines at once, each against its own line's baselines and margins.
+rows blanked, the expanded stage, and the stage's background; the second
+joins the first's runs outside every band, with no pass over the pixels.
+A label's line is the line of its top row, and every stage runs on the
+labels of all lines at once, each against its own line's baselines and
+margins.
 A single word is the one-line case of the same code.
 """
 
@@ -58,6 +60,8 @@ __all__ = [
 
 FEATURE_KINDS = ("H", "J", "P", "Q", "B")
 POSITIONS = ("D", "M", "F", "I")
+# Contour points at which a closed chain is too long to be a dot or a loop.
+DEFAULT_CONTOUR_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class FeatureThresholds:
 
     marge_h: int
     marge_j: int
-    diacritic_max_contour: int = 60
+    diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
     def __post_init__(self):
         if self.diacritic_max_contour <= 0:
@@ -75,7 +79,7 @@ class FeatureThresholds:
             raise ValueError("marge_h and marge_j must be >= 0")
 
     @classmethod
-    def from_baselines(cls, baselines: Baselines, diacritic_max_contour: int = 60):
+    def from_baselines(cls, baselines: Baselines, diacritic_max_contour: int = DEFAULT_CONTOUR_CAP):
         """Margins computed once per line: marge_h = 2 * band height, marge_j = band height."""
         h = baselines.band_height
         return cls(marge_h=2 * h, marge_j=h, diacritic_max_contour=diacritic_max_contour)
@@ -204,8 +208,12 @@ class _Lines:
     @cached_property
     def zones(self) -> Labelling:
         """The ink with every line's band rows blanked: no 8-connected region
-        crosses a blank row, so each region lies wholly in one outer zone."""
-        return _label(self.ink & ~self.in_band[:, None])
+        crosses a blank row, so each region lies wholly in one outer zone.
+        Its runs are the raw runs outside every band."""
+        raw = self.raw
+        outside = ~self.in_band[raw.rows]
+        runs = raw.rows[outside], raw.starts[outside], raw.ends[outside]
+        return Labelling(raw.shape, *runs, *geometry._components(*runs, raw.shape[1], 1))
 
     def line_of(self, labelling: Labelling) -> np.ndarray:
         """Line of each label, the line of its top row."""
@@ -241,7 +249,7 @@ class _Lines:
         detached = raw.beyond(self.upper[raw_line], self.lower[raw_line])
         keep = np.ones(clears.size, dtype=bool)
         walker = None
-        for j in np.flatnonzero(detached[raw.labels[rows, cols] - 1]).tolist():
+        for j in np.flatnonzero(detached[raw.label_at(rows, cols) - 1]).tolist():
             # Looked up on geometry, where the walker count is taken.
             walker = walker or geometry._Walker(self.ink)
             start = (int(rows[j]), int(cols[j]))
@@ -411,34 +419,29 @@ def _search_offsets(row_reach: int, col_reach: int) -> tuple[np.ndarray, np.ndar
     return dr[order], dc[order]
 
 
-def _nearest_paws(label_image: np.ndarray, index_of_label: np.ndarray, locations, max_radius: int) -> np.ndarray:
-    """Word-part index of the part pixel nearest to each location.
+def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locations, max_radius: int) -> np.ndarray:
+    """Word-part index of the ink pixel nearest to each location, where
+    labelling labels ink and part[i] is the part of label i + 1.
 
-    index_of_label maps each label of label_image to its part index, -1 for
-    none. Contour hits live on the expanded stage, so their pixel can sit in
-    the halo up to the expansion radius away from the original ink. The
-    nearest part pixel by Chebyshev distance wins, the first in raster order
-    on ties. A location on a part pixel is its own answer; the windows of
-    the others are gathered at once, their offsets ordered nearest first,
-    so the first part pixel in a window row is the answer. Raises KeyError
-    when a location has no part pixel within max_radius.
+    Contour hits live on the expanded stage, so their pixel can sit in the
+    halo up to the expansion radius away from the original ink. The nearest
+    ink pixel by Chebyshev distance wins, the first in raster order on ties:
+    the windows of all locations are gathered at once, their offsets ordered
+    nearest first, so the first ink pixel in a window row is the answer and
+    a location on ink is its own. Its part is read off the runs. Raises
+    KeyError when a location has no ink within max_radius.
     """
-    height, width = label_image.shape
+    height, width = ink.shape
+    dr, dc = _search_offsets(min(max_radius, height - 1), min(max_radius, width - 1))
     loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
-    paws = index_of_label[label_image[loc[:, 0], loc[:, 1]]]
-    off = np.flatnonzero(paws < 0)
-    if off.size:
-        dr, dc = _search_offsets(min(max_radius, height - 1), min(max_radius, width - 1))
-        rows = loc[off, :1] + dr
-        cols = loc[off, 1:] + dc
-        inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-        found = index_of_label[label_image[rows.clip(0, height - 1), cols.clip(0, width - 1)]]
-        found[~inside] = -1
-        paws[off] = found[np.arange(off.size), np.argmax(found >= 0, axis=1)]
-    missing = np.flatnonzero(paws < 0)
+    rows, cols = loc[:, :1] + dr, loc[:, 1:] + dc
+    found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+    found[found] = ink[rows[found], cols[found]]
+    missing = np.flatnonzero(~found.any(axis=1))
     if missing.size:
         raise KeyError(f"no word part within {max_radius} of {tuple(loc[missing[0]].tolist())}")
-    return paws
+    pick = np.arange(loc.shape[0]), np.argmax(found, axis=1)
+    return part[labelling.label_at(rows[pick], cols[pick]) - 1]
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
@@ -509,7 +512,7 @@ def extract_features(
     part, _, part_line = _group_parts(
         raw, lines.upper[raw_line], lines.lower[raw_line], raw_line, lines.starts[raw_line]
     )
-    paws = _nearest_paws(raw.labels, np.append(-1, part), np.column_stack((rows, cols)), radius)
+    paws = _nearest_paws(lines.ink, raw, part, np.column_stack((rows, cols)), radius)
     # Parts are numbered line by line across the buffer; each page counts
     # from the first part of its first line.
     line_parts = np.bincount(part_line, minlength=len(flat))

@@ -26,8 +26,8 @@ joined, the columns widened by one for 8-connected ink and not widened for
 4-connected background, by rounds of hooking each root under the smaller
 of the two and jumping pointers, all of it array work. A region's root is
 its first run, so regions are numbered in raster order of their first
-pixel. A labelling keeps the runs, and its boxes, its first pixels and its
-label image all come from them, the label image only when asked for.
+pixel. A labelling is only its runs: its boxes, its first pixels and the
+label of any pixel come from them, and no label image is painted.
 
 Holes come from one 4-connected labelling of the background runs: the
 holes are the regions whose boxes stay off the image border, in raster
@@ -47,12 +47,9 @@ boundary is tested against the band of the line it starts in. For regions
 the box rows come from Labelling.boxes, which also decides every other
 box-row test of the pipeline: the detached marks of word parts, and the
 pole and jamb margins. For holes they come from the background
-labelling's boxes. The margins are read off one labelling of the word
-with its band rows blanked: no 8-connected region crosses a blank row, so
-each of its regions lies wholly in one outer zone. A region's first
-pixel, the start of its outer chain and the tip of a pole, starts its
-first run, and the first pixel of any of its rows starts its first run in
-that row.
+labelling's boxes. A region's first pixel, the start of its outer chain
+and the tip of a pole, starts its first run, and the first pixel of any
+of its rows starts its first run in that row.
 
 trace_contours labels the raster it is given and walks it with its own
 walker; nothing is shared with a labelling of some other stage.
@@ -87,8 +84,8 @@ class Labelling:
     Run i covers row rows[i], columns starts[i] to ends[i], and belongs to
     region run_labels[i]. Runs come in raster order, and the regions are
     numbered 1..count in raster order of their first pixel; first_runs[k]
-    is the first run of region k + 1. boxes and labels are built on first
-    use and then cached.
+    is the first run of region k + 1. boxes is built on first use and then
+    cached, and label_at searches the runs.
     """
 
     shape: tuple[int, int]
@@ -116,15 +113,13 @@ class Labelling:
         boxes.flags.writeable = False
         return boxes
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The label image: 0 on background, label i on the pixels of region i."""
-        lengths = self.ends - self.starts + 1
-        flat = self.rows * self.shape[1] + self.starts
-        pixels = np.arange(lengths.sum()) + np.repeat(flat - (np.cumsum(lengths) - lengths), lengths)
-        labels = np.zeros(self.shape, dtype=np.int32)
-        labels.ravel()[pixels] = np.repeat(self.run_labels, lengths)
-        return labels
+    def label_at(self, rows, cols) -> np.ndarray:
+        """Label of each pixel (rows[i], cols[i]), each of which must be
+        ink: runs come in raster order, so the last run starting at or
+        before an ink pixel holds it."""
+        width = self.shape[1]
+        starts = self.rows * width + self.starts
+        return self.run_labels[np.searchsorted(starts, np.asarray(rows) * width + cols, side="right") - 1]
 
     def beyond(self, upper, lower) -> np.ndarray:
         """Per label, whether its rows lie entirely above upper or entirely
@@ -226,13 +221,6 @@ def _label(ink: np.ndarray, reach: int = 1) -> Labelling:
     return Labelling(ink.shape, rows, starts, ends, *_components(rows, starts, ends, ink.shape[1], reach))
 
 
-def _framed(ink: np.ndarray) -> np.ndarray:
-    """ink inside a one-pixel frame of background."""
-    out = np.zeros((ink.shape[0] + 2, ink.shape[1] + 2), dtype=bool)
-    out[1:-1, 1:-1] = ink
-    return out
-
-
 def _back_table() -> tuple[int, ...]:
     """New backtrack direction for every step direction.
 
@@ -266,7 +254,7 @@ class _Walker:
 
     def __init__(self, ink: np.ndarray):
         self._stride = ink.shape[1] + 2
-        self._ink = _framed(ink).tobytes()
+        self._ink = np.pad(ink, 1).tobytes()
         self._probes = _probe_table(self._stride)
 
     def walk(self, start: tuple[int, int], back: tuple[int, int]) -> list[int]:

@@ -28,6 +28,9 @@ __all__ = [
     "estimate_baselines",
 ]
 
+# Fraction of the peak row count that a body-band row reaches.
+DEFAULT_ALPHA = 0.5
+
 
 class NoInkError(ValueError):
     """Raised when an operation needs ink pixels and the image has none."""
@@ -87,7 +90,7 @@ def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
     return [LineBand(int(g[0]), int(g[-1])) for g in groups]
 
 
-def estimate_baselines(word: BinaryRaster, alpha: float = 0.5) -> Baselines:
+def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Baselines:
     """Estimate the dense body band of a word from its horizontal projection.
 
     Rows whose count reaches alpha times the peak are band candidates; the
@@ -142,12 +145,7 @@ def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> n
     return np.column_stack((row_sums / pixels, col_sums / pixels))
 
 
-def segment_paws(
-    line: BinaryRaster,
-    baselines: Baselines | None = None,
-    alpha: float = 0.5,
-    labelling: Labelling | None = None,
-) -> list[Paw]:
+def segment_paws(line: BinaryRaster, baselines: Baselines | None = None) -> list[Paw]:
     """Group the ink of a single line into word parts, right to left.
 
     Components lying entirely above the upper baseline or entirely below the
@@ -156,14 +154,12 @@ def segment_paws(
     overlap measures the gap), then the nearest centroid, then the first
     body in (min_col, min_row) order. Centroids are computed only for marks
     that tie on overlap and for their tied bodies. The resulting pixel sets
-    partition the line's ink. labelling, when given, must be
-    label_components(line).
+    partition the line's ink.
     """
-    if labelling is None:
-        labelling = label_components(line)
+    labelling = label_components(line)
     if labelling.count == 0:
         return []
-    b = baselines if baselines is not None else estimate_baselines(line, alpha=alpha)
+    b = baselines if baselines is not None else estimate_baselines(line)
     one_line = np.zeros(labelling.count, dtype=np.intp)
     part, extents, _ = _group_parts(labelling, b.upper_row, b.lower_row, one_line, one_line)
     # Component labels grouped by part, in label order within a part.

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import Verdict, classify
-from .features import FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
-from .layout import Baselines, LineBand, estimate_baselines, extract_lines
+from .classify import DEFAULT_Q_MIN, Verdict, classify
+from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
+from .layout import DEFAULT_ALPHA, Baselines, LineBand, estimate_baselines, extract_lines
 from .raster import BinaryRaster
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
@@ -17,9 +17,9 @@ class PipelineParams:
     """Knobs shared by every stage of the extraction pipeline."""
 
     dilation_radius: int = 1
-    alpha: float = 0.5
+    alpha: float = DEFAULT_ALPHA
     merge_gap: int = 2
-    diacritic_max_contour: int = 60
+    diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
 
 DEFAULT_PARAMS = PipelineParams()
@@ -86,7 +86,7 @@ def classify_page(
     page: BinaryRaster,
     profiles=None,
     params: PipelineParams = DEFAULT_PARAMS,
-    q_min: float = 0.02,
+    q_min: float = DEFAULT_Q_MIN,
 ) -> tuple[Verdict, PageAnalysis]:
     """Analyze a page and label its script; blank pages come back Unknown."""
     analysis = analyze_page(page, params)

@@ -310,6 +310,13 @@ def _place_groups(rng, counts: dict[str, int], n_paws: int):
     return groups
 
 
+def _check_sizes(name: str, count: int, min_paws: int, max_paws: int):
+    if count < 1:
+        raise ValueError(f"{name} must be positive")
+    if not 1 <= min_paws <= max_paws:
+        raise ValueError(f"need 1 <= min_paws <= max_paws, got min_paws={min_paws}, max_paws={max_paws}")
+
+
 def _stochastic_round(rng, target: float) -> int:
     base = int(target)
     return base + (1 if rng.random() < target - base else 0)
@@ -328,8 +335,7 @@ def generate_corpus(
     corpus's total count of each primitive lands within one of
     rel * total_parts and the relative error shrinks like 1/n.
     """
-    if n_words <= 0:
-        raise ValueError("n_words must be positive")
+    _check_sizes("n_words", n_words, min_paws, max_paws)
     rng = np.random.default_rng(seed)
     rel = profile.rel
     carry = {k: 0.0 for k in FEATURE_KINDS}
@@ -360,6 +366,7 @@ def generate_page(
     so every page's feature frequencies hug its profile; per-line draws
     would let a short page miss a rare primitive entirely.
     """
+    _check_sizes("n_lines", n_lines, min_paws, max_paws)
     rng = np.random.default_rng(seed)
     per_line = [int(rng.integers(min_paws, max_paws + 1)) for _ in range(n_lines)]
     total = sum(per_line)

@@ -22,8 +22,10 @@ raster, or raise the same exception with the same message, on any input.
 The plain graymap encoder's oracle formats one sample at a time.
 
 The projection profiles, the component list and the word-part pixel
-reader at the end are test helpers the pipeline does not use; the
-component list is built on the library's labelling.
+reader at the end are test helpers the pipeline does not use. The
+component list and every test that needs a label image read scipy_label,
+which numbers regions in raster order of their first pixel, as the
+library's labelling does; the labelling tests check that they agree.
 """
 
 from collections import deque
@@ -33,7 +35,6 @@ import numpy as np
 from scipy import ndimage
 
 from scriptid.features import FeatureHit, FeatureThresholds, combine_feature_sets, extract_features
-from scriptid.geometry import label_components
 from scriptid.layout import Baselines, estimate_baselines, extract_lines
 from scriptid.pipeline import DEFAULT_PARAMS, LineAnalysis, PageAnalysis
 from scriptid.raster import BinaryRaster, GrayRaster, PnmHeaderError, PnmPayloadError
@@ -559,10 +560,9 @@ class Component:
 
 def connected_components(img: BinaryRaster) -> list[Component]:
     """8-connected ink regions, ordered by (bbox min_col, min_row)."""
-    labelling = label_components(img)
-    labels = labelling.labels
+    labels, boxes = scipy_label(img.pixels)
     found = []
-    for lab, (r0, c0, r1, c1) in enumerate(labelling.boxes.tolist(), start=1):
+    for lab, (r0, c0, r1, c1) in enumerate(boxes, start=1):
         pixels = np.argwhere(labels[r0 : r1 + 1, c0 : c1 + 1] == lab) + (r0, c0)
         found.append(((r0, c0, r1, c1), pixels))
     found.sort(key=lambda t: (t[0][1], t[0][0], t[0][3], t[0][2]))

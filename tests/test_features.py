@@ -26,6 +26,7 @@ from oracles import (
     reference_feature_zones,
     reference_line_dots,
     reference_zone_of_column,
+    scipy_label,
 )
 
 
@@ -368,18 +369,20 @@ class TestExtractFeatures:
 @given(st.data())
 def test_nearest_paw_matches_brute_force(data):
     h, w = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-    cells = data.draw(st.lists(st.sampled_from([-1, -1, -1, 0, 1, 2]), min_size=h * w, max_size=h * w))
-    paw_map = np.array(cells).reshape(h, w)
+    ink = np.array(data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))).reshape(h, w)
+    labels, boxes = scipy_label(ink)
+    # Each region belongs to one of three parts; background to none.
+    part = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(boxes), max_size=len(boxes))), dtype=np.intp)
+    paw_map = np.append(-1, part)[labels]
     location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
     radius = data.draw(st.integers(0, 3))
     expected = nearest_labelled(paw_map, location, radius)
-    # Label k + 1 belongs to part k, and label 0 to no part.
-    labels, index_of_label = paw_map + 1, np.array([-1, 0, 1, 2])
+    labelling = label_components(BinaryRaster(ink))
     if expected is None:
         with pytest.raises(KeyError):
-            _nearest_paws(labels, index_of_label, [location], radius)
+            _nearest_paws(ink, labelling, part, [location], radius)
     else:
-        assert _nearest_paws(labels, index_of_label, [location], radius).tolist() == [expected]
+        assert _nearest_paws(ink, labelling, part, [location], radius).tolist() == [expected]
 
 
 @st.composite
@@ -410,7 +413,7 @@ def test_scan_dots_match_reference_walk(case):
     t = FeatureThresholds(0, 0, cap)
     outside = line.pixels.copy()
     outside[baselines.upper_row : baselines.lower_row + 1] = False
-    zone_of = label_components(BinaryRaster(outside)).labels
+    zone_of, _ = scipy_label(outside)
     hits = detect_poles(line, baselines, t) + detect_jambs(line, baselines, t)
     reported = {int(zone_of[hit.location]) for hit in hits}
     skipped = set(range(1, int(zone_of.max()) + 1)) - reported

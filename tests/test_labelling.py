@@ -1,5 +1,7 @@
 """The run labeller against scipy's pixel labelling, on shapes from empty
-rasters to salted pages and on its worst cases."""
+rasters to salted pages and on its worst cases. A labelling is only its
+runs, so each is checked to cover exactly the ink and to give scipy's label
+at every ink pixel through its run lookup."""
 
 from functools import lru_cache
 
@@ -9,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptid.classify import builtin_profiles
-from scriptid.geometry import _holes, label_components
-from scriptid.layout import _centroids
+from scriptid.features import FeatureThresholds, _Lines
+from scriptid.geometry import _holes, _label, label_components
+from scriptid.layout import Baselines, LineBand, _centroids
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
 
@@ -62,6 +65,19 @@ def label_rasters(draw):
     return BinaryRaster(ink)
 
 
+def _assert_runs_match(labelling, ink, labels):
+    """Every ink pixel lies in exactly one run and no background pixel in
+    any, and the run lookup gives scipy's label at every ink pixel."""
+    height, width = ink.shape
+    # Per row, +1 at each run's first column and -1 past its last one.
+    steps = np.zeros((height, width + 1), dtype=np.intp)
+    np.add.at(steps, (labelling.rows, labelling.starts), 1)
+    np.add.at(steps, (labelling.rows, labelling.ends + 1), -1)
+    assert np.array_equal(np.cumsum(steps, axis=1)[:, :width], ink)
+    rows, cols = np.nonzero(ink)
+    assert np.array_equal(labelling.label_at(rows, cols), labels[rows, cols])
+
+
 def _first_pixels_by_row(labels):
     """Labels, rows and first columns of every (label, row) pair that holds
     ink, and the first raster-order pixel of every label."""
@@ -78,7 +94,7 @@ def test_labelling_matches_scipy(img):
     labelling = label_components(img)
     labels, boxes = scipy_label(img.pixels)
     assert labelling.count == len(boxes)
-    assert np.array_equal(labelling.labels, labels)
+    _assert_runs_match(labelling, img.pixels, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]
     labs, rows, cols, firsts = _first_pixels_by_row(labels)
     top_rows, top_cols = labelling.first_pixels(np.arange(labelling.count))
@@ -101,8 +117,9 @@ def test_centroids_are_pixel_means(img, data):
     assume(labelling.count > 0)
     comps = np.array(sorted(data.draw(st.sets(st.integers(0, labelling.count - 1), min_size=1))))
     origin = np.array(data.draw(st.lists(st.integers(0, 30), min_size=labelling.count, max_size=labelling.count)))
-    rows, cols = np.nonzero(labelling.labels)
-    k = labelling.labels[rows, cols] - 1
+    labels, _ = scipy_label(img.pixels)
+    rows, cols = np.nonzero(labels)
+    k = labels[rows, cols] - 1
     pixels = np.bincount(k, minlength=labelling.count)
     row_means = np.bincount(k, weights=rows - origin[k], minlength=labelling.count) / pixels
     col_means = np.bincount(k, weights=cols, minlength=labelling.count) / pixels
@@ -115,6 +132,20 @@ def test_worst_case_rasters_match_scipy(name):
     ink = worst_case_rasters()[name]
     labelling = label_components(BinaryRaster(ink))
     labels, boxes = scipy_label(ink)
-    assert np.array_equal(labelling.labels, labels)
+    _assert_runs_match(labelling, ink, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]
     assert [a.tolist() for a in _holes(ink)] == [a.tolist() for a in scipy_holes(ink)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rasters(), st.data())
+def test_zones_are_the_raw_runs_outside_the_bands(img, data):
+    # The zones labelling keeps the raw runs of the rows outside every band
+    # and joins them again; it must equal a labelling of the ink with those
+    # rows blanked, for any set of blanked rows.
+    blank = np.array(data.draw(st.lists(st.booleans(), min_size=img.height, max_size=img.height)))
+    lines = _Lines([img.pixels], [LineBand(0, img.height - 1)], [Baselines(0, 0)], [FeatureThresholds(0, 0)])
+    lines.in_band = blank
+    zones, expected = lines.zones, _label(img.pixels & ~blank[:, None])
+    for name in ("rows", "starts", "ends", "run_labels", "first_runs", "boxes"):
+        assert np.array_equal(getattr(zones, name), getattr(expected, name)), name

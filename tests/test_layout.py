@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scriptid.geometry import label_components
 from scriptid.layout import (
     Baselines,
     LineBand,
@@ -14,7 +13,7 @@ from scriptid.layout import (
 )
 from scriptid.raster import BinaryRaster
 
-from oracles import paw_pixels, reference_segment_paws
+from oracles import paw_pixels, reference_segment_paws, scipy_label
 
 
 def canvas(h, w):
@@ -22,8 +21,9 @@ def canvas(h, w):
 
 
 def pixel_sets(paws, line):
-    """Each part's (row, col) pixels as a set, read off a fresh labelling of line."""
-    labels = label_components(line).labels
+    """Each part's (row, col) pixels as a set, read off scipy's labelling of
+    line, which numbers regions as the library does."""
+    labels, _ = scipy_label(line.pixels)
     return [set(map(tuple, paw_pixels(paw, labels).tolist())) for paw in paws]
 
 
@@ -167,7 +167,7 @@ class TestSegmentPaws:
 
 
 def paw_triples(paws, line):
-    labels = label_components(line).labels
+    labels, _ = scipy_label(line.pixels)
     return [(p.bbox, paw_pixels(p, labels).tolist(), p.order_index) for p in paws]
 
 
@@ -200,10 +200,10 @@ class TestSegmentPawsOracle:
 
     def test_labels_cover_each_part(self):
         line = tie_line((4, 8))
-        labelling = label_components(line)
-        for paw in segment_paws(line, Baselines(4, 8), labelling=labelling):
-            pixels = paw_pixels(paw, labelling.labels)
-            assert set(labelling.labels[tuple(pixels.T)]) == set(paw.labels.tolist())
+        labels, _ = scipy_label(line.pixels)
+        for paw in segment_paws(line, Baselines(4, 8)):
+            pixels = paw_pixels(paw, labels)
+            assert set(labels[tuple(pixels.T)]) == set(paw.labels.tolist())
 
 
 @st.composite
@@ -223,10 +223,7 @@ def test_segment_paws_matches_reference(case):
     line, baselines = case
     if line.ink_count() == 0:
         baselines = Baselines(0, 0)  # estimate_baselines needs ink
-    expected = reference_triples(line, baselines)
-    assert paw_triples(segment_paws(line, baselines), line) == expected
-    labelling = label_components(line)
-    assert paw_triples(segment_paws(line, baselines, labelling=labelling), line) == expected
+    assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)
 
 
 @st.composite

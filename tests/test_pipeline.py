@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -81,9 +83,16 @@ class TestPassesPerLine:
         # walk's. The other is the pole and jamb scan's: every line has a
         # lower dot that clears the jamb margin, and the scan walks it to
         # decide that it is a dot, not a jamb. Each labelling joins its runs
-        # with one call to the run labeller.
+        # with one call to the run labeller. Runs are found three times, in
+        # the ink, the stage and the stage's background; the zones keep the
+        # ink's runs outside the bands.
+        runs, run_calls = geometry._runs, []
         components, labels = geometry._components, []
         walker, walkers = geometry._Walker, []
+
+        def counting_runs(ink):
+            run_calls.append(1)
+            return runs(ink)
 
         def counting_components(*args, **kwargs):
             labels.append(1)
@@ -93,6 +102,7 @@ class TestPassesPerLine:
             walkers.append(1)
             return walker(ink)
 
+        monkeypatch.setattr(geometry, "_runs", counting_runs)
         monkeypatch.setattr(geometry, "_components", counting_components)
         monkeypatch.setattr(geometry, "_Walker", counting_walker)
         analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
@@ -100,6 +110,7 @@ class TestPassesPerLine:
         for line in analysis.lines:
             assert 0 < line.baselines.upper_row - line.band.top_row
             assert line.baselines.lower_row < line.band.bottom_row
+        assert len(run_calls) == 3
         assert len(labels) == labels_per_page
         assert len(walkers) == walkers_per_page
 
@@ -268,3 +279,28 @@ def test_batched_pages_match_one_page_at_a_time(case):
     runs = [pages[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(pages)])]
     assert [repr(a) for run in runs for a in analyze_pages(run, params)] == alone
     assert [repr(a) for a in analyze_pages(pages[::-1], params)][::-1] == alone
+
+
+# The peak working memory of a pass, in bytes per stacked pixel (total
+# height times largest width), as cli._GATHER's comment and the README give it.
+PEAK_BYTES_PER_PIXEL = 10
+
+
+@pytest.mark.parametrize(
+    "pages",
+    [
+        pytest.param(lambda: [wide_page()], id="wide-page"),
+        pytest.param(lambda: [w.raster for w in generate_corpus(builtin_profiles()[1], 10, seed=4)], id="10-words"),
+    ],
+)
+def test_peak_memory_per_stacked_pixel(pages):
+    pages = pages()
+    analyze_pages(pages)  # fill the lookup caches first
+    tracemalloc.start()
+    try:
+        analyze_pages(pages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacked = sum(page.height for page in pages) * max(page.width for page in pages)
+    assert peak / stacked < PEAK_BYTES_PER_PIXEL

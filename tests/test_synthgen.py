@@ -162,6 +162,11 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError):
             generate_corpus(ARABIC, 0)
 
+    @pytest.mark.parametrize("min_paws, max_paws", [(0, 4), (3, 2), (-1, 0)])
+    def test_rejects_bad_part_range(self, min_paws, max_paws):
+        with pytest.raises(ValueError, match="min_paws"):
+            generate_corpus(ARABIC, 3, min_paws=min_paws, max_paws=max_paws)
+
 
 class TestGeneratePage:
     def test_page_analysis_matches_expectation(self):
@@ -176,6 +181,18 @@ class TestGeneratePage:
 
     def test_deterministic(self):
         assert generate_page(ARABIC, seed=9).raster == generate_page(ARABIC, seed=9).raster
+
+    @pytest.mark.parametrize("n_lines", [0, -1])
+    def test_rejects_no_lines(self, n_lines):
+        with pytest.raises(ValueError, match="n_lines"):
+            generate_page(ARABIC, n_lines=n_lines)
+
+    @pytest.mark.parametrize("min_paws, max_paws", [(0, 8), (9, 8), (0, 0)])
+    def test_rejects_bad_part_range(self, min_paws, max_paws):
+        # Checked before any draw, so every seed rejects the range alike.
+        for seed in range(3):
+            with pytest.raises(ValueError, match="min_paws"):
+                generate_page(ARABIC, seed=seed, min_paws=min_paws, max_paws=max_paws)
 
 
 class TestApplySalt:
