@@ -49,6 +49,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ranged(parse, accept, rule):
+    """An argparse type that parses a flag's value and rejects it unless
+    accept(value) holds, so a bad number is a usage error at parse time."""
+    def convert(text):
+        value = parse(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
+_COUNT = _ranged(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _ranged(int, lambda v: v >= 1, ">= 1")
+_FRACTION = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_RATE = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
         if math.isinf(obj):
@@ -129,27 +148,13 @@ def _analyses(paths, params: PipelineParams) -> list:
 
 
 def _params(args) -> PipelineParams:
-    """Pipeline parameters from the flags, rejecting values no stage accepts."""
-    if args.dilate < 0:
-        raise _UsageError(f"--dilate must be >= 0, not {args.dilate}")
-    if args.contour_max <= 0:
-        raise _UsageError(f"--contour-max must be positive, not {args.contour_max}")
-    if not 0 < args.alpha <= 1:
-        raise _UsageError(f"--alpha must lie in (0, 1], not {args.alpha}")
-    if args.merge_gap < 0:
-        raise _UsageError(f"--merge-gap must be >= 0, not {args.merge_gap}")
+    """Pipeline parameters from the flags, each range-checked by its argparse type."""
     return PipelineParams(
         dilation_radius=args.dilate,
         alpha=args.alpha,
         merge_gap=args.merge_gap,
         diacritic_max_contour=args.contour_max,
     )
-
-
-def _check_nonnegative(flag: str, value: float):
-    """Reject a flag value that is not a finite number >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise _UsageError(f"{flag} must be a finite number >= 0, not {value}")
 
 
 def _profiles(args, needed=1):
@@ -183,14 +188,35 @@ def _paw_tokens(fs) -> list[dict]:
     ]
 
 
-def _feature_entry(name: str, analysis) -> dict:
-    if not isinstance(analysis, PageAnalysis):
-        return {"image": name, "error": str(analysis)}
+def _report_images(args, paths, params, entry, text, **parameters) -> int:
+    """Emit a report of one entry and one text line per image, in path order.
+
+    entry(analysis) gives a loaded image's fields, or {"error": reason};
+    text(fields) gives the text after "<image>: " for fields without one.
+    An image that failed to load gets its load error.
+    """
+    entries, lines = [], []
+    for path, analysis in zip(paths, _analyses(paths, params)):
+        fields = entry(analysis) if isinstance(analysis, PageAnalysis) else {"error": str(analysis)}
+        entries.append({"image": path.name, **fields})
+        line = f"error: {fields['error']}" if "error" in fields else text(fields)
+        lines.append(f"{path.name}: {line}")
+    payload = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "parameters": {**asdict(params), **parameters},
+        "images": entries,
+        "_text": "\n".join(lines),
+    }
+    _emit(payload, args)
+    return EXIT_OK
+
+
+def _feature_entry(analysis) -> dict:
     if not analysis.lines:
-        return {"image": name, "error": "blank image"}
+        return {"error": "blank image"}
     fs = analysis.features
     return {
-        "image": name,
         "counts": {k: fs.counts[k] for k in FEATURE_KINDS},
         "nb_paws": fs.nb_paws,
         "dropped_oversize_loops": fs.dropped_oversize_loops,
@@ -199,78 +225,36 @@ def _feature_entry(name: str, analysis) -> dict:
     }
 
 
-def _features_text(entries) -> str:
-    lines = []
-    for e in entries:
-        if "error" in e:
-            lines.append(f"{e['image']}: error: {e['error']}")
-            continue
-        counts = " ".join(f"{k}={e['counts'][k]}" for k in FEATURE_KINDS)
-        lines.append(f"{e['image']}: {counts} PAW={e['nb_paws']}")
-        for paw in e["paws"]:
-            tokens = " ".join(paw["features"]) or "-"
-            lines.append(f"  paw {paw['index']}: {tokens}")
-    return "\n".join(lines)
+def _feature_text(fields) -> str:
+    counts = " ".join(f"{k}={fields['counts'][k]}" for k in FEATURE_KINDS)
+    paws = "".join(f"\n  paw {paw['index']}: {' '.join(paw['features']) or '-'}" for paw in fields["paws"])
+    return f"{counts} PAW={fields['nb_paws']}{paws}"
 
 
 def cmd_features(args) -> int:
-    paths = _input_paths(args.input)
-    params = _params(args)
-    entries = [_feature_entry(path.name, analysis) for path, analysis in zip(paths, _analyses(paths, params))]
-    payload = {
-        "schema": SCHEMA,
-        "command": "features",
-        "parameters": asdict(params),
-        "images": entries,
-        "_text": _features_text(entries),
-    }
-    _emit(payload, args)
-    return EXIT_OK
+    return _report_images(args, _input_paths(args.input), _params(args), _feature_entry, _feature_text)
 
 
 def cmd_classify(args) -> int:
-    _check_nonnegative("--qmin", args.qmin)
     paths = _input_paths(args.input)
     params = _params(args)
     profiles = _profiles(args, needed=2)
-    entries = []
-    for path, analysis in zip(paths, _analyses(paths, params)):
-        if not isinstance(analysis, PageAnalysis):
-            entries.append({"image": path.name, "error": str(analysis)})
-            continue
+
+    def entry(analysis) -> dict:
         fs = analysis.features
         verdict = classify(fs, profiles, q_min=args.qmin)
-        entries.append(
-            {
-                "image": path.name,
-                "label": verdict.label,
-                "scores": dict(verdict.scores),
-                "margin": verdict.margin,
-                "counts": {k: fs.counts[k] for k in FEATURE_KINDS},
-                "nb_paws": fs.nb_paws,
-            }
-        )
-    text_lines = []
-    for e in entries:
-        if "error" in e:
-            text_lines.append(f"{e['image']}: error: {e['error']}")
-        else:
-            text_lines.append(f"{e['image']}: {e['label']}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "classify",
-        "parameters": {**asdict(params), "q_min": args.qmin},
-        "images": entries,
-        "_text": "\n".join(text_lines),
-    }
-    _emit(payload, args)
-    return EXIT_OK
+        return {
+            "label": verdict.label,
+            "scores": dict(verdict.scores),
+            "margin": verdict.margin,
+            "counts": {k: fs.counts[k] for k in FEATURE_KINDS},
+            "nb_paws": fs.nb_paws,
+        }
+
+    return _report_images(args, paths, params, entry, lambda fields: fields["label"], q_min=args.qmin)
 
 
 def cmd_evaluate(args) -> int:
-    _check_nonnegative("--qmin", args.qmin)
-    if args.ceiling is not None:
-        _check_nonnegative("--ceiling", args.ceiling)
     paths = _input_paths(args.input)
     # By default, truth.txt beside the images, where generate writes it.
     truth_path = Path(args.truth) if args.truth else paths[0].parent / "truth.txt"
@@ -315,15 +299,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.pages < 0:
-        raise _UsageError(f"--pages must be >= 0, not {args.pages}")
     if args.pages and args.words is not None:
         raise _UsageError("--words does not apply with --pages above 0")
-    words = 50 if args.words is None else args.words
-    if words <= 0:
-        raise _UsageError(f"--words must be positive, not {words}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, not {args.seed}")
     profiles = _profiles(args)
     wanted = {p.name: p for p in profiles}
     if args.script not in wanted:
@@ -336,7 +313,7 @@ def cmd_generate(args) -> int:
         rng = np.random.default_rng(args.seed)
         items = [generate_page(profile, seed=int(rng.integers(2**31))) for _ in range(args.pages)]
     else:
-        items = generate_corpus(profile, words, seed=args.seed)
+        items = generate_corpus(profile, 50 if args.words is None else args.words, seed=args.seed)
     image_paths, truth_path = save_corpus(items, args.output_dir)
     payload = {
         "schema": SCHEMA,
@@ -366,20 +343,20 @@ def _add_features(parser):
     """The features command's flags: input, report, and pipeline parameters."""
     parser.add_argument("--input", required=True, help="image file or directory")
     _add_report(parser)
-    parser.add_argument("--dilate", type=int, default=DEFAULT_PARAMS.dilation_radius,
+    parser.add_argument("--dilate", type=_COUNT, default=DEFAULT_PARAMS.dilation_radius,
                         help="contour expansion radius")
-    parser.add_argument("--alpha", type=float, default=DEFAULT_PARAMS.alpha,
+    parser.add_argument("--alpha", type=_FRACTION, default=DEFAULT_PARAMS.alpha,
                         help="baseline band density fraction")
-    parser.add_argument("--contour-max", type=int, default=DEFAULT_PARAMS.diacritic_max_contour,
+    parser.add_argument("--contour-max", type=_POSITIVE, default=DEFAULT_PARAMS.diacritic_max_contour,
                         dest="contour_max", help="diacritic/loop contour point cap")
-    parser.add_argument("--merge-gap", type=int, default=DEFAULT_PARAMS.merge_gap, dest="merge_gap",
+    parser.add_argument("--merge-gap", type=_COUNT, default=DEFAULT_PARAMS.merge_gap, dest="merge_gap",
                         help="blank rows tolerated inside a line")
 
 
 def _add_classify(parser):
     """The classify command's flags: the features flags plus the classifier's."""
     _add_features(parser)
-    parser.add_argument("--qmin", type=float, default=DEFAULT_Q_MIN,
+    parser.add_argument("--qmin", type=_RATE, default=DEFAULT_Q_MIN,
                         help="lower-dot frequency that rules out dot-free scripts")
     _add_profiles(parser)
 
@@ -400,17 +377,17 @@ def build_parser() -> _Parser:
     _add_classify(p)
     p.add_argument("--truth",
                    help="ground-truth file (default: truth.txt in the input directory or beside the input file)")
-    p.add_argument("--ceiling", type=float, default=None,
+    p.add_argument("--ceiling", type=_RATE, default=None,
                    help="fail (exit 3) if any feature error rate exceeds this percentage")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("generate", help="write a synthetic corpus with ground truth")
     p.add_argument("--output-dir", required=True, help="directory for images and truth file")
     p.add_argument("--script", default="Arabic", help="profile name to draw from")
-    p.add_argument("--words", type=int, default=None,
+    p.add_argument("--words", type=_POSITIVE, default=None,
                    help="number of word images (default 50); not with --pages")
-    p.add_argument("--pages", type=int, default=0, help="generate multi-line pages instead")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--pages", type=_COUNT, default=0, help="generate multi-line pages instead")
+    p.add_argument("--seed", type=_COUNT, default=0)
     _add_profiles(p)
     _add_report(p)
     p.set_defaults(func=cmd_generate)

@@ -356,6 +356,8 @@ def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
 
 
 _TAGS = "IFDM"  # indexed by 2 * (left inked) + (right inked)
+# Body-band columns read on each side of a letter zone for its position tag.
+_NEIGHBORHOOD = 2
 
 
 def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: int) -> np.ndarray:
@@ -380,7 +382,7 @@ def detect_positions(
     word: BinaryRaster,
     baselines: Baselines,
     zone_bounds,
-    neighborhood: int = 2,
+    neighborhood: int = _NEIGHBORHOOD,
 ) -> list[str]:
     """Tag each letter zone as start D, middle M, final F, or isolated I.
 
@@ -400,11 +402,17 @@ def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
     that line, the left one on ties, for arrays of lines and columns.
 
     Zones are sorted by (zone_line, first), as _letter_zones gives them,
-    and every line asked about has one.
+    and every line asked about has one. Each zone owns the columns from
+    just past the midpoint of the gap before it, a line's first zone from
+    column 0, so one search of the (line, owned start) keys finds them all.
     """
-    gap = np.maximum(np.maximum(first - col[:, None], col[:, None] - last), 0)
-    gap[zone_line != line[:, None]] = np.iinfo(gap.dtype).max
-    return gap.argmin(axis=1)
+    span = int(last.max()) + 1 if last.size else 1
+    start = np.zeros_like(first)
+    same = zone_line[1:] == zone_line[:-1]
+    start[1:][same] = (first[1:][same] + last[:-1][same]) // 2 + 1
+    # A column outside 0..span - 1 has the nearest zone of the nearest column inside.
+    keys = line * span + np.clip(col, 0, span - 1)
+    return np.searchsorted(zone_line * span + start, keys, side="right") - 1
 
 
 @lru_cache(maxsize=16)
@@ -521,7 +529,7 @@ def extract_features(
 
     zone_line, first, last = _letter_zones(columns)
     band_columns = lines.column_table(lines.ink & lines.in_band[:, None]) > 0
-    codes = _position_codes(band_columns, zone_line, first, last, 2)
+    codes = _position_codes(band_columns, zone_line, first, last, _NEIGHBORHOOD)
     positions = codes[_zone_index(zone_line, first, last, line, cols)]
 
     # One row per hit, sorted by line, kind and location.

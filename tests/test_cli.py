@@ -410,11 +410,19 @@ class TestUsage:
         ("--alpha", "0"),
         ("--alpha", "nan"),
         ("--merge-gap", "-1"),
+        ("--alpha", "1.5"),
+        ("--dilate", "1.5"),
     ])
     def test_out_of_range_parameter_is_usage_error(self, corpus, capsys, command, flag, value):
         capsys.readouterr()
         assert main([command, "--input", str(corpus), flag, value]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error")
+
+    @pytest.mark.parametrize("command", ["features", "classify", "evaluate"])
+    def test_bad_number_is_rejected_before_the_input_is_read(self, tmp_path, capsys, command):
+        capsys.readouterr()
+        assert main([command, "--input", str(tmp_path / "missing"), "--dilate", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error:")
 
     # --qmin and --ceiling take a finite number >= 0; --qmin 0 stays valid.
     @pytest.mark.parametrize("command, flag, value", [
@@ -580,6 +588,29 @@ class TestDeterminism:
                 assert all(e["dropped_oversize_loops"] > 0 for e in json.loads(raw)["images"])
             digests[(command, *flags)] = hashlib.sha256(raw).hexdigest()
         assert digests == self.PINNED_WIDE
+
+    # sha256 of the features and classify reports, as JSON and as text, on a
+    # few words, a blank image and a truncated file, so the text lines and the
+    # error entries are pinned too.
+    PINNED_ENTRIES = {
+        ("features", "json"): "6576ebab93adbdf6800292defde563f4b291b12c545062b51e059adc7688b357",
+        ("features", "text"): "603137a560894fdb78b77c8e44454e1a225da65e13244f4c48d54b1de7f1b1b4",
+        ("classify", "json"): "b81bb501b58552f8233acf5156f34b7c4f82a77797847724f5437352ab72cc72",
+        ("classify", "text"): "a31f959ff02b2f7981cc54eed6c1dd0ba94b7c107709618ac28b1b6edf7c7e43",
+    }
+
+    def test_entry_reports_match_pinned_hashes(self, tmp_path):
+        arabic, latin = builtin_profiles()
+        folder = tmp_path / "corpus"
+        save_corpus([*generate_corpus(arabic, 3, seed=7), *generate_corpus(latin, 3, seed=8)], folder)
+        save(BinaryRaster.blank(12, 20), folder / "blank.pbm")
+        (folder / "truncated.pbm").write_bytes(b"P4\n10 10\n")
+        digests = {}
+        for command, form in self.PINNED_ENTRIES:
+            rc, raw = run_to_file([command, "--input", str(folder), "--format", form], tmp_path / "r")
+            assert rc == EXIT_OK
+            digests[(command, form)] = hashlib.sha256(raw).hexdigest()
+        assert digests == self.PINNED_ENTRIES
 
     def test_generate_is_byte_identical(self, tmp_path):
         for count in (["--words", "4"], ["--pages", "2"]):

@@ -486,6 +486,7 @@ def test_zone_index_matches_reference(data):
         got = _zone_index(zone_line, first, last, np.full_like(cols, k), cols) - offset
         assert got.tolist() == [reference_zone_of_column(zones, col) for col in cols.tolist()]
         offset += len(zones)
+    assert _zone_index(zone_line, first, last, cols[:0], cols[:0]).size == 0
 
 
 @settings(max_examples=600, deadline=None)

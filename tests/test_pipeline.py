@@ -16,8 +16,8 @@ from scriptid.synthgen import apply_salt, generate_corpus, generate_page
 from oracles import reference_analyze_page
 
 
-def wide_page():
-    return generate_page(builtin_profiles()[0], seed=1, min_paws=20, max_paws=28).raster
+def wide_page(seed=1, script=0):
+    return generate_page(builtin_profiles()[script], seed=seed, min_paws=20, max_paws=28).raster
 
 
 class TestAnalyzePage:
@@ -291,6 +291,7 @@ PEAK_BYTES_PER_PIXEL = 10
     [
         pytest.param(lambda: [wide_page()], id="wide-page"),
         pytest.param(lambda: [w.raster for w in generate_corpus(builtin_profiles()[1], 10, seed=4)], id="10-words"),
+        pytest.param(lambda: [wide_page(seed, seed % 2) for seed in range(8)], id="8-wide-pages"),
     ],
 )
 def test_peak_memory_per_stacked_pixel(pages):
