@@ -188,6 +188,12 @@ def _paw_tokens(fs) -> list[dict]:
     ]
 
 
+def _error_entry(path, error) -> tuple[dict, str]:
+    """The report entry and the text line of an image with no result: one
+    that failed to load, with its load error, or a blank one."""
+    return {"image": path.name, "error": str(error)}, f"{path.name}: error: {error}"
+
+
 def _report_images(args, paths, params, entry, text, **parameters) -> int:
     """Emit a report of one entry and one text line per image, in path order.
 
@@ -197,10 +203,13 @@ def _report_images(args, paths, params, entry, text, **parameters) -> int:
     """
     entries, lines = [], []
     for path, analysis in zip(paths, _analyses(paths, params)):
-        fields = entry(analysis) if isinstance(analysis, PageAnalysis) else {"error": str(analysis)}
-        entries.append({"image": path.name, **fields})
-        line = f"error: {fields['error']}" if "error" in fields else text(fields)
-        lines.append(f"{path.name}: {line}")
+        fields = entry(analysis) if isinstance(analysis, PageAnalysis) else {"error": analysis}
+        if "error" in fields:
+            item, line = _error_entry(path, fields["error"])
+        else:
+            item, line = {"image": path.name, **fields}, f"{path.name}: {text(fields)}"
+        entries.append(item)
+        lines.append(line)
     payload = {
         "schema": SCHEMA,
         "command": args.command,
@@ -267,8 +276,9 @@ def cmd_evaluate(args) -> int:
     for path, analysis in zip(paths, _analyses(paths, params)):
         if not isinstance(analysis, PageAnalysis):
             # Scored like a blank page, so its truth still counts as missed.
-            sys.stderr.write(f"{path.name}: error: {analysis}\n")
-            errors.append({"image": path.name, "error": str(analysis)})
+            error, line = _error_entry(path, analysis)
+            sys.stderr.write(line + "\n")
+            errors.append(error)
             predictions.append((path.stem, FeatureSet.empty()))
             continue
         predictions.append((path.stem, analysis.features))

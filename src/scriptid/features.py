@@ -21,8 +21,12 @@ and its page's columns. No 8-connected region, hole, expansion halo or
 nearest-part window of one line can then reach another, and every line
 keeps the borders it would have as a crop of its own. Each labelling is
 built once over the buffer: the raw ink, the ink with every line's band
-rows blanked, the expanded stage, and the stage's background; the second
-joins the first's runs outside every band, with no pass over the pixels.
+rows blanked, the expanded stage, and the stage's background. The raw
+runs and the links between them are found once: the second labelling keeps
+the raw runs outside every band and joins only the raw links between two of
+them, with no pass over the pixels and no second link search. Both column
+tables, of each line's ink and of its band rows' ink, are summed from the
+raw runs too.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -38,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import geometry
-from .geometry import ContourChain, Labelling, _label, trace_contours
+from .geometry import ContourChain, Labelling, trace_contours
 from .layout import Baselines, LineBand, NoInkError, _group_parts
 from .raster import BinaryRaster, dilate
 
@@ -117,8 +121,8 @@ class FeatureSet:
 
 
 def _zone_rows(chain: ContourChain):
-    rows = [p[0] for p in chain.points]
-    return min(rows), max(rows)
+    # Points are (row, col) tuples, so the least and greatest hold the extreme rows.
+    return min(chain.points)[0], max(chain.points)[0]
 
 
 def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThresholds):
@@ -202,18 +206,30 @@ class _Lines:
         self.line = np.arange(len(table)).repeat(heights + gap)[:size]
 
     @cached_property
+    def runs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(rows, starts, ends) of the raw ink's runs, and the (above, below)
+        pairs of runs they link 8-connectedly, found once for raw and zones."""
+        runs = geometry._runs(self.ink)
+        return runs, geometry._links(*runs, self.ink.shape[1], 1)
+
+    @cached_property
     def raw(self) -> Labelling:
-        return _label(self.ink)
+        runs, links = self.runs
+        return Labelling(self.ink.shape, *runs, *geometry._join(runs[0].size, *links))
 
     @cached_property
     def zones(self) -> Labelling:
         """The ink with every line's band rows blanked: no 8-connected region
         crosses a blank row, so each region lies wholly in one outer zone.
-        Its runs are the raw runs outside every band."""
-        raw = self.raw
-        outside = ~self.in_band[raw.rows]
-        runs = raw.rows[outside], raw.starts[outside], raw.ends[outside]
-        return Labelling(raw.shape, *runs, *geometry._components(*runs, raw.shape[1], 1))
+        Its runs are the raw runs outside every band, and its links the raw
+        links between two of them: links only join runs of adjacent rows."""
+        (rows, starts, ends), (above, below) = self.runs
+        outside = ~self.in_band[rows]
+        index = np.cumsum(outside) - 1
+        kept = outside[above] & outside[below]
+        links = index[above[kept]], index[below[kept]]
+        runs = rows[outside], starts[outside], ends[outside]
+        return Labelling(self.ink.shape, *runs, *geometry._join(runs[0].size, *links))
 
     def line_of(self, labelling: Labelling) -> np.ndarray:
         """Line of each label, the line of its top row."""
@@ -290,9 +306,20 @@ class _Lines:
             stage[start + height : start + height + self.gap] = False
         return BinaryRaster(stage)
 
-    def column_table(self, ink: np.ndarray) -> np.ndarray:
-        """Per line and column, the count of ink pixels of ink's rows of that line."""
-        return np.add.reduceat(ink, self.starts, axis=0)
+    def column_table(self, mask=None) -> np.ndarray:
+        """Per line and column, the count of ink pixels of that line, or only
+        of its rows where mask, one bool per buffer row, holds. It is summed
+        from the raw runs: each adds one at its first column and takes one
+        away past its last."""
+        rows, starts, ends = self.runs[0]
+        if mask is not None:
+            keep = mask[rows]
+            rows, starts, ends = rows[keep], starts[keep], ends[keep]
+        width = self.ink.shape[1] + 1
+        key = self.line[rows] * width
+        size = len(self.spans) * width
+        steps = np.bincount(key + starts, minlength=size) - np.bincount(key + ends + 1, minlength=size)
+        return np.cumsum(steps.reshape(-1, width), axis=1)[:, :-1]
 
 
 def _scan_hits(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds, kind: int):
@@ -502,7 +529,7 @@ def extract_features(
     # Past the larger side of every band, expansion fills each inked band whole.
     radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
     lines = _Lines(inks, bands, baselines, thresholds, gap=max(1, radius))
-    columns = lines.column_table(lines.ink)
+    columns = lines.column_table()
     if not columns.any(axis=1).all():
         raise NoInkError("cannot extract features from a blank image")
     raw = lines.raw
@@ -528,7 +555,7 @@ def extract_features(
     paws -= (np.cumsum(line_parts) - line_parts)[page_first_line][line]
 
     zone_line, first, last = _letter_zones(columns)
-    band_columns = lines.column_table(lines.ink & lines.in_band[:, None]) > 0
+    band_columns = lines.column_table(lines.in_band) > 0
     codes = _position_codes(band_columns, zone_line, first, last, _NEIGHBORHOOD)
     positions = codes[_zone_index(zone_line, first, last, line, cols)]
 

@@ -24,10 +24,12 @@ He, Chao & Suzuki, IEEE TIP 17(5), 2008): a text raster holds far fewer
 runs than pixels. Runs of consecutive rows whose columns overlap are
 joined, the columns widened by one for 8-connected ink and not widened for
 4-connected background, by rounds of hooking each root under the smaller
-of the two and jumping pointers, all of it array work. A region's root is
-its first run, so regions are numbered in raster order of their first
-pixel. A labelling is only its runs: its boxes, its first pixels and the
-label of any pixel come from them, and no label image is painted.
+of the two and jumping pointers, all of it array work. The links between
+runs are found apart from the joining, so a subset of runs can be joined
+by the links among them with no second search. A region's root is its
+first run, so regions are numbered in raster order of their first pixel.
+A labelling is only its runs: its boxes, its first pixels and the label
+of any pixel come from them, and no label image is painted.
 
 Holes come from one 4-connected labelling of the background runs: the
 holes are the regions whose boxes stay off the image border, in raster
@@ -178,16 +180,11 @@ def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, edges[0::2] - rows * stride, edges[1::2] - rows * stride - 1
 
 
-def _components(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """Label of every run and the first run of every label, runs of
-    consecutive rows joined when their columns, one side widened by reach,
-    overlap: reach 1 joins 8-connected ink and reach 0 4-connected
-    background.
-
-    Each run is first its own root. Every round hooks the larger root of
-    each still-unjoined pair of runs under the smaller, then jumps pointers
-    until every run points at its root, so a root is always the first run
-    of its region in raster order. Labels number the roots in that order.
+def _links(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (above[i], below[i]) of runs of consecutive rows whose
+    columns, one side widened by reach, overlap: reach 1 links 8-connected
+    ink and reach 0 4-connected background. above comes sorted, and each
+    run's partners below it in column order.
     """
     n = rows.size
     # Keys order the runs by row, then column. Adding stride to a key moves
@@ -201,6 +198,19 @@ def _components(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray,
     counts = np.maximum(hi - lo, 0)
     above = np.repeat(np.arange(n), counts)
     below = np.arange(above.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return above, below
+
+
+def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label of each of n runs and the first run of every label, the runs
+    of each link (above[i], below[i]) joined.
+
+    Each run is first its own root. Every round hooks the larger root of
+    each still-unjoined link under the smaller, then jumps pointers until
+    every run points at its root, so a root is always the smallest run of
+    its region: its first in raster order. Labels number the roots in that
+    order.
+    """
     parent = np.arange(n)
     while above.size:
         a, b = parent[above], parent[below]
@@ -218,7 +228,8 @@ def _components(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray,
 
 def _label(ink: np.ndarray, reach: int = 1) -> Labelling:
     rows, starts, ends = _runs(ink)
-    return Labelling(ink.shape, rows, starts, ends, *_components(rows, starts, ends, ink.shape[1], reach))
+    links = _links(rows, starts, ends, ink.shape[1], reach)
+    return Labelling(ink.shape, rows, starts, ends, *_join(rows.size, *links))
 
 
 def _back_table() -> tuple[int, ...]:

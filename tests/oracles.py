@@ -21,6 +21,9 @@ comments as it meets them; the library's decoder must return the same
 raster, or raise the same exception with the same message, on any input.
 The plain graymap encoder's oracle formats one sample at a time.
 
+The column-table oracle sums the stacked buffer's pixels line by line
+with np.add.reduceat, as the library did before it summed the raw runs.
+
 The projection profiles, the component list and the word-part pixel
 reader at the end are test helpers the pipeline does not use. The
 component list and every test that needs a label image read scipy_label,
@@ -464,6 +467,12 @@ def reference_decode(data):
     if max(payload) > maxval:
         raise PnmPayloadError(f"sample {max(payload)} exceeds declared maxval {maxval}")
     return GrayRaster(np.array(_reference_scale(payload, maxval)).reshape(height, width))
+
+
+def reference_column_table(ink, starts):
+    """Per line and column, the ink count of the rows from each line's
+    first row up to the next line's, by a pixel sum over the buffer."""
+    return np.add.reduceat(ink, starts, axis=0)
 
 
 def reference_feature_zones(word):

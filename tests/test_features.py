@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from scriptid.features import (
     FeatureThresholds,
+    _Lines,
     _nearest_paws,
     _zone_index,
     detect_diacritics,
@@ -16,11 +17,12 @@ from scriptid.features import (
     feature_zones,
 )
 from scriptid.geometry import label_components, trace_contours
-from scriptid.layout import Baselines, NoInkError
+from scriptid.layout import Baselines, LineBand, NoInkError
 from scriptid.raster import BinaryRaster
 
 from oracles import (
     nearest_labelled,
+    reference_column_table,
     reference_detect_positions,
     reference_extremum_hits,
     reference_feature_zones,
@@ -309,6 +311,22 @@ class TestExtractFeatures:
         with pytest.raises(NoInkError):
             extract_features(BinaryRaster.blank(10, 10), B8)
 
+    def test_one_blank_band_among_inked_bands_raises(self):
+        # The second page's middle band holds no ink, though every other band does.
+        inked = word(9, 12)
+        paint(inked, 2, 6, 3, 8)
+        page = np.zeros((29, 16), dtype=bool)
+        page[0:9, 0:12] = page[20:29, 4:16] = inked
+        bands = [[LineBand(0, 8)], [LineBand(0, 8), LineBand(10, 18), LineBand(20, 28)]]
+        baselines = [[Baselines(2, 6)], [Baselines(2, 6), Baselines(12, 16), Baselines(22, 26)]]
+        pages = [BinaryRaster(inked), BinaryRaster(page)]
+        with pytest.raises(NoInkError):
+            extract_features(pages, baselines, dilation_radius=1, bands=bands)
+        page[12:15, 5:9] = True
+        pages[1] = BinaryRaster(page)
+        sets = extract_features(pages, baselines, dilation_radius=1, bands=bands)
+        assert [len(page_sets) for page_sets in sets] == [1, 3]
+
     def test_single_ring_in_band(self):
         img = word(56, 30)
         paint(img, 24, 32, 8, 16)
@@ -432,6 +450,36 @@ def column_profiles(draw):
         rows = draw(st.permutations(range(h)))[:n]
         img[list(rows), c] = True
     return BinaryRaster(img)
+
+
+@st.composite
+def stacked_lines(draw):
+    """Lines cut from rasters of different widths, each with random ink,
+    a band of the raster's rows and baselines that may reach past it,
+    stacked one or two blank rows apart."""
+    inks, bands, baselines = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        h, w = draw(st.integers(1, 10)), draw(st.integers(1, 20))
+        density = draw(st.sampled_from([[False], [False, True], [False, False, False, True]]))
+        inks.append(np.array(draw(st.lists(st.sampled_from(density), min_size=h * w, max_size=h * w))).reshape(h, w))
+        top = draw(st.integers(0, h - 1))
+        bottom = draw(st.integers(top, h - 1))
+        upper = draw(st.integers(top, bottom))
+        bands.append(LineBand(top, bottom))
+        baselines.append(Baselines(upper, draw(st.integers(upper, h + 2))))
+    thresholds = [FeatureThresholds(0, 0)] * len(inks)
+    return _Lines(inks, bands, baselines, thresholds, gap=draw(st.integers(1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_lines())
+def test_column_tables_match_reference(lines):
+    # The whole-line table and the band-row table, summed from the raw runs.
+    table = lines.column_table()
+    assert table.shape == (len(lines.spans), lines.ink.shape[1])
+    assert np.array_equal(table, reference_column_table(lines.ink, lines.starts))
+    band_ink = lines.ink & lines.in_band[:, None]
+    assert np.array_equal(lines.column_table(lines.in_band), reference_column_table(band_ink, lines.starts))
 
 
 @st.composite

@@ -83,27 +83,34 @@ class TestPassesPerLine:
         # walk's. The other is the pole and jamb scan's: every line has a
         # lower dot that clears the jamb margin, and the scan walks it to
         # decide that it is a dot, not a jamb. Each labelling joins its runs
-        # with one call to the run labeller. Runs are found three times, in
-        # the ink, the stage and the stage's background; the zones keep the
-        # ink's runs outside the bands.
+        # with one call to the run joiner. Runs and their links are found
+        # three times, in the ink, the stage and the stage's background; the
+        # zones keep the ink's runs outside the bands and the ink's links
+        # between them.
         runs, run_calls = geometry._runs, []
-        components, labels = geometry._components, []
+        links, link_calls = geometry._links, []
+        join, labels = geometry._join, []
         walker, walkers = geometry._Walker, []
 
         def counting_runs(ink):
             run_calls.append(1)
             return runs(ink)
 
-        def counting_components(*args, **kwargs):
+        def counting_links(*args, **kwargs):
+            link_calls.append(1)
+            return links(*args, **kwargs)
+
+        def counting_join(*args, **kwargs):
             labels.append(1)
-            return components(*args, **kwargs)
+            return join(*args, **kwargs)
 
         def counting_walker(ink):
             walkers.append(1)
             return walker(ink)
 
         monkeypatch.setattr(geometry, "_runs", counting_runs)
-        monkeypatch.setattr(geometry, "_components", counting_components)
+        monkeypatch.setattr(geometry, "_links", counting_links)
+        monkeypatch.setattr(geometry, "_join", counting_join)
         monkeypatch.setattr(geometry, "_Walker", counting_walker)
         analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
         assert len(analysis.lines) == 4
@@ -111,6 +118,7 @@ class TestPassesPerLine:
             assert 0 < line.baselines.upper_row - line.band.top_row
             assert line.baselines.lower_row < line.band.bottom_row
         assert len(run_calls) == 3
+        assert len(link_calls) == 3
         assert len(labels) == labels_per_page
         assert len(walkers) == walkers_per_page
 
