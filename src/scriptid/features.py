@@ -231,6 +231,14 @@ class _Lines:
         runs = rows[outside], starts[outside], ends[outside]
         return Labelling(self.ink.shape, *runs, *geometry._join(runs[0].size, *links))
 
+    @cached_property
+    def detached(self) -> np.ndarray:
+        """Per raw label, whether it lies wholly above or below its line's
+        band: a detached mark of word parts, and a dot candidate of the pole
+        and jamb scan."""
+        line = self.line_of(self.raw)
+        return self.raw.beyond(self.upper[line], self.lower[line])
+
     def line_of(self, labelling: Labelling) -> np.ndarray:
         """Line of each label, the line of its top row."""
         return self.line[labelling.boxes[:, 0]]
@@ -253,7 +261,8 @@ class _Lines:
         region. This is the only place a region is decided to be a dot.
 
         The first pixel is also the pole tip; a jamb tip is the first pixel
-        of its bottom row.
+        of its bottom row, which starts the region's first run on that row,
+        since runs come in raster order.
         """
         zones, raw = self.zones, self.raw
         top, bottom = zones.boxes[:, 0], zones.boxes[:, 2]
@@ -261,17 +270,19 @@ class _Lines:
         pole = self.upper[line] - top > self.marge_h[line]
         clears = np.flatnonzero(pole | (bottom - self.lower[line] > self.marge_j[line]))
         rows, cols = zones.first_pixels(clears)
-        raw_line = self.line_of(raw)
-        detached = raw.beyond(self.upper[raw_line], self.lower[raw_line])
         keep = np.ones(clears.size, dtype=bool)
         walker = None
-        for j in np.flatnonzero(detached[raw.label_at(rows, cols) - 1]).tolist():
+        for j in np.flatnonzero(self.detached[raw.label_at(rows, cols) - 1]).tolist():
             # Looked up on geometry, where the walker count is taken.
             walker = walker or geometry._Walker(self.ink)
             start = (int(rows[j]), int(cols[j]))
             keep[j] = len(walker.walk(start, (start[0], start[1] - 1))) >= self.cap[line[clears[j]]]
         jamb = ~pole[clears]
-        rows[jamb], cols[jamb] = zones.first_pixels(clears[jamb], bottom[clears[jamb]])
+        on_bottom = np.flatnonzero(zones.rows == bottom[zones.run_labels - 1])
+        # Every region has a run on its bottom row, so label k + 1 is entry k.
+        _, first = np.unique(zones.run_labels[on_bottom], return_index=True)
+        tips = on_bottom[first[clears[jamb]]]
+        rows[jamb], cols[jamb] = zones.rows[tips], zones.starts[tips]
         return jamb[keep].astype(np.intp), rows[keep], cols[keep]
 
     def dots_and_loops(self, stage: BinaryRaster):
@@ -306,20 +317,20 @@ class _Lines:
             stage[start + height : start + height + self.gap] = False
         return BinaryRaster(stage)
 
-    def column_table(self, mask=None) -> np.ndarray:
-        """Per line and column, the count of ink pixels of that line, or only
-        of its rows where mask, one bool per buffer row, holds. It is summed
-        from the raw runs: each adds one at its first column and takes one
-        away past its last."""
+    def column_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per line and column, the count of ink pixels of that line, and of
+        its band rows alone. They are summed from the raw runs, keyed by line
+        and by whether the row is a band row: each run adds one at its first
+        column and takes one away past its last. A line's table is the sum
+        of its band rows' table and its other rows'."""
         rows, starts, ends = self.runs[0]
-        if mask is not None:
-            keep = mask[rows]
-            rows, starts, ends = rows[keep], starts[keep], ends[keep]
         width = self.ink.shape[1] + 1
-        key = self.line[rows] * width
-        size = len(self.spans) * width
+        key = (self.in_band[rows] * len(self.spans) + self.line[rows]) * width
+        size = 2 * len(self.spans) * width
         steps = np.bincount(key + starts, minlength=size) - np.bincount(key + ends + 1, minlength=size)
-        return np.cumsum(steps.reshape(-1, width), axis=1)[:, :-1]
+        tables = np.cumsum(steps.reshape(2, -1, width), axis=2)[:, :, :-1]
+        tables[0] += tables[1]
+        return tables[0], tables[1]
 
 
 def _scan_hits(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds, kind: int):
@@ -529,7 +540,7 @@ def extract_features(
     # Past the larger side of every band, expansion fills each inked band whole.
     radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
     lines = _Lines(inks, bands, baselines, thresholds, gap=max(1, radius))
-    columns = lines.column_table()
+    columns, band_columns = lines.column_tables()
     if not columns.any(axis=1).all():
         raise NoInkError("cannot extract features from a blank image")
     raw = lines.raw
@@ -544,9 +555,7 @@ def extract_features(
     line = lines.line[rows]
 
     # Centroids are taken in line rows, as in a crop of the line.
-    part, _, part_line = _group_parts(
-        raw, lines.upper[raw_line], lines.lower[raw_line], raw_line, lines.starts[raw_line]
-    )
+    part, _, part_line = _group_parts(raw, lines.detached, raw_line, lines.starts[raw_line])
     paws = _nearest_paws(lines.ink, raw, part, np.column_stack((rows, cols)), radius)
     # Parts are numbered line by line across the buffer; each page counts
     # from the first part of its first line.
@@ -555,8 +564,7 @@ def extract_features(
     paws -= (np.cumsum(line_parts) - line_parts)[page_first_line][line]
 
     zone_line, first, last = _letter_zones(columns)
-    band_columns = lines.column_table(lines.in_band) > 0
-    codes = _position_codes(band_columns, zone_line, first, last, _NEIGHBORHOOD)
+    codes = _position_codes(band_columns > 0, zone_line, first, last, _NEIGHBORHOOD)
     positions = codes[_zone_index(zone_line, first, last, line, cols)]
 
     # One row per hit, sorted by line, kind and location.

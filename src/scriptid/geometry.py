@@ -50,8 +50,8 @@ the box rows come from Labelling.boxes, which also decides every other
 box-row test of the pipeline: the detached marks of word parts, and the
 pole and jamb margins. For holes they come from the background
 labelling's boxes. A region's first pixel, the start of its outer chain
-and the tip of a pole, starts its first run, and the first pixel of any
-of its rows starts its first run in that row.
+and the tip of a pole, starts its first run. Runs come in raster order, so
+the first of a region's runs on its bottom row starts the tip of a jamb.
 
 trace_contours labels the raster it is given and walks it with its own
 walker; nothing is shared with a labelling of some other stage.
@@ -129,19 +129,10 @@ class Labelling:
         upper and lower are rows, or arrays of one row per label."""
         return (self.boxes[:, 2] < upper) | (self.boxes[:, 0] > lower)
 
-    def first_pixels(self, index: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the first pixel of each label index + 1 in the
-        given rows, by default its top rows, which gives its first
-        raster-order pixel. Each row must hold a pixel of its label."""
-        if rows is None:
-            runs = self.first_runs[index]
-            return self.rows[runs], self.starts[runs]
-        # Keyed by label and then row, the runs of one key stay in column order.
-        height = self.shape[0]
-        keys = self.run_labels * height + self.rows
-        order = np.argsort(keys, kind="stable")
-        runs = order[np.searchsorted(keys[order], (index + 1) * height + rows)]
-        return rows, self.starts[runs]
+    def first_pixels(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the first raster-order pixel of each label index + 1."""
+        runs = self.first_runs[index]
+        return self.rows[runs], self.starts[runs]
 
 
 @dataclass(frozen=True)

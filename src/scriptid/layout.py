@@ -78,15 +78,16 @@ class Paw:
 def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
     """Find line bands as maximal inked row runs of the horizontal projection.
 
-    Blank runs shorter than merge_gap rows do not split a line, which keeps
-    broken strokes in scans together.
+    A blank run shorter than merge_gap rows does not split a line, which
+    keeps broken strokes in scans together; merge_gap 0 acts as 1, so
+    adjacent inked rows always share a line.
     """
     if merge_gap < 0:
         raise ValueError("merge_gap must be >= 0")
     inked = np.flatnonzero(page.pixels.any(axis=1))
     if inked.size == 0:
         return []
-    groups = np.split(inked, np.flatnonzero(np.diff(inked) > merge_gap) + 1)
+    groups = np.split(inked, np.flatnonzero(np.diff(inked) > max(merge_gap, 1)) + 1)
     return [LineBand(int(g[0]), int(g[-1])) for g in groups]
 
 
@@ -161,7 +162,7 @@ def segment_paws(line: BinaryRaster, baselines: Baselines | None = None) -> list
         return []
     b = baselines if baselines is not None else estimate_baselines(line)
     one_line = np.zeros(labelling.count, dtype=np.intp)
-    part, extents, _ = _group_parts(labelling, b.upper_row, b.lower_row, one_line, one_line)
+    part, extents, _ = _group_parts(labelling, labelling.beyond(b.upper_row, b.lower_row), one_line, one_line)
     # Component labels grouped by part, in label order within a part.
     grouped = np.argsort(part, kind="stable") + 1
     ends = np.cumsum(np.bincount(part, minlength=len(extents))).tolist()
@@ -171,16 +172,15 @@ def segment_paws(line: BinaryRaster, baselines: Baselines | None = None) -> list
     ]
 
 
-def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray, origin: np.ndarray):
+def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, origin: np.ndarray):
     """Word parts of the components of one or several text lines.
 
-    line gives each label's line key, 0 and up, and upper and lower the
-    band rows of its line, as arrays with entry i for label i + 1 or as
-    rows shared by every label; origin gives the first row of each label's
-    line, from which centroid rows are counted. The rules are
-    segment_paws's, applied to each line alone: a mark joins only a body
-    of its own line, and a line whose components are all detached keeps
-    them all as bodies.
+    detached says whether each label lies wholly above or below its line's
+    band, line gives its line key, 0 and up, and origin the first row of
+    its line, from which centroid rows are counted; entry i is label i + 1.
+    The rules are segment_paws's, applied to each line alone: a mark joins
+    only a body of its own line, and a line whose components are all
+    detached keeps them all as bodies.
 
     Returns the part index of every label (entry i for label i + 1), each
     part's (top, left, bottom, right) extent, and each part's line key.
@@ -191,9 +191,7 @@ def _group_parts(labelling: Labelling, upper, lower, line: np.ndarray, origin: n
     boxes = labelling.boxes
     # Component order: line, then bbox (min_col, min_row, max_col, max_row), labels on ties.
     comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1], line))
-    detached = labelling.beyond(upper, lower)
-    detached &= np.bincount(line[~detached], minlength=int(line.max()) + 1)[line] > 0
-    detached = detached[comps]
+    detached = (detached & (np.bincount(line[~detached], minlength=int(line.max()) + 1)[line] > 0))[comps]
     bodies, marks = comps[~detached], comps[detached]
     body_line = line[bodies]
 

@@ -128,7 +128,8 @@ class GrayRaster(_Raster):
     @staticmethod
     def _coerce(pixels):
         arr = np.array(pixels, copy=True)
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not ((arr >= 0) & (arr <= 255)).all():
             raise ValueError("intensities must lie in [0, 255]")
         return arr.astype(np.uint8)
 

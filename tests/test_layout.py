@@ -52,6 +52,19 @@ class TestExtractLines:
             LineBand(8, 8),
         ]
 
+    def test_zero_merge_gap_keeps_adjacent_rows_together(self):
+        # Adjacent inked rows have no blank run between them to split on.
+        page = canvas(20, 10)
+        page[5:12, 2:8] = True
+        page[14:16, 2:8] = True
+        assert extract_lines(BinaryRaster(page), merge_gap=0) == [LineBand(5, 11), LineBand(14, 15)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_zero_merge_gap_acts_as_one(self, seed):
+        page = BinaryRaster(np.random.default_rng(seed).random((40, 20)) < 0.05)
+        assert extract_lines(page, merge_gap=0) == extract_lines(page, merge_gap=1)
+
     def test_every_band_contains_ink(self):
         rng = np.random.default_rng(31)
         for _ in range(30):

@@ -124,10 +124,20 @@ class TestPassesPerLine:
 
     def test_page_reaches_the_stages_through_module_attributes(self, monkeypatch):
         # bench/tracing.py::PATCHES wraps these names to count text lines as
-        # calls to pipeline.extract_features and to time the contour and loop
-        # stages; a page must reach each of them through that attribute.
+        # calls to pipeline.extract_features, and to time line finding,
+        # baselines, dilation and the contour, dot and loop stages; a page
+        # must reach each of them through that attribute.
         calls = {}
-        for module, name in ((pipeline, "extract_features"), (features, "trace_contours"), (features, "detect_loops")):
+        names = (
+            (pipeline, "extract_features"),
+            (pipeline, "extract_lines"),
+            (pipeline, "estimate_baselines"),
+            (features, "trace_contours"),
+            (features, "detect_diacritics"),
+            (features, "detect_loops"),
+            (features, "dilate"),
+        )
+        for module, name in names:
             original = getattr(module, name)
 
             def counting(*args, _original=original, _name=name, **kwargs):
@@ -135,10 +145,14 @@ class TestPassesPerLine:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        analysis = analyze_page(wide_page())
-        assert analysis.features.nb_paws > 0
-        assert calls["extract_features"] == 1
-        assert calls["trace_contours"] >= 1 and calls["detect_loops"] >= 1
+        for radius in (0, 1):
+            calls.clear()
+            analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
+            assert analysis.features.nb_paws > 0 and len(analysis.lines) == 4
+            assert calls["extract_features"] == calls["extract_lines"] == calls["dilate"] == 1
+            # One baseline estimate and one dot and loop test per line.
+            assert calls["estimate_baselines"] == calls["detect_diacritics"] == calls["detect_loops"] == 4
+            assert calls["trace_contours"] >= 1
 
     def test_centroids_only_for_tied_marks(self, monkeypatch):
         # No mark of the wide page ties on column overlap, so no centroid is

@@ -362,8 +362,10 @@ class TestRasterTypes:
             img.pixels[0, 0] = False
 
     def test_gray_range_checked(self):
-        with pytest.raises(ValueError):
-            GrayRaster([[300]])
+        # NaN fails both bound comparisons, so it must be rejected explicitly.
+        for pixels in ([[300]], [[-1]], [[np.nan]]):
+            with pytest.raises(ValueError):
+                GrayRaster(pixels)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
