@@ -80,16 +80,15 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(payload, args):
+def _emit(args, fields, text):
+    """Write the report, to --output or stdout: in JSON, the schema and
+    command then the command's fields; in text, the text."""
     if args.format == "json":
-        clean = {k: v for k, v in payload.items() if k != "_text"}
-        text = json.dumps(_round_floats(clean), indent=2) + "\n"
-    else:
-        text = payload["_text"] + "\n"
+        text = json.dumps(_round_floats({"schema": SCHEMA, "command": args.command, **fields}), indent=2)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _input_paths(raw: str) -> list[Path]:
@@ -210,14 +209,7 @@ def _report_images(args, paths, params, entry, text, **parameters) -> int:
             item, line = {"image": path.name, **fields}, f"{path.name}: {text(fields)}"
         entries.append(item)
         lines.append(line)
-    payload = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "parameters": {**asdict(params), **parameters},
-        "images": entries,
-        "_text": "\n".join(lines),
-    }
-    _emit(payload, args)
+    _emit(args, {"parameters": {**asdict(params), **parameters}, "images": entries}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -287,16 +279,8 @@ def cmd_evaluate(args) -> int:
     table = evalmod.format_report(report)
     sys.stdout.write(table + "\n")
     if args.output:
-        payload = {
-            "schema": SCHEMA,
-            "command": "evaluate",
-            "parameters": asdict(params),
-            "report": asdict(report),
-            "_text": table,
-        }
-        if errors:
-            payload["errors"] = errors
-        _emit(payload, args)
+        fields = {"parameters": asdict(params), "report": asdict(report)}
+        _emit(args, {**fields, "errors": errors} if errors else fields, table)
 
     if args.ceiling is not None:
         for k, row in report.per_feature.items():
@@ -325,17 +309,14 @@ def cmd_generate(args) -> int:
     else:
         items = generate_corpus(profile, 50 if args.words is None else args.words, seed=args.seed)
     image_paths, truth_path = save_corpus(items, args.output_dir)
-    payload = {
-        "schema": SCHEMA,
-        "command": "generate",
+    fields = {
         "script": profile.name,
         "seed": args.seed,
         "count": len(image_paths),
         "images": [p.name for p in image_paths],
         "truth": truth_path.name,
-        "_text": f"wrote {len(image_paths)} images and {truth_path.name} to {args.output_dir}",
     }
-    _emit(payload, args)
+    _emit(args, fields, f"wrote {len(image_paths)} images and {truth_path.name} to {args.output_dir}")
     return EXIT_OK
 
 
@@ -345,8 +326,7 @@ def _add_report(parser):
 
 
 def _add_profiles(parser):
-    parser.add_argument("--profile-file", dest="profile_file",
-                        help="script profiles to use instead of the built-ins")
+    parser.add_argument("--profile-file", help="script profiles to use instead of the built-ins")
 
 
 def _add_features(parser):
@@ -358,9 +338,9 @@ def _add_features(parser):
     parser.add_argument("--alpha", type=_FRACTION, default=DEFAULT_PARAMS.alpha,
                         help="baseline band density fraction")
     parser.add_argument("--contour-max", type=_POSITIVE, default=DEFAULT_PARAMS.diacritic_max_contour,
-                        dest="contour_max", help="diacritic/loop contour point cap")
-    parser.add_argument("--merge-gap", type=_COUNT, default=DEFAULT_PARAMS.merge_gap, dest="merge_gap",
-                        help="blank rows tolerated inside a line")
+                        help="diacritic/loop contour point cap")
+    parser.add_argument("--merge-gap", type=_COUNT, default=DEFAULT_PARAMS.merge_gap,
+                        help="a blank run shorter than this many rows does not split a line; 0 acts as 1")
 
 
 def _add_classify(parser):

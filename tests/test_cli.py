@@ -471,6 +471,12 @@ class TestUsage:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    def test_merge_gap_help_states_the_split_rule(self, capsys, command):
+        code, out, _ = _own_main([command, "--help"], capsys)
+        assert code == EXIT_OK
+        assert "a blank run shorter than this many rows does not split a line; 0 acts as 1" in " ".join(out.split())
+
     def test_own_flags_at_their_defaults_change_no_report(self, corpus, tmp_path):
         profiles = tmp_path / "profiles.txt"
         save_profiles(builtin_profiles(), profiles)
@@ -611,6 +617,43 @@ class TestDeterminism:
             assert rc == EXIT_OK
             digests[(command, form)] = hashlib.sha256(raw).hexdigest()
         assert digests == self.PINNED_ENTRIES
+
+    # sha256 of the generate report, written from the working directory so
+    # its "wrote ... to c" line is stable, and of the evaluate report written
+    # with --output on a folder that holds a truncated file, so the errors
+    # key after report and the text table are pinned too.
+    PINNED_REPORTS = {
+        ("generate", "json"): "e9853a8db2695301b15b93327fe84b512b10e54505dc8db0cd02976f84d9228e",
+        ("generate", "text"): "231ec993151331e54394b8224cccbfdb850fd290a9ba3407d89395c0d0b8f0ee",
+        ("evaluate", "json"): "7180cee975bdbbbe6884b85878d0025290aace220f10036bccd0d55a5857af7a",
+        ("evaluate", "text"): "7cd9d3e039e209e59d2e9eb1e148fef375ce9f7f5f847913e75d9577ec309c3d",
+    }
+
+    def test_generate_and_evaluate_reports_match_pinned_hashes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        digests = {}
+        for command, form in self.PINNED_REPORTS:
+            if command == "generate":
+                argv = ["generate", "--output-dir", "c", "--words", "3", "--seed", "1"]
+            else:
+                Path("c/img_0001.pbm").write_bytes(b"P4\n16 16\n\x00\x01")
+                argv = ["evaluate", "--input", "c"]
+            rc, raw = run_to_file(argv + ["--format", form], tmp_path / f"{command}.{form}")
+            assert rc == EXIT_OK
+            digests[(command, form)] = hashlib.sha256(raw).hexdigest()
+        assert list(json.loads((tmp_path / "evaluate.json").read_bytes()))[-2:] == ["report", "errors"]
+        assert digests == self.PINNED_REPORTS
+
+    def test_every_report_opens_with_schema_and_command(self, corpus, tmp_path):
+        for argv in (
+            ["generate", "--output-dir", str(tmp_path / "g"), "--words", "1"],
+            ["features", "--input", str(corpus)],
+            ["classify", "--input", str(corpus)],
+            ["evaluate", "--input", str(corpus)],
+        ):
+            rc, raw = run_to_file(argv, tmp_path / "r.json")
+            assert rc == EXIT_OK
+            assert list(json.loads(raw).items())[:2] == [("schema", "scriptid-report/1"), ("command", argv[0])]
 
     def test_generate_is_byte_identical(self, tmp_path):
         for count in (["--words", "4"], ["--pages", "2"]):
