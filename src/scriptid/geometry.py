@@ -3,10 +3,11 @@
 Ink regions use 8-connectivity and background uses 4-connectivity, the
 standard complementary pair that avoids topological paradoxes. Boundaries
 are traced with Moore neighbor following: the walk scans the 8-neighborhood
-clockwise from the backtrack pixel and stops once its state repeats, which
-handles single pixels and one-pixel-wide spurs. A chain records every visit,
-so a thin spur contributes each boundary pixel once per pass; chain length
-is therefore a visit count, not a Euclidean arc length, and the walk is the
+clockwise from the backtrack pixel and stops when the state after its
+first step recurs (Jacob's stopping criterion), which handles single
+pixels and one-pixel-wide spurs. A chain records every visit, so a thin
+spur contributes each boundary pixel once per pass; chain length is
+therefore a visit count, not a Euclidean arc length, and the walk is the
 only way the pipeline measures it.
 
 The walk probes the ink directly. Each traced raster is stored once as the
@@ -15,15 +16,15 @@ checks and a pixel is a flat index into the padded grid. From a state, the
 walk probes the neighbors clockwise from the backtrack direction; the first
 ink probe is the next pixel, and the background probe just before it, seen
 from the next pixel, is the next backtrack. That relative direction depends
-only on the step direction, so an 8-entry table gives it, and a state is the
-integer pixel * 8 + backtrack direction. The probe offsets depend only on
+only on the step direction, so an 8-entry table gives it, and a state is a
+pixel and a backtrack direction. The probe offsets depend only on
 the padded row stride, so their table is built once per stride and cached.
 
 Regions are labelled by their horizontal runs, not pixel by pixel (after
 He, Chao & Suzuki, IEEE TIP 17(5), 2008): a text raster holds far fewer
 runs than pixels. Runs of consecutive rows whose columns overlap are
 joined, the columns widened by one for 8-connected ink and not widened for
-4-connected background, by rounds of hooking each root under the smaller
+the 4-connected gaps of holes, by rounds of hooking each root under the smaller
 of the two and jumping pointers, all of it array work. The links between
 runs are found apart from the joining, so a subset of runs can be joined
 by the links among them with no second search. A region's root is its
@@ -31,9 +32,12 @@ first run, so regions are numbered in raster order of their first pixel.
 A labelling is only its runs: its boxes, its first pixels and the label
 of any pixel come from them, and no label image is painted.
 
-Holes come from one 4-connected labelling of the background runs: the
-holes are the regions whose boxes stay off the image border, in raster
-order of their first pixel.
+Holes come from the same runs, with no pass over the background: a hole
+is made of gaps, the background runs between two ink runs of a row. The
+gaps are joined 4-connectedly, and a region of them is a hole when none
+of its gaps meets the background before or after the ink of the row above
+or below it, or lies on the first or last row. Holes come in raster order
+of their first pixel.
 
 A caller that only needs the boundaries near a row band can pass that band
 to trace_contours, which then chooses boundaries by bounding box before
@@ -48,13 +52,14 @@ stacks several text lines passes one band per row instead, and each
 boundary is tested against the band of the line it starts in. For regions
 the box rows come from Labelling.boxes, which also decides every other
 box-row test of the pipeline: the detached marks of word parts, and the
-pole and jamb margins. For holes they come from the background
-labelling's boxes. A region's first pixel, the start of its outer chain
-and the tip of a pole, starts its first run. Runs come in raster order, so
-the first of a region's runs on its bottom row starts the tip of a jamb.
+pole and jamb margins. For holes they come from the rows of their gaps.
+A region's first pixel, the start of its outer chain and the tip of a
+pole, starts its first run. Runs come in raster order, so the first of a
+region's runs on its bottom row starts the tip of a jamb.
 
-trace_contours labels the raster it is given and walks it with its own
-walker; nothing is shared with a labelling of some other stage.
+trace_contours finds the runs of the raster it is given once, for its
+regions and its holes, and walks it with its own walker; nothing is shared
+with a labelling of some other stage.
 """
 
 from __future__ import annotations
@@ -174,8 +179,9 @@ def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _links(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (above[i], below[i]) of runs of consecutive rows whose
     columns, one side widened by reach, overlap: reach 1 links 8-connected
-    ink and reach 0 4-connected background. above comes sorted, and each
-    run's partners below it in column order.
+    ink and reach 0 the 4-connected gaps between ink runs. The runs may
+    skip rows, and runs of rows that are not consecutive are never linked.
+    above comes sorted, and each run's partners below it in column order.
     """
     n = rows.size
     # Keys order the runs by row, then column. Adding stride to a key moves
@@ -208,7 +214,7 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
         apart = parent[above] != parent[below]
@@ -217,10 +223,54 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
     return np.cumsum(roots)[parent], np.flatnonzero(roots)
 
 
-def _label(ink: np.ndarray, reach: int = 1) -> Labelling:
+def _label(ink: np.ndarray) -> Labelling:
+    """The 8-connected regions of the ink: its runs, joined by their links
+    at reach 1."""
     rows, starts, ends = _runs(ink)
-    links = _links(rows, starts, ends, ink.shape[1], reach)
+    links = _links(rows, starts, ends, ink.shape[1], 1)
     return Labelling(ink.shape, rows, starts, ends, *_join(rows.size, *links))
+
+
+def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The labelling of the ink, and the (rows, cols) of the first
+    raster-order pixel and the bottom row of every hole, holes in raster
+    order of that pixel.
+
+    A hole is a 4-connected background region not touching the image
+    border. A row's background before its first ink run and after its last
+    touches the left or right border, and so does a blank row, so a hole is
+    made only of gaps: the background runs between two ink runs of a row.
+    A gap is outside when its columns meet the leading or trailing
+    background of the row above or below it; rows off the image count as
+    blank, so every gap of the first and last rows is outside. The gaps
+    linked 4-connectedly form regions, and a region with no outside gap is
+    closed, so it is a hole. The ink's runs are found once for both.
+    """
+    labelling = _label(ink)
+    rows, starts, ends = labelling.rows, labelling.starts, labelling.ends
+    height, width = ink.shape
+    same = rows[1:] == rows[:-1]
+    # Runs i and i + 1 of one row bound gap i.
+    gaps = np.flatnonzero(same)
+    gap_rows, gap_starts, gap_ends = rows[gaps], ends[gaps] + 1, starts[gaps + 1] - 1
+    # Per row, shifted down one so rows -1 and height are blank: the first
+    # ink column and the last, width and -1 on a blank row.
+    first = np.full(height + 2, width)
+    last = np.full(height + 2, -1)
+    lead, trail = np.ones((2, rows.size), dtype=bool)
+    lead[1:] = trail[:-1] = ~same
+    first[rows[lead] + 1] = starts[lead]
+    last[rows[trail] + 1] = ends[trail]
+    outside = (gap_starts < np.maximum(first[gap_rows], first[gap_rows + 2])) | (
+        gap_ends > np.minimum(last[gap_rows], last[gap_rows + 2])
+    )
+    labels, first_gaps = _join(gaps.size, *_links(gap_rows, gap_starts, gap_ends, width, 0))
+    closed = np.ones(first_gaps.size, dtype=bool)
+    closed[labels[outside] - 1] = False
+    bottoms = np.zeros(first_gaps.size, dtype=np.intp)
+    np.maximum.at(bottoms, labels - 1, gap_rows)
+    holes = first_gaps[closed]
+    return labelling, (gap_rows[holes], gap_starts[holes], bottoms[closed])
 
 
 def _back_table() -> tuple[int, ...]:
@@ -255,37 +305,58 @@ class _Walker:
     """
 
     def __init__(self, ink: np.ndarray):
-        self._stride = ink.shape[1] + 2
-        self._ink = np.pad(ink, 1).tobytes()
+        height, width = ink.shape
+        self._stride = width + 2
+        padded = np.zeros((height + 2, self._stride), dtype=bool)
+        padded[1:-1, 1:-1] = ink
+        self._ink = padded.tobytes()
         self._probes = _probe_table(self._stride)
+        # More steps than there are states: a walk that takes them is a fault.
+        self._bound = 8 * len(self._ink)
 
     def walk(self, start: tuple[int, int], back: tuple[int, int]) -> list[int]:
         """Follow one boundary from start, entered from the background pixel back.
 
-        Returns the visited pixels as flat indices into the padded grid. The
-        walk is a deterministic map on (pixel, backtrack) states, so it
-        terminates when a state repeats; a trailing revisit of the start
-        pixel is dropped because closure is implied.
+        Returns the visited pixels as flat indices into the padded grid,
+        a trailing revisit of the start pixel dropped because closure is
+        implied. The walk is a deterministic map on (pixel, backtrack)
+        states, and it stops when the state after its first step recurs.
+
+        That is where a state first repeats. A state reached by a step has
+        one predecessor among such states: its backtrack is a background
+        4-neighbor, and the pixel it came from lies one or two places
+        anticlockwise of that backtrack, which leaves one pixel and one
+        backtrack that step onto it. So the states from the first step on
+        form a pure cycle. The start state lies off it, or on it, where it
+        comes round just before the first-step state and its pixel is the
+        dropped revisit. A cycle holds fewer than 8 states per padded pixel,
+        so the loop is bounded by that many steps and raises at the bound.
         """
         ink, probes = self._ink, self._probes
         p = (start[0] + 1) * self._stride + start[1] + 1
         d = _MOORE_INDEX[(back[0] - start[0], back[1] - start[1])]
         flat = [p]
-        seen = {p * 8 + d}
-        while True:
+        for offset, new_back in probes[d]:
+            if ink[p + offset]:
+                p += offset
+                d = new_back
+                break
+        else:
+            return flat  # isolated pixel: no ink neighbor at all
+        first_p, first_d = p, d
+        for _ in range(self._bound):
+            flat.append(p)
+            # The pixel a step came from is ink, so every later scan finds ink.
             for offset, new_back in probes[d]:
                 if ink[p + offset]:
                     p += offset
                     d = new_back
                     break
-            else:
-                break  # isolated pixel: no ink neighbor at all
-            state = p * 8 + d
-            if state in seen:
+            if p == first_p and d == first_d:
                 break
-            seen.add(state)
-            flat.append(p)
-        if len(flat) > 1 and flat[-1] == flat[0]:
+        else:
+            raise RuntimeError("contour walk exceeded its state bound")
+        if flat[-1] == flat[0]:
             flat.pop()
         return flat
 
@@ -295,22 +366,6 @@ class _Walker:
         pixels = list(zip((rows - 1).tolist(), (cols - 1).tolist()))
         ends = list(accumulate(map(len, walks)))
         return [tuple(pixels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-
-
-def _holes(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols) of the first raster-order pixel and the bottom row of
-    every hole, holes in raster order of that pixel.
-
-    A hole is a 4-connected background region not touching the image
-    border, so one labelling of the background runs finds them all: the
-    holes are the regions whose boxes stay off the border.
-    """
-    background = _label(~ink, reach=0)
-    top, left, bottom, right = background.boxes.T
-    height, width = ink.shape
-    holes = np.flatnonzero((top > 0) & (left > 0) & (bottom < height - 1) & (right < width - 1))
-    rows, cols = background.first_pixels(holes)
-    return rows, cols, bottom[holes]
 
 
 def _at(row, rows: np.ndarray):
@@ -343,8 +398,7 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
 
     The image is labelled once here and walked by one walker over its ink.
     """
-    labelling = _label(img.pixels)
-    hole_rows, hole_cols, hole_bottoms = _holes(img.pixels)
+    labelling, (hole_rows, hole_cols, hole_bottoms) = _label_and_holes(img.pixels)
     if band is None:
         kept = np.arange(labelling.count)
     else:

@@ -3,14 +3,16 @@
 Everything here is deliberately naive pure Python so its correctness is
 obvious: BFS flood fills for regions and holes, direct neighborhood
 enumeration for dilation, a probe-by-probe Moore walk for contours and
-the dot test, a mark-by-mark grouping of word parts, and column-by-column
+the dot test, the library's own walk stopped by a set of every state it
+has met, a mark-by-mark grouping of word parts, and column-by-column
 loops for letter zones, positions, zone lookup and the pole/jamb region
 scan. The rest use scipy, which the library itself does not import: a
 second dilation reference, binary_dilation with a square element; the
 pole/jamb scan, which labels its zone with ndimage.label; and the
 references for the run labeller, ndimage.label with find_objects for ink
 regions and a labelling of the framed background for holes. The worst-case
-rasters for the run labeller are here too.
+rasters for the run labeller are here too, and every 4×4 raster tiled
+into one.
 
 The page oracle runs the library's own single-word extraction once per
 text line, on each line cropped from the page, which is how pages were
@@ -35,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
+from hypothesis import example
 from scipy import ndimage
 
 from scriptid.features import FeatureHit, FeatureThresholds, combine_feature_sets, extract_features
@@ -140,11 +143,38 @@ def scipy_holes(mask):
     return rows[first] - 1, cols[first] - 1, bottom[2:] - 1
 
 
+# Gaps between ink runs that reach the outside only through a border row,
+# only through the background before or after the runs of the row above or
+# below, or only through a blank row inside the box; gaps that meet the
+# outside only diagonally, which are still holes; and an island in a hole.
+HOLE_CASES = (
+    ("10101", "10101", "11111"),
+    ("11111", "10101", "10101"),
+    ("11111", "00011", "10101", "11111"),
+    ("11111", "11000", "10101", "11111"),
+    ("11111", "10101", "00011", "11111"),
+    ("11111", "10101", "11000", "11111"),
+    ("1111111", "1010101", "0000000", "1010101", "1111111"),
+    ("11111", "10111", "11011", "11101", "11110"),
+    ("01110", "10001", "10101", "10001", "01110"),
+    ("1111111", "1000001", "1001001", "1000001", "1111111"),
+)
+
+
+def with_hole_cases(test):
+    """A Hypothesis test of one raster, given every HOLE_CASES raster as an
+    explicit example."""
+    for rows in HOLE_CASES:
+        test = example(BinaryRaster.from_strings(rows))(test)
+    return test
+
+
 def worst_case_rasters(height=400, width=600):
     """Rasters that are hard for run labelling: a checkerboard, whose runs
     are single pixels joined only diagonally; 50% noise; a comb of one-pixel
     teeth joined by its bottom row; and a square spiral, one region whose
-    runs chain from the border to the centre."""
+    runs chain from the border to the centre. Every 4×4 raster, tiled,
+    comes at its own fixed size."""
     rows, cols = np.indices((height, width))
     comb = cols % 2 == 0
     comb[-1] = True
@@ -159,6 +189,7 @@ def worst_case_rasters(height=400, width=600):
             spiral[t + 2 : b + 1, l] = True
         t, l, b, r = t + 2, l + 2, b - 2, r - 2
     return {
+        "every_4x4": every_4x4_raster(),
         "checkerboard": (rows + cols) % 2 == 0,
         "noise": np.random.default_rng(2008).random((height, width)) < 0.5,
         "comb": comb,
@@ -217,6 +248,46 @@ def reference_trace(ink, start, back):
     if len(points) > 1 and points[-1] == points[0]:
         points.pop()
     return points
+
+
+def reference_walk(walker, start, back):
+    """The library's walk from start, entered from the background pixel
+    back, over the walker's padded ink bytes and probe table, stopped at the
+    first (pixel, backtrack) state met twice, which it finds by keeping a
+    set of every state. Returns flat indices into the padded grid, a
+    trailing revisit of the start pixel dropped. The walker stops instead
+    when the state after its first step recurs; the two must agree."""
+    ink, probes = walker._ink, walker._probes
+    p = (start[0] + 1) * walker._stride + start[1] + 1
+    d = _MOORE_INDEX[(back[0] - start[0], back[1] - start[1])]
+    flat = [p]
+    seen = {p * 8 + d}
+    while True:
+        for offset, new_back in probes[d]:
+            if ink[p + offset]:
+                p += offset
+                d = new_back
+                break
+        else:
+            break  # isolated pixel: no ink neighbor at all
+        state = p * 8 + d
+        if state in seen:
+            break
+        seen.add(state)
+        flat.append(p)
+    if len(flat) > 1 and flat[-1] == flat[0]:
+        flat.pop()
+    return flat
+
+
+def every_4x4_raster():
+    """All 65,536 4×4 rasters, raster k holding bit i of k at cell i in
+    raster order, each centred in a blank 6×6 tile so none touches another,
+    tiled in raster order of k into one 1536×1536 raster."""
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(16)) & 1
+    tiles = np.zeros((256, 256, 6, 6), dtype=bool)
+    tiles[:, :, 1:5, 1:5] = bits.reshape(256, 256, 4, 4)
+    return tiles.transpose(0, 2, 1, 3).reshape(1536, 1536)
 
 
 def reference_line_dots(ink, baselines, cap):

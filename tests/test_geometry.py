@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scriptid.geometry import (
     _Walker,
-    _holes,
+    _label_and_holes,
     label_components,
     trace_contours,
 )
@@ -16,9 +16,12 @@ from oracles import (
     connected_components,
     count_components,
     count_holes,
+    every_4x4_raster,
     hole_regions,
     project,
     reference_trace,
+    reference_walk,
+    with_hole_cases,
 )
 
 
@@ -208,17 +211,18 @@ def test_every_chain_stays_inside_one_component(img):
 
 
 @st.composite
-def walk_rasters(draw):
-    """Random ink, sometimes cleared, overlaid with nested square outlines
-    (holes inside holes), one-pixel spurs and isolated pixels."""
-    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+def walk_rasters(draw, max_side=20, max_shapes=3):
+    """Random ink up to max_side on a side, sometimes cleared, overlaid with
+    up to max_shapes nested square outlines (holes inside holes), one-pixel
+    spurs and isolated pixels."""
+    h, w = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
     cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
     ink = np.array(cells).reshape(h, w) & draw(st.booleans())
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_shapes))):
         kind = draw(st.sampled_from(["rings", "spur", "isolated"]))
         r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
         if kind == "rings":
-            size = draw(st.integers(3, 14))
+            size = draw(st.integers(3, max_side - 6))
             r1, c1 = min(h, r + size), min(w, c + size)
             ink[r:r1, c:c1] = False
             for k in range(0, size, 2):
@@ -269,6 +273,33 @@ def test_walker_matches_reference_from_every_entry(img):
             if 0 <= back[0] < height and 0 <= back[1] < width and ink[back]:
                 continue
             assert list(walker.points([walker.walk((r, c), back)])[0]) == reference_trace(ink, (r, c), back)
+
+
+def _walk_starts(ink):
+    """The (start, back) of every outer and every hole walk of trace_contours."""
+    labelling, (hole_rows, hole_cols, _) = _label_and_holes(ink)
+    rows, cols = (a.tolist() for a in labelling.first_pixels(np.arange(labelling.count)))
+    outer = [((r, c), (r, c - 1)) for r, c in zip(rows, cols)]
+    return outer + [((r - 1, c), (r, c)) for r, c in zip(hole_rows.tolist(), hole_cols.tolist())]
+
+
+def test_walks_stop_where_the_reference_walk_does_on_every_4x4_raster():
+    # The walker stops when the state after its first step recurs, the
+    # reference at the first state met twice: from every outer and hole
+    # start of every 4×4 raster, both must give the same chain.
+    ink = every_4x4_raster()
+    walker = _Walker(ink)
+    starts = _walk_starts(ink)
+    assert len(starts) == 113_184
+    assert [s for s in starts if walker.walk(*s) != reference_walk(walker, *s)] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_rasters(max_side=48, max_shapes=8))
+def test_walks_stop_where_the_reference_walk_does(img):
+    walker = _Walker(img.pixels)
+    for start, back in _walk_starts(img.pixels):
+        assert walker.walk(start, back) == reference_walk(walker, start, back)
 
 
 def _rows(points):
@@ -366,7 +397,9 @@ def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
 
 @settings(max_examples=300, deadline=None)
 @given(walk_rasters())
+@example(BinaryRaster(every_4x4_raster()[:300, :300]))
+@with_hole_cases
 def test_holes_match_bfs_holes(img):
     expected = [(min(hole), max(r for r, _ in hole)) for hole in sorted(hole_regions(img.pixels), key=min)]
-    rows, cols, bottoms = _holes(img.pixels)
+    _, (rows, cols, bottoms) = _label_and_holes(img.pixels)
     assert list(zip(zip(rows.tolist(), cols.tolist()), bottoms.tolist())) == expected

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from scriptid.classify import builtin_profiles
 from scriptid.features import FeatureThresholds, _Lines
-from scriptid.geometry import _holes, _label, label_components
+from scriptid.geometry import _label, _label_and_holes, label_components
 from scriptid.layout import Baselines, LineBand, _centroids
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
 
-from oracles import scipy_holes, scipy_label, worst_case_rasters
+from oracles import scipy_holes, scipy_label, with_hole_cases, worst_case_rasters
 
 KINDS = ("empty", "pixel", "row", "column", "full", "border", "checkerboard", "random", "page")
 
@@ -99,8 +99,9 @@ def test_labelling_matches_scipy(img):
 
 @settings(max_examples=300, deadline=None)
 @given(label_rasters())
+@with_hole_cases
 def test_holes_match_scipy(img):
-    ours = _holes(img.pixels)
+    _, ours = _label_and_holes(img.pixels)
     theirs = scipy_holes(img.pixels)
     assert [a.tolist() for a in ours] == [a.tolist() for a in theirs]
 
@@ -129,7 +130,7 @@ def test_worst_case_rasters_match_scipy(name):
     labels, boxes = scipy_label(ink)
     _assert_runs_match(labelling, ink, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]
-    assert [a.tolist() for a in _holes(ink)] == [a.tolist() for a in scipy_holes(ink)]
+    assert [a.tolist() for a in _label_and_holes(ink)[1]] == [a.tolist() for a in scipy_holes(ink)]
 
 
 @settings(max_examples=300, deadline=None)

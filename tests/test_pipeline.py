@@ -78,15 +78,16 @@ class TestPassesPerLine:
     def test_label_calls_and_walkers_per_page(self, monkeypatch, radius, labels_per_page, walkers_per_page):
         # Every line of this page has ink above and below its body band. The
         # page is labelled whole, with every line's band rows blanked (all
-        # outer zones at once), as the contour stage, and as framed
-        # background, however many lines it has. One walker is the contour
+        # outer zones at once), as the contour stage, and as the stage's
+        # holes, however many lines it has. One walker is the contour
         # walk's. The other is the pole and jamb scan's: every line has a
         # lower dot that clears the jamb margin, and the scan walks it to
         # decide that it is a dot, not a jamb. Each labelling joins its runs
-        # with one call to the run joiner. Runs and their links are found
-        # three times, in the ink, the stage and the stage's background; the
-        # zones keep the ink's runs outside the bands and the ink's links
-        # between them.
+        # with one call to the run joiner. Runs are found twice, in the ink
+        # and the stage: the holes are joined from the gaps between the
+        # stage's own runs. Links are found three times, in the ink, the
+        # stage and its gaps; the zones keep the ink's runs outside the
+        # bands and the ink's links between them.
         runs, run_calls = geometry._runs, []
         links, link_calls = geometry._links, []
         join, labels = geometry._join, []
@@ -117,7 +118,7 @@ class TestPassesPerLine:
         for line in analysis.lines:
             assert 0 < line.baselines.upper_row - line.band.top_row
             assert line.baselines.lower_row < line.band.bottom_row
-        assert len(run_calls) == 3
+        assert len(run_calls) == 2
         assert len(link_calls) == 3
         assert len(labels) == labels_per_page
         assert len(walkers) == walkers_per_page
