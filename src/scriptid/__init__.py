@@ -38,19 +38,15 @@ from .features import (
     detect_jambs,
     detect_loops,
     detect_poles,
-    detect_positions,
     extract_features,
-    feature_zones,
 )
 from .geometry import ContourChain, trace_contours
 from .layout import (
     Baselines,
     LineBand,
     NoInkError,
-    Paw,
     estimate_baselines,
     extract_lines,
-    segment_paws,
 )
 from .pipeline import (
     LineAnalysis,

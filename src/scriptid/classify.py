@@ -14,6 +14,7 @@ feature mass or the two profiles are nearly equidistant.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .features import FEATURE_KINDS, FeatureSet
@@ -132,6 +133,15 @@ def classify(
 _PROFILE_KEYS = ("name", "form_count") + FEATURE_KINDS
 
 
+def _count(text: str) -> int:
+    """The integer a count field spells: ASCII digits after an optional
+    minus, where int() alone would also take underscores, a plus sign and
+    the digits of other scripts. Raises ValueError for anything else."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"count {text!r} is not an integer")
+    return int(text)
+
+
 def load_profiles(path) -> list[ScriptProfile]:
     """Read script profiles from a plain key/value text file.
 
@@ -161,8 +171,8 @@ def load_profiles(path) -> list[ScriptProfile]:
                 f"{path}: profile starting at line {block_start} repeats the name {block['name']!r}"
             )
         try:
-            counts = {k: int(block[k]) for k in FEATURE_KINDS}
-            profiles.append(ScriptProfile(block["name"], int(block["form_count"]), counts))
+            counts = {k: _count(block[k]) for k in FEATURE_KINDS}
+            profiles.append(ScriptProfile(block["name"], _count(block["form_count"]), counts))
         except ValueError as exc:  # a non-integer, or a count ScriptProfile rejects
             raise ProfileFormatError(
                 f"{path}: profile starting at line {block_start}: {exc}"
@@ -192,13 +202,22 @@ def load_profiles(path) -> list[ScriptProfile]:
 
 
 def save_profiles(profiles, path):
-    """Write script profiles in the same key/value format load_profiles reads."""
+    """Write script profiles in the same key/value format load_profiles reads.
+
+    Raises ValueError, before the file is opened, for a name that would not
+    read back as itself: an empty one, one holding '#' or a line break, one
+    with leading or trailing whitespace, or one UTF-8 cannot encode.
+    """
     lines = []
     for profile in profiles:
-        lines.append(f"name {profile.name}")
+        name = profile.name
+        if not name or name != name.strip() or "#" in name or len(name.splitlines()) > 1:
+            raise ValueError(f"profile name {name!r} cannot be saved")
+        lines.append(f"name {name}")
         lines.append(f"form_count {profile.form_count}")
         for k in FEATURE_KINDS:
             lines.append(f"{k} {profile.raw[k]}")
         lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    data = "\n".join(lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)

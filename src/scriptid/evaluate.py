@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import DEFAULT_Q_MIN, classify
+from .classify import DEFAULT_Q_MIN, _count, classify
 from .features import FEATURE_KINDS, FeatureSet
 
 __all__ = [
@@ -122,8 +122,8 @@ def load_ground_truth(path) -> list[GroundTruth]:
         if missing:
             raise GroundTruthError(f"{path}:{lineno}: missing fields {missing}")
         try:
-            counts = {k: int(fields[k]) for k in FEATURE_KINDS}
-            paws = int(fields["PAW"])
+            counts = {k: _count(fields[k]) for k in FEATURE_KINDS}
+            paws = _count(fields["PAW"])
         except ValueError:
             raise GroundTruthError(f"{path}:{lineno}: counts must be integers") from None
         if any(v < 0 for v in counts.values()) or paws < 0:

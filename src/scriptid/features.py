@@ -48,7 +48,6 @@ from .raster import BinaryRaster, dilate
 
 __all__ = [
     "FEATURE_KINDS",
-    "POSITIONS",
     "FeatureThresholds",
     "FeatureHit",
     "FeatureSet",
@@ -56,14 +55,11 @@ __all__ = [
     "detect_jambs",
     "detect_diacritics",
     "detect_loops",
-    "detect_positions",
-    "feature_zones",
     "extract_features",
     "combine_feature_sets",
 ]
 
 FEATURE_KINDS = ("H", "J", "P", "Q", "B")
-POSITIONS = ("D", "M", "F", "I")
 # Contour points at which a closed chain is too long to be a dot or a loop.
 DEFAULT_CONTOUR_CAP = 60
 
@@ -93,8 +89,8 @@ class FeatureThresholds:
 class FeatureHit:
     """One detected primitive with a representative pixel.
 
-    paw_index and position stay None until the full extraction pipeline
-    assigns them; the standalone detectors do not know the word layout.
+    paw_index and position, the letter zone's tag D, M, F or I, stay None
+    until extract_features assigns them; the detect_* functions leave them.
     """
 
     kind: str
@@ -357,6 +353,14 @@ def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """Letter zones of every row of counts, a (lines, width) table of column
     ink counts: (line, first column, last column) arrays, sorted.
 
+    Zones are delimited by vertical projection minima. Blank columns split
+    zones outright; inside an inked run, every strict local-minimum plateau
+    marks a boundary at its center column, which belongs to neither
+    neighboring zone. A plateau is a maximal run of equal column counts; it
+    is a strict local minimum when the plateaus on both sides are higher, a
+    blank neighbor or the line's edge counting as 0, so a plateau at the
+    edge of a run never marks a boundary.
+
     The rows are laid end to end, each after a blank column, which splits
     zones and counts as the edge of its line, and a last blank column
     closes the final row; one pass over that row finds every line's zones.
@@ -379,20 +383,6 @@ def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return first // (width + 1), first % (width + 1), last % (width + 1)
 
 
-def feature_zones(word: BinaryRaster) -> list[tuple[int, int]]:
-    """Column intervals of letter zones, delimited by vertical projection minima.
-
-    Blank columns split zones outright; inside an inked run, every strict
-    local-minimum plateau marks a boundary at its center column, which
-    belongs to neither neighboring zone. A plateau is a maximal run of equal
-    column counts; it is a strict local minimum when the plateaus on both
-    sides are higher, a blank neighbor or the image edge counting as 0, so a
-    plateau at the edge of a run never marks a boundary.
-    """
-    _, first, last = _letter_zones(word.pixels.sum(axis=0)[None])
-    return list(zip(first.tolist(), last.tolist()))
-
-
 _TAGS = "IFDM"  # indexed by 2 * (left inked) + (right inked)
 # Body-band columns read on each side of a letter zone for its position tag.
 _NEIGHBORHOOD = 2
@@ -400,7 +390,11 @@ _NEIGHBORHOOD = 2
 
 def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: int) -> np.ndarray:
     """_TAGS index of each zone first..last of its line, from band_columns,
-    a (lines, width) table of whether each column holds body-band ink."""
+    a (lines, width) table of whether each column holds body-band ink.
+
+    A tag reads the band within neighborhood columns outside each zone edge.
+    Reading right to left, a letter inked leftward only starts a word part,
+    D; both sides inked give M, right only F, and neither I."""
     width = band_columns.shape[1]
     # inked[k, c] counts the band columns of line k before c that hold ink.
     inked = np.zeros((band_columns.shape[0], width + 1), dtype=np.intp)
@@ -414,25 +408,6 @@ def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: i
     right_end = np.minimum(np.maximum(last + 1 + neighborhood, right_start), width)
     right = inked[row_start + right_end] > inked[row_start + right_start]
     return 2 * left + right
-
-
-def detect_positions(
-    word: BinaryRaster,
-    baselines: Baselines,
-    zone_bounds,
-    neighborhood: int = _NEIGHBORHOOD,
-) -> list[str]:
-    """Tag each letter zone as start D, middle M, final F, or isolated I.
-
-    Ink is counted in the body band within neighborhood columns just outside
-    each zone edge. Reading right to left, a letter that continues leftward
-    but not rightward starts a word part: left > 0 and right = 0 gives D,
-    both sides inked gives M, right only gives F, neither gives I.
-    """
-    band = word.pixels[baselines.upper_row : baselines.lower_row + 1].any(axis=0)[None]
-    first, last = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
-    codes = _position_codes(band, np.zeros_like(first), first, last, neighborhood)
-    return [_TAGS[i] for i in codes.tolist()]
 
 
 def _zone_index(zone_line, first, last, line, col) -> np.ndarray:

@@ -75,7 +75,6 @@ from .raster import BinaryRaster
 __all__ = [
     "ContourChain",
     "Labelling",
-    "label_components",
     "trace_contours",
 ]
 
@@ -156,11 +155,6 @@ class ContourChain:
     @property
     def length(self) -> int:
         return len(self.points)
-
-
-def label_components(img: BinaryRaster) -> Labelling:
-    """Label the 8-connected ink regions of the image."""
-    return _label(img.pixels)
 
 
 def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,12 +1,12 @@
 """Page decomposition into lines and word parts, plus baseline estimation.
 
 A page splits into horizontal line bands wherever the horizontal projection
-goes blank for long enough. Within a line, ink is grouped into word parts:
-connected components, with small detached marks above or below the body band
-reattached to the body they annotate, ordered right to left. Two baseline
-rows bound the dense body band of a word; they are estimated as the widest
-run of rows whose projection stays above a fraction of the peak, restricted
-to runs that contain the peak itself.
+goes blank for long enough. _group_parts splits each line's ink into word
+parts for extract_features: connected components, with small detached marks
+above or below the body band reattached to the body they annotate, ordered
+right to left. Two baseline rows bound the dense body band of a word; they
+are estimated as the widest run of rows whose projection stays above a
+fraction of the peak, restricted to runs that contain the peak itself.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Labelling, label_components
+from .geometry import Labelling
 from .raster import BinaryRaster
 
 __all__ = [
     "NoInkError",
     "Baselines",
     "LineBand",
-    "Paw",
     "extract_lines",
-    "segment_paws",
     "estimate_baselines",
 ]
 
@@ -60,19 +58,6 @@ class LineBand:
 
     top_row: int
     bottom_row: int
-
-
-@dataclass(eq=False)
-class Paw:
-    """One word part: a body component plus any reattached detached marks.
-
-    order_index runs right to left, the rightmost part being 0. labels are
-    the part's component labels in the line's labelling.
-    """
-
-    bbox: tuple[int, int, int, int]
-    order_index: int
-    labels: np.ndarray
 
 
 def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
@@ -146,41 +131,20 @@ def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> n
     return np.column_stack((row_sums / pixels, col_sums / pixels))
 
 
-def segment_paws(line: BinaryRaster, baselines: Baselines | None = None) -> list[Paw]:
-    """Group the ink of a single line into word parts, right to left.
-
-    Components lying entirely above the upper baseline or entirely below the
-    lower one are detached marks, not standalone parts; each is attached to
-    the body component with maximal signed column overlap (a negative
-    overlap measures the gap), then the nearest centroid, then the first
-    body in (min_col, min_row) order. Centroids are computed only for marks
-    that tie on overlap and for their tied bodies. The resulting pixel sets
-    partition the line's ink.
-    """
-    labelling = label_components(line)
-    if labelling.count == 0:
-        return []
-    b = baselines if baselines is not None else estimate_baselines(line)
-    one_line = np.zeros(labelling.count, dtype=np.intp)
-    part, extents, _ = _group_parts(labelling, labelling.beyond(b.upper_row, b.lower_row), one_line, one_line)
-    # Component labels grouped by part, in label order within a part.
-    grouped = np.argsort(part, kind="stable") + 1
-    ends = np.cumsum(np.bincount(part, minlength=len(extents))).tolist()
-    return [
-        Paw(tuple(extent), i, grouped[lo:hi])
-        for i, (extent, lo, hi) in enumerate(zip(extents.tolist(), [0, *ends], ends))
-    ]
-
-
 def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, origin: np.ndarray):
     """Word parts of the components of one or several text lines.
 
     detached says whether each label lies wholly above or below its line's
     band, line gives its line key, 0 and up, and origin the first row of
     its line, from which centroid rows are counted; entry i is label i + 1.
-    The rules are segment_paws's, applied to each line alone: a mark joins
-    only a body of its own line, and a line whose components are all
-    detached keeps them all as bodies.
+
+    Each line is grouped alone. Its detached components are marks, not
+    standalone parts, and each mark joins a body of its own line: the one
+    with maximal signed column overlap (a negative overlap measures the
+    gap), then the nearest centroid, then the first body in (min_col,
+    min_row) order. Centroids are computed only for marks that tie on
+    overlap and for their tied bodies. A line whose components are all
+    detached keeps them all as bodies. The parts partition the line's ink.
 
     Returns the part index of every label (entry i for label i + 1), each
     part's (top, left, bottom, right) extent, and each part's line key.

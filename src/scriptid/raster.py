@@ -97,29 +97,9 @@ class BinaryRaster(_Raster):
     def ink_count(self) -> int:
         return int(self.pixels.sum())
 
-    def ink_coords(self) -> np.ndarray:
-        """Ink pixel coordinates as an (n, 2) array of (row, col), raster order."""
-        return np.argwhere(self.pixels)
-
     @classmethod
     def blank(cls, height: int, width: int) -> "BinaryRaster":
         return cls(np.zeros((height, width), dtype=bool))
-
-    @classmethod
-    def from_strings(cls, rows) -> "BinaryRaster":
-        """Build a raster from equal-length strings, '#'/'1'/'X' marking ink."""
-        grid = []
-        for row in rows:
-            line = []
-            for ch in row:
-                if ch in "#1X":
-                    line.append(True)
-                elif ch in ".0 ":
-                    line.append(False)
-                else:
-                    raise ValueError(f"unknown pixel character {ch!r}")
-            grid.append(line)
-        return cls(grid)
 
 
 class GrayRaster(_Raster):

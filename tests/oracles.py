@@ -27,7 +27,11 @@ The column-table oracle sums the stacked buffer's pixels line by line
 with np.add.reduceat, as the library did before it summed the raw runs.
 
 The projection profiles, the component list and the word-part pixel
-reader at the end are test helpers the pipeline does not use. The
+reader near the end are test helpers the pipeline does not use. The
+adaptors after them run the pipeline's private stages on one word or line,
+as the tests call them: paws_of groups a line's word parts with the
+labeller and _group_parts, letter_zones_of finds its letter zones with
+_letter_zones, and positions_of tags zones with _position_codes. The
 component list and every test that needs a label image read scipy_label,
 which numbers regions in raster order of their first pixel, as the
 library's labelling does; the labelling tests check that they agree.
@@ -40,8 +44,17 @@ import numpy as np
 from hypothesis import example
 from scipy import ndimage
 
-from scriptid.features import FeatureHit, FeatureThresholds, combine_feature_sets, extract_features
-from scriptid.layout import Baselines, estimate_baselines, extract_lines
+from scriptid.features import (
+    _TAGS,
+    FeatureHit,
+    FeatureThresholds,
+    _letter_zones,
+    _position_codes,
+    combine_feature_sets,
+    extract_features,
+)
+from scriptid.geometry import _label
+from scriptid.layout import Baselines, _group_parts, estimate_baselines, extract_lines
 from scriptid.pipeline import DEFAULT_PARAMS, LineAnalysis, PageAnalysis
 from scriptid.raster import BinaryRaster, GrayRaster, PnmHeaderError, PnmPayloadError
 
@@ -161,11 +174,18 @@ HOLE_CASES = (
 )
 
 
+def raster_of(rows):
+    """A raster from equal-length strings, '1' marking ink and '0' background."""
+    if set("".join(rows)) - set("01"):
+        raise ValueError("raster rows hold only '0' and '1'")
+    return BinaryRaster([[ch == "1" for ch in row] for row in rows])
+
+
 def with_hole_cases(test):
     """A Hypothesis test of one raster, given every HOLE_CASES raster as an
     explicit example."""
     for rows in HOLE_CASES:
-        test = example(BinaryRaster.from_strings(rows))(test)
+        test = example(raster_of(rows))(test)
     return test
 
 
@@ -655,3 +675,50 @@ def paw_pixels(paw, labels):
     r0, c0, r1, c1 = paw.bbox
     inside = np.isin(labels[r0 : r1 + 1, c0 : c1 + 1], paw.labels)
     return np.argwhere(inside) + (r0, c0)
+
+
+@dataclass(eq=False)
+class Part:
+    """One word part: a body component plus any reattached detached marks.
+
+    order_index runs right to left, the rightmost part being 0. labels are
+    the part's component labels in the line's labelling.
+    """
+
+    bbox: tuple[int, int, int, int]
+    order_index: int
+    labels: np.ndarray
+
+
+def paws_of(line, baselines=None):
+    """The word parts of a single line, right to left, as _group_parts
+    groups them with the line as its only line; baselines default to the
+    line's estimate."""
+    labelling = _label(line.pixels)
+    if labelling.count == 0:
+        return []
+    b = baselines if baselines is not None else estimate_baselines(line)
+    one_line = np.zeros(labelling.count, dtype=np.intp)
+    part, extents, _ = _group_parts(labelling, labelling.beyond(b.upper_row, b.lower_row), one_line, one_line)
+    # Component labels grouped by part, in label order within a part.
+    grouped = np.argsort(part, kind="stable") + 1
+    ends = np.cumsum(np.bincount(part, minlength=len(extents))).tolist()
+    return [
+        Part(tuple(extent), i, grouped[lo:hi])
+        for i, (extent, lo, hi) in enumerate(zip(extents.tolist(), [0, *ends], ends))
+    ]
+
+
+def letter_zones_of(word):
+    """Column intervals of a word's letter zones, from _letter_zones."""
+    _, first, last = _letter_zones(word.pixels.sum(axis=0)[None])
+    return list(zip(first.tolist(), last.tolist()))
+
+
+def positions_of(word, baselines, zone_bounds, neighborhood=2):
+    """D/M/F/I tag of each zone of a word, from _position_codes over the
+    columns of its body band."""
+    band = word.pixels[baselines.upper_row : baselines.lower_row + 1].any(axis=0)[None]
+    first, last = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
+    codes = _position_codes(band, np.zeros_like(first), first, last, neighborhood)
+    return [_TAGS[i] for i in codes.tolist()]

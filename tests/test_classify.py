@@ -2,6 +2,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptid.classify import (
     ProfileFormatError,
@@ -182,3 +184,35 @@ class TestProfileFiles:
         prefix = re.escape(f"{path}: profile starting at line 3: ")
         with pytest.raises(ProfileFormatError, match=prefix):
             load_profiles(path)
+
+    # int() alone reads these as 10, 3, 3 and 3.
+    @pytest.mark.parametrize("count", ["1_0", "\u0663", "\uff13", "+3"])
+    def test_counts_are_ascii_digits(self, tmp_path, count):
+        path = tmp_path / "p.txt"
+        path.write_text(f"name X\nform_count 10\nH {count}\nJ 1\nP 1\nQ 1\nB 1\n", encoding="utf-8")
+        with pytest.raises(ProfileFormatError, match=re.escape(f"{path}: profile starting at line 1: ")):
+            load_profiles(path)
+
+    # Each would load back as another name, or not load at all; UTF-8
+    # cannot encode the last.
+    @pytest.mark.parametrize("name", ["Farsi#2", " Lead", "", "Two\nLines", "Lone\ud800"])
+    def test_unsaveable_name_is_refused_before_writing(self, tmp_path, name):
+        path = tmp_path / "p.txt"
+        with pytest.raises(ValueError):
+            save_profiles([builtin_profiles()[0], ScriptProfile(name, 10, builtin_profiles()[1].raw)], path)
+        assert not path.exists()
+
+
+# Names save_profiles accepts: no '#', no line break, no outer whitespace.
+saveable_names = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="#"), min_size=1
+).filter(lambda name: name == name.strip() and len(name.splitlines()) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(saveable_names)
+def test_saved_names_load_back(tmp_path_factory, name):
+    path = tmp_path_factory.mktemp("profiles") / "p.txt"
+    profiles = [ScriptProfile(name, 7, {"H": 1, "J": 0, "P": 2, "Q": 0, "B": 3})]
+    save_profiles(profiles, path)
+    assert load_profiles(path) == profiles

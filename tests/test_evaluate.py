@@ -76,6 +76,15 @@ class TestLoadGroundTruth:
         with pytest.raises(OSError):
             load_ground_truth(tmp_path / "nope.txt")
 
+    # int() alone reads these as 10, 3, 3 and 3.
+    @pytest.mark.parametrize("key, value", [("H", "1_0"), ("PAW", "\u0663"), ("Q", "\uff13"), ("B", "+3")])
+    def test_counts_are_ascii_digits(self, tmp_path, key, value):
+        fields = {"H": "0", "J": "0", "P": "0", "Q": "0", "B": "0", "PAW": "1", key: value}
+        path = tmp_path / "truth.txt"
+        path.write_text("a " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n", encoding="utf-8")
+        with pytest.raises(GroundTruthError, match=r":1: counts must be integers"):
+            load_ground_truth(path)
+
 
 class TestErrorRate:
     # published per-feature pairs and the rates they must reproduce

@@ -12,16 +12,16 @@ from scriptid.features import (
     detect_jambs,
     detect_loops,
     detect_poles,
-    detect_positions,
     extract_features,
-    feature_zones,
 )
-from scriptid.geometry import label_components, trace_contours
+from scriptid.geometry import _label, trace_contours
 from scriptid.layout import Baselines, LineBand, NoInkError
 from scriptid.raster import BinaryRaster
 
 from oracles import (
+    letter_zones_of,
     nearest_labelled,
+    positions_of,
     reference_column_table,
     reference_detect_positions,
     reference_extremum_hits,
@@ -215,8 +215,8 @@ class TestPositions:
         img = word(40, 30)
         paint(img, 24, 32, 10, 20)
         raster = BinaryRaster(img)
-        zones = feature_zones(raster)
-        assert detect_positions(raster, B8, zones) == ["I"]
+        zones = letter_zones_of(raster)
+        assert positions_of(raster, B8, zones) == ["I"]
 
     def test_connected_run_tags_f_m_d(self):
         # three thick letters joined by thin connectors, read right to left
@@ -227,8 +227,8 @@ class TestPositions:
         for c in (9, 23):
             paint(img, 18, 18, c, c + 8)
         raster = BinaryRaster(img)
-        zones = feature_zones(raster)
-        tags = detect_positions(raster, b, zones)
+        zones = letter_zones_of(raster)
+        tags = positions_of(raster, b, zones)
         assert tags[0] == "F" and tags[-1] == "D"
         assert "M" in tags
         assert set(tags) == {"F", "M", "D"}
@@ -395,7 +395,7 @@ def test_nearest_paw_matches_brute_force(data):
     location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
     radius = data.draw(st.integers(0, 3))
     expected = nearest_labelled(paw_map, location, radius)
-    labelling = label_components(BinaryRaster(ink))
+    labelling = _label(ink)
     if expected is None:
         with pytest.raises(KeyError):
             _nearest_paws(ink, labelling, part, [location], radius)
@@ -496,7 +496,7 @@ def banded_words(draw):
 @st.composite
 def sorted_zones(draw, width):
     """Sorted column intervals inside [0, width), at least one, with at least
-    one column between neighbors, as feature_zones leaves them."""
+    one column between neighbors, as letter_zones_of leaves them."""
     zones, c0 = [], draw(st.integers(0, width - 1))
     while c0 < width:
         c1 = min(width - 1, c0 + draw(st.integers(0, 3)))
@@ -508,16 +508,16 @@ def sorted_zones(draw, width):
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(column_profiles(), banded_words().map(lambda case: case[0])))
 def test_feature_zones_match_reference(img):
-    assert feature_zones(img) == reference_feature_zones(img)
+    assert letter_zones_of(img) == reference_feature_zones(img)
 
 
 @settings(max_examples=500, deadline=None)
 @given(banded_words(), st.integers(0, 3), st.data())
 def test_detect_positions_match_reference(case, neighborhood, data):
     img, baselines = case
-    zones = data.draw(st.one_of(st.just(feature_zones(img)), sorted_zones(img.width)))
+    zones = data.draw(st.one_of(st.just(letter_zones_of(img)), sorted_zones(img.width)))
     expected = reference_detect_positions(img, baselines, zones, neighborhood)
-    assert detect_positions(img, baselines, zones, neighborhood) == expected
+    assert positions_of(img, baselines, zones, neighborhood) == expected
 
 
 @settings(max_examples=500, deadline=None)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from scriptid.geometry import (
     _Walker,
+    _label,
     _label_and_holes,
-    label_components,
     trace_contours,
 )
 from scriptid.raster import BinaryRaster, dilate
@@ -19,6 +19,7 @@ from oracles import (
     every_4x4_raster,
     hole_regions,
     project,
+    raster_of,
     reference_trace,
     reference_walk,
     with_hole_cases,
@@ -44,7 +45,7 @@ class TestProject:
 
     def test_l_glyph_mass(self):
         # column of 4 plus row of 3 sharing the corner: 6 pixels by hand
-        img = BinaryRaster.from_strings(["100", "100", "100", "111"])
+        img = raster_of(["100", "100", "100", "111"])
         horiz = project(img, "horizontal")
         vert = project(img, "vertical")
         assert horiz.total() == vert.total() == 6
@@ -63,7 +64,7 @@ class TestProject:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            project(BinaryRaster.from_strings(["1"]), "diagonal")
+            project(raster_of(["1"]), "diagonal")
 
 
 class TestConnectedComponents:
@@ -71,19 +72,19 @@ class TestConnectedComponents:
         assert connected_components(BinaryRaster.blank(4, 4)) == []
 
     def test_two_dots(self):
-        img = BinaryRaster.from_strings(["100", "000", "001"])
+        img = raster_of(["100", "000", "001"])
         comps = connected_components(img)
         assert len(comps) == 2
         assert comps[0].pixel_set() == {(0, 0)}
         assert comps[1].pixel_set() == {(2, 2)}
 
     def test_diagonal_is_connected(self):
-        img = BinaryRaster.from_strings(["10", "01"])
+        img = raster_of(["10", "01"])
         assert len(connected_components(img)) == 1
 
     def test_word_of_five_strokes(self):
         # three letter bodies and two dots, all disjoint by construction
-        img = BinaryRaster.from_strings(
+        img = raster_of(
             [
                 "0100000100000000",
                 "0000000000000000",
@@ -95,7 +96,7 @@ class TestConnectedComponents:
         assert len(comps) == 5
 
     def test_ordering_by_min_col_then_min_row(self):
-        img = BinaryRaster.from_strings(["010", "000", "100"])
+        img = raster_of(["010", "000", "100"])
         comps = connected_components(img)
         assert [c.bbox[:2] for c in comps] == [(2, 0), (0, 1)]
 
@@ -130,7 +131,7 @@ def chain_is_valid(chain):
 
 class TestTraceContours:
     def test_single_pixel(self):
-        chains = trace_contours(BinaryRaster.from_strings(["010"]))
+        chains = trace_contours(raster_of(["010"]))
         assert len(chains) == 1
         assert chains[0].polarity == "outer"
         assert chains[0].closed
@@ -160,7 +161,7 @@ class TestTraceContours:
         assert all(c.closed for c in chains)
 
     def test_thin_bar_counts_each_visit(self):
-        chains = trace_contours(BinaryRaster.from_strings(["11111"]))
+        chains = trace_contours(raster_of(["11111"]))
         assert chains[0].length == 8  # middle pixels are walked twice
 
     def test_counts_match_bfs_oracles(self):
@@ -366,7 +367,7 @@ def test_per_row_bands_test_each_chain_at_its_first_row(img, data):
 @given(walk_rasters())
 def test_first_pixels_match_bfs_regions(img):
     # The first raster-order pixel of each region.
-    labelling = label_components(img)
+    labelling = _label(img.pixels)
     regions = sorted(bfs_regions(img.pixels), key=min)
     rows, cols = labelling.first_pixels(np.arange(len(regions)))
     assert list(zip(rows.tolist(), cols.tolist())) == [min(region) for region in regions]
@@ -376,13 +377,13 @@ def test_first_pixels_match_bfs_regions(img):
 @given(walk_rasters(), st.integers(-1, 21), st.integers(-2, 22))
 @example(BinaryRaster.blank(3, 4), 1, 1)
 @example(BinaryRaster(np.ones((2, 3), dtype=bool)), 0, 0)
-@example(BinaryRaster.from_strings(["1"]), 0, 0)
-@example(BinaryRaster.from_strings(["1"]), 1, -1)
-@example(BinaryRaster.from_strings(["100", "000", "001"]), 1, 1)
+@example(raster_of(["1"]), 0, 0)
+@example(raster_of(["1"]), 1, -1)
+@example(raster_of(["100", "000", "001"]), 1, 1)
 def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
     # Row i bounds the region whose first raster-order pixel comes i-th, and
     # beyond is the row test of detached dots and marks.
-    labelling = label_components(img)
+    labelling = _label(img.pixels)
     expected = []
     for region in sorted(bfs_regions(img.pixels), key=min):
         rows, cols = [r for r, _ in region], [c for _, c in region]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from scriptid.classify import builtin_profiles
 from scriptid.features import FeatureThresholds, _Lines
-from scriptid.geometry import _label, _label_and_holes, label_components
+from scriptid.geometry import _label, _label_and_holes
 from scriptid.layout import Baselines, LineBand, _centroids
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
@@ -88,7 +88,7 @@ def _first_pixels(labels):
 @settings(max_examples=300, deadline=None)
 @given(label_rasters())
 def test_labelling_matches_scipy(img):
-    labelling = label_components(img)
+    labelling = _label(img.pixels)
     labels, boxes = scipy_label(img.pixels)
     assert labelling.count == len(boxes)
     _assert_runs_match(labelling, img.pixels, labels)
@@ -109,7 +109,7 @@ def test_holes_match_scipy(img):
 @settings(max_examples=200, deadline=None)
 @given(label_rasters(), st.data())
 def test_centroids_are_pixel_means(img, data):
-    labelling = label_components(img)
+    labelling = _label(img.pixels)
     assume(labelling.count > 0)
     comps = np.array(sorted(data.draw(st.sets(st.integers(0, labelling.count - 1), min_size=1))))
     origin = np.array(data.draw(st.lists(st.integers(0, 30), min_size=labelling.count, max_size=labelling.count)))
@@ -126,7 +126,7 @@ def test_centroids_are_pixel_means(img, data):
 @pytest.mark.parametrize("name", sorted(worst_case_rasters()))
 def test_worst_case_rasters_match_scipy(name):
     ink = worst_case_rasters()[name]
-    labelling = label_components(BinaryRaster(ink))
+    labelling = _label(ink)
     labels, boxes = scipy_label(ink)
     _assert_runs_match(labelling, ink, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]

@@ -9,11 +9,10 @@ from scriptid.layout import (
     NoInkError,
     estimate_baselines,
     extract_lines,
-    segment_paws,
 )
 from scriptid.raster import BinaryRaster
 
-from oracles import paw_pixels, reference_segment_paws, scipy_label
+from oracles import paw_pixels, paws_of, raster_of, reference_segment_paws, scipy_label
 
 
 def canvas(h, w):
@@ -125,14 +124,14 @@ class TestEstimateBaselines:
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
-            estimate_baselines(BinaryRaster.from_strings(["1"]), alpha=0.0)
+            estimate_baselines(raster_of(["1"]), alpha=0.0)
 
 
 class TestSegmentPaws:
     def test_single_block(self):
         img = canvas(20, 20)
         img[8:13, 4:16] = True
-        paws = segment_paws(BinaryRaster(img))
+        paws = paws_of(BinaryRaster(img))
         assert len(paws) == 1
         assert paws[0].order_index == 0
 
@@ -141,7 +140,7 @@ class TestSegmentPaws:
         img[3:8, 2:10] = True
         img[3:8, 14:20] = True
         img[3:8, 26:32] = True
-        paws = segment_paws(BinaryRaster(img))
+        paws = paws_of(BinaryRaster(img))
         assert [p.bbox[1] for p in paws] == [26, 14, 2]
         assert [p.order_index for p in paws] == [0, 1, 2]
 
@@ -149,7 +148,7 @@ class TestSegmentPaws:
         img = canvas(20, 20)
         img[10:15, 2:18] = True  # body defines the band
         img[2:4, 8:10] = True  # dot well above it, spans overlap
-        paws = segment_paws(BinaryRaster(img))
+        paws = paws_of(BinaryRaster(img))
         assert len(paws) == 1
         assert (2, 8) in pixel_sets(paws, BinaryRaster(img))[0]
 
@@ -158,7 +157,7 @@ class TestSegmentPaws:
         img[10:15, 2:12] = True
         img[10:15, 25:38] = True
         img[2:4, 27:30] = True  # overlaps only the left span of the right body
-        paws = segment_paws(BinaryRaster(img))
+        paws = paws_of(BinaryRaster(img))
         assert len(paws) == 2
         assert (2, 27) in pixel_sets(paws, BinaryRaster(img))[0]  # rightmost paw is index 0
 
@@ -167,16 +166,16 @@ class TestSegmentPaws:
         for _ in range(30):
             img = BinaryRaster(rng.random((20, 30)) < 0.15)
             if img.ink_count() == 0:
-                assert segment_paws(img) == []
+                assert paws_of(img) == []
                 continue
             seen = set()
-            for pset in pixel_sets(segment_paws(img), img):
+            for pset in pixel_sets(paws_of(img), img):
                 assert not (pset & seen)
                 seen |= pset
             assert len(seen) == img.ink_count()
 
     def test_blank_line(self):
-        assert segment_paws(BinaryRaster.blank(5, 5)) == []
+        assert paws_of(BinaryRaster.blank(5, 5)) == []
 
 
 def paw_triples(paws, line):
@@ -202,19 +201,19 @@ class TestSegmentPawsOracle:
     @pytest.mark.parametrize("mark_cols", [(4, 8), (5, 7)])  # overlap 0 each, gap 3 each
     def test_full_tie_goes_to_first_body(self, mark_cols):
         line = tie_line(mark_cols)
-        paws = segment_paws(line, Baselines(4, 8))
+        paws = paws_of(line, Baselines(4, 8))
         assert paw_triples(paws, line) == reference_triples(line, Baselines(4, 8))
         assert paws[1].bbox[1] == 0 and (0, mark_cols[0]) in pixel_sets(paws, line)[1]
 
     def test_tie_below_the_band(self):
         line = BinaryRaster(tie_line((4, 8)).pixels[::-1])
         for baselines in (Baselines(0, 4), None):
-            assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)
+            assert paw_triples(paws_of(line, baselines), line) == reference_triples(line, baselines)
 
     def test_labels_cover_each_part(self):
         line = tie_line((4, 8))
         labels, _ = scipy_label(line.pixels)
-        for paw in segment_paws(line, Baselines(4, 8)):
+        for paw in paws_of(line, Baselines(4, 8)):
             pixels = paw_pixels(paw, labels)
             assert set(labels[tuple(pixels.T)]) == set(paw.labels.tolist())
 
@@ -236,7 +235,7 @@ def test_segment_paws_matches_reference(case):
     line, baselines = case
     if line.ink_count() == 0:
         baselines = Baselines(0, 0)  # estimate_baselines needs ink
-    assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)
+    assert paw_triples(paws_of(line, baselines), line) == reference_triples(line, baselines)
 
 
 @st.composite
@@ -283,4 +282,4 @@ def tie_lines(draw):
 @given(tie_lines())
 def test_segment_paws_matches_reference_on_ties(case):
     line, baselines = case
-    assert paw_triples(segment_paws(line, baselines), line) == reference_triples(line, baselines)
+    assert paw_triples(paws_of(line, baselines), line) == reference_triples(line, baselines)

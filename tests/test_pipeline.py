@@ -9,7 +9,7 @@ from scipy import ndimage
 from scriptid import features, geometry, layout, pipeline
 from scriptid.classify import builtin_profiles
 from scriptid.pipeline import PipelineParams, analyze_page, analyze_pages, classify_page
-from scriptid.layout import Baselines, segment_paws
+from scriptid.layout import Baselines
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page
 
@@ -169,8 +169,10 @@ class TestPassesPerLine:
         assert analysis.features.nb_paws > 0 and calls == []
         tied = np.zeros((9, 13), dtype=bool)
         tied[4:9, 0:5] = tied[4:9, 8:13] = tied[0:2, 5:8] = True
-        paws = segment_paws(BinaryRaster(tied), Baselines(4, 8))
-        assert len(paws) == 2 and len(calls) == 1
+        # merge_gap 3 keeps the mark, two blank rows above the bodies, in their line.
+        (line,) = analyze_page(BinaryRaster(tied), PipelineParams(merge_gap=3)).lines
+        assert line.baselines == Baselines(4, 8)
+        assert line.features.nb_paws == 2 and len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)

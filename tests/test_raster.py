@@ -19,7 +19,7 @@ from scriptid.raster import (
     save,
 )
 
-from oracles import brute_dilate, reference_decode, reference_encode_p2, scipy_dilate
+from oracles import brute_dilate, raster_of, reference_decode, reference_encode_p2, scipy_dilate
 
 
 def write(tmp_path, data, name="img.pbm"):
@@ -33,11 +33,11 @@ class TestLoad:
         img = load(write(tmp_path, "P1\n3 2\n1 0 1\n0 1 0\n"))
         assert isinstance(img, BinaryRaster)
         assert (img.width, img.height) == (3, 2)
-        assert {tuple(p) for p in img.ink_coords()} == {(0, 0), (0, 2), (1, 1)}
+        assert {tuple(p) for p in np.argwhere(img.pixels)} == {(0, 0), (0, 2), (1, 1)}
 
     def test_plain_bitmap_packed_digits(self, tmp_path):
         img = load(write(tmp_path, "P1 3 2 101010"))
-        assert {tuple(p) for p in img.ink_coords()} == {(0, 0), (0, 2), (1, 1)}
+        assert {tuple(p) for p in np.argwhere(img.pixels)} == {(0, 0), (0, 2), (1, 1)}
 
     def test_comments_in_header(self, tmp_path):
         img = load(write(tmp_path, "P1 # comment\n# another\n2 1\n10\n"))
@@ -66,7 +66,7 @@ class TestLoad:
     def test_raw_bitmap_bit_order(self, tmp_path):
         # row '101' packs into one byte, most significant bit first: 0xA0
         img = load(write(tmp_path, b"P4\n3 2\n\xa0\x40"))
-        assert {tuple(p) for p in img.ink_coords()} == {(0, 0), (0, 2), (1, 1)}
+        assert {tuple(p) for p in np.argwhere(img.pixels)} == {(0, 0), (0, 2), (1, 1)}
 
     def test_plain_graymap(self, tmp_path):
         img = load(write(tmp_path, "P2\n2 2\n255\n0 64\n128 255\n"))
@@ -236,14 +236,14 @@ class TestRoundTrip:
             assert load(path) == img
 
     def test_default_format_binary_is_raw(self, tmp_path):
-        img = BinaryRaster.from_strings(["10", "01"])
+        img = raster_of(["10", "01"])
         path = tmp_path / "d.pbm"
         save(img, path)
         assert path.read_bytes().startswith(b"P4")
 
     def test_format_type_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
-            save(BinaryRaster.from_strings(["1"]), tmp_path / "x.pgm", "p5")
+            save(raster_of(["1"]), tmp_path / "x.pgm", "p5")
 
 
 class TestBinarize:
@@ -274,7 +274,7 @@ class TestBinarize:
 
 class TestDilate:
     def test_radius_zero_is_identity(self):
-        img = BinaryRaster.from_strings(["101", "010"])
+        img = raster_of(["101", "010"])
         assert dilate(img, 0) == img
 
     def test_single_pixel_grows_to_block(self):
@@ -282,10 +282,10 @@ class TestDilate:
         img[5, 5] = True
         out = dilate(BinaryRaster(img), 1)
         expected = {(r, c) for r in (4, 5, 6) for c in (4, 5, 6)}
-        assert {tuple(p) for p in out.ink_coords()} == expected
+        assert {tuple(p) for p in np.argwhere(out.pixels)} == expected
 
     def test_gap_of_two_closes_at_radius_one(self):
-        img = BinaryRaster.from_strings(["1001"])
+        img = raster_of(["1001"])
         out = dilate(img, 1)
         # hand enumeration: each pixel becomes a 1x.. block, union covers the row
         assert out.ink_count() == 4
@@ -317,14 +317,14 @@ class TestDilate:
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            dilate(BinaryRaster.from_strings(["1"]), -1)
+            dilate(raster_of(["1"]), -1)
 
     def test_type_checked(self):
         with pytest.raises(TypeError):
             dilate(GrayRaster([[0]]), 1)
 
     def test_huge_radius_stops_once_every_cell_is_inked(self):
-        img = BinaryRaster.from_strings(["0000000", "0000000", "0000001"])
+        img = raster_of(["0000000", "0000000", "0000001"])
         start = time.perf_counter()
         out = dilate(img, 10**6)
         # A million passes take seconds; the seven that can change anything
@@ -357,7 +357,7 @@ def test_dilate_matches_scipy_reference(case):
 
 class TestRasterTypes:
     def test_immutable(self):
-        img = BinaryRaster.from_strings(["10"])
+        img = raster_of(["10"])
         with pytest.raises(ValueError):
             img.pixels[0, 0] = False
 
