@@ -42,7 +42,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import geometry
-from .geometry import ContourChain, Labelling, trace_contours
+from .geometry import Labelling, trace_contours
 from .layout import Baselines, LineBand, NoInkError, _group_parts
 from .raster import BinaryRaster, dilate
 
@@ -116,11 +116,6 @@ class FeatureSet:
         return sum(self.counts.values())
 
 
-def _zone_rows(chain: ContourChain):
-    # Points are (row, col) tuples, so the least and greatest hold the extreme rows.
-    return min(chain.points)[0], max(chain.points)[0]
-
-
 def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThresholds):
     """Split short closed outer chains into upper (P) and lower (Q) dots.
 
@@ -134,11 +129,11 @@ def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThreshold
             continue
         if chain.length >= thresholds.diacritic_max_contour:
             continue
-        lo, hi = _zone_rows(chain)
+        lo, hi = chain.rows
         if hi < baselines.upper_row:
-            p_hits.append(FeatureHit("P", chain.points[0]))
+            p_hits.append(FeatureHit("P", chain.start))
         elif lo > baselines.lower_row:
-            q_hits.append(FeatureHit("Q", chain.points[0]))
+            q_hits.append(FeatureHit("Q", chain.start))
     return p_hits, q_hits
 
 
@@ -147,7 +142,7 @@ def _band_holes(chains, baselines: Baselines):
     for chain in chains:
         if chain.polarity != "inner" or not chain.closed:
             continue
-        lo, hi = _zone_rows(chain)
+        lo, hi = chain.rows
         if hi < baselines.upper_row or lo > baselines.lower_row:
             continue
         yield chain
@@ -160,7 +155,7 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
     as dropped_oversize_loops.
     """
     return [
-        FeatureHit("B", chain.points[0])
+        FeatureHit("B", chain.start)
         for chain in _band_holes(chains, baselines)
         if chain.length < thresholds.diacritic_max_contour
     ]
@@ -292,7 +287,7 @@ class _Lines:
         """
         chains = trace_contours(stage, band=(self.upper[self.line], self.lower[self.line]))
         per_line = [[] for _ in self.thresholds]
-        for chain, k in zip(chains, self.line[[chain.points[0][0] for chain in chains]].tolist()):
+        for chain, k in zip(chains, self.line[[chain.start[0] for chain in chains]].tolist()):
             per_line[k].append(chain)
         found, dropped = [], []
         for mine, b, t in zip(per_line, self.baselines, self.thresholds):

@@ -60,13 +60,19 @@ region's runs on its bottom row starts the tip of a jamb.
 trace_contours finds the runs of the raster it is given once, for its
 regions and its holes, and walks it with its own walker; nothing is shared
 with a labelling of some other stage.
+
+A traced chain carries its start, rows and length from the trace: the
+start is the pixel its walk set out from, the rows are the box rows above
+(widened by one for an inner chain), and the length is the walk's count of
+visits. It keeps the walk as flat indices and builds its (row, col) point
+tuples only on first read, so a caller that needs only those three facts,
+as the dot and loop tests do, builds no point tuple at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -139,22 +145,77 @@ class Labelling:
         return self.rows[runs], self.starts[runs]
 
 
-@dataclass(frozen=True)
 class ContourChain:
     """Ordered boundary pixel sequence around an ink region or a hole.
 
     Consecutive points are 8-neighbors; when closed, the last point is an
     8-neighbor of the first. Polarity is 'outer' for region boundaries and
-    'inner' for hole boundaries.
+    'inner' for hole boundaries. start is the first point, rows the least
+    and greatest row of the points, and length their count.
+
+    A chain built from points stores them as a tuple of (row, col) tuples
+    and reads start, rows and length off them; it needs at least one point.
+    trace_contours builds its chains from their walks instead, with start,
+    rows and length known from the trace, and such a chain makes its point
+    tuples on first read. Either way a chain is immutable, and it compares,
+    hashes and prints by (points, closed, polarity).
     """
 
-    points: tuple[tuple[int, int], ...]
-    closed: bool
-    polarity: str
+    def __init__(self, points, closed: bool, polarity: str):
+        points = tuple(map(tuple, points))
+        if not points:
+            raise ValueError("a contour chain needs at least one point")
+        rows = [p[0] for p in points]
+        vars(self).update(
+            points=points,
+            closed=closed,
+            polarity=polarity,
+            start=points[0],
+            rows=(min(rows), max(rows)),
+            length=len(points),
+        )
 
-    @property
-    def length(self) -> int:
-        return len(self.points)
+    @classmethod
+    def _traced(cls, walk: list[int], stride: int, start: tuple[int, int], rows: tuple[int, int], polarity: str):
+        """The closed chain of a walk, flat indices into a padded grid of
+        the given row stride, whose start and rows the trace already knows."""
+        chain = object.__new__(cls)
+        vars(chain).update(
+            _walk=walk, _stride=stride, closed=True, polarity=polarity, start=start, rows=rows, length=len(walk)
+        )
+        return chain
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        # Looked up on the module, where the count of point builds is taken.
+        return _points(self._walk, self._stride)
+
+    def _key(self):
+        return self.points, self.closed, self.polarity
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(points={self.points!r}, closed={self.closed!r}, polarity={self.polarity!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _points(walk: list[int], stride: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) pixels of a walk, flat indices into a padded grid of
+    the given row stride, where pixel (r, c) is (r + 1) * stride + c + 1."""
+    origin = stride + 1
+    return tuple(divmod(p - origin, stride) for p in walk)
 
 
 def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,13 +415,6 @@ class _Walker:
             flat.pop()
         return flat
 
-    def points(self, walks: list[list[int]]) -> list[tuple[tuple[int, int], ...]]:
-        """The (row, col) pixels of each walk, converted in one pass."""
-        rows, cols = np.divmod(np.fromiter(chain.from_iterable(walks), dtype=np.intp), self._stride)
-        pixels = list(zip((rows - 1).tolist(), (cols - 1).tolist()))
-        ends = list(accumulate(map(len, walks)))
-        return [tuple(pixels[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-
 
 def _at(row, rows: np.ndarray):
     """row, or the entries of a per-row array at rows."""
@@ -399,17 +453,23 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
         top = labelling.boxes[:, 0]
         kept = np.flatnonzero(labelling.beyond(_at(band[0], top), _at(band[1], top)))
         near = (hole_bottoms + 1 >= _at(band[0], hole_rows)) & (hole_rows - 1 <= _at(band[1], hole_rows))
-        hole_rows, hole_cols = hole_rows[near], hole_cols[near]
-    # Labels number regions in raster order of their first pixel, so the starts come sorted.
-    rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
-    outer = [((r, c), (r, c - 1)) for r, c in zip(rows, cols)]
-    # The pixel above a hole's topmost-leftmost cell is always ink.
-    inner = [((r - 1, c), (r, c)) for r, c in zip(hole_rows.tolist(), hole_cols.tolist())]
-    if not outer and not inner:
+        hole_rows, hole_cols, hole_bottoms = hole_rows[near], hole_cols[near], hole_bottoms[near]
+    if not kept.size and not hole_rows.size:
         return []
     walker = _Walker(img.pixels)
-    walks = [walker.walk(start, back) for start, back in outer + inner]
-    return [
-        ContourChain(points, closed=True, polarity="outer" if i < len(outer) else "inner")
-        for i, points in enumerate(walker.points(walks))
+    walk, stride = walker.walk, walker._stride
+    # Labels number regions in raster order of their first pixel, so the
+    # starts come sorted. An outer chain spans its region's box rows.
+    rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
+    bottoms = labelling.boxes[kept, 2].tolist()
+    chains = [
+        ContourChain._traced(walk((r, c), (r, c - 1)), stride, (r, c), (r, bottom), "outer")
+        for r, c, bottom in zip(rows, cols, bottoms)
     ]
+    # The pixel above a hole's topmost-leftmost cell is always ink, and an
+    # inner chain spans its hole's box rows widened by one.
+    chains += [
+        ContourChain._traced(walk((r - 1, c), (r, c)), stride, (r - 1, c), (r - 1, bottom + 1), "inner")
+        for r, c, bottom in zip(hole_rows.tolist(), hole_cols.tolist(), hole_bottoms.tolist())
+    ]
+    return chains

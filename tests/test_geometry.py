@@ -1,12 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scriptid.geometry import (
+    ContourChain,
     _Walker,
     _label,
     _label_and_holes,
+    _points,
     trace_contours,
 )
 from scriptid.raster import BinaryRaster, dilate
@@ -273,7 +277,7 @@ def test_walker_matches_reference_from_every_entry(img):
         for back in ((r, c - 1), (r + 1, c), (r, c + 1), (r - 1, c)):
             if 0 <= back[0] < height and 0 <= back[1] < width and ink[back]:
                 continue
-            assert list(walker.points([walker.walk((r, c), back)])[0]) == reference_trace(ink, (r, c), back)
+            assert list(_points(walker.walk((r, c), back), walker._stride)) == reference_trace(ink, (r, c), back)
 
 
 def _walk_starts(ink):
@@ -404,3 +408,58 @@ def test_holes_match_bfs_holes(img):
     expected = [(min(hole), max(r for r, _ in hole)) for hole in sorted(hole_regions(img.pixels), key=min)]
     _, (rows, cols, bottoms) = _label_and_holes(img.pixels)
     assert list(zip(zip(rows.tolist(), cols.tolist()), bottoms.tolist())) == expected
+
+
+class TestContourChain:
+    def test_points_given_as_lists_are_stored_as_tuples(self):
+        chain = ContourChain([[1, 2], [1, 3]], True, "outer")
+        built = ContourChain(((1, 2), (1, 3)), True, "outer")
+        assert chain.points == ((1, 2), (1, 3))
+        assert chain == built and hash(chain) == hash(built)
+        assert repr(chain) == "ContourChain(points=((1, 2), (1, 3)), closed=True, polarity='outer')"
+
+    def test_start_rows_and_length_come_from_the_points(self):
+        chain = ContourChain([(3, 1), (2, 2), (4, 2)], closed=True, polarity="inner")
+        assert (chain.start, chain.rows, chain.length) == ((3, 1), (2, 4), 3)
+
+    def test_empty_points_are_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            ContourChain([], True, "outer")
+
+    def test_attributes_cannot_be_assigned(self):
+        chain = ContourChain([(0, 0)], True, "outer")
+        for name in ("points", "closed", "polarity", "start", "rows", "length"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(chain, name, None)
+        with pytest.raises(FrozenInstanceError):
+            del chain.points
+
+
+def _bands(img):
+    """No band, a scalar band over the middle third of the rows, and per-row
+    bands that move and change height from row to row."""
+    height = img.height
+    rows = np.arange(height)
+    upper = rows - rows % 4
+    return None, (height // 3, 2 * height // 3), (upper, upper + rows % 3 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_rasters())
+@with_hole_cases
+def test_traced_chains_carry_what_their_points_give(img):
+    # trace_contours builds no point tuple: start, rows and length come
+    # from the trace, and the points from the walk on first read.
+    for band in _bands(img):
+        for chain in trace_contours(img, band=band):
+            start, rows, length = chain.start, chain.rows, chain.length
+            points = chain.points
+            assert start == points[0]
+            assert rows == (min(r for r, _ in points), max(r for r, _ in points))
+            assert length == len(points)
+            built = ContourChain(points, chain.closed, chain.polarity)
+            assert chain == built and built == chain
+            assert hash(chain) == hash(built)
+            assert repr(chain) == repr(built)
+            with pytest.raises(FrozenInstanceError):
+                chain.rows = rows

@@ -155,6 +155,43 @@ class TestPassesPerLine:
             assert calls["estimate_baselines"] == calls["detect_diacritics"] == calls["detect_loops"] == 4
             assert calls["trace_contours"] >= 1
 
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_page_builds_no_point_tuples(self, monkeypatch, radius):
+        # The dot and loop tests read each traced chain's start, rows and
+        # length, which the trace gives, so no chain of the page builds its
+        # points. The page is still traced once, and each of its 4 lines
+        # meets one dot and one loop test: the benchmark's traced run times
+        # and inspects those three stages.
+        points, builds = geometry._points, []
+        trace, chains = features.trace_contours, []
+        calls = {"detect_diacritics": 0, "detect_loops": 0}
+
+        def counting_points(*args):
+            builds.append(1)
+            return points(*args)
+
+        def counting_trace(*args, **kwargs):
+            chains.append(trace(*args, **kwargs))
+            return chains[-1]
+
+        for name in calls:
+            original = getattr(features, name)
+
+            def counting(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(features, name, counting)
+        monkeypatch.setattr(geometry, "_points", counting_points)
+        monkeypatch.setattr(features, "trace_contours", counting_trace)
+        analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
+        assert analysis.features.total_hits() > 0 and len(analysis.lines) == 4
+        assert len(chains) == 1 and len(chains[0]) > 0
+        assert calls == {"detect_diacritics": 4, "detect_loops": 4}
+        assert builds == []
+        # Reading a chain's points afterwards builds them once.
+        assert chains[0][0].points == chains[0][0].points and len(builds) == 1
+
     def test_centroids_only_for_tied_marks(self, monkeypatch):
         # No mark of the wide page ties on column overlap, so no centroid is
         # computed; a mark centred between two equal bodies ties and needs them.
