@@ -23,7 +23,7 @@ from . import evaluate as evalmod
 from .classify import DEFAULT_Q_MIN, ProfileFormatError, builtin_profiles, classify, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
 from .pipeline import DEFAULT_PARAMS, PageAnalysis, PipelineParams, analyze_pages
-from .raster import BinaryRaster, GrayRaster, PnmError, binarize, load
+from .raster import PnmError, load
 from .synthgen import generate_corpus, generate_page, save_corpus
 
 EXIT_OK = 0
@@ -106,13 +106,6 @@ def _input_paths(raw: str) -> list[Path]:
     raise FileNotFoundError(f"input path {path} does not exist")
 
 
-def _load_binary(path: Path) -> BinaryRaster:
-    img = load(path)
-    if isinstance(img, GrayRaster):
-        return binarize(img)
-    return img
-
-
 def _analyses(paths, params: PipelineParams) -> list:
     """Each path's PageAnalysis, or the PnmError or OSError that loading it
     raised, in path order.
@@ -131,7 +124,7 @@ def _analyses(paths, params: PipelineParams) -> list:
 
     for path in paths:
         try:
-            page = _load_binary(path)
+            page = load(path)
         except (PnmError, OSError) as exc:
             results.append(exc)
             continue

@@ -19,14 +19,13 @@ and at least the expansion radius, left-aligned and padded with blank
 columns to the widest page. The expansion is clipped to each line's rows
 and its page's columns. No 8-connected region, hole, expansion halo or
 nearest-part window of one line can then reach another, and every line
-keeps the borders it would have as a crop of its own. Each labelling is
-built once over the buffer: the raw ink, the ink with every line's band
-rows blanked, the expanded stage, and the stage's background. The raw
-runs and the links between them are found once: the second labelling keeps
-the raw runs outside every band and joins only the raw links between two of
-them, with no pass over the pixels and no second link search. Both column
-tables, of each line's ink and of its band rows' ink, are summed from the
-raw runs too.
+keeps the borders it would have as a crop of its own. geometry builds
+every labelling and walk, each once over the buffer: the raw ink and the
+ink with every line's band rows blanked from one search for runs and
+links, the expanded stage and its holes in the trace, and the outer-chain
+lengths of the dot rule. This module only decides from their runs, boxes
+and lengths. Both column tables, of each line's ink and of its band rows'
+ink, are summed from the raw runs.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -137,27 +136,18 @@ def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThreshold
     return p_hits, q_hits
 
 
-def _band_holes(chains, baselines: Baselines):
-    """Closed hole chains whose rows reach into the body band."""
-    for chain in chains:
-        if chain.polarity != "inner" or not chain.closed:
-            continue
-        lo, hi = chain.rows
-        if hi < baselines.upper_row or lo > baselines.lower_row:
-            continue
-        yield chain
-
-
 def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
-    """Find loops: closed hole boundaries under the cap that touch the body band.
+    """Find loops: closed hole boundaries under the cap whose rows reach
+    into the body band.
 
     Holes at or over the cap are not loops; extract_features tallies them
     as dropped_oversize_loops.
     """
     return [
         FeatureHit("B", chain.start)
-        for chain in _band_holes(chains, baselines)
-        if chain.length < thresholds.diacritic_max_contour
+        for chain in chains
+        if chain.polarity == "inner" and chain.closed and chain.length < thresholds.diacritic_max_contour
+        and chain.rows[1] >= baselines.upper_row and chain.rows[0] <= baselines.lower_row
     ]
 
 
@@ -170,6 +160,8 @@ class _Lines:
     width of its raster). baselines, upper and lower hold each line's
     baselines in buffer rows, and marge_h, marge_j and cap its thresholds.
     Adding shift[k] to a buffer row of line k gives the row of its raster.
+    raw labels the ink, and zones the ink with every line's band rows
+    blanked, whose regions each lie wholly in one outer zone.
     """
 
     def __init__(self, inks, bands, baselines, thresholds, gap: int = 1):
@@ -195,32 +187,7 @@ class _Lines:
         self.starts, heights, self.shift, self.upper, self.lower = columns[:5]
         self.marge_h, self.marge_j, self.cap = columns[6:]
         self.line = np.arange(len(table)).repeat(heights + gap)[:size]
-
-    @cached_property
-    def runs(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """(rows, starts, ends) of the raw ink's runs, and the (above, below)
-        pairs of runs they link 8-connectedly, found once for raw and zones."""
-        runs = geometry._runs(self.ink)
-        return runs, geometry._links(*runs, self.ink.shape[1], 1)
-
-    @cached_property
-    def raw(self) -> Labelling:
-        runs, links = self.runs
-        return Labelling(self.ink.shape, *runs, *geometry._join(runs[0].size, *links))
-
-    @cached_property
-    def zones(self) -> Labelling:
-        """The ink with every line's band rows blanked: no 8-connected region
-        crosses a blank row, so each region lies wholly in one outer zone.
-        Its runs are the raw runs outside every band, and its links the raw
-        links between two of them: links only join runs of adjacent rows."""
-        (rows, starts, ends), (above, below) = self.runs
-        outside = ~self.in_band[rows]
-        index = np.cumsum(outside) - 1
-        kept = outside[above] & outside[below]
-        links = index[above[kept]], index[below[kept]]
-        runs = rows[outside], starts[outside], ends[outside]
-        return Labelling(self.ink.shape, *runs, *geometry._join(runs[0].size, *links))
+        self.raw, self.zones = geometry._label_and_zones(self.ink, self.in_band)
 
     @cached_property
     def detached(self) -> np.ndarray:
@@ -248,8 +215,8 @@ class _Lines:
         its line's band, blanking the band left it whole, so the region is
         that component and the pixel starts its outer chain. The region is
         then a dot, and no tip, when that chain, walked on the raw ink, is
-        shorter than the contour cap; the walker is built at the first such
-        region. This is the only place a region is decided to be a dot.
+        shorter than the contour cap. This is the only place a region is
+        decided to be a dot.
 
         The first pixel is also the pole tip; a jamb tip is the first pixel
         of its bottom row, which starts the region's first run on that row,
@@ -262,12 +229,8 @@ class _Lines:
         clears = np.flatnonzero(pole | (bottom - self.lower[line] > self.marge_j[line]))
         rows, cols = zones.first_pixels(clears)
         keep = np.ones(clears.size, dtype=bool)
-        walker = None
-        for j in np.flatnonzero(self.detached[raw.label_at(rows, cols) - 1]).tolist():
-            # Looked up on geometry, where the walker count is taken.
-            walker = walker or geometry._Walker(self.ink)
-            start = (int(rows[j]), int(cols[j]))
-            keep[j] = len(walker.walk(start, (start[0], start[1] - 1))) >= self.cap[line[clears[j]]]
+        dots = np.flatnonzero(self.detached[raw.label_at(rows, cols) - 1])
+        keep[dots] = geometry._outer_lengths(self.ink, rows[dots], cols[dots]) >= self.cap[line[clears[dots]]]
         jamb = ~pole[clears]
         on_bottom = np.flatnonzero(zones.rows == bottom[zones.run_labels - 1])
         # Every region has a run on its bottom row, so label k + 1 is entry k.
@@ -283,7 +246,9 @@ class _Lines:
 
         One trace of the stage, keyed by row to each line's band, walks only
         the chains a dot or loop test can keep; each line's chains then meet
-        that line's tests.
+        that line's tests. Every inner chain it keeps reaches its line's
+        band, so a line's kept inner chains that are not loops are its
+        dropped holes.
         """
         chains = trace_contours(stage, band=(self.upper[self.line], self.lower[self.line]))
         per_line = [[] for _ in self.thresholds]
@@ -292,9 +257,10 @@ class _Lines:
         found, dropped = [], []
         for mine, b, t in zip(per_line, self.baselines, self.thresholds):
             p_hits, q_hits = detect_diacritics(mine, b, t)
-            for hit in (*p_hits, *q_hits, *detect_loops(mine, b, t)):
+            loops = detect_loops(mine, b, t)
+            for hit in (*p_hits, *q_hits, *loops):
                 found.extend((_KIND_ORDER[hit.kind], *hit.location))
-            dropped.append(sum(1 for ch in _band_holes(mine, b) if ch.length >= t.diacritic_max_contour))
+            dropped.append(sum(chain.polarity == "inner" for chain in mine) - len(loops))
         kinds, rows, cols = np.array(found, dtype=np.intp).reshape(-1, 3).T
         return kinds, rows, cols, dropped
 
@@ -314,7 +280,7 @@ class _Lines:
         and by whether the row is a band row: each run adds one at its first
         column and takes one away past its last. A line's table is the sum
         of its band rows' table and its other rows'."""
-        rows, starts, ends = self.runs[0]
+        rows, starts, ends = self.raw.rows, self.raw.starts, self.raw.ends
         width = self.ink.shape[1] + 1
         key = (self.in_band[rows] * len(self.spans) + self.line[rows]) * width
         size = 2 * len(self.spans) * width

@@ -27,7 +27,9 @@ joined, the columns widened by one for 8-connected ink and not widened for
 the 4-connected gaps of holes, by rounds of hooking each root under the smaller
 of the two and jumping pointers, all of it array work. The links between
 runs are found apart from the joining, so a subset of runs can be joined
-by the links among them with no second search. A region's root is its
+by the links among them with no second search: _label_and_zones labels a
+page pass's stacked ink, and the same ink with every line's band rows
+blanked, from one search for runs and links. A region's root is its
 first run, so regions are numbered in raster order of their first pixel.
 A labelling is only its runs: its boxes, its first pixels and the label
 of any pixel come from them, and no label image is painted.
@@ -36,8 +38,9 @@ Holes come from the same runs, with no pass over the background: a hole
 is made of gaps, the background runs between two ink runs of a row. The
 gaps are joined 4-connectedly, and a region of them is a hole when none
 of its gaps meets the background before or after the ink of the row above
-or below it, or lies on the first or last row. Holes come in raster order
-of their first pixel.
+or below it, or lies on the first or last row. The holes are a Labelling
+too, whose runs are the gaps of the closed regions, renumbered in raster
+order of their first pixel.
 
 A caller that only needs the boundaries near a row band can pass that band
 to trace_contours, which then chooses boundaries by bounding box before
@@ -49,17 +52,19 @@ its bottom cells closes it, so its rows are the hole's bounding-box rows
 widened by one. Box rows therefore decide, with no walk, which chains
 lie entirely above or below the band and which reach it. A raster that
 stacks several text lines passes one band per row instead, and each
-boundary is tested against the band of the line it starts in. For regions
-the box rows come from Labelling.boxes, which also decides every other
-box-row test of the pipeline: the detached marks of word parts, and the
-pole and jamb margins. For holes they come from the rows of their gaps.
+boundary is tested against the band of the line it starts in. Every box
+row and band test of the pipeline comes from Labelling.boxes and
+Labelling.beyond, for regions and holes alike: the chains kept for a
+band, the detached marks of word parts, and the pole and jamb margins.
 A region's first pixel, the start of its outer chain and the tip of a
 pole, starts its first run. Runs come in raster order, so the first of a
 region's runs on its bottom row starts the tip of a jamb.
 
 trace_contours finds the runs of the raster it is given once, for its
 regions and its holes, and walks it with its own walker; nothing is shared
-with a labelling of some other stage.
+with a labelling of some other stage. _outer_lengths walks the outer
+chains that the pole and jamb scan's dot rule measures, entered from the
+west as trace_contours enters them.
 
 A traced chain carries its start, rows and length from the trace: the
 start is the pixel its walk set out from, the rows are the box rows above
@@ -91,13 +96,15 @@ _MOORE_INDEX = {d: i for i, d in enumerate(_MOORE)}
 
 @dataclass(frozen=True, eq=False)
 class Labelling:
-    """Connected regions of one raster, kept as its horizontal runs.
+    """Connected regions of one raster, kept as their horizontal runs: the
+    8-connected ink regions, or the holes, whose runs are background.
 
     Run i covers row rows[i], columns starts[i] to ends[i], and belongs to
     region run_labels[i]. Runs come in raster order, and the regions are
     numbered 1..count in raster order of their first pixel; first_runs[k]
     is the first run of region k + 1. boxes is built on first use and then
-    cached, and label_at searches the runs.
+    cached, and every box row and band test reads it; label_at searches
+    the runs.
     """
 
     shape: tuple[int, int]
@@ -286,20 +293,36 @@ def _label(ink: np.ndarray) -> Labelling:
     return Labelling(ink.shape, rows, starts, ends, *_join(rows.size, *links))
 
 
-def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The labelling of the ink, and the (rows, cols) of the first
-    raster-order pixel and the bottom row of every hole, holes in raster
-    order of that pixel.
+def _label_and_zones(ink: np.ndarray, blank: np.ndarray) -> tuple[Labelling, Labelling]:
+    """The labelling of the ink, and of the ink with every row r where
+    blank[r] is set blanked: the runs outside those rows, joined by the
+    links between two of them, as links only join runs of adjacent rows.
+    The runs and links are searched for once."""
+    rows, starts, ends = _runs(ink)
+    above, below = _links(rows, starts, ends, ink.shape[1], 1)
+    labelling = Labelling(ink.shape, rows, starts, ends, *_join(rows.size, above, below))
+    outside = ~blank[rows]
+    index = np.cumsum(outside) - 1
+    kept = outside[above] & outside[below]
+    links = index[above[kept]], index[below[kept]]
+    runs = rows[outside], starts[outside], ends[outside]
+    return labelling, Labelling(ink.shape, *runs, *_join(runs[0].size, *links))
 
-    A hole is a 4-connected background region not touching the image
-    border. A row's background before its first ink run and after its last
-    touches the left or right border, and so does a blank row, so a hole is
-    made only of gaps: the background runs between two ink runs of a row.
-    A gap is outside when its columns meet the leading or trailing
-    background of the row above or below it; rows off the image count as
-    blank, so every gap of the first and last rows is outside. The gaps
-    linked 4-connectedly form regions, and a region with no outside gap is
-    closed, so it is a hole. The ink's runs are found once for both.
+
+def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
+    """The labelling of the ink, and that of its holes: the 4-connected
+    background regions not touching the image border, numbered in raster
+    order of their first pixel.
+
+    A row's background before its first ink run and after its last touches
+    the left or right border, and so does a blank row, so a hole is made
+    only of gaps: the background runs between two ink runs of a row. A gap
+    is outside when its columns meet the leading or trailing background of
+    the row above or below it; rows off the image count as blank, so every
+    gap of the first and last rows is outside. The gaps linked 4-connectedly
+    form regions, and a region with no outside gap is closed, so it is a
+    hole; the holes' labelling is the gaps of the closed regions. The ink's
+    runs are found once for both.
     """
     labelling = _label(ink)
     rows, starts, ends = labelling.rows, labelling.starts, labelling.ends
@@ -322,10 +345,11 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, tuple[np.ndarray, np.n
     labels, first_gaps = _join(gaps.size, *_links(gap_rows, gap_starts, gap_ends, width, 0))
     closed = np.ones(first_gaps.size, dtype=bool)
     closed[labels[outside] - 1] = False
-    bottoms = np.zeros(first_gaps.size, dtype=np.intp)
-    np.maximum.at(bottoms, labels - 1, gap_rows)
-    holes = first_gaps[closed]
-    return labelling, (gap_rows[holes], gap_starts[holes], bottoms[closed])
+    # The gaps of the closed regions, the regions renumbered 1..count in order.
+    kept = np.flatnonzero(closed[labels - 1])
+    runs = gap_rows[kept], gap_starts[kept], gap_ends[kept]
+    first_runs = np.searchsorted(kept, first_gaps[closed])
+    return labelling, Labelling(ink.shape, *runs, np.cumsum(closed)[labels[kept] - 1], first_runs)
 
 
 def _back_table() -> tuple[int, ...]:
@@ -415,10 +439,23 @@ class _Walker:
             flat.pop()
         return flat
 
+    def outer(self, row: int, col: int) -> list[int]:
+        """The walk of the outer chain of the region whose first raster-order
+        pixel is (row, col), entered from the west, where none of it lies."""
+        return self.walk((row, col), (row, col - 1))
+
 
 def _at(row, rows: np.ndarray):
     """row, or the entries of a per-row array at rows."""
     return row[rows] if np.ndim(row) else row
+
+
+def _outer_lengths(ink: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Length of the outer chain of the region whose first raster-order
+    pixel is (rows[i], cols[i]), walked on the ink as trace_contours walks
+    it. A walker is built only when there is a pixel to walk from."""
+    outer = _Walker(ink).outer if rows.size else None
+    return np.array([len(outer(r, c)) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
 
 
 def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
@@ -436,40 +473,40 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     above upper_row or entirely below lower_row, and inner chains of holes
     whose rows, widened by one on each side, meet [upper_row, lower_row].
     An outer chain spans its region's box rows and an inner chain its
-    hole's box rows widened by one, so the choice is made from bounding
-    boxes and the other boundaries are never walked. The kept chains are
-    exactly those of the full trace that pass the same row tests, in the
-    same order. Either entry of band may instead be an array with one row
-    per image row, for an image of several text lines: a region is then
-    tested against the band given at its top row, and a hole against the
-    band given at the row of its first pixel.
+    hole's box rows widened by one, so the choice is made from the boxes
+    of the two labellings, regions and holes alike, and the other
+    boundaries are never walked. The kept chains are exactly those of the
+    full trace that pass the same row tests, in the same order. Either
+    entry of band may instead be an array with one row per image row, for
+    an image of several text lines: a region or a hole is then tested
+    against the band given at its top row.
 
     The image is labelled once here and walked by one walker over its ink.
     """
-    labelling, (hole_rows, hole_cols, hole_bottoms) = _label_and_holes(img.pixels)
-    if band is None:
-        kept = np.arange(labelling.count)
-    else:
-        top = labelling.boxes[:, 0]
+    labelling, holes = _label_and_holes(img.pixels)
+    kept, kept_holes = np.arange(labelling.count), np.arange(holes.count)
+    if band is not None:
+        top, hole_top = labelling.boxes[:, 0], holes.boxes[:, 0]
         kept = np.flatnonzero(labelling.beyond(_at(band[0], top), _at(band[1], top)))
-        near = (hole_bottoms + 1 >= _at(band[0], hole_rows)) & (hole_rows - 1 <= _at(band[1], hole_rows))
-        hole_rows, hole_cols, hole_bottoms = hole_rows[near], hole_cols[near], hole_bottoms[near]
-    if not kept.size and not hole_rows.size:
+        kept_holes = np.flatnonzero(~holes.beyond(_at(band[0], hole_top) - 1, _at(band[1], hole_top) + 1))
+    if not kept.size and not kept_holes.size:
         return []
     walker = _Walker(img.pixels)
-    walk, stride = walker.walk, walker._stride
-    # Labels number regions in raster order of their first pixel, so the
-    # starts come sorted. An outer chain spans its region's box rows.
+    stride = walker._stride
+    # Labels number regions and holes in raster order of their first pixel,
+    # so the starts come sorted. An outer chain spans its region's box rows.
     rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
     bottoms = labelling.boxes[kept, 2].tolist()
     chains = [
-        ContourChain._traced(walk((r, c), (r, c - 1)), stride, (r, c), (r, bottom), "outer")
+        ContourChain._traced(walker.outer(r, c), stride, (r, c), (r, bottom), "outer")
         for r, c, bottom in zip(rows, cols, bottoms)
     ]
     # The pixel above a hole's topmost-leftmost cell is always ink, and an
     # inner chain spans its hole's box rows widened by one.
+    rows, cols = (a.tolist() for a in holes.first_pixels(kept_holes))
+    bottoms = holes.boxes[kept_holes, 2].tolist()
     chains += [
-        ContourChain._traced(walk((r - 1, c), (r, c)), stride, (r - 1, c), (r - 1, bottom + 1), "inner")
-        for r, c, bottom in zip(hole_rows.tolist(), hole_cols.tolist(), hole_bottoms.tolist())
+        ContourChain._traced(walker.walk((r - 1, c), (r, c)), stride, (r - 1, c), (r - 1, bottom + 1), "inner")
+        for r, c, bottom in zip(rows, cols, bottoms)
     ]
     return chains

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .classify import DEFAULT_Q_MIN, Verdict, classify
 from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
 from .layout import DEFAULT_ALPHA, Baselines, LineBand, estimate_baselines, extract_lines
-from .raster import BinaryRaster
+from .raster import BinaryRaster, GrayRaster, binarize
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
 
@@ -52,8 +52,10 @@ def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAn
     analysed with it. Hit coordinates and word-part indices are reported in
     page coordinates, with each page's parts numbered from 0, top line
     first, right to left within each line. A blank page yields an empty
-    analysis with zero counts and parts.
+    analysis with zero counts and parts. A GrayRaster page is thresholded
+    by binarize at its default first: a cell darker than 128 is ink.
     """
+    pages = [binarize(page) if isinstance(page, GrayRaster) else page for page in pages]
     bands = [extract_lines(page, params.merge_gap) for page in pages]
     baselines = [
         [_line_baselines(page, band, params.alpha) for band in page_bands]
@@ -77,13 +79,13 @@ def _line_baselines(page: BinaryRaster, band: LineBand, alpha: float) -> Baselin
     return Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row)
 
 
-def analyze_page(page: BinaryRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:
+def analyze_page(page: BinaryRaster | GrayRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:
     """analyze_pages of the one page."""
     return analyze_pages([page], params)[0]
 
 
 def classify_page(
-    page: BinaryRaster,
+    page: BinaryRaster | GrayRaster,
     profiles=None,
     params: PipelineParams = DEFAULT_PARAMS,
     q_min: float = DEFAULT_Q_MIN,

@@ -156,6 +156,31 @@ def scipy_holes(mask):
     return rows[first] - 1, cols[first] - 1, bottom[2:] - 1
 
 
+def scipy_hole_labelling(mask):
+    """The holes of the mask as a Labelling's runs: a dict of rows, starts,
+    ends, run_labels and first_runs, and boxes, each hole's inclusive (top,
+    left, bottom, right) bounds, from one 4-connected ndimage.label of the
+    background. Regions touching the border are dropped and the rest
+    numbered from 1 in raster order of their first pixel. Two holes never
+    touch in a row, so a run is a maximal row segment of hole pixels."""
+    mask = np.asarray(mask, dtype=bool)
+    labels, count = ndimage.label(~mask, structure=ndimage.generate_binary_structure(2, 1))
+    border = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    ids, first = np.unique(labels, return_index=True)
+    keep = (ids > 0) & ~np.isin(ids, border)
+    number = np.zeros(count + 1, dtype=np.intp)
+    number[ids[keep][np.argsort(first[keep])]] = np.arange(1, keep.sum() + 1)
+    holes = number[labels]
+    inside = np.pad(holes > 0, ((0, 0), (1, 1)))
+    rows, starts = np.nonzero(inside[:, 1:-1] & ~inside[:, :-2])
+    _, ends = np.nonzero(inside[:, 1:-1] & ~inside[:, 2:])
+    run_labels = holes[rows, starts]
+    _, first_runs = np.unique(run_labels, return_index=True)
+    boxes = [(s[0].start, s[1].start, s[0].stop - 1, s[1].stop - 1) for s in ndimage.find_objects(holes)]
+    runs = {"rows": rows, "starts": starts, "ends": ends, "run_labels": run_labels, "first_runs": first_runs}
+    return runs, np.array(boxes, dtype=np.intp).reshape(-1, 4)
+
+
 # Gaps between ink runs that reach the outside only through a border row,
 # only through the background before or after the runs of the row above or
 # below, or only through a blank row inside the box; gaps that meet the

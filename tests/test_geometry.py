@@ -282,10 +282,11 @@ def test_walker_matches_reference_from_every_entry(img):
 
 def _walk_starts(ink):
     """The (start, back) of every outer and every hole walk of trace_contours."""
-    labelling, (hole_rows, hole_cols, _) = _label_and_holes(ink)
+    labelling, holes = _label_and_holes(ink)
     rows, cols = (a.tolist() for a in labelling.first_pixels(np.arange(labelling.count)))
+    hole_rows, hole_cols = (a.tolist() for a in holes.first_pixels(np.arange(holes.count)))
     outer = [((r, c), (r, c - 1)) for r, c in zip(rows, cols)]
-    return outer + [((r - 1, c), (r, c)) for r, c in zip(hole_rows.tolist(), hole_cols.tolist())]
+    return outer + [((r - 1, c), (r, c)) for r, c in zip(hole_rows, hole_cols)]
 
 
 def test_walks_stop_where_the_reference_walk_does_on_every_4x4_raster():
@@ -406,7 +407,8 @@ def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
 @with_hole_cases
 def test_holes_match_bfs_holes(img):
     expected = [(min(hole), max(r for r, _ in hole)) for hole in sorted(hole_regions(img.pixels), key=min)]
-    _, (rows, cols, bottoms) = _label_and_holes(img.pixels)
+    _, holes = _label_and_holes(img.pixels)
+    (rows, cols), bottoms = holes.first_pixels(np.arange(holes.count)), holes.boxes[:, 2]
     assert list(zip(zip(rows.tolist(), cols.tolist()), bottoms.tolist())) == expected
 
 

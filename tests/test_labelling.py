@@ -1,7 +1,8 @@
 """The run labeller against scipy's pixel labelling, on shapes from empty
 rasters to salted pages and on its worst cases. A labelling is only its
 runs, so each is checked to cover exactly the ink and to give scipy's label
-at every ink pixel through its run lookup."""
+at every ink pixel through its run lookup; the holes' labelling is checked
+run for run against scipy's labelling of the background."""
 
 from functools import lru_cache
 
@@ -11,13 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptid.classify import builtin_profiles
-from scriptid.features import FeatureThresholds, _Lines
-from scriptid.geometry import _label, _label_and_holes
-from scriptid.layout import Baselines, LineBand, _centroids
+from scriptid.geometry import _label, _label_and_holes, _label_and_zones
+from scriptid.layout import _centroids
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
 
-from oracles import scipy_holes, scipy_label, with_hole_cases, worst_case_rasters
+from oracles import scipy_hole_labelling, scipy_holes, scipy_label, with_hole_cases, worst_case_rasters
 
 KINDS = ("empty", "pixel", "row", "column", "full", "border", "checkerboard", "random", "page")
 
@@ -101,9 +101,34 @@ def test_labelling_matches_scipy(img):
 @given(label_rasters())
 @with_hole_cases
 def test_holes_match_scipy(img):
-    _, ours = _label_and_holes(img.pixels)
+    _, holes = _label_and_holes(img.pixels)
+    ours = (*holes.first_pixels(np.arange(holes.count)), holes.boxes[:, 2])
     theirs = scipy_holes(img.pixels)
     assert [a.tolist() for a in ours] == [a.tolist() for a in theirs]
+
+
+def _assert_hole_labelling_matches(ink):
+    """The hole labelling, run for run and box for box, against scipy's
+    4-connected labelling of the background without the regions that touch
+    the border."""
+    _, holes = _label_and_holes(ink)
+    runs, boxes = scipy_hole_labelling(ink)
+    assert holes.shape == ink.shape
+    for name, expected in runs.items():
+        assert np.array_equal(getattr(holes, name), expected), name
+    assert np.array_equal(holes.boxes, boxes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_rasters())
+@with_hole_cases
+def test_hole_labelling_matches_scipy(img):
+    _assert_hole_labelling_matches(img.pixels)
+
+
+@pytest.mark.parametrize("name", sorted(worst_case_rasters()))
+def test_worst_case_hole_labellings_match_scipy(name):
+    _assert_hole_labelling_matches(worst_case_rasters()[name])
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,7 +155,9 @@ def test_worst_case_rasters_match_scipy(name):
     labels, boxes = scipy_label(ink)
     _assert_runs_match(labelling, ink, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]
-    assert [a.tolist() for a in _label_and_holes(ink)[1]] == [a.tolist() for a in scipy_holes(ink)]
+    holes = _label_and_holes(ink)[1]
+    ours = (*holes.first_pixels(np.arange(holes.count)), holes.boxes[:, 2])
+    assert [a.tolist() for a in ours] == [a.tolist() for a in scipy_holes(ink)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,8 +167,7 @@ def test_zones_are_the_raw_runs_outside_the_bands(img, data):
     # and joins them again; it must equal a labelling of the ink with those
     # rows blanked, for any set of blanked rows.
     blank = np.array(data.draw(st.lists(st.booleans(), min_size=img.height, max_size=img.height)))
-    lines = _Lines([img.pixels], [LineBand(0, img.height - 1)], [Baselines(0, 0)], [FeatureThresholds(0, 0)])
-    lines.in_band = blank
-    zones, expected = lines.zones, _label(img.pixels & ~blank[:, None])
+    _, zones = _label_and_zones(img.pixels, blank)
+    expected = _label(img.pixels & ~blank[:, None])
     for name in ("rows", "starts", "ends", "run_labels", "first_runs", "boxes"):
         assert np.array_equal(getattr(zones, name), getattr(expected, name)), name

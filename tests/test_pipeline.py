@@ -8,9 +8,11 @@ from scipy import ndimage
 
 from scriptid import features, geometry, layout, pipeline
 from scriptid.classify import builtin_profiles
+from scriptid.features import FeatureThresholds, detect_loops
+from scriptid.geometry import trace_contours
 from scriptid.pipeline import PipelineParams, analyze_page, analyze_pages, classify_page
 from scriptid.layout import Baselines
-from scriptid.raster import BinaryRaster, dilate
+from scriptid.raster import BinaryRaster, GrayRaster, dilate, load, save
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page
 
 from oracles import reference_analyze_page
@@ -61,6 +63,44 @@ class TestAnalyzePage:
         assert loose.features.counts["P"] <= strict.features.counts["P"]
 
 
+@st.composite
+def multi_line_rasters(draw):
+    """One to four blocks of random ink, of one of three densities, stacked
+    with two to four blank rows between them, so that each block holds at
+    least one text line."""
+    width = draw(st.integers(1, 24))
+    density = draw(st.sampled_from([[False, True], [False, True, True], [False, True, True, True]]))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        height = draw(st.integers(1, 12))
+        cells = draw(st.lists(st.sampled_from(density), min_size=height * width, max_size=height * width))
+        blocks += [np.array(cells).reshape(height, width), np.zeros((draw(st.integers(2, 4)), width), dtype=bool)]
+    return BinaryRaster(np.vstack(blocks[:-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(multi_line_rasters(), st.integers(0, 2), st.integers(1, 200))
+def test_loops_and_dropped_holes_match_each_line_traced_alone(img, radius, cap):
+    # The page pass counts a line's dropped holes as its kept inner chains
+    # minus its loops. The reference traces the line's crop, expanded alone,
+    # with no band: B is detect_loops of that trace, and the dropped holes
+    # are its closed inner chains that meet the band and reach the cap.
+    analysis = analyze_page(img, PipelineParams(dilation_radius=radius, diacritic_max_contour=cap))
+    for line in analysis.lines:
+        top = line.band.top_row
+        reference = trace_contours(dilate(BinaryRaster(img.pixels[top : line.band.bottom_row + 1]), radius))
+        upper, lower = line.baselines.upper_row - top, line.baselines.lower_row - top
+        loops = detect_loops(reference, Baselines(upper, lower), FeatureThresholds(0, 0, cap))
+        assert line.features.counts["B"] == len(loops)
+        dropped = [
+            chain
+            for chain in reference
+            if chain.polarity == "inner" and chain.closed and chain.rows[1] >= upper and chain.rows[0] <= lower
+            and chain.length >= cap
+        ]
+        assert line.features.dropped_oversize_loops == len(dropped)
+
+
 class TestClassifyPage:
     def test_returns_verdict_and_analysis(self):
         page = generate_page(builtin_profiles()[1], seed=3)
@@ -71,6 +111,19 @@ class TestClassifyPage:
     def test_blank_page_is_unknown(self):
         verdict, _ = classify_page(BinaryRaster.blank(25, 25))
         assert verdict.label == "Unknown"
+
+    @pytest.mark.parametrize("script", [0, 1])
+    def test_graymap_page_reads_as_its_bitmap(self, tmp_path, script):
+        # A graymap is thresholded as binarize does by default, dark cells
+        # ink, so a page saved as P5 classifies exactly as its P4 bitmap.
+        page = generate_page(builtin_profiles()[script], seed=1).raster
+        save(page, tmp_path / "page.pbm")
+        save(GrayRaster(np.where(page.pixels, 0, 255)), tmp_path / "page.pgm")
+        gray, bitmap = load(tmp_path / "page.pgm"), load(tmp_path / "page.pbm")
+        assert isinstance(gray, GrayRaster)
+        verdict, analysis = classify_page(gray)
+        assert verdict.label == builtin_profiles()[script].name
+        assert repr(classify_page(gray)) == repr(classify_page(bitmap))
 
 
 class TestPassesPerLine:
