@@ -22,10 +22,11 @@ nearest-part window of one line can then reach another, and every line
 keeps the borders it would have as a crop of its own. geometry builds
 every labelling and walk, each once over the buffer: the raw ink and the
 ink with every line's band rows blanked from one search for runs and
-links, the expanded stage and its holes in the trace, and the outer-chain
-lengths of the dot rule. This module only decides from their runs, boxes
-and lengths. Both column tables, of each line's ink and of its band rows'
-ink, are summed from the raw runs.
+links, the expanded stage and its holes in the trace, with a bound on
+each chain's length, and the outer-chain lengths of the dot rule. This
+module only decides from their runs, boxes, bounds and lengths. Both
+column tables, of each line's ink and of its band rows' ink, are summed
+from the raw runs.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -43,7 +44,7 @@ import numpy as np
 from . import geometry
 from .geometry import Labelling, trace_contours
 from .layout import Baselines, LineBand, NoInkError, _group_parts
-from .raster import BinaryRaster, dilate
+from .raster import BinaryRaster, _require_binary, dilate
 
 __all__ = [
     "FEATURE_KINDS",
@@ -126,13 +127,15 @@ def detect_diacritics(chains, baselines: Baselines, thresholds: FeatureThreshold
     for chain in chains:
         if chain.polarity != "outer" or not chain.closed:
             continue
-        if chain.length >= thresholds.diacritic_max_contour:
-            continue
         lo, hi = chain.rows
         if hi < baselines.upper_row:
-            p_hits.append(FeatureHit("P", chain.start))
+            kind, hits = "P", p_hits
         elif lo > baselines.lower_row:
-            q_hits.append(FeatureHit("Q", chain.start))
+            kind, hits = "Q", q_hits
+        else:
+            continue
+        if chain._under(thresholds.diacritic_max_contour):
+            hits.append(FeatureHit(kind, chain.start))
     return p_hits, q_hits
 
 
@@ -146,8 +149,9 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
     return [
         FeatureHit("B", chain.start)
         for chain in chains
-        if chain.polarity == "inner" and chain.closed and chain.length < thresholds.diacritic_max_contour
+        if chain.polarity == "inner" and chain.closed
         and chain.rows[1] >= baselines.upper_row and chain.rows[0] <= baselines.lower_row
+        and chain._under(thresholds.diacritic_max_contour)
     ]
 
 
@@ -244,9 +248,10 @@ class _Lines:
         loops on the stacked stage, plus each line's count of holes dropped
         for reaching the cap.
 
-        One trace of the stage, keyed by row to each line's band, walks only
-        the chains a dot or loop test can keep; each line's chains then meet
-        that line's tests. Every inner chain it keeps reaches its line's
+        One trace of the stage, keyed by row to each line's band, keeps only
+        the chains a dot or loop test can accept; each line's chains then
+        meet that line's tests, which walk a chain only when its length
+        bound reaches the cap. Every inner chain it keeps reaches its line's
         band, so a line's kept inner chains that are not loops are its
         dropped holes.
         """
@@ -301,12 +306,14 @@ def _scan_hits(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThre
 def detect_poles(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
     """Poles: ink regions whose top rises more than marge_h above the upper
     baseline, detached dots excepted; hits sorted by location."""
+    _require_binary(word, "detect_poles")
     return _scan_hits(word, baselines, thresholds, 0)
 
 
 def detect_jambs(word: BinaryRaster, baselines: Baselines, thresholds: FeatureThresholds):
     """Jambs: ink regions whose bottom drops more than marge_j below the
     lower baseline, detached dots excepted; hits sorted by location."""
+    _require_binary(word, "detect_jambs")
     return _scan_hits(word, baselines, thresholds, 1)
 
 
@@ -454,7 +461,7 @@ def extract_features(
     list comes back per page, holding one FeatureSet per band, its hits in
     page coordinates and its word parts numbered across the page in band
     order. Without bands the word is one band and its FeatureSet is
-    returned.
+    returned. A word or page that is not a BinaryRaster raises TypeError.
     """
     single = bands is None
     if single:
@@ -462,6 +469,8 @@ def extract_features(
         word = [word]
     elif thresholds is None:
         thresholds = [[None] * len(page_bands) for page_bands in bands]
+    for page in word:
+        _require_binary(page, "extract_features")
     # Every line of every page, page by page: its page's ink, band, baselines and thresholds.
     flat = [
         (page.pixels, band, b, t if t is not None else FeatureThresholds.from_baselines(b))
@@ -482,7 +491,7 @@ def extract_features(
     raw = lines.raw
     raw_line = lines.line_of(raw)
     stage = lines.stage(radius)
-    # Only chains a dot or loop test can keep are walked; see trace_contours.
+    # Only chains a dot or loop test can accept are kept; see trace_contours.
     dot_kinds, dot_rows, dot_cols, dropped = lines.dots_and_loops(stage)
     tip_kinds, tip_rows, tip_cols = lines.poles_and_jambs()
     kinds = np.concatenate((tip_kinds, dot_kinds))

@@ -7,8 +7,9 @@ clockwise from the backtrack pixel and stops when the state after its
 first step recurs (Jacob's stopping criterion), which handles single
 pixels and one-pixel-wide spurs. A chain records every visit, so a thin
 spur contributes each boundary pixel once per pass; chain length is
-therefore a visit count, not a Euclidean arc length, and the walk is the
-only way the pipeline measures it.
+therefore a visit count, not a Euclidean arc length. Only a walk measures
+it, but the edges of a region or hole bound it from above, so a walk is
+needed only when that bound does not settle a test against a cap.
 
 The walk probes the ink directly. Each traced raster is stored once as the
 bytes of its ink over a one-pixel zero pad, so the border needs no bounds
@@ -43,10 +44,10 @@ too, whose runs are the gaps of the closed regions, renumbered in raster
 order of their first pixel.
 
 A caller that only needs the boundaries near a row band can pass that band
-to trace_contours, which then chooses boundaries by bounding box before
-walking any of them. An outer chain visits only pixels of its region and
-includes the region's topmost and bottommost pixels, so its rows are
-exactly the region's bounding-box rows. An inner chain visits the ink cells
+to trace_contours, which then chooses boundaries by bounding box. An outer
+chain visits only pixels of its region and includes the region's topmost
+and bottommost pixels, so its rows are exactly the region's bounding-box
+rows. An inner chain visits the ink cells
 around its hole, and the ink directly above the hole's top cells and below
 its bottom cells closes it, so its rows are the hole's bounding-box rows
 widened by one. Box rows therefore decide, with no walk, which chains
@@ -60,28 +61,39 @@ A region's first pixel, the start of its outer chain and the tip of a
 pole, starts its first run. Runs come in raster order, so the first of a
 region's runs on its bottom row starts the tip of a jamb.
 
-trace_contours finds the runs of the raster it is given once, for its
-regions and its holes, and walks it with its own walker; nothing is shared
-with a labelling of some other stage. _outer_lengths walks the outer
-chains that the pole and jamb scan's dot rule measures, entered from the
-west as trace_contours enters them.
+Each state of a walk pairs an ink pixel with a background 4-neighbor,
+its backtrack, and the states from the first step on form a cycle; the
+start state is one more such pair. So an outer chain is no longer than
+its region's count of unit edges to the pixels outside it, and an inner
+chain no longer than its hole's count of unit edges to the ink. Both
+labellings of trace_contours carry that count per label, summed from the
+runs and links they are joined from: two edges per column of a run and
+one at each end, less two per column that a link's two runs share.
 
-A traced chain carries its start, rows and length from the trace: the
-start is the pixel its walk set out from, the rows are the box rows above
-(widened by one for an inner chain), and the length is the walk's count of
-visits. It keeps the walk as flat indices and builds its (row, col) point
-tuples only on first read, so a caller that needs only those three facts,
-as the dot and loop tests do, builds no point tuple at all.
+trace_contours finds the runs of the raster it is given once, for its
+regions and its holes; nothing is shared with a labelling of some other
+stage. _outer_lengths walks the outer chains that the pole and jamb scan's
+dot rule measures, entered from the west as trace_contours enters them.
+
+A traced chain carries its start, rows and length bound from the trace:
+the start is the pixel its walk sets out from, the rows are the box rows
+above (widened by one for an inner chain), and the bound is the edge
+count. It walks on first reading its length or points, all chains of one
+trace by one walker built on the first walk, and builds its (row, col)
+point tuples only on first reading its points. The dot and loop tests
+read the start, rows and bound, and the length only when the bound
+reaches the cap, so on text, where no dot or loop comes near the cap,
+the contour stage walks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
-from .raster import BinaryRaster
+from .raster import BinaryRaster, _require_binary
 
 __all__ = [
     "ContourChain",
@@ -104,7 +116,9 @@ class Labelling:
     numbered 1..count in raster order of their first pixel; first_runs[k]
     is the first run of region k + 1. boxes is built on first use and then
     cached, and every box row and band test reads it; label_at searches
-    the runs.
+    the runs. edges[k], which _label and the holes of _label_and_holes
+    give, counts the unit edges between region k + 1 and the pixels
+    4-adjacent to it that lie outside it, off-image pixels included.
     """
 
     shape: tuple[int, int]
@@ -113,6 +127,7 @@ class Labelling:
     ends: np.ndarray
     run_labels: np.ndarray
     first_runs: np.ndarray
+    edges: np.ndarray | None = None
 
     @property
     def count(self) -> int:
@@ -162,10 +177,11 @@ class ContourChain:
 
     A chain built from points stores them as a tuple of (row, col) tuples
     and reads start, rows and length off them; it needs at least one point.
-    trace_contours builds its chains from their walks instead, with start,
-    rows and length known from the trace, and such a chain makes its point
-    tuples on first read. Either way a chain is immutable, and it compares,
-    hashes and prints by (points, closed, polarity).
+    trace_contours builds its chains before walking them, with start and
+    rows known from the trace and a bound on the length: such a chain walks
+    on first reading its length or points, and makes its point tuples on
+    first reading its points. Either way a chain is immutable, and it
+    compares, hashes and prints by (points, closed, polarity).
     """
 
     def __init__(self, points, closed: bool, polarity: str):
@@ -180,22 +196,37 @@ class ContourChain:
             start=points[0],
             rows=(min(rows), max(rows)),
             length=len(points),
+            _bound=len(points),
         )
 
     @classmethod
-    def _traced(cls, walk: list[int], stride: int, start: tuple[int, int], rows: tuple[int, int], polarity: str):
-        """The closed chain of a walk, flat indices into a padded grid of
-        the given row stride, whose start and rows the trace already knows."""
+    def _traced(cls, walker, start, back, rows, bound: int, polarity: str):
+        """The closed chain that walker() walks from start, entered from the
+        background pixel back, whose rows the trace already knows and
+        whose length is at most bound."""
         chain = object.__new__(cls)
         vars(chain).update(
-            _walk=walk, _stride=stride, closed=True, polarity=polarity, start=start, rows=rows, length=len(walk)
+            _walker=walker, _back=back, _bound=bound, closed=True, polarity=polarity, start=start, rows=rows
         )
         return chain
 
     @cached_property
+    def _walk(self) -> list[int]:
+        return self._walker().walk(self.start, self._back)
+
+    @cached_property
+    def length(self) -> int:
+        return len(self._walk)
+
+    @cached_property
     def points(self) -> tuple[tuple[int, int], ...]:
         # Looked up on the module, where the count of point builds is taken.
-        return _points(self._walk, self._stride)
+        return _points(self._walk, self._walker()._stride)
+
+    def _under(self, cap: int) -> bool:
+        """Whether the chain is shorter than cap, walked only when its
+        bound does not already say so."""
+        return self._bound < cap or self.length < cap
 
     def _key(self):
         return self.points, self.closed, self.polarity
@@ -285,12 +316,24 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
     return np.cumsum(roots)[parent], np.flatnonzero(roots)
 
 
+def _edge_counts(labels, count: int, starts, ends, above, below) -> np.ndarray:
+    """Per region of the runs, its count of unit edges to the pixels
+    outside it, for runs linked by every pair of 4-adjacent pixels: each
+    run has two edges per column and one at each end, less two per column
+    it shares with a run it is linked to in the next row."""
+    shared = np.maximum(np.minimum(ends[above], ends[below]) - np.maximum(starts[above], starts[below]) + 1, 0)
+    edges = np.bincount(labels - 1, 2 * (ends - starts) + 4, count) - np.bincount(labels[above] - 1, 2 * shared, count)
+    return edges.astype(np.intp)
+
+
 def _label(ink: np.ndarray) -> Labelling:
-    """The 8-connected regions of the ink: its runs, joined by their links
-    at reach 1."""
+    """The 8-connected regions of the ink, with their edge counts: its runs,
+    joined by their links at reach 1."""
     rows, starts, ends = _runs(ink)
-    links = _links(rows, starts, ends, ink.shape[1], 1)
-    return Labelling(ink.shape, rows, starts, ends, *_join(rows.size, *links))
+    above, below = _links(rows, starts, ends, ink.shape[1], 1)
+    labels, first_runs = _join(rows.size, above, below)
+    edges = _edge_counts(labels, first_runs.size, starts, ends, above, below)
+    return Labelling(ink.shape, rows, starts, ends, labels, first_runs, edges)
 
 
 def _label_and_zones(ink: np.ndarray, blank: np.ndarray) -> tuple[Labelling, Labelling]:
@@ -322,7 +365,9 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
     gap of the first and last rows is outside. The gaps linked 4-connectedly
     form regions, and a region with no outside gap is closed, so it is a
     hole; the holes' labelling is the gaps of the closed regions. The ink's
-    runs are found once for both.
+    runs are found once for both. Both labellings carry their edge counts:
+    every pixel 4-adjacent to a hole and outside it is ink, so a hole's
+    count is that of its edges to the ink.
     """
     labelling = _label(ink)
     rows, starts, ends = labelling.rows, labelling.starts, labelling.ends
@@ -342,14 +387,16 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
     outside = (gap_starts < np.maximum(first[gap_rows], first[gap_rows + 2])) | (
         gap_ends > np.minimum(last[gap_rows], last[gap_rows + 2])
     )
-    labels, first_gaps = _join(gaps.size, *_links(gap_rows, gap_starts, gap_ends, width, 0))
+    above, below = _links(gap_rows, gap_starts, gap_ends, width, 0)
+    labels, first_gaps = _join(gaps.size, above, below)
     closed = np.ones(first_gaps.size, dtype=bool)
     closed[labels[outside] - 1] = False
+    edges = _edge_counts(labels, first_gaps.size, gap_starts, gap_ends, above, below)[closed]
     # The gaps of the closed regions, the regions renumbered 1..count in order.
     kept = np.flatnonzero(closed[labels - 1])
     runs = gap_rows[kept], gap_starts[kept], gap_ends[kept]
     first_runs = np.searchsorted(kept, first_gaps[closed])
-    return labelling, Labelling(ink.shape, *runs, np.cumsum(closed)[labels[kept] - 1], first_runs)
+    return labelling, Labelling(ink.shape, *runs, np.cumsum(closed)[labels[kept] - 1], first_runs, edges)
 
 
 def _back_table() -> tuple[int, ...]:
@@ -439,11 +486,6 @@ class _Walker:
             flat.pop()
         return flat
 
-    def outer(self, row: int, col: int) -> list[int]:
-        """The walk of the outer chain of the region whose first raster-order
-        pixel is (row, col), entered from the west, where none of it lies."""
-        return self.walk((row, col), (row, col - 1))
-
 
 def _at(row, rows: np.ndarray):
     """row, or the entries of a per-row array at rows."""
@@ -453,9 +495,10 @@ def _at(row, rows: np.ndarray):
 def _outer_lengths(ink: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Length of the outer chain of the region whose first raster-order
     pixel is (rows[i], cols[i]), walked on the ink as trace_contours walks
-    it. A walker is built only when there is a pixel to walk from."""
-    outer = _Walker(ink).outer if rows.size else None
-    return np.array([len(outer(r, c)) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
+    it, entered from the west, where none of the region lies. A walker is
+    built only when there is a pixel to walk from."""
+    walk = _Walker(ink).walk if rows.size else None
+    return np.array([len(walk((r, c), (r, c - 1))) for r, c in zip(rows.tolist(), cols.tolist())], dtype=np.intp)
 
 
 def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
@@ -481,32 +524,35 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     an image of several text lines: a region or a hole is then tested
     against the band given at its top row.
 
-    The image is labelled once here and walked by one walker over its ink.
+    The image is labelled once here, and no chain is walked here: a chain
+    walks on first reading its length or points, all chains of one call by
+    one walker over the ink, built on the first walk. Each chain carries a
+    bound on its length, its region's or hole's count of unit edges, which
+    the dot and loop tests read before the length.
     """
+    _require_binary(img, "trace_contours")
     labelling, holes = _label_and_holes(img.pixels)
     kept, kept_holes = np.arange(labelling.count), np.arange(holes.count)
     if band is not None:
         top, hole_top = labelling.boxes[:, 0], holes.boxes[:, 0]
         kept = np.flatnonzero(labelling.beyond(_at(band[0], top), _at(band[1], top)))
         kept_holes = np.flatnonzero(~holes.beyond(_at(band[0], hole_top) - 1, _at(band[1], hole_top) + 1))
-    if not kept.size and not kept_holes.size:
-        return []
-    walker = _Walker(img.pixels)
-    stride = walker._stride
+    # One walker serves every chain of the call, built on the first walk.
+    walker = cache(partial(_Walker, img.pixels))
     # Labels number regions and holes in raster order of their first pixel,
     # so the starts come sorted. An outer chain spans its region's box rows.
     rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
-    bottoms = labelling.boxes[kept, 2].tolist()
+    bottoms, bounds = labelling.boxes[kept, 2].tolist(), labelling.edges[kept].tolist()
     chains = [
-        ContourChain._traced(walker.outer(r, c), stride, (r, c), (r, bottom), "outer")
-        for r, c, bottom in zip(rows, cols, bottoms)
+        ContourChain._traced(walker, (r, c), (r, c - 1), (r, bottom), bound, "outer")
+        for r, c, bottom, bound in zip(rows, cols, bottoms, bounds)
     ]
     # The pixel above a hole's topmost-leftmost cell is always ink, and an
     # inner chain spans its hole's box rows widened by one.
     rows, cols = (a.tolist() for a in holes.first_pixels(kept_holes))
-    bottoms = holes.boxes[kept_holes, 2].tolist()
+    bottoms, bounds = holes.boxes[kept_holes, 2].tolist(), holes.edges[kept_holes].tolist()
     chains += [
-        ContourChain._traced(walker.walk((r - 1, c), (r, c)), stride, (r - 1, c), (r - 1, bottom + 1), "inner")
-        for r, c, bottom in zip(rows, cols, bottoms)
+        ContourChain._traced(walker, (r - 1, c), (r, c), (r - 1, bottom + 1), bound, "inner")
+        for r, c, bottom, bound in zip(rows, cols, bottoms, bounds)
     ]
     return chains

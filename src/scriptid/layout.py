@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Labelling
-from .raster import BinaryRaster
+from .raster import BinaryRaster, _require_binary
 
 __all__ = [
     "NoInkError",
@@ -67,6 +67,7 @@ def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
     keeps broken strokes in scans together; merge_gap 0 acts as 1, so
     adjacent inked rows always share a line.
     """
+    _require_binary(page, "extract_lines")
     if merge_gap < 0:
         raise ValueError("merge_gap must be >= 0")
     inked = np.flatnonzero(page.pixels.any(axis=1))
@@ -83,6 +84,7 @@ def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Base
     widest candidate run containing a peak row wins, topmost on ties. The
     returned band therefore always holds the projection's global maximum.
     """
+    _require_binary(word, "estimate_baselines")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     counts = word.pixels.sum(axis=1)

@@ -253,6 +253,14 @@ def save(raster, path, fmt: str | None = None):
         fh.write(data)
 
 
+def _require_binary(img, name: str) -> None:
+    """Raise TypeError unless img is a BinaryRaster. A graymap's cells are
+    intensities, and read as ink its white would be ink, so only the page
+    entry points of the pipeline take one, and they threshold it first."""
+    if not isinstance(img, BinaryRaster):
+        raise TypeError(f"{name} expects a BinaryRaster")
+
+
 def binarize(img: GrayRaster, threshold: int = 128) -> BinaryRaster:
     """Threshold a grayscale image; a cell is ink iff intensity < threshold."""
     if not isinstance(img, GrayRaster):
@@ -275,8 +283,7 @@ def dilate(img: BinaryRaster, radius: int = 1) -> BinaryRaster:
     After max(height, width) passes every cell is within reach of any ink
     cell, so further passes change nothing and are skipped.
     """
-    if not isinstance(img, BinaryRaster):
-        raise TypeError("dilate expects a BinaryRaster")
+    _require_binary(img, "dilate")
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:

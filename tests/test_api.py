@@ -7,6 +7,9 @@ import pkgutil
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
+import pytest
+
 import scriptid
 
 PUBLIC = [
@@ -103,3 +106,29 @@ def test_reexports_are_in_their_modules_all():
         module = importlib.import_module(f"scriptid.{node.module}")
         stray = [alias.name for alias in node.names if alias.name not in module.__all__]
         assert stray == [], node.module
+
+
+def test_raster_functions_below_the_page_entry_points_refuse_a_graymap():
+    # Read as ink, a graymap's white would be ink. Only analyze_pages,
+    # analyze_page and classify_page take one, and they threshold it first;
+    # every public function below them refuses it, as dilate does.
+    word = scriptid.generate_corpus(scriptid.builtin_profiles()[0], 1, seed=3)[0]
+    gray = scriptid.GrayRaster(np.where(word.raster.pixels, 0, 255))
+    band = scriptid.LineBand(0, word.raster.height - 1)
+    thresholds = scriptid.FeatureThresholds.from_baselines(word.band)
+    calls = {
+        "extract_lines": lambda img: scriptid.extract_lines(img),
+        "estimate_baselines": lambda img: scriptid.estimate_baselines(img),
+        "extract_features": lambda img: scriptid.extract_features(img, word.band),
+        "extract_features of pages": lambda img: scriptid.extract_features(
+            [word.raster, img], [[word.band], [word.band]], bands=[[band], [band]]
+        ),
+        "detect_poles": lambda img: scriptid.detect_poles(img, word.band, thresholds),
+        "detect_jambs": lambda img: scriptid.detect_jambs(img, word.band, thresholds),
+        "trace_contours": lambda img: scriptid.trace_contours(img),
+        "dilate": lambda img: scriptid.dilate(img),
+    }
+    for call in calls.values():
+        call(word.raster)
+        with pytest.raises(TypeError, match="expects a BinaryRaster"):
+            call(gray)

@@ -300,6 +300,27 @@ def test_walks_stop_where_the_reference_walk_does_on_every_4x4_raster():
     assert [s for s in starts if walker.walk(*s) != reference_walk(walker, *s)] == []
 
 
+def test_edge_counts_bound_every_chain_of_every_4x4_raster():
+    # A walk's states from its first step form a cycle of distinct (ink
+    # pixel, background 4-neighbor) pairs, and its start is one more such
+    # pair, so no chain is longer than the unit edges between its region
+    # and the pixels outside it, or between its hole and the ink.
+    chains = trace_contours(BinaryRaster(every_4x4_raster()))
+    assert len(chains) == 113_184
+    assert [chain for chain in chains if chain.length > chain._bound] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_rasters())
+@with_hole_cases
+def test_deferred_chains_walk_as_the_reference_within_their_bound(img):
+    walker = _Walker(img.pixels)
+    for chain in trace_contours(img):
+        reference = reference_walk(walker, chain.start, chain._back)
+        assert chain.length == len(reference) <= chain._bound
+        assert chain.points == _points(reference, walker._stride)
+
+
 @settings(max_examples=100, deadline=None)
 @given(walk_rasters(max_side=48, max_shapes=8))
 def test_walks_stop_where_the_reference_walk_does(img):

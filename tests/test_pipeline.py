@@ -127,15 +127,16 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_page, walkers_per_page", [(0, 4, 2), (1, 4, 2)])
+    @pytest.mark.parametrize("radius, labels_per_page, walkers_per_page", [(0, 4, 1), (1, 4, 1)])
     def test_label_calls_and_walkers_per_page(self, monkeypatch, radius, labels_per_page, walkers_per_page):
         # Every line of this page has ink above and below its body band. The
         # page is labelled whole, with every line's band rows blanked (all
         # outer zones at once), as the contour stage, and as the stage's
-        # holes, however many lines it has. One walker is the contour
-        # walk's. The other is the pole and jamb scan's: every line has a
-        # lower dot that clears the jamb margin, and the scan walks it to
-        # decide that it is a dot, not a jamb. Each labelling joins its runs
+        # holes, however many lines it has. The one walker is the pole and
+        # jamb scan's: every line has a lower dot that clears the jamb
+        # margin, and the scan walks it to decide that it is a dot, not a
+        # jamb. The contour stage builds none: the edge count of every chain
+        # it keeps is under the cap. Each labelling joins its runs
         # with one call to the run joiner. Runs are found twice, in the ink
         # and the stage: the holes are joined from the gaps between the
         # stage's own runs. Links are found three times, in the ink, the
@@ -211,8 +212,8 @@ class TestPassesPerLine:
     @pytest.mark.parametrize("radius", [0, 1])
     def test_page_builds_no_point_tuples(self, monkeypatch, radius):
         # The dot and loop tests read each traced chain's start, rows and
-        # length, which the trace gives, so no chain of the page builds its
-        # points. The page is still traced once, and each of its 4 lines
+        # length bound, which the trace gives, so no chain of the page builds
+        # its points. The page is still traced once, and each of its 4 lines
         # meets one dot and one loop test: the benchmark's traced run times
         # and inspects those three stages.
         points, builds = geometry._points, []
@@ -244,6 +245,33 @@ class TestPassesPerLine:
         assert builds == []
         # Reading a chain's points afterwards builds them once.
         assert chains[0][0].points == chains[0][0].points and len(builds) == 1
+
+    def test_only_a_chain_bounded_at_the_cap_is_walked(self, monkeypatch):
+        # A dot above a body band that holds a rounded hole. The dot's edge
+        # count, 8, is under the cap of 22, so it is a dot with no walk. The
+        # hole's edge count, 24, reaches the cap, so its chain is walked:
+        # its length is 20, which makes it a loop. No region clears a pole
+        # or jamb margin, so nothing else is walked.
+        ink = np.zeros((10, 30), dtype=bool)
+        ink[1:3, 3:5] = ink[4:10] = True
+        ink[5:9, 10:18] = False
+        ink[5, 10] = ink[5, 17] = ink[8, 10] = ink[8, 17] = True
+        params = PipelineParams(dilation_radius=0, diacritic_max_contour=22)
+        walk, starts = geometry._Walker.walk, []
+
+        def counting_walk(walker, start, back):
+            starts.append(start)
+            return walk(walker, start, back)
+
+        monkeypatch.setattr(geometry._Walker, "walk", counting_walk)
+        analysis = analyze_page(BinaryRaster(ink), params)
+        assert len(starts) == 1
+        assert analysis.features.counts == {"H": 0, "J": 0, "P": 1, "Q": 0, "B": 1}
+        assert [hit.location for hit in analysis.features.hits if hit.kind == "B"] == [(4, 11)]
+        # Walking both kept chains for their lengths gives the same analysis.
+        monkeypatch.setattr(geometry.ContourChain, "_under", lambda chain, cap: chain.length < cap)
+        assert repr(analyze_page(BinaryRaster(ink), params)) == repr(analysis)
+        assert len(starts) == 3
 
     def test_centroids_only_for_tied_marks(self, monkeypatch):
         # No mark of the wide page ties on column overlap, so no centroid is
