@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _REPORT_ROWS = FEATURE_KINDS + ("nbPAWs",)
+# The truth file's key for each report row, in the same order.
+_REQUIRED_KEYS = FEATURE_KINDS + ("PAW",)
 
 
 class GroundTruthError(ValueError):
@@ -85,9 +87,6 @@ def error_rate(total: int, correct: int) -> float:
     if total == 0:
         return 0.0
     return 1.0 - correct / total
-
-
-_REQUIRED_KEYS = FEATURE_KINDS + ("PAW",)
 
 
 def load_ground_truth(path) -> list[GroundTruth]:
@@ -158,15 +157,11 @@ def score(predictions, truth, profiles=None, q_min: float = DEFAULT_Q_MIN) -> Ev
             raise GroundTruthError(f"image id {image_id!r} is predicted more than once")
         scored.add(image_id)
         gt = by_id[image_id]
-        predicted = {k: fs.counts[k] for k in FEATURE_KINDS}
-        predicted["PAW"] = fs.nb_paws
-        expected = dict(gt.expected)
-        expected["PAW"] = gt.expected_paws
-        for k in FEATURE_KINDS:
-            totals[k] += expected[k]
-            corrects[k] += min(predicted[k], expected[k])
-        totals["nbPAWs"] += gt.expected_paws
-        corrects["nbPAWs"] += min(fs.nb_paws, gt.expected_paws)
+        predicted = {k: fs.counts[k] for k in FEATURE_KINDS} | {"PAW": fs.nb_paws}
+        expected = gt.expected | {"PAW": gt.expected_paws}
+        for row, key in zip(_REPORT_ROWS, _REQUIRED_KEYS):
+            totals[row] += expected[key]
+            corrects[row] += min(predicted[key], expected[key])
         paw_mismatch += abs(fs.nb_paws - gt.expected_paws)
         verdict_ok = None
         if gt.script is not None:

@@ -452,11 +452,12 @@ def extract_features(
     the body would smear one extra body row into the upper zone, fusing
     separate ascenders. Radius 0 skips the expansion entirely.
 
-    bands, when given, makes word a sequence of pages and holds, per page,
-    a sequence of its LineBands. baselines and thresholds then hold, per
-    page, one entry per band, baselines in page rows with each upper
-    baseline at or below its band's top row, and thresholds None to derive
-    each from its baselines. Each band is measured as if cropped from its
+    Without bands, thresholds None derives them from the baselines. bands,
+    when given, makes word a sequence of pages and holds, per page, a
+    sequence of its LineBands. baselines and thresholds, both required,
+    then hold, per page, one entry per band: baselines in page rows with
+    each upper baseline at or below its band's top row, and one
+    FeatureThresholds. Each band is measured as if cropped from its
     page, its expansion clipped to its rows and its page's columns. One
     list comes back per page, holding one FeatureSet per band, its hits in
     page coordinates and its word parts numbered across the page in band
@@ -465,15 +466,14 @@ def extract_features(
     """
     single = bands is None
     if single:
+        thresholds = thresholds or FeatureThresholds.from_baselines(baselines)
         bands, baselines, thresholds = [[LineBand(0, word.height - 1)]], [[baselines]], [[thresholds]]
         word = [word]
-    elif thresholds is None:
-        thresholds = [[None] * len(page_bands) for page_bands in bands]
     for page in word:
         _require_binary(page, "extract_features")
     # Every line of every page, page by page: its page's ink, band, baselines and thresholds.
     flat = [
-        (page.pixels, band, b, t if t is not None else FeatureThresholds.from_baselines(b))
+        (page.pixels, band, b, t)
         for page, *per_line in zip(word, bands, baselines, thresholds, strict=True)
         for band, b, t in zip(*per_line, strict=True)
     ]

@@ -487,11 +487,6 @@ class _Walker:
         return flat
 
 
-def _at(row, rows: np.ndarray):
-    """row, or the entries of a per-row array at rows."""
-    return row[rows] if np.ndim(row) else row
-
-
 def _outer_lengths(ink: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Length of the outer chain of the region whose first raster-order
     pixel is (rows[i], cols[i]), walked on the ink as trace_contours walks
@@ -521,8 +516,9 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     boundaries are never walked. The kept chains are exactly those of the
     full trace that pass the same row tests, in the same order. Either
     entry of band may instead be an array with one row per image row, for
-    an image of several text lines: a region or a hole is then tested
-    against the band given at its top row.
+    an image of several text lines: each entry is broadcast to one row per
+    image row, and a region or a hole is tested against the band given at
+    its top row.
 
     The image is labelled once here, and no chain is walked here: a chain
     walks on first reading its length or points, all chains of one call by
@@ -534,9 +530,10 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     labelling, holes = _label_and_holes(img.pixels)
     kept, kept_holes = np.arange(labelling.count), np.arange(holes.count)
     if band is not None:
+        upper, lower = (np.broadcast_to(rows, img.height) for rows in band)
         top, hole_top = labelling.boxes[:, 0], holes.boxes[:, 0]
-        kept = np.flatnonzero(labelling.beyond(_at(band[0], top), _at(band[1], top)))
-        kept_holes = np.flatnonzero(~holes.beyond(_at(band[0], hole_top) - 1, _at(band[1], hole_top) + 1))
+        kept = np.flatnonzero(labelling.beyond(upper[top], lower[top]))
+        kept_holes = np.flatnonzero(~holes.beyond(upper[hole_top] - 1, lower[hole_top] + 1))
     # One walker serves every chain of the call, built on the first walk.
     walker = cache(partial(_Walker, img.pixels))
     # Labels number regions and holes in raster order of their first pixel,

@@ -33,14 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .classify import ScriptProfile
-from .features import FEATURE_KINDS, FeatureSet
+from .evaluate import GroundTruthError
+from .features import FEATURE_KINDS, FeatureSet, combine_feature_sets
 from .layout import Baselines
 from .raster import BinaryRaster, save
 
 __all__ = [
     "BAND_HEIGHT",
     "GlyphSpecError",
-    "CanvasFitError",
     "Stroke",
     "GlyphSpec",
     "SyntheticWord",
@@ -72,10 +72,6 @@ _LINE_GAP = 12
 
 class GlyphSpecError(ValueError):
     """Invalid or ambiguous stroke parameters."""
-
-
-class CanvasFitError(GlyphSpecError):
-    """Explicit canvas too small for the primitives it must hold."""
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,11 @@ def ring(diameter: int = 9, zone: str = "band") -> Stroke:
 
 @dataclass(frozen=True)
 class GlyphSpec:
-    """Stroke list plus a seed controlling slot order within each part."""
+    """Stroke list plus a seed controlling slot order within each part; the
+    canvas fits its content with at least 4 blank pixels on every side."""
 
     strokes: tuple[Stroke, ...]
     seed: int = 0
-    canvas_height: int | None = None
-    canvas_width: int | None = None
 
 
 @dataclass(eq=False)
@@ -258,15 +253,6 @@ def generate(spec: GlyphSpec) -> SyntheticWord:
     height = lower + 1 + below + _MARGIN
     width = 2 * _MARGIN + sum(w for w, _, _ in paw_layouts) + _PAW_GAP * (len(paw_layouts) - 1)
 
-    if spec.canvas_height is not None or spec.canvas_width is not None:
-        ch = spec.canvas_height if spec.canvas_height is not None else height
-        cw = spec.canvas_width if spec.canvas_width is not None else width
-        if ch < height or cw < width:
-            raise CanvasFitError(
-                f"canvas {cw}x{ch} cannot hold content of {width}x{height}"
-            )
-        height, width = ch, cw
-
     canvas = np.zeros((height, width), dtype=bool)
     x = _MARGIN
     for body_width, part, widths in paw_layouts:
@@ -387,9 +373,7 @@ def generate_page(
         canvas[y : y + w.raster.height, : w.raster.width] = w.raster.pixels
         y += w.raster.height + _LINE_GAP
 
-    counts = {k: sum(w.expected.counts[k] for w in lines) for k in FEATURE_KINDS}
-    expected = FeatureSet(counts=counts, nb_paws=sum(w.expected.nb_paws for w in lines))
-    return SyntheticPage(BinaryRaster(canvas), expected, profile.name)
+    return SyntheticPage(BinaryRaster(canvas), combine_feature_sets(w.expected for w in lines), profile.name)
 
 
 def apply_salt(raster: BinaryRaster, fraction: float, seed: int = 0) -> BinaryRaster:
@@ -411,24 +395,25 @@ def save_corpus(items, out_dir):
     matching ground-truth file.
 
     Returns (image paths, truth path). Page items carry their script into
-    the SCRIPT field; the evaluation harness reads the file back as-is.
+    the SCRIPT field; the evaluation harness reads the file back as-is. A
+    script that is empty, holds whitespace or holds '#' would not read back
+    as written, and raises GroundTruthError before any file is written.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    image_paths = []
-    lines = []
+    rasters, lines = [], []
     for i, item in enumerate(items):
-        stem = f"img_{i:04d}"
-        path = out / f"{stem}.pbm"
-        save(item.raster, path, "p4")
-        image_paths.append(path)
-        exp = item.expected
+        exp, script = item.expected, getattr(item, "script", None)
         fields = " ".join(f"{k}={exp.counts[k]}" for k in FEATURE_KINDS)
-        line = f"{stem} {fields} PAW={exp.nb_paws}"
-        script = getattr(item, "script", None)
-        if script:
-            line += f" SCRIPT={script}"
-        lines.append(line)
+        lines.append(f"img_{i:04d} {fields} PAW={exp.nb_paws}")
+        if script is not None:
+            if script.split() != [script] or "#" in script:
+                raise GroundTruthError(f"script {script!r} cannot be written as one SCRIPT field")
+            lines[-1] += f" SCRIPT={script}"
+        rasters.append(item.raster)
+    out.mkdir(parents=True, exist_ok=True)
+    image_paths = [out / f"img_{i:04d}.pbm" for i in range(len(rasters))]
+    for raster, path in zip(rasters, image_paths):
+        save(raster, path, "p4")
     truth_path = out / "truth.txt"
     truth_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return image_paths, truth_path

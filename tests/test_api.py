@@ -121,7 +121,7 @@ def test_raster_functions_below_the_page_entry_points_refuse_a_graymap():
         "estimate_baselines": lambda img: scriptid.estimate_baselines(img),
         "extract_features": lambda img: scriptid.extract_features(img, word.band),
         "extract_features of pages": lambda img: scriptid.extract_features(
-            [word.raster, img], [[word.band], [word.band]], bands=[[band], [band]]
+            [word.raster, img], [[word.band], [word.band]], [[thresholds], [thresholds]], bands=[[band], [band]]
         ),
         "detect_poles": lambda img: scriptid.detect_poles(img, word.band, thresholds),
         "detect_jambs": lambda img: scriptid.detect_jambs(img, word.band, thresholds),

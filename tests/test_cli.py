@@ -387,6 +387,27 @@ class TestProfileFile:
         assert capsys.readouterr().err.startswith(f"profile error: {profiles}")
         assert not report.exists()
 
+    def test_generate_refuses_a_script_the_truth_file_cannot_hold(self, tmp_path, capsys):
+        profiles = tmp_path / "profiles.txt"
+        latin = builtin_profiles()[1]
+        save_profiles([ScriptProfile("My Script", latin.form_count, latin.raw), latin], profiles)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["generate", "--output-dir", str(out), "--pages", "2", "--script", "My Script",
+                   "--profile-file", str(profiles)])
+        assert rc == EXIT_IO
+        assert capsys.readouterr().err.startswith("ground truth error: script 'My Script'")
+        assert not out.exists()
+
+    def test_generate_refuses_a_library_script_holding_a_comment_mark(self, tmp_path, monkeypatch):
+        # A profile file cannot name "A#B" ('#' starts a comment), but a library profile can.
+        latin = builtin_profiles()[1]
+        monkeypatch.setattr(cli, "builtin_profiles", lambda: [ScriptProfile("A#B", latin.form_count, latin.raw), latin])
+        out = tmp_path / "out"
+        rc = main(["generate", "--output-dir", str(out), "--pages", "1", "--script", "A#B"])
+        assert rc == EXIT_IO
+        assert not out.exists()
+
     def test_generate_accepts_one_profile(self, tmp_path):
         profiles = tmp_path / "profiles.txt"
         save_profiles(builtin_profiles()[1:], profiles)

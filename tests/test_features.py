@@ -319,12 +319,13 @@ class TestExtractFeatures:
         page[0:9, 0:12] = page[20:29, 4:16] = inked
         bands = [[LineBand(0, 8)], [LineBand(0, 8), LineBand(10, 18), LineBand(20, 28)]]
         baselines = [[Baselines(2, 6)], [Baselines(2, 6), Baselines(12, 16), Baselines(22, 26)]]
+        thresholds = [[FeatureThresholds.from_baselines(b) for b in lines] for lines in baselines]
         pages = [BinaryRaster(inked), BinaryRaster(page)]
         with pytest.raises(NoInkError):
-            extract_features(pages, baselines, dilation_radius=1, bands=bands)
+            extract_features(pages, baselines, thresholds, dilation_radius=1, bands=bands)
         page[12:15, 5:9] = True
         pages[1] = BinaryRaster(page)
-        sets = extract_features(pages, baselines, dilation_radius=1, bands=bands)
+        sets = extract_features(pages, baselines, thresholds, dilation_radius=1, bands=bands)
         assert [len(page_sets) for page_sets in sets] == [1, 3]
 
     def test_single_ring_in_band(self):

@@ -2,13 +2,12 @@ import hashlib
 
 import pytest
 
-from scriptid.classify import builtin_profiles
-from scriptid.evaluate import load_ground_truth, score
+from scriptid.classify import ScriptProfile, builtin_profiles
+from scriptid.evaluate import GroundTruthError, load_ground_truth, score
 from scriptid.features import FEATURE_KINDS, extract_features
 from scriptid.pipeline import analyze_page
 from scriptid.raster import dilate, load
 from scriptid.synthgen import (
-    CanvasFitError,
     GlyphSpec,
     GlyphSpecError,
     Stroke,
@@ -70,10 +69,6 @@ class TestGenerate:
     def test_bad_ring_diameter_rejected(self):
         with pytest.raises(GlyphSpecError):
             generate(GlyphSpec((ring(diameter=5, zone="band"),)))
-
-    def test_explicit_canvas_too_small(self):
-        with pytest.raises(CanvasFitError):
-            generate(GlyphSpec((bar(),), canvas_width=10))
 
     def test_explicit_body_too_narrow(self):
         with pytest.raises(GlyphSpecError):
@@ -239,6 +234,20 @@ class TestSaveCorpus:
         records = load_ground_truth(truth_path)
         assert all(r.script == "Latin" for r in records)
 
+    @pytest.mark.parametrize("name", ["My Script", "A#B", "", "Tab\tName", "No\u00a0Break"])
+    def test_script_that_would_not_read_back_is_refused_before_any_file(self, tmp_path, name):
+        # "SCRIPT=My Script" reads back as two tokens and "SCRIPT=A#B" as A.
+        profile = ScriptProfile(name, LATIN.form_count, LATIN.raw)
+        out = tmp_path / "out"
+        with pytest.raises(GroundTruthError, match="cannot be written"):
+            save_corpus([generate_page(LATIN, seed=0), generate_page(profile, seed=1)], out)
+        assert not out.exists()
+
+    def test_script_with_inner_punctuation_reads_back(self, tmp_path):
+        pages = [generate_page(ScriptProfile("Old-Latin_2=x", LATIN.form_count, LATIN.raw), seed=1)]
+        _, truth_path = save_corpus(iter(pages), tmp_path)
+        assert [r.script for r in load_ground_truth(truth_path)] == ["Old-Latin_2=x"]
+
 
 def _digest(items):
     """sha256 over each item's pixels, shape, band and expected counts."""
@@ -256,26 +265,25 @@ class TestGeneratorPin:
     """Generated rasters, bands and counts, pinned byte for byte."""
 
     SPECS = [
-        ((bar(5),), {}),
-        ((bar(13), dot("upper")), {}),  # the bar already bridges the upper zone
-        ((bar(19), tail(5)), {}),
-        ((bar(22), tail(11), dot("lower")), {}),  # the tail already bridges the lower zone
-        ((tail(13), dot("upper")), {}),
-        ((dot("upper"), dot("lower")), {}),  # whiskers above and below
-        ((ring(7), ring(8), ring(9)), {}),
-        ((ring(7, "upper"), ring(11, "lower")), {}),
-        ((ring(11, "upper"), ring(7, "lower"), bar(5), tail(5)), {}),
-        ((body(), bar(5), body(), dot("upper"), body(), ring(7, "upper")), {}),
-        ((body(), body(), dot("lower")), {}),
-        ((tail(), body(), dot("lower"), body(40), ring(), bar()), {}),  # a stroke before the first body
-        ((body(), bar(), dot("lower")), {"canvas_height": 80, "canvas_width": 70}),
+        (bar(5),),
+        (bar(13), dot("upper")),  # the bar already bridges the upper zone
+        (bar(19), tail(5)),
+        (bar(22), tail(11), dot("lower")),  # the tail already bridges the lower zone
+        (tail(13), dot("upper")),
+        (dot("upper"), dot("lower")),  # whiskers above and below
+        (ring(7), ring(8), ring(9)),
+        (ring(7, "upper"), ring(11, "lower")),
+        (ring(11, "upper"), ring(7, "lower"), bar(5), tail(5)),
+        (body(), bar(5), body(), dot("upper"), body(), ring(7, "upper")),
+        (body(), body(), dot("lower")),
+        (tail(), body(), dot("lower"), body(40), ring(), bar()),  # a stroke before the first body
     ]
-    DIGEST = "15d4cd942c601fa83716e0a1ee3325ac2ce9d605c4988811d9e0ffe27127cefc"
+    DIGEST = "5b5b3d91a8e89464562ab7ca6d920a3bf7dfe0ad48ff116235d637bb47d49559"
 
     def test_outputs_match_pinned_digest(self):
         items = [
-            generate(GlyphSpec(strokes, seed=seed, **canvas))
-            for strokes, canvas in self.SPECS
+            generate(GlyphSpec(strokes, seed=seed))
+            for strokes in self.SPECS
             for seed in range(5)
         ]
         for profile in (ARABIC, LATIN):
