@@ -142,18 +142,24 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _text_lines(path, error):
+    """(line number, text) of each line of a UTF-8 file, a leading byte-order
+    mark accepted, the text stripped of its '#' comment and surrounding
+    whitespace; error(message) is raised when the file is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+    return [(lineno, line.split("#", 1)[0].strip()) for lineno, line in enumerate(lines, start=1)]
+
+
 def load_profiles(path) -> list[ScriptProfile]:
     """Read script profiles from a plain key/value text file.
 
     Each profile is a block of "key value" lines (name, form_count, H, J, P,
     Q, B); blank lines separate blocks and '#' starts a comment.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise ProfileFormatError(f"{path}: not UTF-8 text") from None
-
     profiles = []
     block: dict[str, str] = {}
     block_start = 0
@@ -179,8 +185,7 @@ def load_profiles(path) -> list[ScriptProfile]:
             ) from None
         block.clear()
 
-    for lineno, line in enumerate(raw_lines, start=1):
-        text = line.split("#", 1)[0].strip()
+    for lineno, text in _text_lines(path, ProfileFormatError):
         if not text:
             finish()
             continue

@@ -33,11 +33,6 @@ EXIT_CEILING = 3
 
 SCHEMA = "scriptid-report/1"
 _IMAGE_SUFFIXES = (".pbm", ".pgm", ".pnm")
-# Consecutive images are analysed in one pass while their stacked area,
-# total height times largest width, stays within this many pixels. The
-# pass allocates under 10 bytes per pixel at its peak, so this bounds its
-# working memory near 1.3 MB; a larger image is analysed alone.
-_GATHER = 1 << 17
 
 
 class _UsageError(Exception):
@@ -108,35 +103,18 @@ def _input_paths(raw: str) -> list[Path]:
 
 def _analyses(paths, params: PipelineParams) -> list:
     """Each path's PageAnalysis, or the PnmError or OSError that loading it
-    raised, in path order.
+    raised, in path order; analyze_pages reads the images as they load."""
+    errors = {}
 
-    Images are loaded one at a time and analysed in runs of consecutive
-    loaded images, each run as one analyze_pages call of at most _GATHER
-    stacked pixels, so a batch of small words pays the pipeline's fixed
-    costs once. A page's analysis does not depend on its run.
-    """
-    results, run, rows, width = [], [], 0, 0
+    def pages():
+        for i, path in enumerate(paths):
+            try:
+                yield load(path)
+            except (PnmError, OSError) as exc:
+                errors[i] = exc
 
-    def flush():
-        for i, analysis in zip(run, analyze_pages([results[i] for i in run], params)):
-            results[i] = analysis
-        run.clear()
-
-    for path in paths:
-        try:
-            page = load(path)
-        except (PnmError, OSError) as exc:
-            results.append(exc)
-            continue
-        rows, width = rows + page.height, max(width, page.width)
-        if run and rows * width > _GATHER:
-            flush()
-            rows, width = page.height, page.width
-        run.append(len(results))
-        results.append(page)
-    if run:
-        flush()
-    return results
+    analyses = iter(analyze_pages(pages(), params))
+    return [errors[i] if i in errors else next(analyses) for i in range(len(paths))]
 
 
 def _params(args) -> PipelineParams:

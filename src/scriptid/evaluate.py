@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import DEFAULT_Q_MIN, _count, classify
+from .classify import DEFAULT_Q_MIN, _count, _text_lines, classify
 from .features import FEATURE_KINDS, FeatureSet
 
 __all__ = [
@@ -91,16 +91,9 @@ def error_rate(total: int, correct: int) -> float:
 
 def load_ground_truth(path) -> list[GroundTruth]:
     """Parse a ground-truth file; malformed lines are reported by number."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise GroundTruthError(f"{path}: not UTF-8 text") from None
-
     records = []
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(raw_lines, start=1):
-        text = line.split("#", 1)[0].strip()
+    for lineno, text in _text_lines(path, GroundTruthError):
         if not text:
             continue
         tokens = text.split()

@@ -408,6 +408,11 @@ def _search_offsets(row_reach: int, col_reach: int) -> tuple[np.ndarray, np.ndar
     return dr[order], dc[order]
 
 
+# Locations are searched in blocks of at most this many window pixels
+# (one window when it is larger), which bounds memory at large radii.
+_WINDOW_BLOCK = 1 << 16
+
+
 def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locations, max_radius: int) -> np.ndarray:
     """Word-part index of the ink pixel nearest to each location, where
     labelling labels ink and part[i] is the part of label i + 1.
@@ -415,22 +420,26 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
     Contour hits live on the expanded stage, so their pixel can sit in the
     halo up to the expansion radius away from the original ink. The nearest
     ink pixel by Chebyshev distance wins, the first in raster order on ties:
-    the windows of all locations are gathered at once, their offsets ordered
-    nearest first, so the first ink pixel in a window row is the answer and
-    a location on ink is its own. Its part is read off the runs. Raises
-    KeyError when a location has no ink within max_radius.
+    the windows of a block of locations are gathered at once, their offsets
+    ordered nearest first, so the first ink pixel in a window row is the
+    answer and a location on ink is its own. Its part is read off the runs.
+    Raises KeyError when a location has no ink within max_radius.
     """
     height, width = ink.shape
     dr, dc = _search_offsets(min(max_radius, height - 1), min(max_radius, width - 1))
     loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
-    rows, cols = loc[:, :1] + dr, loc[:, 1:] + dc
-    found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-    found[found] = ink[rows[found], cols[found]]
-    missing = np.flatnonzero(~found.any(axis=1))
-    if missing.size:
-        raise KeyError(f"no word part within {max_radius} of {tuple(loc[missing[0]].tolist())}")
-    pick = np.arange(loc.shape[0]), np.argmax(found, axis=1)
-    return part[labelling.label_at(rows[pick], cols[pick]) - 1]
+    nearest = np.empty_like(loc)
+    block = max(1, _WINDOW_BLOCK // dr.size)
+    for lo in range(0, loc.shape[0], block):
+        rows, cols = loc[lo : lo + block, :1] + dr, loc[lo : lo + block, 1:] + dc
+        found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        found[found] = ink[rows[found], cols[found]]
+        missing = np.flatnonzero(~found.any(axis=1))
+        if missing.size:
+            raise KeyError(f"no word part within {max_radius} of {tuple(loc[lo + missing[0]].tolist())}")
+        pick = np.arange(rows.shape[0]), np.argmax(found, axis=1)
+        nearest[lo : lo + block] = np.column_stack((rows[pick], cols[pick]))
+    return part[labelling.label_at(nearest[:, 0], nearest[:, 1]) - 1]
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .classify import DEFAULT_Q_MIN, Verdict, classify
 from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
 from .layout import DEFAULT_ALPHA, Baselines, LineBand, estimate_baselines, extract_lines
-from .raster import BinaryRaster, GrayRaster, binarize
+from .raster import BinaryRaster, GrayRaster, _require_binary, binarize
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
 
@@ -42,10 +42,19 @@ class PageAnalysis:
     lines: tuple[LineAnalysis, ...]
 
 
-def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAnalysis]:
-    """Split each page into lines and extract the features of every line of
-    every page in one pass; one PageAnalysis per page.
+# Consecutive pages share a pass while their stacked area (total height
+# times largest width) stays within this many pixels; a larger page has a
+# pass alone. A pass peaks under 10 bytes per stacked pixel, so near 10 MB,
+# and runs this large were no slower than one pass over a whole page list.
+_GATHER = 1 << 20
 
+
+def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAnalysis]:
+    """Split each page into lines and extract the features of every line;
+    one PageAnalysis per page.
+
+    pages, any iterable, is read one page at a time, and consecutive pages
+    share one pass while their stacked area stays within _GATHER pixels.
     Each line is measured as if cropped from its page: its baselines come
     from its own rows, and its expansion is clipped to them and to its
     page's columns, so the result for a page does not depend on the pages
@@ -53,9 +62,23 @@ def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAn
     page coordinates, with each page's parts numbered from 0, top line
     first, right to left within each line. A blank page yields an empty
     analysis with zero counts and parts. A GrayRaster page is thresholded
-    by binarize at its default first: a cell darker than 128 is ink.
+    by binarize at its default first: a cell darker than 128 is ink; a page
+    of any other kind raises TypeError.
     """
-    pages = [binarize(page) if isinstance(page, GrayRaster) else page for page in pages]
+    analyses, run, rows, width = [], [], 0, 0
+    for page in pages:
+        page = binarize(page) if isinstance(page, GrayRaster) else page
+        _require_binary(page, "analyze_pages")
+        rows, width = rows + page.height, max(width, page.width)
+        if run and rows * width > _GATHER:
+            analyses += _analyze_run(run, params)
+            run, rows, width = [], page.height, page.width
+        run.append(page)
+    return analyses + _analyze_run(run, params) if run else analyses
+
+
+def _analyze_run(pages: list[BinaryRaster], params: PipelineParams) -> list[PageAnalysis]:
+    """analyze_pages of a run of BinaryRaster pages, in one pass."""
     bands = [extract_lines(page, params.merge_gap) for page in pages]
     baselines = [
         [_line_baselines(page, band, params.alpha) for band in page_bands]

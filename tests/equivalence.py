@@ -101,9 +101,6 @@ FULL_DIGESTS = {
     "reports": "3fadeb9e593cb8d136e0543fa4bba0ba07356c0cdae8a1a1c07b87c3144ec444",
 }
 
-_BATCH = 24  # pages per analyze_pages call, which keeps the stacked buffer small
-
-
 def _json(value) -> bytes:
     return json.dumps(value, default=int).encode() + b"\n"
 
@@ -127,8 +124,8 @@ def _noise(rng):
     return BinaryRaster(rng.random(shape) < rng.uniform(0.02, 0.3))
 
 
-def page_batches(grid: Grid) -> list[list[BinaryRaster]]:
-    """The pages of the grid, in the batches analyze_pages is given."""
+def grid_pages(grid: Grid) -> list[BinaryRaster]:
+    """The pages of the grid, in the order analyze_pages is given them."""
     pages = []
     for seed in grid.seeds:
         for profile in builtin_profiles():
@@ -137,22 +134,20 @@ def page_batches(grid: Grid) -> list[list[BinaryRaster]]:
                 pages += [page, apply_salt(page, 0.03, seed=seed), dilate(page, 1)]
     rng = np.random.default_rng(7)
     pages += [_noise(rng) for _ in range(grid.noise_rasters)]
-    batches = [pages[i : i + _BATCH] for i in range(0, len(pages), _BATCH)]
     for batch in range(grid.word_batches):
         for profile in builtin_profiles():
-            batches.append([word.raster for word in generate_corpus(profile, 10, seed=100 + batch)])
-    return batches
+            pages += [word.raster for word in generate_corpus(profile, 10, seed=100 + batch)]
+    return pages
 
 
 def pages_digest(grid: Grid) -> str:
     h = hashlib.sha256()
-    batches = page_batches(grid)
+    pages = grid_pages(grid)
     for radius in grid.radii:
         for cap in grid.caps:
             params = PipelineParams(dilation_radius=radius, diacritic_max_contour=cap)
-            for batch in batches:
-                for analysis in analyze_pages(batch, params):
-                    h.update(_json([radius, cap, _projection(analysis)]))
+            for analysis in analyze_pages(pages, params):
+                h.update(_json([radius, cap, _projection(analysis)]))
     return h.hexdigest()
 
 

@@ -141,6 +141,12 @@ class TestProfileFiles:
         loaded = load_profiles(path)
         assert loaded == builtin_profiles()
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "profiles.txt"
+        save_profiles(builtin_profiles(), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_profiles(path) == builtin_profiles()
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text(

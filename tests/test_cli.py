@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from scriptid.classify import ScriptProfile, builtin_profiles, save_profiles
-from scriptid import cli
+from scriptid import cli, pipeline
 from scriptid.cli import EXIT_CEILING, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from scriptid.raster import BinaryRaster, dilate, load, save
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page, save_corpus
@@ -145,7 +145,7 @@ class TestClassify:
 
 class TestBatches:
     """A directory's images are analysed together, in runs of at most
-    cli._GATHER stacked pixels, with reports as if each ran alone."""
+    pipeline._GATHER stacked pixels, with reports as if each ran alone."""
 
     COMMANDS = ("features", "classify", "evaluate")
 
@@ -211,16 +211,16 @@ class TestBatches:
 
     def test_reports_do_not_depend_on_the_budget(self, mixed, tmp_path, capsys, monkeypatch):
         runs = []
-        original = cli.analyze_pages
+        original = pipeline.extract_features
 
-        def counting(pages, params):
+        def counting(pages, *args, **kwargs):
             runs[-1].append(len(pages))
-            return original(pages, params)
+            return original(pages, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "analyze_pages", counting)
+        monkeypatch.setattr(pipeline, "extract_features", counting)
         reports = []
-        for budget in (cli._GATHER, 5000, 1):
-            monkeypatch.setattr(cli, "_GATHER", budget)
+        for budget in (pipeline._GATHER, 5000, 1):
+            monkeypatch.setattr(pipeline, "_GATHER", budget)
             runs.append([])
             reports.append(self._reports(mixed, tmp_path, capsys))
         assert all(report == reports[0] for report in reports)
@@ -269,6 +269,14 @@ class TestEvaluate:
         assert rc == EXIT_IO
         assert capsys.readouterr().err.startswith(f"ground truth error: {truth}")
         assert not report.exists()
+
+    def test_truth_with_a_byte_order_mark_reads_as_without(self, corpus, tmp_path):
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + (corpus / "truth.txt").read_bytes())
+        rc, plain = run_to_file(["evaluate", "--input", str(corpus), "--ceiling", "0"], tmp_path / "e.json")
+        assert rc == EXIT_OK
+        args = ["evaluate", "--input", str(corpus), "--ceiling", "0", "--truth", str(marked)]
+        assert run_to_file(args, tmp_path / "bom.json") == (EXIT_OK, plain)
 
     def test_explicit_truth_path(self, corpus, tmp_path):
         moved = tmp_path / "elsewhere.txt"
@@ -386,6 +394,16 @@ class TestProfileFile:
         assert rc == EXIT_IO
         assert capsys.readouterr().err.startswith(f"profile error: {profiles}")
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_profile_file_with_a_byte_order_mark_reads_as_without(self, corpus, tmp_path, command):
+        profiles = tmp_path / "profiles.txt"
+        save_profiles(builtin_profiles(), profiles)
+        rc, plain = run_to_file([command, "--input", str(corpus), "--profile-file", str(profiles)], tmp_path / "p.json")
+        assert rc == EXIT_OK
+        profiles.write_bytes(b"\xef\xbb\xbf" + profiles.read_bytes())
+        assert run_to_file([command, "--input", str(corpus), "--profile-file", str(profiles)],
+                           tmp_path / "bom.json") == (EXIT_OK, plain)
 
     def test_generate_refuses_a_script_the_truth_file_cannot_hold(self, tmp_path, capsys):
         profiles = tmp_path / "profiles.txt"

@@ -39,6 +39,16 @@ class TestLoadGroundTruth:
         (record,) = load_ground_truth(path)
         assert record.script == "Latin"
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "truth.txt"
+        path.write_bytes(b"\xef\xbb\xbfimg H=0 J=0 P=0 Q=0 B=0 PAW=1\n\xef\xbb\xbfbad H=0\n")
+        # Only the file's first character is a mark; elsewhere it is text.
+        with pytest.raises(GroundTruthError, match=r":2: missing fields"):
+            load_ground_truth(path)
+        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0])
+        (record,) = load_ground_truth(path)
+        assert record.image_id == "img"
+
     def test_empty_script_field(self, tmp_path):
         path = tmp_path / "truth.txt"
         path.write_text("img H=0 J=0 P=0 Q=0 B=0 PAW=1 SCRIPT=\n")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,11 @@ class TestAnalyzePage:
         assert analysis.lines == ()
         assert analysis.features.nb_paws == 0
         assert analysis.features.total_hits() == 0
+
+    @pytest.mark.parametrize("page", [np.zeros((8, 8), dtype=bool), "page"], ids=["array", "str"])
+    def test_page_of_neither_raster_kind_raises_type_error(self, page):
+        with pytest.raises(TypeError, match="analyze_pages expects a BinaryRaster"):
+            analyze_pages([wide_page(), page])
 
     def test_hits_are_in_page_coordinates(self):
         page = generate_page(builtin_profiles()[0], seed=6)
@@ -425,8 +431,17 @@ def test_batched_pages_match_one_page_at_a_time(case):
 
 
 # The peak working memory of a pass, in bytes per stacked pixel (total
-# height times largest width), as cli._GATHER's comment and the README give it.
+# height times largest width), as pipeline._GATHER's comment and the README give it.
 PEAK_BYTES_PER_PIXEL = 10
+
+
+def _peak(call):
+    """call's result and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
@@ -438,13 +453,33 @@ PEAK_BYTES_PER_PIXEL = 10
     ],
 )
 def test_peak_memory_per_stacked_pixel(pages):
+    # One pass over all the pages, whatever the run bound of analyze_pages.
     pages = pages()
-    analyze_pages(pages)  # fill the lookup caches first
-    tracemalloc.start()
-    try:
-        analyze_pages(pages)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    pipeline._analyze_run(pages, PipelineParams())  # fill the lookup caches first
+    _, peak = _peak(lambda: pipeline._analyze_run(pages, PipelineParams()))
     stacked = sum(page.height for page in pages) * max(page.width for page in pages)
     assert peak / stacked < PEAK_BYTES_PER_PIXEL
+
+
+def test_pages_of_a_generator_are_analysed_in_bounded_runs():
+    # One pass over all 64 pages would peak near 24 MB.
+    def pages():
+        for seed in range(64):
+            yield generate_page(builtin_profiles()[seed % 2], seed=seed).raster
+
+    analyze_page(wide_page())  # fill the lookup caches first
+    analyses, peak = _peak(lambda: analyze_pages(pages()))
+    assert peak < 10_000_000
+    assert [repr(a) for a in analyses] == [repr(analyze_page(page)) for page in pages()]
+
+
+def test_nearest_part_search_memory_does_not_grow_with_the_radius_squared():
+    # At radius 155 each hit's search window holds 311 x 311 pixels, so the
+    # windows of all the page's hits at once would take 136 MB. The digest
+    # is the analysis one search over all the hits gives.
+    page, params = wide_page(), PipelineParams(dilation_radius=155)
+    analyze_page(page, params)  # fill the lookup caches first
+    analysis, peak = _peak(lambda: analyze_page(page, params))
+    assert peak < 8_000_000
+    digest = hashlib.sha256(repr(analysis).encode()).hexdigest()
+    assert digest == "8d83266d17d23f969efc623e3d5a30d70679a29a564bcd212c84ed31017dba86"
