@@ -36,7 +36,7 @@ A single word is the one-line case of the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -44,7 +44,7 @@ import numpy as np
 from . import geometry
 from .geometry import Labelling, trace_contours
 from .layout import Baselines, LineBand, NoInkError, _group_parts
-from .raster import BinaryRaster, _require_binary, dilate
+from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, _require_binary, dilate
 
 __all__ = [
     "FEATURE_KINDS",
@@ -153,6 +153,11 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
         and chain.rows[1] >= baselines.upper_row and chain.rows[0] <= baselines.lower_row
         and chain._under(thresholds.diacritic_max_contour)
     ]
+
+
+def _gap(radius: int) -> int:
+    """Blank rows stacked after each line expanded by radius, so no halo reaches the next line."""
+    return max(1, radius)
 
 
 class _Lines:
@@ -396,18 +401,6 @@ def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
     return np.searchsorted(zone_line * span + start, keys, side="right") - 1
 
 
-@lru_cache(maxsize=16)
-def _search_offsets(row_reach: int, col_reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) offsets within the given reaches, nearest first by
-    Chebyshev distance, in raster order on ties."""
-    dr, dc = np.meshgrid(
-        np.arange(-row_reach, row_reach + 1), np.arange(-col_reach, col_reach + 1), indexing="ij"
-    )
-    dr, dc = dr.ravel(), dc.ravel()
-    order = np.argsort(np.maximum(np.abs(dr), np.abs(dc)), kind="stable")
-    return dr[order], dc[order]
-
-
 # Locations are searched in blocks of at most this many window pixels
 # (one window when it is larger), which bounds memory at large radii.
 _WINDOW_BLOCK = 1 << 16
@@ -419,14 +412,16 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
 
     Contour hits live on the expanded stage, so their pixel can sit in the
     halo up to the expansion radius away from the original ink. The nearest
-    ink pixel by Chebyshev distance wins, the first in raster order on ties:
-    the windows of a block of locations are gathered at once, their offsets
-    ordered nearest first, so the first ink pixel in a window row is the
-    answer and a location on ink is its own. Its part is read off the runs.
-    Raises KeyError when a location has no ink within max_radius.
+    ink pixel by Chebyshev distance wins, the first in raster order on ties,
+    so a location on ink is its own; a block of locations gathers its
+    windows at once, their offsets built on each call. Its part is read off
+    the runs. Raises KeyError when a location has no ink within max_radius.
     """
     height, width = ink.shape
-    dr, dc = _search_offsets(min(max_radius, height - 1), min(max_radius, width - 1))
+    row_reach, col_reach = min(max_radius, height - 1), min(max_radius, width - 1)
+    dr, dc = np.divmod(np.arange((2 * row_reach + 1) * (2 * col_reach + 1), dtype=np.int32), 2 * col_reach + 1)
+    dr, dc = dr - row_reach, dc - col_reach
+    distance = np.maximum(np.abs(dr), np.abs(dc))
     loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
     nearest = np.empty_like(loc)
     block = max(1, _WINDOW_BLOCK // dr.size)
@@ -437,7 +432,7 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
         missing = np.flatnonzero(~found.any(axis=1))
         if missing.size:
             raise KeyError(f"no word part within {max_radius} of {tuple(loc[lo + missing[0]].tolist())}")
-        pick = np.arange(rows.shape[0]), np.argmax(found, axis=1)
+        pick = np.arange(rows.shape[0]), np.argmin(np.where(found, distance, distance.size), axis=1)
         nearest[lo : lo + block] = np.column_stack((rows[pick], cols[pick]))
     return part[labelling.label_at(nearest[:, 0], nearest[:, 1]) - 1]
 
@@ -449,7 +444,7 @@ def extract_features(
     word: BinaryRaster,
     baselines,
     thresholds=None,
-    dilation_radius: int = 1,
+    dilation_radius: int = DEFAULT_DILATION_RADIUS,
     bands=None,
 ):
     """Run the full pipeline on a word, or on every text line of several pages at once.
@@ -493,7 +488,7 @@ def extract_features(
     height = max(band.bottom_row - band.top_row + 1 for band in bands)
     # Past the larger side of every band, expansion fills each inked band whole.
     radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
-    lines = _Lines(inks, bands, baselines, thresholds, gap=max(1, radius))
+    lines = _Lines(inks, bands, baselines, thresholds, gap=_gap(radius))
     columns, band_columns = lines.column_tables()
     if not columns.any(axis=1).all():
         raise NoInkError("cannot extract features from a blank image")

@@ -28,6 +28,7 @@ __all__ = [
 
 # Fraction of the peak row count that a body-band row reaches.
 DEFAULT_ALPHA = 0.5
+DEFAULT_MERGE_GAP = 2  # blank rows a line band bridges; see extract_lines
 
 
 class NoInkError(ValueError):
@@ -60,7 +61,7 @@ class LineBand:
     bottom_row: int
 
 
-def extract_lines(page: BinaryRaster, merge_gap: int = 2) -> list[LineBand]:
+def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> list[LineBand]:
     """Find line bands as maximal inked row runs of the horizontal projection.
 
     A blank run shorter than merge_gap rows does not split a line, which

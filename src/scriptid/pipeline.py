@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import DEFAULT_Q_MIN, Verdict, classify
-from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, combine_feature_sets, extract_features
-from .layout import DEFAULT_ALPHA, Baselines, LineBand, estimate_baselines, extract_lines
-from .raster import BinaryRaster, GrayRaster, _require_binary, binarize
+from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, _gap, combine_feature_sets, extract_features
+from .layout import DEFAULT_ALPHA, DEFAULT_MERGE_GAP, Baselines, LineBand, estimate_baselines, extract_lines
+from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, GrayRaster, _require_binary, binarize
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
 
@@ -16,9 +16,9 @@ __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "an
 class PipelineParams:
     """Knobs shared by every stage of the extraction pipeline."""
 
-    dilation_radius: int = 1
+    dilation_radius: int = DEFAULT_DILATION_RADIUS
     alpha: float = DEFAULT_ALPHA
-    merge_gap: int = 2
+    merge_gap: int = DEFAULT_MERGE_GAP
     diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
 
@@ -42,10 +42,11 @@ class PageAnalysis:
     lines: tuple[LineAnalysis, ...]
 
 
-# Consecutive pages share a pass while their stacked area (total height
-# times largest width) stays within this many pixels; a larger page has a
-# pass alone. A pass peaks under 10 bytes per stacked pixel, so near 10 MB,
-# and runs this large were no slower than one pass over a whole page list.
+# Consecutive pages share a pass while the buffer they stack (each band's
+# rows and the gap rows after it, times the widest page) stays within this
+# many pixels; a larger page has a pass alone. A pass peaks under 10 bytes
+# per stacked pixel, so near 10 MB, and runs this large were no slower than
+# one pass over a whole page list.
 _GATHER = 1 << 20
 
 
@@ -54,7 +55,7 @@ def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAn
     one PageAnalysis per page.
 
     pages, any iterable, is read one page at a time, and consecutive pages
-    share one pass while their stacked area stays within _GATHER pixels.
+    share one pass while the buffer they stack stays within _GATHER pixels.
     Each line is measured as if cropped from its page: its baselines come
     from its own rows, and its expansion is clipped to them and to its
     page's columns, so the result for a page does not depend on the pages
@@ -65,21 +66,22 @@ def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAn
     by binarize at its default first: a cell darker than 128 is ink; a page
     of any other kind raises TypeError.
     """
-    analyses, run, rows, width = [], [], 0, 0
+    analyses, run, rows, width, gap = [], [], 0, 0, _gap(params.dilation_radius)
     for page in pages:
         page = binarize(page) if isinstance(page, GrayRaster) else page
         _require_binary(page, "analyze_pages")
-        rows, width = rows + page.height, max(width, page.width)
+        bands = extract_lines(page, params.merge_gap)
+        stacked = sum(band.bottom_row - band.top_row + 1 + gap for band in bands)
+        rows, width = rows + stacked, max(width, page.width)
         if run and rows * width > _GATHER:
-            analyses += _analyze_run(run, params)
-            run, rows, width = [], page.height, page.width
-        run.append(page)
-    return analyses + _analyze_run(run, params) if run else analyses
+            analyses += _analyze_run(*zip(*run), params)
+            run, rows, width = [], stacked, page.width
+        run.append((page, bands))
+    return analyses + _analyze_run(*zip(*run), params) if run else analyses
 
 
-def _analyze_run(pages: list[BinaryRaster], params: PipelineParams) -> list[PageAnalysis]:
-    """analyze_pages of a run of BinaryRaster pages, in one pass."""
-    bands = [extract_lines(page, params.merge_gap) for page in pages]
+def _analyze_run(pages, bands, params: PipelineParams) -> list[PageAnalysis]:
+    """analyze_pages of a run of BinaryRaster pages and their line bands, in one pass."""
     baselines = [
         [_line_baselines(page, band, params.alpha) for band in page_bands]
         for page, page_bands in zip(pages, bands)
@@ -89,11 +91,10 @@ def _analyze_run(pages: list[BinaryRaster], params: PipelineParams) -> list[Page
         for page_baselines in baselines
     ]
     sets = extract_features(pages, baselines, thresholds, params.dilation_radius, bands=bands)
-    analyses = []
-    for page_bands, page_baselines, page_sets in zip(bands, baselines, sets):
-        lines = tuple(map(LineAnalysis, page_bands, page_baselines, page_sets))
-        analyses.append(PageAnalysis(combine_feature_sets(page_sets), lines))
-    return analyses
+    return [
+        PageAnalysis(combine_feature_sets(page_sets), tuple(map(LineAnalysis, page_bands, page_baselines, page_sets)))
+        for page_bands, page_baselines, page_sets in zip(bands, baselines, sets)
+    ]
 
 
 def _line_baselines(page: BinaryRaster, band: LineBand, alpha: float) -> Baselines:

@@ -270,7 +270,10 @@ def binarize(img: GrayRaster, threshold: int = 128) -> BinaryRaster:
     return BinaryRaster(img.pixels < threshold)
 
 
-def dilate(img: BinaryRaster, radius: int = 1) -> BinaryRaster:
+DEFAULT_DILATION_RADIUS = 1  # one pass closes diagonal contour gaps; see dilate
+
+
+def dilate(img: BinaryRaster, radius: int = DEFAULT_DILATION_RADIUS) -> BinaryRaster:
     """Expand ink by a square (Chebyshev) structuring element of given radius.
 
     The output is the union of the input ink with every cell at Chebyshev

@@ -16,6 +16,11 @@ Families:
   not its repr: bands, baselines, counts, parts, dropped loops, hits (kind,
   location, part, position) and the verdict, per line and for the page,
   so a new field leaves the digest where it is.
+- large_radii: analyze_pages at dilation radii of 5 and more, where a
+  pass stacks more gap rows than page rows and each nearest-part window
+  spans hundreds of pixels, on 4-line and wide pages of both scripts and
+  one batch of ten words per script, at the default contour cap, hashed as
+  the pages family is.
 - contours: trace_contours on the HOLE_CASES rasters and on random ones,
   whole and with a band given as a pair of rows, as a row and a per-row
   array, and as two per-row arrays; each chain hashed as its points,
@@ -68,6 +73,8 @@ class Grid:
     parts: tuple[tuple[int, int], ...]
     radii: tuple[int, ...]
     caps: tuple[int, ...]
+    large_seeds: tuple[int, ...]
+    large_radii: tuple[int, ...]
     word_batches: int
     noise_rasters: int
     random_rasters: int
@@ -79,6 +86,8 @@ FULL = Grid(
     parts=((2, 4), (5, 8), (20, 28)),
     radii=(0, 1, 2),
     caps=(20, 60, 200),
+    large_seeds=tuple(range(4)),
+    large_radii=(5, 40, 155),
     word_batches=6,
     noise_rasters=12,
     random_rasters=600,
@@ -89,6 +98,8 @@ SUBSET = Grid(
     parts=((2, 4), (20, 28)),
     radii=(0, 1, 2),
     caps=(20, 60),
+    large_seeds=(0,),
+    large_radii=(5, 40, 155),
     word_batches=1,
     noise_rasters=3,
     random_rasters=120,
@@ -97,6 +108,7 @@ SUBSET = Grid(
 
 FULL_DIGESTS = {
     "pages": "830dea2ed7bfd0802def5b47927941c1ddcdb9112f1c5675e1ae076352c27481",
+    "large_radii": "f829cb112f2ce7f7f9a2aae3b5fccd6d1cdf7b94fc7858338735733f67e2b20e",
     "contours": "3e0c88e65b3f784ff937558dee1d5b48a33cae8eb1626a736d723428a79c2ba3",
     "reports": "3fadeb9e593cb8d136e0543fa4bba0ba07356c0cdae8a1a1c07b87c3144ec444",
 }
@@ -148,6 +160,27 @@ def pages_digest(grid: Grid) -> str:
             params = PipelineParams(dilation_radius=radius, diacritic_max_contour=cap)
             for analysis in analyze_pages(pages, params):
                 h.update(_json([radius, cap, _projection(analysis)]))
+    return h.hexdigest()
+
+
+def large_radius_pages(grid: Grid) -> list[BinaryRaster]:
+    """4-line and wide pages of both scripts, then ten words of each."""
+    pages = []
+    for seed in grid.large_seeds:
+        for profile in builtin_profiles():
+            for low, high in ((5, 8), (20, 28)):
+                pages.append(generate_page(profile, seed=seed, min_paws=low, max_paws=high).raster)
+    for profile in builtin_profiles():
+        pages += [word.raster for word in generate_corpus(profile, 10, seed=100)]
+    return pages
+
+
+def large_radii_digest(grid: Grid) -> str:
+    h = hashlib.sha256()
+    pages = large_radius_pages(grid)
+    for radius in grid.large_radii:
+        for analysis in analyze_pages(pages, PipelineParams(dilation_radius=radius)):
+            h.update(_json([radius, _projection(analysis)]))
     return h.hexdigest()
 
 
@@ -215,7 +248,12 @@ def reports_digest(grid: Grid) -> str:
     return h.hexdigest()
 
 
-FAMILIES = {"pages": pages_digest, "contours": contours_digest, "reports": reports_digest}
+FAMILIES = {
+    "pages": pages_digest,
+    "large_radii": large_radii_digest,
+    "contours": contours_digest,
+    "reports": reports_digest,
+}
 
 
 def digests(grid: Grid) -> dict[str, str]:

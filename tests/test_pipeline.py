@@ -455,8 +455,9 @@ def _peak(call):
 def test_peak_memory_per_stacked_pixel(pages):
     # One pass over all the pages, whatever the run bound of analyze_pages.
     pages = pages()
-    pipeline._analyze_run(pages, PipelineParams())  # fill the lookup caches first
-    _, peak = _peak(lambda: pipeline._analyze_run(pages, PipelineParams()))
+    bands = [layout.extract_lines(page) for page in pages]
+    pipeline._analyze_run(pages, bands, PipelineParams())  # fill geometry._probe_table's cache first
+    _, peak = _peak(lambda: pipeline._analyze_run(pages, bands, PipelineParams()))
     stacked = sum(page.height for page in pages) * max(page.width for page in pages)
     assert peak / stacked < PEAK_BYTES_PER_PIXEL
 
@@ -471,6 +472,44 @@ def test_pages_of_a_generator_are_analysed_in_bounded_runs():
     analyses, peak = _peak(lambda: analyze_pages(pages()))
     assert peak < 10_000_000
     assert [repr(a) for a in analyses] == [repr(analyze_page(page)) for page in pages()]
+
+
+def test_runs_of_several_pages_stack_at_most_the_bound_at_a_large_radius(monkeypatch):
+    # At radius 155 each line stacks 155 gap rows after it, about three times
+    # its own rows, so counting page rows would let a run stack 2.8 Mpx.
+    passes, stacked = [], []
+    extract, lines = pipeline.extract_features, features._Lines
+
+    def counting(pages, *args, **kwargs):
+        passes.append(len(pages))
+        return extract(pages, *args, **kwargs)
+
+    class Counted(lines):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            stacked.append(self.ink.size)
+
+    monkeypatch.setattr(pipeline, "extract_features", counting)
+    monkeypatch.setattr(features, "_Lines", Counted)
+    pages, params = [wide_page(seed, seed % 2) for seed in range(8)], PipelineParams(dilation_radius=155)
+    together = [repr(a) for a in analyze_pages(pages, params)]
+    assert sum(passes) == 8 and max(passes) > 1
+    assert all(size <= pipeline._GATHER for n, size in zip(passes, stacked) if n > 1)
+    assert together == [repr(analyze_page(page, params)) for page in pages]
+
+
+def test_nearest_part_search_keeps_nothing_after_the_call():
+    # At radius 600 a search window holds 1,111 x 1,109 offsets, 20 MB as
+    # an int64 table, which a cache would keep after the call.
+    page, params = wide_page(), PipelineParams(dilation_radius=600)
+    analyze_page(page)  # fill geometry._probe_table's cache first
+    tracemalloc.start()
+    try:
+        analyze_page(page, params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 def test_nearest_part_search_memory_does_not_grow_with_the_radius_squared():
