@@ -59,6 +59,7 @@ def _ranged(parse, accept, rule):
 
 _COUNT = _ranged(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _ranged(int, lambda v: v >= 1, ">= 1")
+_CAP = _ranged(int, lambda v: 1 <= v < 2**63, "from 1 to 2**63 - 1")  # an int64 in the page pass
 _FRACTION = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _RATE = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
@@ -308,7 +309,7 @@ def _add_features(parser):
                         help="contour expansion radius")
     parser.add_argument("--alpha", type=_FRACTION, default=DEFAULT_PARAMS.alpha,
                         help="baseline band density fraction")
-    parser.add_argument("--contour-max", type=_POSITIVE, default=DEFAULT_PARAMS.diacritic_max_contour,
+    parser.add_argument("--contour-max", type=_CAP, default=DEFAULT_PARAMS.diacritic_max_contour,
                         help="diacritic/loop contour point cap")
     parser.add_argument("--merge-gap", type=_COUNT, default=DEFAULT_PARAMS.merge_gap,
                         help="a blank run shorter than this many rows does not split a line; 0 acts as 1")

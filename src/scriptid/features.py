@@ -43,7 +43,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import Labelling, trace_contours
-from .layout import Baselines, LineBand, NoInkError, _group_parts
+from .layout import _BLOCK, Baselines, LineBand, NoInkError, _group_parts
 from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, _require_binary, dilate
 
 __all__ = [
@@ -66,17 +66,17 @@ DEFAULT_CONTOUR_CAP = 60
 
 @dataclass(frozen=True)
 class FeatureThresholds:
-    """Pole/jamb margins in pixels plus the diacritic contour cap in points."""
+    """Pole/jamb margins in pixels plus the diacritic contour cap in points, each below 2**63."""
 
     marge_h: int
     marge_j: int
     diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
     def __post_init__(self):
-        if self.diacritic_max_contour <= 0:
-            raise ValueError("diacritic_max_contour must be positive")
-        if self.marge_h < 0 or self.marge_j < 0:
-            raise ValueError("marge_h and marge_j must be >= 0")
+        if not 0 < self.diacritic_max_contour < 2**63:
+            raise ValueError("diacritic_max_contour must lie in 1 .. 2**63 - 1")
+        if not (0 <= self.marge_h < 2**63 and 0 <= self.marge_j < 2**63):
+            raise ValueError("marge_h and marge_j must lie in 0 .. 2**63 - 1")
 
     @classmethod
     def from_baselines(cls, baselines: Baselines, diacritic_max_contour: int = DEFAULT_CONTOUR_CAP):
@@ -401,11 +401,6 @@ def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
     return np.searchsorted(zone_line * span + start, keys, side="right") - 1
 
 
-# Locations are searched in blocks of at most this many window pixels
-# (one window when it is larger), which bounds memory at large radii.
-_WINDOW_BLOCK = 1 << 16
-
-
 def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locations, max_radius: int) -> np.ndarray:
     """Word-part index of the ink pixel nearest to each location, where
     labelling labels ink and part[i] is the part of label i + 1.
@@ -413,9 +408,10 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
     Contour hits live on the expanded stage, so their pixel can sit in the
     halo up to the expansion radius away from the original ink. The nearest
     ink pixel by Chebyshev distance wins, the first in raster order on ties,
-    so a location on ink is its own; a block of locations gathers its
-    windows at once, their offsets built on each call. Its part is read off
-    the runs. Raises KeyError when a location has no ink within max_radius.
+    so a location on ink is its own. Windows are gathered in blocks of at
+    most _BLOCK pixels (one window when it is larger), their offsets built
+    on each call. Its part is read off the runs. Raises KeyError when a
+    location has no ink within max_radius.
     """
     height, width = ink.shape
     row_reach, col_reach = min(max_radius, height - 1), min(max_radius, width - 1)
@@ -424,7 +420,7 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
     distance = np.maximum(np.abs(dr), np.abs(dc))
     loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
     nearest = np.empty_like(loc)
-    block = max(1, _WINDOW_BLOCK // dr.size)
+    block = max(1, _BLOCK // dr.size)
     for lo in range(0, loc.shape[0], block):
         rows, cols = loc[lo : lo + block, :1] + dr, loc[lo : lo + block, 1:] + dc
         found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)

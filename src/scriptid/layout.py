@@ -66,7 +66,8 @@ def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> lis
 
     A blank run shorter than merge_gap rows does not split a line, which
     keeps broken strokes in scans together; merge_gap 0 acts as 1, so
-    adjacent inked rows always share a line.
+    adjacent inked rows always share a line. Bands end and start at the
+    steps between inked rows longer than that.
     """
     _require_binary(page, "extract_lines")
     if merge_gap < 0:
@@ -74,8 +75,9 @@ def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> lis
     inked = np.flatnonzero(page.pixels.any(axis=1))
     if inked.size == 0:
         return []
-    groups = np.split(inked, np.flatnonzero(np.diff(inked) > max(merge_gap, 1)) + 1)
-    return [LineBand(int(g[0]), int(g[-1])) for g in groups]
+    cut = np.diff(inked) > max(merge_gap, 1)
+    tops, bottoms = [int(inked[0]), *inked[1:][cut].tolist()], [*inked[:-1][cut].tolist(), int(inked[-1])]
+    return [LineBand(top, bottom) for top, bottom in zip(tops, bottoms)]
 
 
 def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Baselines:
@@ -84,6 +86,7 @@ def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Base
     Rows whose count reaches alpha times the peak are band candidates; the
     widest candidate run containing a peak row wins, topmost on ties. The
     returned band therefore always holds the projection's global maximum.
+    The runs are read off the edges of the candidate rows.
     """
     _require_binary(word, "estimate_baselines")
     if not 0 < alpha <= 1:
@@ -92,20 +95,17 @@ def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Base
     peak = int(counts.max())
     if peak == 0:
         raise NoInkError("cannot estimate baselines of a blank image")
-    dense = np.flatnonzero(counts >= alpha * peak)
-    runs = np.split(dense, np.flatnonzero(np.diff(dense) > 1) + 1)
-    best = None
-    for run in runs:
-        if not (counts[run] == peak).any():
-            continue
-        if best is None or len(run) > len(best):
-            best = run
-    return Baselines(int(best[0]), int(best[-1]))
+    dense = np.zeros(counts.size + 2, dtype=bool)
+    dense[1:-1] = counts >= alpha * peak
+    # Run k spans rows top[k] to end[k] - 1; no row between runs is a peak row.
+    top, end = np.flatnonzero(dense[1:] != dense[:-1]).reshape(-1, 2).T
+    best = ((end - top) * (np.add.reduceat(counts == peak, top) > 0)).argmax()
+    return Baselines(int(top[best]), int(end[best]) - 1)
 
 
-# Marks are matched against every body in blocks of at most this many
-# (mark, body) pairs, which bounds memory on lines with many components.
-_PAIR_BLOCK = 1 << 20
+# Scratch searches run in blocks of at most this many entries: (mark, body)
+# pairs in _group_parts, window pixels in features._nearest_paws.
+_BLOCK = 1 << 16
 # Column overlap of a mark with a body of another line: below any real overlap.
 _FAR = np.iinfo(np.intp).min
 
@@ -145,9 +145,10 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
     standalone parts, and each mark joins a body of its own line: the one
     with maximal signed column overlap (a negative overlap measures the
     gap), then the nearest centroid, then the first body in (min_col,
-    min_row) order. Centroids are computed only for marks that tie on
-    overlap and for their tied bodies. A line whose components are all
-    detached keeps them all as bodies. The parts partition the line's ink.
+    min_row) order, in blocks of at most _BLOCK (mark, body) pairs. One
+    centroid table of all labels is built at the first tie on overlap, if
+    any. A line whose components are all detached keeps them all as
+    bodies. The parts partition the line's ink.
 
     Returns the part index of every label (entry i for label i + 1), each
     part's (top, left, bottom, right) extent, and each part's line key.
@@ -164,7 +165,8 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
 
     owner = np.empty(n, dtype=np.intp)
     owner[bodies] = np.arange(bodies.size)
-    block = max(1, _PAIR_BLOCK // bodies.size)
+    centroid = None
+    block = max(1, _BLOCK // bodies.size)
     for i in range(0, marks.size, block):
         m = marks[i : i + block, None]
         overlap = np.minimum(boxes[bodies, 3], boxes[m, 3]) - np.maximum(boxes[bodies, 1], boxes[m, 1])
@@ -174,12 +176,10 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
         # Only a mark with several bodies at its largest overlap needs centroids.
         tied = np.flatnonzero(top.sum(axis=1) > 1)
         if tied.size:
-            t, ties = m[tied], top[tied]
-            centroid = np.zeros((n, 2))
-            need = np.union1d(t, bodies[ties.any(axis=0)])
-            centroid[need] = _centroids(labelling, need, origin)
+            centroid = _centroids(labelling, np.arange(n), origin) if centroid is None else centroid
+            t = m[tied]
             dist = np.hypot(centroid[bodies, 0] - centroid[t, 0], centroid[bodies, 1] - centroid[t, 1])
-            dist[~ties] = np.inf
+            dist[~top[tied]] = np.inf
             owner[t[:, 0]] = dist.argmin(axis=1)
 
     extent = boxes[bodies]

@@ -21,6 +21,14 @@ Families:
   spans hundreds of pixels, on 4-line and wide pages of both scripts and
   one batch of ten words per script, at the default contour cap, hashed as
   the pages family is.
+- hostile: analyze_pages on rasters the generator never draws, at the
+  hostile radii and every contour cap of the grid, hashed as the pages
+  family is: random ink at 3, 5 and 8% on 200x300 (one line of many
+  marks); every other row inked, a checkerboard and all ink on 100x150;
+  1x600, 600x1 and one pixel of ink; then per seed and script a 4-line
+  page rebuilt from its line crops with 0, 1 and 2 blank rows between
+  them, and the page with 0.2% ink specks added and 1% of its pixels
+  bleached.
 - contours: trace_contours on the HOLE_CASES rasters and on random ones,
   whole and with a band given as a pair of rows, as a row and a per-row
   array, and as two per-row arrays; each chain hashed as its points,
@@ -54,6 +62,7 @@ from scriptid import (
     builtin_profiles,
     classify,
     dilate,
+    extract_lines,
     generate_corpus,
     generate_page,
     save,
@@ -75,6 +84,8 @@ class Grid:
     caps: tuple[int, ...]
     large_seeds: tuple[int, ...]
     large_radii: tuple[int, ...]
+    hostile_seeds: tuple[int, ...]
+    hostile_radii: tuple[int, ...]
     word_batches: int
     noise_rasters: int
     random_rasters: int
@@ -88,6 +99,8 @@ FULL = Grid(
     caps=(20, 60, 200),
     large_seeds=tuple(range(4)),
     large_radii=(5, 40, 155),
+    hostile_seeds=tuple(range(4)),
+    hostile_radii=(0, 1, 2),
     word_batches=6,
     noise_rasters=12,
     random_rasters=600,
@@ -100,6 +113,8 @@ SUBSET = Grid(
     caps=(20, 60),
     large_seeds=(0,),
     large_radii=(5, 40, 155),
+    hostile_seeds=(0,),
+    hostile_radii=(1,),
     word_batches=1,
     noise_rasters=3,
     random_rasters=120,
@@ -109,6 +124,7 @@ SUBSET = Grid(
 FULL_DIGESTS = {
     "pages": "830dea2ed7bfd0802def5b47927941c1ddcdb9112f1c5675e1ae076352c27481",
     "large_radii": "f829cb112f2ce7f7f9a2aae3b5fccd6d1cdf7b94fc7858338735733f67e2b20e",
+    "hostile": "9c6d771842553627fad2fdb4b4b5b0d85067494c14867688723e25d4e68918f5",
     "contours": "3e0c88e65b3f784ff937558dee1d5b48a33cae8eb1626a736d723428a79c2ba3",
     "reports": "3fadeb9e593cb8d136e0543fa4bba0ba07356c0cdae8a1a1c07b87c3144ec444",
 }
@@ -184,6 +200,37 @@ def large_radii_digest(grid: Grid) -> str:
     return h.hexdigest()
 
 
+def hostile_pages(grid: Grid) -> list[BinaryRaster]:
+    """The hostile family's rasters, in the order analyze_pages is given them."""
+    rng = np.random.default_rng(17)
+    pages = [BinaryRaster(rng.random((200, 300)) < ink) for ink in (0.03, 0.05, 0.08)]
+    rows = np.zeros((100, 150), dtype=bool)
+    rows[::2] = True
+    pages += [BinaryRaster(rows), BinaryRaster(np.indices((100, 150)).sum(axis=0) % 2 == 0)]
+    pages += [BinaryRaster(np.ones(shape, dtype=bool)) for shape in ((1, 600), (600, 1), (1, 1), (100, 150))]
+    for seed in grid.hostile_seeds:
+        for profile in builtin_profiles():
+            page = generate_page(profile, seed=seed).raster
+            crops = [page.pixels[band.top_row : band.bottom_row + 1] for band in extract_lines(page)]
+            for gap in (0, 1, 2):
+                blank = np.zeros((gap, page.width), dtype=bool)
+                pages.append(BinaryRaster(np.vstack([part for crop in crops for part in (blank, crop)][1:])))
+            specked = BinaryRaster(page.pixels | (rng.random(page.pixels.shape) < 0.002))
+            pages.append(apply_salt(specked, 0.01, seed=seed))
+    return pages
+
+
+def hostile_digest(grid: Grid) -> str:
+    h = hashlib.sha256()
+    pages = hostile_pages(grid)
+    for radius in grid.hostile_radii:
+        for cap in grid.caps:
+            params = PipelineParams(dilation_radius=radius, diacritic_max_contour=cap)
+            for analysis in analyze_pages(pages, params):
+                h.update(_json([radius, cap, _projection(analysis)]))
+    return h.hexdigest()
+
+
 def contour_rasters(grid: Grid) -> list[BinaryRaster]:
     rng = np.random.default_rng(11)
     rasters = [raster_of(rows) for rows in HOLE_CASES]
@@ -251,6 +298,7 @@ def reports_digest(grid: Grid) -> str:
 FAMILIES = {
     "pages": pages_digest,
     "large_radii": large_radii_digest,
+    "hostile": hostile_digest,
     "contours": contours_digest,
     "reports": reports_digest,
 }

@@ -446,6 +446,8 @@ class TestUsage:
     @pytest.mark.parametrize("flag, value", [
         ("--dilate", "-1"),
         ("--contour-max", "0"),
+        ("--contour-max", str(2**63)),  # the page pass holds the cap in an int64
+        ("--contour-max", str(10**23)),
         ("--alpha", "0"),
         ("--alpha", "nan"),
         ("--merge-gap", "-1"),

@@ -54,6 +54,19 @@ class TestThresholds:
         with pytest.raises(ValueError):
             FeatureThresholds(marge_h, marge_j)
 
+    @pytest.mark.parametrize("fields", [(0, 0, 2**63), (2**63, 0), (0, 2**63)])
+    def test_field_beyond_int64_is_rejected(self, fields):
+        # The page pass holds each field in an int64.
+        with pytest.raises(ValueError):
+            FeatureThresholds(*fields)
+
+    def test_int64_max_fields_run(self):
+        img = word(56, 30)
+        paint(img, 24, 32, 4, 25)
+        t = FeatureThresholds(2**63 - 1, 2**63 - 1, 2**63 - 1)
+        assert detect_poles(BinaryRaster(img), B8, t) == [] and detect_jambs(BinaryRaster(img), B8, t) == []
+        assert extract_features(BinaryRaster(img), B8, t).nb_paws == 1
+
 
 class TestPoles:
     def test_tall_stroke_is_pole(self):

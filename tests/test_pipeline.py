@@ -23,6 +23,11 @@ def wide_page(seed=1, script=0):
     return generate_page(builtin_profiles()[script], seed=seed, min_paws=20, max_paws=28).raster
 
 
+def noise_page():
+    """400x600 of 5% random ink: one line band whose marks outnumber its bodies."""
+    return BinaryRaster(np.random.default_rng(0).random((400, 600)) < 0.05)
+
+
 class TestAnalyzePage:
     def test_blank_page_yields_empty_analysis(self):
         analysis = analyze_page(BinaryRaster.blank(30, 30))
@@ -298,6 +303,19 @@ class TestPassesPerLine:
         assert line.baselines == Baselines(4, 8)
         assert line.features.nb_paws == 2 and len(calls) == 1
 
+    def test_noise_page_builds_one_centroid_table(self, monkeypatch):
+        # One line of 9,383 marks and 266 bodies, with ties in several blocks
+        # of (mark, body) pairs: each block's ties read the same table.
+        centroids, calls = layout._centroids, []
+
+        def counting_centroids(*args):
+            calls.append(1)
+            return centroids(*args)
+
+        monkeypatch.setattr(layout, "_centroids", counting_centroids)
+        analysis = analyze_page(noise_page())
+        assert len(analysis.lines) == 1 and len(calls) == 1
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
@@ -472,6 +490,15 @@ def test_pages_of_a_generator_are_analysed_in_bounded_runs():
     analyses, peak = _peak(lambda: analyze_pages(pages()))
     assert peak < 10_000_000
     assert [repr(a) for a in analyses] == [repr(analyze_page(page)) for page in pages()]
+
+
+def test_noise_page_peaks_under_ten_megabytes():
+    # Matching its marks in blocks of 2^20 (mark, body) pairs peaks at
+    # 32 MB, about 134 bytes per page pixel.
+    page = noise_page()
+    analyze_page(wide_page())  # fill the lookup caches first
+    _, peak = _peak(lambda: analyze_page(page))
+    assert peak < 10_000_000
 
 
 def test_runs_of_several_pages_stack_at_most_the_bound_at_a_large_radius(monkeypatch):
