@@ -115,10 +115,11 @@ def classify(
     freq = normalize(fs)
     scores = {}
     for profile in profiles:
-        if freq["Q"] >= q_min and profile.rel["Q"] == 0:
+        rel = profile.rel
+        if freq["Q"] >= q_min and rel["Q"] == 0:
             scores[profile.name] = math.inf
         else:
-            scores[profile.name] = sum(abs(freq[k] - profile.rel[k]) for k in FEATURE_KINDS)
+            scores[profile.name] = sum(abs(freq[k] - rel[k]) for k in FEATURE_KINDS)
 
     ranked = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
     best_name, best = ranked[0]

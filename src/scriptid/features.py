@@ -235,16 +235,17 @@ class _Lines:
         top, bottom = zones.boxes[:, 0], zones.boxes[:, 2]
         line = self.line_of(zones)
         pole = self.upper[line] - top > self.marge_h[line]
-        clears = np.flatnonzero(pole | (bottom - self.lower[line] > self.marge_j[line]))
+        clears = (pole | (bottom - self.lower[line] > self.marge_j[line])).nonzero()[0]
         rows, cols = zones.first_pixels(clears)
-        keep = np.ones(clears.size, dtype=bool)
-        dots = np.flatnonzero(self.detached[raw.label_at(rows, cols) - 1])
+        dots = self.detached[raw.label_at(rows, cols) - 1]
+        keep = ~dots
         keep[dots] = geometry._outer_lengths(self.ink, rows[dots], cols[dots]) >= self.cap[line[clears[dots]]]
         jamb = ~pole[clears]
-        on_bottom = np.flatnonzero(zones.rows == bottom[zones.run_labels - 1])
-        # Every region has a run on its bottom row, so label k + 1 is entry k.
-        _, first = np.unique(zones.run_labels[on_bottom], return_index=True)
-        tips = on_bottom[first[clears[jamb]]]
+        on_bottom = (zones.rows == bottom[zones.run_labels - 1]).nonzero()[0]
+        # first[k] is the first run of label k + 1 on its bottom row, which every region has.
+        first = np.array(zones.rows.size).repeat(zones.count)
+        np.minimum.at(first, zones.run_labels[on_bottom] - 1, on_bottom)
+        tips = first[clears[jamb]]
         rows[jamb], cols[jamb] = zones.rows[tips], zones.starts[tips]
         return jamb[keep].astype(np.intp), rows[keep], cols[keep]
 
@@ -295,7 +296,7 @@ class _Lines:
         key = (self.in_band[rows] * len(self.spans) + self.line[rows]) * width
         size = 2 * len(self.spans) * width
         steps = np.bincount(key + starts, minlength=size) - np.bincount(key + ends + 1, minlength=size)
-        tables = np.cumsum(steps.reshape(2, -1, width), axis=2)[:, :, :-1]
+        tables = steps.reshape(2, -1, width).cumsum(axis=2)[:, :, :-1]
         tables[0] += tables[1]
         return tables[0], tables[1]
 
@@ -341,18 +342,20 @@ def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     lines, width = counts.shape
     laid = np.zeros(lines * (width + 1) + 1, dtype=counts.dtype)
     laid[:-1].reshape(lines, width + 1)[:, 1:] = counts
-    # Plateau k spans columns starts[k]..ends[k] at count level[k]. The
-    # first and last plateaus are blank, and no blank plateau is a strict
-    # minimum.
-    starts = np.flatnonzero(laid[1:] != laid[:-1]) + 1
-    starts, ends = np.append(0, starts), np.append(starts - 1, laid.size - 1)
+    # Plateau k spans columns starts[k]..ends[k] at count level[k]: step[c]
+    # marks the edge before column c, where the count changes or the laid
+    # row ends. The first and last plateaus are blank, and no blank plateau
+    # is a strict minimum.
+    step = np.empty(laid.size + 1, dtype=bool)
+    step[[0, -1]], step[1:-1] = True, laid[1:] != laid[:-1]
+    starts, ends = step[:-1].nonzero()[0], step[1:].nonzero()[0]
     level = laid[starts]
-    cut = np.flatnonzero((level[:-2] > level[1:-1]) & (level[2:] > level[1:-1])) + 1
-    keep = laid > 0
-    keep[(starts[cut] + ends[cut]) // 2] = False
+    cut = ((level[:-2] > level[1:-1]) & (level[2:] > level[1:-1])).nonzero()[0] + 1
+    keep = (laid > 0).view(np.int8)
+    keep[(starts[cut] + ends[cut]) // 2] = 0
     # A zone is a maximal run of kept columns.
-    edges = np.diff(keep.view(np.int8))
-    first, last = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    edges = keep[1:] - keep[:-1]
+    first, last = (edges == 1).nonzero()[0], (edges == -1).nonzero()[0] - 1
     return first // (width + 1), first % (width + 1), last % (width + 1)
 
 
@@ -371,7 +374,7 @@ def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: i
     width = band_columns.shape[1]
     # inked[k, c] counts the band columns of line k before c that hold ink.
     inked = np.zeros((band_columns.shape[0], width + 1), dtype=np.intp)
-    np.cumsum(band_columns, axis=1, out=inked[:, 1:])
+    band_columns.cumsum(axis=1, out=inked[:, 1:])
     # Flat indices into inked: column c of line k is at row_start[k] + c.
     inked = inked.ravel()
     row_start = line * (width + 1)
@@ -392,13 +395,13 @@ def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
     just past the midpoint of the gap before it, a line's first zone from
     column 0, so one search of the (line, owned start) keys finds them all.
     """
-    span = int(last.max()) + 1 if last.size else 1
-    start = np.zeros_like(first)
+    span = int(np.maximum.reduce(last)) + 1 if last.size else 1
+    start = np.zeros(first.shape, dtype=first.dtype)
     same = zone_line[1:] == zone_line[:-1]
     start[1:][same] = (first[1:][same] + last[:-1][same]) // 2 + 1
     # A column outside 0..span - 1 has the nearest zone of the nearest column inside.
-    keys = line * span + np.clip(col, 0, span - 1)
-    return np.searchsorted(zone_line * span + start, keys, side="right") - 1
+    keys = line * span + np.minimum(np.maximum(col, 0), span - 1)
+    return (zone_line * span + start).searchsorted(keys, side="right") - 1
 
 
 def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locations, max_radius: int) -> np.ndarray:
@@ -419,18 +422,18 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
     dr, dc = dr - row_reach, dc - col_reach
     distance = np.maximum(np.abs(dr), np.abs(dc))
     loc = np.asarray(locations, dtype=np.intp).reshape(-1, 2)
-    nearest = np.empty_like(loc)
+    nearest = np.empty((2, loc.shape[0]), dtype=np.intp)
     block = max(1, _BLOCK // dr.size)
     for lo in range(0, loc.shape[0], block):
         rows, cols = loc[lo : lo + block, :1] + dr, loc[lo : lo + block, 1:] + dc
         found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
         found[found] = ink[rows[found], cols[found]]
-        missing = np.flatnonzero(~found.any(axis=1))
+        missing = (~np.logical_or.reduce(found, axis=1)).nonzero()[0]
         if missing.size:
             raise KeyError(f"no word part within {max_radius} of {tuple(loc[lo + missing[0]].tolist())}")
-        pick = np.arange(rows.shape[0]), np.argmin(np.where(found, distance, distance.size), axis=1)
-        nearest[lo : lo + block] = np.column_stack((rows[pick], cols[pick]))
-    return part[labelling.label_at(nearest[:, 0], nearest[:, 1]) - 1]
+        pick = np.arange(rows.shape[0]), np.where(found, distance, distance.size).argmin(axis=1)
+        nearest[:, lo : lo + block] = rows[pick], cols[pick]
+    return part[labelling.label_at(*nearest) - 1]
 
 
 _KIND_ORDER = {k: i for i, k in enumerate(FEATURE_KINDS)}
@@ -486,38 +489,35 @@ def extract_features(
     radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
     lines = _Lines(inks, bands, baselines, thresholds, gap=_gap(radius))
     columns, band_columns = lines.column_tables()
-    if not columns.any(axis=1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(columns, axis=1)):
         raise NoInkError("cannot extract features from a blank image")
     raw = lines.raw
     raw_line = lines.line_of(raw)
     stage = lines.stage(radius)
     # Only chains a dot or loop test can accept are kept; see trace_contours.
-    dot_kinds, dot_rows, dot_cols, dropped = lines.dots_and_loops(stage)
-    tip_kinds, tip_rows, tip_cols = lines.poles_and_jambs()
-    kinds = np.concatenate((tip_kinds, dot_kinds))
-    rows = np.concatenate((tip_rows, dot_rows))
-    cols = np.concatenate((tip_cols, dot_cols))
+    *dots, dropped = lines.dots_and_loops(stage)
+    kinds, rows, cols = np.concatenate((lines.poles_and_jambs(), dots), axis=1)
     line = lines.line[rows]
 
     # Centroids are taken in line rows, as in a crop of the line.
     part, _, part_line = _group_parts(raw, lines.detached, raw_line, lines.starts[raw_line])
-    paws = _nearest_paws(lines.ink, raw, part, np.column_stack((rows, cols)), radius)
+    paws = _nearest_paws(lines.ink, raw, part, np.array((rows, cols)).T, radius)
     # Parts are numbered line by line across the buffer; each page counts
     # from the first part of its first line.
     line_parts = np.bincount(part_line, minlength=len(flat))
-    page_first_line = np.repeat(np.cumsum(per_page) - per_page, per_page)
-    paws -= (np.cumsum(line_parts) - line_parts)[page_first_line][line]
+    page_lines = np.array(per_page)
+    page_first_line = (page_lines.cumsum() - page_lines).repeat(page_lines)
+    paws -= (line_parts.cumsum() - line_parts)[page_first_line][line]
 
     zone_line, first, last = _letter_zones(columns)
     codes = _position_codes(band_columns > 0, zone_line, first, last, _NEIGHBORHOOD)
     positions = codes[_zone_index(zone_line, first, last, line, cols)]
 
     # One row per hit, sorted by line, kind and location.
-    table = np.column_stack((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))
-    table = table[np.lexsort(table[:, 3::-1].T)]
+    table = np.array((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))
     hits = [[] for _ in flat]
     counts = [dict.fromkeys(FEATURE_KINDS, 0) for _ in flat]
-    for k, kind, _, col, row, paw, position in table.tolist():
+    for k, kind, _, col, row, paw, position in table.T[np.lexsort(table[3::-1])].tolist():
         hits[k].append(FeatureHit(FEATURE_KINDS[kind], (row, col), paw, _TAGS[position]))
         counts[k][FEATURE_KINDS[kind]] += 1
     sets = [

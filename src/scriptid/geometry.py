@@ -138,12 +138,11 @@ class Labelling:
         """Read-only (count, 4) array of inclusive (top, left, bottom, right)
         bounds; row i bounds label i + 1."""
         k = self.run_labels - 1
-        left = np.full(self.count, self.shape[1])
-        bottom, right = np.zeros((2, self.count), dtype=np.intp)
-        np.minimum.at(left, k, self.starts)
-        np.maximum.at(bottom, k, self.rows)
-        np.maximum.at(right, k, self.ends)
-        boxes = np.column_stack((self.rows[self.first_runs], left, bottom, right))
+        boxes = np.zeros((self.count, 4), dtype=np.intp)
+        boxes[:, 0], boxes[:, 1] = self.rows[self.first_runs], self.shape[1]
+        np.minimum.at(boxes[:, 1], k, self.starts)
+        np.maximum.at(boxes[:, 2], k, self.rows)
+        np.maximum.at(boxes[:, 3], k, self.ends)
         boxes.flags.writeable = False
         return boxes
 
@@ -153,7 +152,7 @@ class Labelling:
         before an ink pixel holds it."""
         width = self.shape[1]
         starts = self.rows * width + self.starts
-        return self.run_labels[np.searchsorted(starts, np.asarray(rows) * width + cols, side="right") - 1]
+        return self.run_labels[starts.searchsorted(np.asarray(rows) * width + cols, side="right") - 1]
 
     def beyond(self, upper, lower) -> np.ndarray:
         """Per label, whether its rows lie entirely above upper or entirely
@@ -264,7 +263,7 @@ def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     padded = np.zeros((height, stride), dtype=bool)
     padded[:, 1:-1] = ink
     flat = padded.ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    edges = (flat[1:] != flat[:-1]).nonzero()[0]
     rows = edges[0::2] // stride
     return rows, edges[0::2] - rows * stride, edges[1::2] - rows * stride - 1
 
@@ -282,12 +281,12 @@ def _links(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray, np.n
     # of the rows above and below its own.
     stride = width + 2
     key_starts, key_ends = rows * stride + starts, rows * stride + ends
-    lo = np.searchsorted(key_ends, key_starts + stride - reach)
-    hi = np.searchsorted(key_starts, key_ends + stride + reach, side="right")
+    lo = key_ends.searchsorted(key_starts + stride - reach)
+    hi = key_starts.searchsorted(key_ends + stride + reach, side="right")
     # The runs of the next row that meet run i are lo[i] up to hi[i].
     counts = np.maximum(hi - lo, 0)
-    above = np.repeat(np.arange(n), counts)
-    below = np.arange(above.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    above = np.arange(n).repeat(counts)
+    below = np.arange(above.size) + (lo - (counts.cumsum() - counts)).repeat(counts)
     return above, below
 
 
@@ -307,13 +306,13 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = parent[parent]
-            if (jumped == parent).all():
+            if not np.logical_or.reduce(jumped != parent):
                 break
             parent = jumped
         apart = parent[above] != parent[below]
         above, below = above[apart], below[apart]
     roots = parent == np.arange(n)
-    return np.cumsum(roots)[parent], np.flatnonzero(roots)
+    return roots.cumsum()[parent], roots.nonzero()[0]
 
 
 def _edge_counts(labels, count: int, starts, ends, above, below) -> np.ndarray:
@@ -345,7 +344,7 @@ def _label_and_zones(ink: np.ndarray, blank: np.ndarray) -> tuple[Labelling, Lab
     above, below = _links(rows, starts, ends, ink.shape[1], 1)
     labelling = Labelling(ink.shape, rows, starts, ends, *_join(rows.size, above, below))
     outside = ~blank[rows]
-    index = np.cumsum(outside) - 1
+    index = outside.cumsum() - 1
     kept = outside[above] & outside[below]
     links = index[above[kept]], index[below[kept]]
     runs = rows[outside], starts[outside], ends[outside]
@@ -374,13 +373,13 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
     height, width = ink.shape
     same = rows[1:] == rows[:-1]
     # Runs i and i + 1 of one row bound gap i.
-    gaps = np.flatnonzero(same)
+    gaps = same.nonzero()[0]
     gap_rows, gap_starts, gap_ends = rows[gaps], ends[gaps] + 1, starts[gaps + 1] - 1
     # Per row, shifted down one so rows -1 and height are blank: the first
     # ink column and the last, width and -1 on a blank row.
-    first = np.full(height + 2, width)
-    last = np.full(height + 2, -1)
-    lead, trail = np.ones((2, rows.size), dtype=bool)
+    first, last = np.array([[width], [-1]]).repeat(height + 2, axis=1)
+    lead, trail = np.empty((2, rows.size), dtype=bool)
+    lead[:1] = trail[-1:] = True
     lead[1:] = trail[:-1] = ~same
     first[rows[lead] + 1] = starts[lead]
     last[rows[trail] + 1] = ends[trail]
@@ -389,14 +388,13 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
     )
     above, below = _links(gap_rows, gap_starts, gap_ends, width, 0)
     labels, first_gaps = _join(gaps.size, above, below)
-    closed = np.ones(first_gaps.size, dtype=bool)
-    closed[labels[outside] - 1] = False
+    closed = np.bincount(labels[outside] - 1, minlength=first_gaps.size) == 0
     edges = _edge_counts(labels, first_gaps.size, gap_starts, gap_ends, above, below)[closed]
     # The gaps of the closed regions, the regions renumbered 1..count in order.
-    kept = np.flatnonzero(closed[labels - 1])
+    kept = closed[labels - 1].nonzero()[0]
     runs = gap_rows[kept], gap_starts[kept], gap_ends[kept]
-    first_runs = np.searchsorted(kept, first_gaps[closed])
-    return labelling, Labelling(ink.shape, *runs, np.cumsum(closed)[labels[kept] - 1], first_runs, edges)
+    first_runs = kept.searchsorted(first_gaps[closed])
+    return labelling, Labelling(ink.shape, *runs, closed.cumsum()[labels[kept] - 1], first_runs, edges)
 
 
 def _back_table() -> tuple[int, ...]:
@@ -530,10 +528,10 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     labelling, holes = _label_and_holes(img.pixels)
     kept, kept_holes = np.arange(labelling.count), np.arange(holes.count)
     if band is not None:
-        upper, lower = (np.broadcast_to(rows, img.height) for rows in band)
+        upper, lower = (np.zeros(img.height, dtype=np.intp) + rows for rows in band)
         top, hole_top = labelling.boxes[:, 0], holes.boxes[:, 0]
-        kept = np.flatnonzero(labelling.beyond(upper[top], lower[top]))
-        kept_holes = np.flatnonzero(~holes.beyond(upper[hole_top] - 1, lower[hole_top] + 1))
+        kept = labelling.beyond(upper[top], lower[top]).nonzero()[0]
+        kept_holes = (~holes.beyond(upper[hole_top] - 1, lower[hole_top] + 1)).nonzero()[0]
     # One walker serves every chain of the call, built on the first walk.
     walker = cache(partial(_Walker, img.pixels))
     # Labels number regions and holes in raster order of their first pixel,

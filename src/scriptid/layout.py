@@ -72,10 +72,10 @@ def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> lis
     _require_binary(page, "extract_lines")
     if merge_gap < 0:
         raise ValueError("merge_gap must be >= 0")
-    inked = np.flatnonzero(page.pixels.any(axis=1))
+    inked = np.logical_or.reduce(page.pixels, axis=1).nonzero()[0]
     if inked.size == 0:
         return []
-    cut = np.diff(inked) > max(merge_gap, 1)
+    cut = inked[1:] - inked[:-1] > max(merge_gap, 1)
     tops, bottoms = [int(inked[0]), *inked[1:][cut].tolist()], [*inked[:-1][cut].tolist(), int(inked[-1])]
     return [LineBand(top, bottom) for top, bottom in zip(tops, bottoms)]
 
@@ -91,14 +91,14 @@ def estimate_baselines(word: BinaryRaster, alpha: float = DEFAULT_ALPHA) -> Base
     _require_binary(word, "estimate_baselines")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    counts = word.pixels.sum(axis=1)
-    peak = int(counts.max())
+    counts = np.add.reduce(word.pixels, axis=1)
+    peak = int(np.maximum.reduce(counts))
     if peak == 0:
         raise NoInkError("cannot estimate baselines of a blank image")
     dense = np.zeros(counts.size + 2, dtype=bool)
     dense[1:-1] = counts >= alpha * peak
     # Run k spans rows top[k] to end[k] - 1; no row between runs is a peak row.
-    top, end = np.flatnonzero(dense[1:] != dense[:-1]).reshape(-1, 2).T
+    top, end = (dense[1:] != dense[:-1]).nonzero()[0].reshape(-1, 2).T
     best = ((end - top) * (np.add.reduceat(counts == peak, top) > 0)).argmax()
     return Baselines(int(top[best]), int(end[best]) - 1)
 
@@ -119,7 +119,7 @@ def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> n
     (s + e)(e - s + 1) / 2. Each mean is then the correctly rounded
     quotient of the exact sum and the pixel count.
     """
-    slot = np.full(labelling.count, -1)
+    slot = np.array(-1).repeat(labelling.count)
     slot[comps] = np.arange(comps.size)
     # Entry i of comps for each run of comps[i].
     k = slot[labelling.run_labels - 1]
@@ -127,11 +127,12 @@ def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> n
     k, rows = k[mine], labelling.rows[mine]
     starts, ends = labelling.starts[mine], labelling.ends[mine]
     lengths = ends - starts + 1
-    pixels, row_sums, col_sums = np.zeros((3, comps.size), dtype=np.int64)
+    sums = np.zeros((3, comps.size), dtype=np.int64)
+    pixels, row_sums, col_sums = sums
     np.add.at(pixels, k, lengths)
     np.add.at(row_sums, k, lengths * (rows - origin[comps][k]))
     np.add.at(col_sums, k, (starts + ends) * lengths // 2)
-    return np.column_stack((row_sums / pixels, col_sums / pixels))
+    return (sums[1:] / pixels).T
 
 
 def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, origin: np.ndarray):
@@ -159,7 +160,7 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
     boxes = labelling.boxes
     # Component order: line, then bbox (min_col, min_row, max_col, max_row), labels on ties.
     comps = np.lexsort((boxes[:, 2], boxes[:, 3], boxes[:, 0], boxes[:, 1], line))
-    detached = (detached & (np.bincount(line[~detached], minlength=int(line.max()) + 1)[line] > 0))[comps]
+    detached = (detached & (np.bincount(line[~detached], minlength=int(np.maximum.reduce(line)) + 1)[line] > 0))[comps]
     bodies, marks = comps[~detached], comps[detached]
     body_line = line[bodies]
 
@@ -171,10 +172,10 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
         m = marks[i : i + block, None]
         overlap = np.minimum(boxes[bodies, 3], boxes[m, 3]) - np.maximum(boxes[bodies, 1], boxes[m, 1])
         overlap[body_line != line[m]] = _FAR
-        top = overlap == overlap.max(axis=1, keepdims=True)
+        top = overlap == np.maximum.reduce(overlap, axis=1, keepdims=True)
         owner[m[:, 0]] = top.argmax(axis=1)
         # Only a mark with several bodies at its largest overlap needs centroids.
-        tied = np.flatnonzero(top.sum(axis=1) > 1)
+        tied = (np.add.reduce(top, axis=1) > 1).nonzero()[0]
         if tied.size:
             centroid = _centroids(labelling, np.arange(n), origin) if centroid is None else centroid
             t = m[tied]

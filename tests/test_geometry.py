@@ -389,6 +389,13 @@ def test_per_row_bands_test_each_chain_at_its_first_row(img, data):
     assert trace_contours(img, band=(upper, lower)) == kept
 
 
+@pytest.mark.parametrize("band", [(np.arange(5), 3), (0, np.arange(7))], ids=["upper", "lower"])
+def test_per_row_band_of_the_wrong_length_raises_value_error(band):
+    # A per-row band entry holds one row per image row, or is one row for all.
+    with pytest.raises(ValueError):
+        trace_contours(BinaryRaster(np.eye(6, dtype=bool)), band=band)
+
+
 @settings(max_examples=300, deadline=None)
 @given(walk_rasters())
 def test_first_pixels_match_bfs_regions(img):

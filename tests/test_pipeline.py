@@ -1,4 +1,7 @@
+import collections
 import hashlib
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -315,6 +318,38 @@ class TestPassesPerLine:
         monkeypatch.setattr(layout, "_centroids", counting_centroids)
         analysis = analyze_page(noise_page())
         assert len(analysis.lines) == 1 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "page, ceiling",
+        [
+            (lambda: generate_page(builtin_profiles()[0], seed=1001, min_paws=5, max_paws=8).raster, 200),
+            (lambda: generate_corpus(builtin_profiles()[0], 1, seed=5)[0].raster, 170),
+        ],
+        ids=["4-line page", "word"],
+    )
+    def test_page_pass_makes_few_python_level_numpy_calls(self, page, ceiling):
+        # At the generator's sizes a pass is bound by its count of calls, not
+        # by pixels, and a numpy helper written in Python (flatnonzero, diff,
+        # ndarray.all, ...) costs more per call than its C work. Which helpers
+        # are Python depends on the numpy release, so the ceiling leaves room.
+        page = page()
+        analyze_page(page)  # the first pass may still import and fill caches
+        root = os.path.dirname(np.__file__) + os.sep
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls[f"{frame.f_globals.get('__name__')}.{frame.f_code.co_name}"] += 1
+
+        sys.setprofile(count)
+        try:
+            analyze_page(page)
+        finally:
+            sys.setprofile(None)
+        total = sum(calls.values())
+        assert total <= ceiling, f"{total} calls into numpy, most often: " + ", ".join(
+            f"{name} {n}" for name, n in calls.most_common(10)
+        )
 
 
 @settings(max_examples=60, deadline=None)
