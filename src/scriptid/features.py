@@ -26,7 +26,8 @@ links, the expanded stage and its holes in the trace, with a bound on
 each chain's length, and the outer-chain lengths of the dot rule. This
 module only decides from their runs, boxes, bounds and lengths. Both
 column tables, of each line's ink and of its band rows' ink, are summed
-from the raw runs.
+from the raw runs, every line's columns laid in one row between blank
+entries.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -35,6 +36,7 @@ A single word is the one-line case of the same code.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -66,13 +68,18 @@ DEFAULT_CONTOUR_CAP = 60
 
 @dataclass(frozen=True)
 class FeatureThresholds:
-    """Pole/jamb margins in pixels plus the diacritic contour cap in points, each below 2**63."""
+    """Pole/jamb margins in pixels plus the diacritic contour cap in points, integers below 2**63."""
 
     marge_h: int
     marge_j: int
     diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not 0 < self.diacritic_max_contour < 2**63:
             raise ValueError("diacritic_max_contour must lie in 1 .. 2**63 - 1")
         if not (0 <= self.marge_h < 2**63 and 0 <= self.marge_j < 2**63):
@@ -155,6 +162,11 @@ def detect_loops(chains, baselines: Baselines, thresholds: FeatureThresholds):
     ]
 
 
+# Body-band columns read on each side of a letter zone for its position tag,
+# and the blank entries laid before each line's columns; see _Lines.column_tables.
+_NEIGHBORHOOD = 2
+
+
 def _gap(radius: int) -> int:
     """Blank rows stacked after each line expanded by radius, so no halo reaches the next line."""
     return max(1, radius)
@@ -168,7 +180,9 @@ class _Lines:
     rows after it carry its key, and spans holds each line's (first row, height,
     width of its raster). baselines, upper and lower hold each line's
     baselines in buffer rows, and marge_h, marge_j and cap its thresholds.
-    Adding shift[k] to a buffer row of line k gives the row of its raster.
+    Adding shift[k] to a buffer row of line k gives the row of its raster,
+    and stride is the step from one line to the next in the laid column
+    tables.
     raw labels the ink, and zones the ink with every line's band rows
     blanked, whose regions each lie wholly in one outer zone.
     """
@@ -185,6 +199,7 @@ class _Lines:
             start += height + gap
         size = start - gap
         self.ink = np.zeros((size, max(row[5] for row in table)), dtype=bool)
+        self.stride = self.ink.shape[1] + _NEIGHBORHOOD
         self.in_band = np.zeros(size, dtype=bool)
         for ink, (start, height, shift, upper, lower, width, *_) in zip(inks, table):
             self.ink[start : start + height, :width] = ink[start + shift : start + shift + height]
@@ -287,16 +302,18 @@ class _Lines:
 
     def column_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per line and column, the count of ink pixels of that line, and of
-        its band rows alone. They are summed from the raw runs, keyed by line
-        and by whether the row is a band row: each run adds one at its first
-        column and takes one away past its last. A line's table is the sum
-        of its band rows' table and its other rows'."""
+        its band rows alone, each as one laid row: column c of line k is
+        entry k * stride + _NEIGHBORHOOD + c, where stride is the buffer
+        width plus _NEIGHBORHOOD, so every line follows _NEIGHBORHOOD blank
+        entries and the row ends with _NEIGHBORHOOD more. They are summed
+        from the raw runs, keyed by whether the row is a band row: each run
+        adds one at its first entry and takes one away past its last. A
+        line's table is the sum of its band rows' table and its other rows'."""
         rows, starts, ends = self.raw.rows, self.raw.starts, self.raw.ends
-        width = self.ink.shape[1] + 1
-        key = (self.in_band[rows] * len(self.spans) + self.line[rows]) * width
-        size = 2 * len(self.spans) * width
-        steps = np.bincount(key + starts, minlength=size) - np.bincount(key + ends + 1, minlength=size)
-        tables = steps.reshape(2, -1, width).cumsum(axis=2)[:, :, :-1]
+        size = len(self.spans) * self.stride + _NEIGHBORHOOD
+        key = self.in_band[rows] * size + self.line[rows] * self.stride + _NEIGHBORHOOD
+        steps = np.bincount(key + starts, minlength=2 * size) - np.bincount(key + ends + 1, minlength=2 * size)
+        tables = steps.reshape(2, size).cumsum(axis=1)
         tables[0] += tables[1]
         return tables[0], tables[1]
 
@@ -323,9 +340,9 @@ def detect_jambs(word: BinaryRaster, baselines: Baselines, thresholds: FeatureTh
     return _scan_hits(word, baselines, thresholds, 1)
 
 
-def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Letter zones of every row of counts, a (lines, width) table of column
-    ink counts: (line, first column, last column) arrays, sorted.
+def _letter_zones(laid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Letter zones of every line of laid, a laid row of column ink counts
+    (see _Lines.column_tables): first and last entry arrays, sorted.
 
     Zones are delimited by vertical projection minima. Blank columns split
     zones outright; inside an inked run, every strict local-minimum plateau
@@ -333,19 +350,14 @@ def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     neighboring zone. A plateau is a maximal run of equal column counts; it
     is a strict local minimum when the plateaus on both sides are higher, a
     blank neighbor or the line's edge counting as 0, so a plateau at the
-    edge of a run never marks a boundary.
-
-    The rows are laid end to end, each after a blank column, which splits
-    zones and counts as the edge of its line, and a last blank column
-    closes the final row; one pass over that row finds every line's zones.
+    edge of a run never marks a boundary. The blank entries around each
+    line split its zones from the next line's and count as its edges, so
+    one pass over the row finds every line's zones.
     """
-    lines, width = counts.shape
-    laid = np.zeros(lines * (width + 1) + 1, dtype=counts.dtype)
-    laid[:-1].reshape(lines, width + 1)[:, 1:] = counts
-    # Plateau k spans columns starts[k]..ends[k] at count level[k]: step[c]
-    # marks the edge before column c, where the count changes or the laid
-    # row ends. The first and last plateaus are blank, and no blank plateau
-    # is a strict minimum.
+    # Plateau k spans entries starts[k]..ends[k] at count level[k]: step[e]
+    # marks the edge before entry e, where the count changes or the row
+    # ends. The first and last plateaus are blank, and no blank plateau is
+    # a strict minimum.
     step = np.empty(laid.size + 1, dtype=bool)
     step[[0, -1]], step[1:-1] = True, laid[1:] != laid[:-1]
     starts, ends = step[:-1].nonzero()[0], step[1:].nonzero()[0]
@@ -353,55 +365,43 @@ def _letter_zones(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     cut = ((level[:-2] > level[1:-1]) & (level[2:] > level[1:-1])).nonzero()[0] + 1
     keep = (laid > 0).view(np.int8)
     keep[(starts[cut] + ends[cut]) // 2] = 0
-    # A zone is a maximal run of kept columns.
+    # A zone is a maximal run of kept entries.
     edges = keep[1:] - keep[:-1]
-    first, last = (edges == 1).nonzero()[0], (edges == -1).nonzero()[0] - 1
-    return first // (width + 1), first % (width + 1), last % (width + 1)
+    return (edges == 1).nonzero()[0] + 1, (edges == -1).nonzero()[0]
 
 
 _TAGS = "IFDM"  # indexed by 2 * (left inked) + (right inked)
-# Body-band columns read on each side of a letter zone for its position tag.
-_NEIGHBORHOOD = 2
 
 
-def _position_codes(band_columns: np.ndarray, line, first, last, neighborhood: int) -> np.ndarray:
-    """_TAGS index of each zone first..last of its line, from band_columns,
-    a (lines, width) table of whether each column holds body-band ink.
+def _position_codes(band_columns: np.ndarray, first, last) -> np.ndarray:
+    """_TAGS index of each zone first..last, entries of band_columns, a laid
+    row of whether each column holds body-band ink.
 
-    A tag reads the band within neighborhood columns outside each zone edge.
-    Reading right to left, a letter inked leftward only starts a word part,
-    D; both sides inked give M, right only F, and neither I."""
-    width = band_columns.shape[1]
-    # inked[k, c] counts the band columns of line k before c that hold ink.
-    inked = np.zeros((band_columns.shape[0], width + 1), dtype=np.intp)
-    band_columns.cumsum(axis=1, out=inked[:, 1:])
-    # Flat indices into inked: column c of line k is at row_start[k] + c.
-    inked = inked.ravel()
-    row_start = line * (width + 1)
-    left_end = np.minimum(np.maximum(first - neighborhood, 0), width)
-    left = inked[row_start + first] > inked[row_start + left_end]
-    right_start = np.minimum(last + 1, width)
-    right_end = np.minimum(np.maximum(last + 1 + neighborhood, right_start), width)
-    right = inked[row_start + right_end] > inked[row_start + right_start]
+    A tag reads the band within _NEIGHBORHOOD entries outside each zone
+    edge; the blank entries between lines keep every window on its own
+    line. Reading right to left, a letter inked leftward only starts a word
+    part, D; both sides inked give M, right only F, and neither I."""
+    # inked[e] counts the entries before e that hold band ink.
+    inked = np.zeros(band_columns.size + 1, dtype=np.intp)
+    band_columns.cumsum(out=inked[1:])
+    left = inked[first] > inked[first - _NEIGHBORHOOD]
+    right = inked[last + 1 + _NEIGHBORHOOD] > inked[last + 1]
     return 2 * left + right
 
 
-def _zone_index(zone_line, first, last, line, col) -> np.ndarray:
-    """Index of the zone of line holding col, else of the nearest zone of
-    that line, the left one on ties, for arrays of lines and columns.
+def _zone_index(first, last, stride: int, entries) -> np.ndarray:
+    """Index of the zone holding each entry of a laid row with this stride,
+    else of the nearest zone of the entry's line, the left one on ties.
 
-    Zones are sorted by (zone_line, first), as _letter_zones gives them,
-    and every line asked about has one. Each zone owns the columns from
-    just past the midpoint of the gap before it, a line's first zone from
-    column 0, so one search of the (line, owned start) keys finds them all.
+    Zones are sorted, as _letter_zones gives them, and every line asked
+    about has one. Each zone owns the entries from just past the midpoint
+    of the gap before it, a line's first zone from the line's first blank
+    entry, so one search of the owned starts finds them all.
     """
-    span = int(np.maximum.reduce(last)) + 1 if last.size else 1
-    start = np.zeros(first.shape, dtype=first.dtype)
-    same = zone_line[1:] == zone_line[:-1]
+    start = first - first % stride
+    same = start[1:] == start[:-1]
     start[1:][same] = (first[1:][same] + last[:-1][same]) // 2 + 1
-    # A column outside 0..span - 1 has the nearest zone of the nearest column inside.
-    keys = line * span + np.minimum(np.maximum(col, 0), span - 1)
-    return (zone_line * span + start).searchsorted(keys, side="right") - 1
+    return start.searchsorted(entries, side="right") - 1
 
 
 def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locations, max_radius: int) -> np.ndarray:
@@ -489,7 +489,7 @@ def extract_features(
     radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
     lines = _Lines(inks, bands, baselines, thresholds, gap=_gap(radius))
     columns, band_columns = lines.column_tables()
-    if not np.logical_and.reduce(np.logical_or.reduce(columns, axis=1)):
+    if not np.logical_and.reduce(np.logical_or.reduce(columns[_NEIGHBORHOOD:].reshape(-1, lines.stride), axis=1)):
         raise NoInkError("cannot extract features from a blank image")
     raw = lines.raw
     raw_line = lines.line_of(raw)
@@ -509,9 +509,9 @@ def extract_features(
     page_first_line = (page_lines.cumsum() - page_lines).repeat(page_lines)
     paws -= (line_parts.cumsum() - line_parts)[page_first_line][line]
 
-    zone_line, first, last = _letter_zones(columns)
-    codes = _position_codes(band_columns > 0, zone_line, first, last, _NEIGHBORHOOD)
-    positions = codes[_zone_index(zone_line, first, last, line, cols)]
+    first, last = _letter_zones(columns)
+    codes = _position_codes(band_columns > 0, first, last)
+    positions = codes[_zone_index(first, last, lines.stride, line * lines.stride + _NEIGHBORHOOD + cols)]
 
     # One row per hit, sorted by line, kind and location.
     table = np.array((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))

@@ -11,6 +11,7 @@ fraction of the peak, restricted to runs that contain the peak itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,17 @@ class NoInkError(ValueError):
 
 @dataclass(frozen=True)
 class Baselines:
-    """Upper and lower baseline rows splitting a word into three zones."""
+    """Upper and lower baseline rows, integers, splitting a word into three zones."""
 
     upper_row: int
     lower_row: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if not 0 <= self.upper_row <= self.lower_row:
             raise ValueError(
                 f"need 0 <= upper_row <= lower_row, got ({self.upper_row}, {self.lower_row})"
@@ -110,27 +116,21 @@ _BLOCK = 1 << 16
 _FAR = np.iinfo(np.intp).min
 
 
-def _centroids(labelling: Labelling, comps: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """(row, col) pixel means of the components comps, each label - 1, with
-    rows counted from origin[k] for component k.
+def _centroids(labelling: Labelling, origin: np.ndarray) -> np.ndarray:
+    """(row, col) pixel means of every component, entry i for label i + 1,
+    with rows counted from origin[i].
 
     Coordinates are summed exactly as integers, run by run: a run from
     column s to e holds e - s + 1 pixels, whose columns sum to
     (s + e)(e - s + 1) / 2. Each mean is then the correctly rounded
     quotient of the exact sum and the pixel count.
     """
-    slot = np.array(-1).repeat(labelling.count)
-    slot[comps] = np.arange(comps.size)
-    # Entry i of comps for each run of comps[i].
-    k = slot[labelling.run_labels - 1]
-    mine = k >= 0
-    k, rows = k[mine], labelling.rows[mine]
-    starts, ends = labelling.starts[mine], labelling.ends[mine]
+    k, starts, ends = labelling.run_labels - 1, labelling.starts, labelling.ends
     lengths = ends - starts + 1
-    sums = np.zeros((3, comps.size), dtype=np.int64)
+    sums = np.zeros((3, labelling.count), dtype=np.int64)
     pixels, row_sums, col_sums = sums
     np.add.at(pixels, k, lengths)
-    np.add.at(row_sums, k, lengths * (rows - origin[comps][k]))
+    np.add.at(row_sums, k, lengths * (labelling.rows - origin[k]))
     np.add.at(col_sums, k, (starts + ends) * lengths // 2)
     return (sums[1:] / pixels).T
 
@@ -177,7 +177,7 @@ def _group_parts(labelling: Labelling, detached: np.ndarray, line: np.ndarray, o
         # Only a mark with several bodies at its largest overlap needs centroids.
         tied = (np.add.reduce(top, axis=1) > 1).nonzero()[0]
         if tied.size:
-            centroid = _centroids(labelling, np.arange(n), origin) if centroid is None else centroid
+            centroid = _centroids(labelling, origin) if centroid is None else centroid
             t = m[tied]
             dist = np.hypot(centroid[bodies, 0] - centroid[t, 0], centroid[bodies, 1] - centroid[t, 1])
             dist[~top[tied]] = np.inf

@@ -396,8 +396,9 @@ def save_corpus(items, out_dir):
 
     Returns (image paths, truth path). Page items carry their script into
     the SCRIPT field; the evaluation harness reads the file back as-is. A
-    script that is empty, holds whitespace or holds '#' would not read back
-    as written, and raises GroundTruthError before any file is written.
+    script that is empty, holds whitespace or '#', or that UTF-8 cannot
+    encode would not read back as written, and raises GroundTruthError
+    before any file is written.
     """
     out = Path(out_dir)
     rasters, lines = [], []
@@ -408,6 +409,10 @@ def save_corpus(items, out_dir):
         if script is not None:
             if script.split() != [script] or "#" in script:
                 raise GroundTruthError(f"script {script!r} cannot be written as one SCRIPT field")
+            try:
+                script.encode("utf-8")
+            except UnicodeEncodeError:
+                raise GroundTruthError(f"script {script!r} cannot be written as UTF-8") from None
             lines[-1] += f" SCRIPT={script}"
         rasters.append(item.raster)
     out.mkdir(parents=True, exist_ok=True)

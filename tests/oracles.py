@@ -31,7 +31,10 @@ reader near the end are test helpers the pipeline does not use. The
 adaptors after them run the pipeline's private stages on one word or line,
 as the tests call them: paws_of groups a line's word parts with the
 labeller and _group_parts, letter_zones_of finds its letter zones with
-_letter_zones, and positions_of tags zones with _position_codes. The
+_letter_zones, and positions_of tags zones with _position_codes. Both lay
+the word out as the page pass lays one line: its column counts, or its
+band columns, between _NEIGHBORHOOD blank entries on each side, so an
+entry is a column plus _NEIGHBORHOOD. The
 component list and every test that needs a label image read scipy_label,
 which numbers regions in raster order of their first pixel, as the
 library's labelling does; the labelling tests check that they agree.
@@ -45,6 +48,7 @@ from hypothesis import example
 from scipy import ndimage
 
 from scriptid.features import (
+    _NEIGHBORHOOD,
     _TAGS,
     FeatureHit,
     FeatureThresholds,
@@ -735,15 +739,15 @@ def paws_of(line, baselines=None):
 
 
 def letter_zones_of(word):
-    """Column intervals of a word's letter zones, from _letter_zones."""
-    _, first, last = _letter_zones(word.pixels.sum(axis=0)[None])
+    """Column intervals of a word's letter zones, from _letter_zones on its
+    column counts laid between _NEIGHBORHOOD blank entries."""
+    first, last = np.array(_letter_zones(np.pad(word.pixels.sum(axis=0), _NEIGHBORHOOD))) - _NEIGHBORHOOD
     return list(zip(first.tolist(), last.tolist()))
 
 
-def positions_of(word, baselines, zone_bounds, neighborhood=2):
+def positions_of(word, baselines, zone_bounds):
     """D/M/F/I tag of each zone of a word, from _position_codes over the
-    columns of its body band."""
-    band = word.pixels[baselines.upper_row : baselines.lower_row + 1].any(axis=0)[None]
-    first, last = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T
-    codes = _position_codes(band, np.zeros_like(first), first, last, neighborhood)
-    return [_TAGS[i] for i in codes.tolist()]
+    columns of its body band laid between _NEIGHBORHOOD blank entries."""
+    band = np.pad(word.pixels[baselines.upper_row : baselines.lower_row + 1].any(axis=0), _NEIGHBORHOOD)
+    first, last = np.asarray(zone_bounds, dtype=np.intp).reshape(-1, 2).T + _NEIGHBORHOOD
+    return [_TAGS[i] for i in _position_codes(band, first, last).tolist()]

@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scriptid.features import (
+    _NEIGHBORHOOD,
+    _TAGS,
     FeatureThresholds,
+    _letter_zones,
     _Lines,
     _nearest_paws,
+    _position_codes,
     _zone_index,
     detect_diacritics,
     detect_jambs,
@@ -59,6 +63,27 @@ class TestThresholds:
         # The page pass holds each field in an int64.
         with pytest.raises(ValueError):
             FeatureThresholds(*fields)
+
+    @pytest.mark.parametrize(
+        "record, fields, name",
+        [
+            pytest.param(FeatureThresholds, (16.0, 8), "marge_h", id="marge_h"),
+            pytest.param(FeatureThresholds, (16, 8.0), "marge_j", id="marge_j"),
+            pytest.param(FeatureThresholds, (16, 8, 60.5), "diacritic_max_contour", id="diacritic_max_contour"),
+            pytest.param(Baselines, (8.0, 16), "upper_row", id="upper_row"),
+            pytest.param(Baselines, (8, 16.0), "lower_row", id="lower_row"),
+        ],
+    )
+    def test_float_field_is_refused_at_construction(self, record, fields, name):
+        # A float used to pass and fail deep inside the page pass.
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            record(*fields)
+
+    def test_numpy_integer_fields_give_the_same_features(self):
+        sink = build_kitchen_sink()
+        as_ints = extract_features(sink, Baselines(24, 32), FeatureThresholds(16, 8, 60))
+        as_int64 = extract_features(sink, Baselines(*np.int64([24, 32])), FeatureThresholds(*np.int64([16, 8, 60])))
+        assert repr(as_int64) == repr(as_ints)
 
     def test_int64_max_fields_run(self):
         img = word(56, 30)
@@ -485,15 +510,46 @@ def stacked_lines(draw):
     return _Lines(inks, bands, baselines, thresholds, gap=draw(st.integers(1, 2)))
 
 
+def laid(tables, stride):
+    """A (lines, width) table laid in one row as the page pass lays it:
+    column c of line k at entry k * stride + _NEIGHBORHOOD + c, every other
+    entry 0."""
+    lines, width = tables.shape
+    row = np.zeros(lines * stride + _NEIGHBORHOOD, dtype=tables.dtype)
+    for k in range(lines):
+        row[k * stride + _NEIGHBORHOOD : k * stride + _NEIGHBORHOOD + width] = tables[k]
+    return row
+
+
 @settings(max_examples=300, deadline=None)
 @given(stacked_lines())
 def test_column_tables_match_reference(lines):
-    # The whole-line table and the band-row table, summed from the raw runs.
+    # The whole-line table and the band-row table, summed from the raw runs
+    # and laid in one row whose blank entries all hold 0.
     table, band_table = lines.column_tables()
-    assert table.shape == band_table.shape == (len(lines.spans), lines.ink.shape[1])
-    assert np.array_equal(table, reference_column_table(lines.ink, lines.starts))
+    assert lines.stride == lines.ink.shape[1] + _NEIGHBORHOOD
+    assert np.array_equal(table, laid(reference_column_table(lines.ink, lines.starts), lines.stride))
     band_ink = lines.ink & lines.in_band[:, None]
-    assert np.array_equal(band_table, reference_column_table(band_ink, lines.starts))
+    assert np.array_equal(band_table, laid(reference_column_table(band_ink, lines.starts), lines.stride))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_lines())
+def test_laid_zones_and_tags_match_each_line_alone(lines):
+    # Zones and tags read from the laid row of lines of different widths
+    # are those of each line's own crop: no zone and no tag window reaches
+    # a neighbouring line or a padding column.
+    table, band_table = lines.column_tables()
+    first, last = _letter_zones(table)
+    tags = np.array(list(_TAGS))[_position_codes(band_table > 0, first, last)]
+    for k, ((start, height, width), b) in enumerate(zip(lines.spans, lines.baselines)):
+        crop = BinaryRaster(lines.ink[start : start + height, :width])
+        mine = first // lines.stride == k
+        base = k * lines.stride + _NEIGHBORHOOD
+        zones = list(zip((first[mine] - base).tolist(), (last[mine] - base).tolist()))
+        assert zones == reference_feature_zones(crop)
+        crop_baselines = Baselines(b.upper_row - start, b.lower_row - start)
+        assert tags[mine].tolist() == reference_detect_positions(crop, crop_baselines, zones, _NEIGHBORHOOD)
 
 
 @st.composite
@@ -526,29 +582,32 @@ def test_feature_zones_match_reference(img):
 
 
 @settings(max_examples=500, deadline=None)
-@given(banded_words(), st.integers(0, 3), st.data())
-def test_detect_positions_match_reference(case, neighborhood, data):
+@given(banded_words(), st.data())
+def test_detect_positions_match_reference(case, data):
     img, baselines = case
     zones = data.draw(st.one_of(st.just(letter_zones_of(img)), sorted_zones(img.width)))
-    expected = reference_detect_positions(img, baselines, zones, neighborhood)
-    assert positions_of(img, baselines, zones, neighborhood) == expected
+    expected = reference_detect_positions(img, baselines, zones, _NEIGHBORHOOD)
+    assert positions_of(img, baselines, zones) == expected
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_zone_index_matches_reference(data):
-    # Zones of several lines side by side; a column only looks at its own line's.
+    # Zones of several lines laid in one row; an entry only looks at its
+    # own line's zones, from the blank entries before the line to its last
+    # column.
     width = data.draw(st.integers(1, 24))
     lines = data.draw(st.lists(sorted_zones(width), min_size=1, max_size=3))
-    zone_line = np.array([k for k, zones in enumerate(lines) for _ in zones])
-    first, last = np.array([zone for zones in lines for zone in zones]).T
-    cols = np.arange(-2, width + 2)
+    stride = width + _NEIGHBORHOOD
+    base = [k * stride + _NEIGHBORHOOD for k in range(len(lines))]
+    first, last = np.array([(base[k] + c0, base[k] + c1) for k, zones in enumerate(lines) for c0, c1 in zones]).T
+    cols = np.arange(-_NEIGHBORHOOD, width)
     offset = 0
     for k, zones in enumerate(lines):
-        got = _zone_index(zone_line, first, last, np.full_like(cols, k), cols) - offset
+        got = _zone_index(first, last, stride, base[k] + cols) - offset
         assert got.tolist() == [reference_zone_of_column(zones, col) for col in cols.tolist()]
         offset += len(zones)
-    assert _zone_index(zone_line, first, last, cols[:0], cols[:0]).size == 0
+    assert _zone_index(first, last, stride, cols[:0]).size == 0
 
 
 @settings(max_examples=600, deadline=None)

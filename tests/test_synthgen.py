@@ -234,9 +234,10 @@ class TestSaveCorpus:
         records = load_ground_truth(truth_path)
         assert all(r.script == "Latin" for r in records)
 
-    @pytest.mark.parametrize("name", ["My Script", "A#B", "", "Tab\tName", "No\u00a0Break"])
+    @pytest.mark.parametrize("name", ["My Script", "A#B", "", "Tab\tName", "No\u00a0Break", "\ud800x"])
     def test_script_that_would_not_read_back_is_refused_before_any_file(self, tmp_path, name):
-        # "SCRIPT=My Script" reads back as two tokens and "SCRIPT=A#B" as A.
+        # "SCRIPT=My Script" reads back as two tokens and "SCRIPT=A#B" as A;
+        # a lone surrogate has no UTF-8 encoding at all.
         profile = ScriptProfile(name, LATIN.form_count, LATIN.raw)
         out = tmp_path / "out"
         with pytest.raises(GroundTruthError, match="cannot be written"):
