@@ -15,19 +15,19 @@ detached dot can never double as a pole or a jamb.
 
 Pages are analysed in one pass, not line by line. The text lines of every
 page are stacked in one buffer with blank rows between them, at least one
-and at least the expansion radius, left-aligned and padded with blank
-columns to the widest page. The expansion is clipped to each line's rows
-and its page's columns. No 8-connected region, hole, expansion halo or
-nearest-part window of one line can then reach another, and every line
-keeps the borders it would have as a crop of its own. geometry builds
-every labelling and walk, each once over the buffer: the raw ink and the
-ink with every line's band rows blanked from one search for runs and
-links, the expanded stage and its holes in the trace, with a bound on
-each chain's length, and the outer-chain lengths of the dot rule. This
-module only decides from their runs, boxes, bounds and lengths. Both
-column tables, of each line's ink and of its band rows' ink, are summed
-from the raw runs, every line's columns laid in one row between blank
-entries.
+and at least the expansion radius clamped at the longest side of any line,
+left-aligned and padded with blank columns to the widest page. The
+expansion is clipped to each line's rows and its page's columns. No
+8-connected region, hole, expansion halo or nearest-part window of one line
+can then reach another, and every line keeps the borders it would have as a
+crop of its own. geometry builds every labelling and walk, each once over
+the buffer: the raw ink and the ink with every line's band rows blanked
+from one search for runs and links, the expanded stage and its holes in the
+trace, with a bound on each chain's length, and the outer-chain lengths of
+the dot rule. This module only decides from their runs, boxes, bounds and
+lengths. Both column tables, of each line's ink and of its band rows' ink,
+are summed from the raw runs, every line's columns laid in one row between
+blank entries.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -36,16 +36,14 @@ A single word is the one-line case of the same code.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from . import geometry
 from .geometry import Labelling, trace_contours
-from .layout import _BLOCK, Baselines, LineBand, NoInkError, _group_parts
+from .layout import _BLOCK, Baselines, LineBand, NoInkError, _group_parts, _require_integers
 from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, _require_binary, dilate
 
 __all__ = [
@@ -75,11 +73,7 @@ class FeatureThresholds:
     diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        _require_integers(vars(self))
         if not 0 < self.diacritic_max_contour < 2**63:
             raise ValueError("diacritic_max_contour must lie in 1 .. 2**63 - 1")
         if not (0 <= self.marge_h < 2**63 and 0 <= self.marge_j < 2**63):
@@ -173,53 +167,56 @@ def _gap(radius: int) -> int:
 
 
 class _Lines:
-    """Text lines of one or several rasters stacked in a buffer, gap blank
-    rows apart, left-aligned and as wide as the widest raster.
+    """Text lines of one or several rasters stacked in a buffer, left-aligned
+    and as wide as the widest raster, each followed by blank gap rows.
 
+    radius is the expansion radius clamped at the longest side of any line,
+    past which expansion fills each inked line whole, and _gap(radius) blank
+    rows follow each line, so no halo reaches the next one.
     Row r of the buffer belongs to line line[r]; a line's rows and the gap
-    rows after it carry its key, and spans holds each line's (first row, height,
-    width of its raster). baselines, upper and lower hold each line's
-    baselines in buffer rows, and marge_h, marge_j and cap its thresholds.
-    Adding shift[k] to a buffer row of line k gives the row of its raster,
-    and stride is the step from one line to the next in the laid column
-    tables.
-    raw labels the ink, and zones the ink with every line's band rows
-    blanked, whose regions each lie wholly in one outer zone.
+    rows after it carry its key, starts holds each line's first row, and
+    owned[r] the columns row r keeps: its raster's width on a line row, 0 on
+    a gap row. baselines, upper and lower hold each line's baselines in
+    buffer rows, and marge_h, marge_j and cap its thresholds. Adding
+    shift[k] to a buffer row of line k gives the row of its raster, and
+    stride is the step from one line to the next in the laid column tables.
+    raw labels the ink, raw_line gives each raw label's line, and zones
+    labels the ink with every line's band rows blanked, whose regions each
+    lie wholly in one outer zone. detached says, per raw label, whether it
+    lies wholly above or below its line's band: a detached mark of word
+    parts, and a dot candidate of the pole and jamb scan.
     """
 
-    def __init__(self, inks, bands, baselines, thresholds, gap: int = 1):
-        self.thresholds, self.gap = thresholds, gap
-        table, start = [], 0
-        for ink, band, b, t in zip(inks, bands, baselines, thresholds):
-            height = band.bottom_row - band.top_row + 1
-            shift = band.top_row - start
-            upper, lower = b.upper_row - shift, b.lower_row - shift
-            width = ink.shape[1]
-            table.append((start, height, shift, upper, lower, width, t.marge_h, t.marge_j, t.diacritic_max_contour))
-            start += height + gap
-        size = start - gap
-        self.ink = np.zeros((size, max(row[5] for row in table)), dtype=bool)
+    def __init__(self, inks, bands, baselines, thresholds, radius: int = 0):
+        self.thresholds = thresholds
+        fields = [
+            (band.top_row, band.bottom_row, b.upper_row, b.lower_row, *ink.shape,
+             t.marge_h, t.marge_j, t.diacritic_max_contour)
+            for ink, band, b, t in zip(inks, bands, baselines, thresholds)
+        ]
+        top, bottom, upper, lower, ink_height, width, self.marge_h, self.marge_j, self.cap = np.array(fields).T
+        past = (bottom >= ink_height).nonzero()[0]
+        if past.size:
+            raise ValueError(f"{bands[past[0]]} reaches past its page's last row, {ink_height[past[0]] - 1}")
+        heights = bottom - top + 1
+        self.radius = min(radius, int(np.maximum.reduce(np.maximum(heights, width))))
+        steps = heights + _gap(self.radius)
+        self.starts = steps.cumsum() - steps
+        self.shift, ends = top - self.starts, self.starts + heights
+        self.upper, self.lower = upper - self.shift, lower - self.shift
+        self.ink = np.zeros((int(ends[-1]), int(np.maximum.reduce(width))), dtype=bool)
+        for ink, start, first, height in zip(inks, self.starts.tolist(), top.tolist(), heights.tolist()):
+            self.ink[start : start + height, : ink.shape[1]] = ink[first : first + height]
         self.stride = self.ink.shape[1] + _NEIGHBORHOOD
-        self.in_band = np.zeros(size, dtype=bool)
-        for ink, (start, height, shift, upper, lower, width, *_) in zip(inks, table):
-            self.ink[start : start + height, :width] = ink[start + shift : start + shift + height]
-            # The band, clipped to the line's rows and gap rows.
-            self.in_band[max(upper, start) : min(lower + 1, start + height + gap)] = True
-        self.spans = [(start, height, width) for start, height, _, _, _, width, *_ in table]
-        self.baselines = [Baselines(*row[3:5]) for row in table]
-        columns = np.array(table).T
-        self.starts, heights, self.shift, self.upper, self.lower = columns[:5]
-        self.marge_h, self.marge_j, self.cap = columns[6:]
-        self.line = np.arange(len(table)).repeat(heights + gap)[:size]
+        self.line = np.arange(len(fields)).repeat(steps)[: ends[-1]]
+        row = np.arange(ends[-1])
+        # The band, clipped to the line's rows and gap rows.
+        self.in_band = (row >= self.upper[self.line]) & (row <= self.lower[self.line])
+        self.owned = width[self.line] * (row < ends[self.line])
+        self.baselines = [Baselines(*b) for b in zip(self.upper.tolist(), self.lower.tolist())]
         self.raw, self.zones = geometry._label_and_zones(self.ink, self.in_band)
-
-    @cached_property
-    def detached(self) -> np.ndarray:
-        """Per raw label, whether it lies wholly above or below its line's
-        band: a detached mark of word parts, and a dot candidate of the pole
-        and jamb scan."""
-        line = self.line_of(self.raw)
-        return self.raw.beyond(self.upper[line], self.lower[line])
+        self.raw_line = self.line_of(self.raw)
+        self.detached = self.raw.beyond(self.upper[self.raw_line], self.lower[self.raw_line])
 
     def line_of(self, labelling: Labelling) -> np.ndarray:
         """Line of each label, the line of its top row."""
@@ -264,7 +261,7 @@ class _Lines:
         rows[jamb], cols[jamb] = zones.rows[tips], zones.starts[tips]
         return jamb[keep].astype(np.intp), rows[keep], cols[keep]
 
-    def dots_and_loops(self, stage: BinaryRaster):
+    def dots_and_loops(self):
         """Kinds (2 P, 3 Q, 4 B), rows and columns of every line's dots and
         loops on the stacked stage, plus each line's count of holes dropped
         for reaching the cap.
@@ -276,7 +273,7 @@ class _Lines:
         band, so a line's kept inner chains that are not loops are its
         dropped holes.
         """
-        chains = trace_contours(stage, band=(self.upper[self.line], self.lower[self.line]))
+        chains = trace_contours(self.stage(), band=(self.upper[self.line], self.lower[self.line]))
         per_line = [[] for _ in self.thresholds]
         for chain, k in zip(chains, self.line[[chain.start[0] for chain in chains]].tolist()):
             per_line[k].append(chain)
@@ -290,15 +287,15 @@ class _Lines:
         kinds, rows, cols = np.array(found, dtype=np.intp).reshape(-1, 3).T
         return kinds, rows, cols, dropped
 
-    def stage(self, radius: int) -> BinaryRaster:
+    def stage(self) -> BinaryRaster:
         """The ink of every line expanded by radius and clipped to the line's
         rows and its raster's columns, as if each line were expanded alone:
         the gap rows and the padding columns stay blank."""
-        stage = dilate(BinaryRaster(self.ink), radius).pixels.copy()
-        for start, height, width in self.spans:
-            stage[start : start + height, width:] = False
-            stage[start + height : start + height + self.gap] = False
-        return BinaryRaster(stage)
+        stage = dilate(BinaryRaster(self.ink), self.radius).pixels
+        # Columns below owned, compared per line (not per row) and gathered to rows; gap rows keep none.
+        keep = (np.arange(self.ink.shape[1]) < self.owned[self.starts, None])[self.line]
+        keep[self.owned == 0] = False
+        return BinaryRaster(np.logical_and(stage, keep, out=keep))
 
     def column_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per line and column, the count of ink pixels of that line, and of
@@ -310,7 +307,7 @@ class _Lines:
         adds one at its first entry and takes one away past its last. A
         line's table is the sum of its band rows' table and its other rows'."""
         rows, starts, ends = self.raw.rows, self.raw.starts, self.raw.ends
-        size = len(self.spans) * self.stride + _NEIGHBORHOOD
+        size = len(self.starts) * self.stride + _NEIGHBORHOOD
         key = self.in_band[rows] * size + self.line[rows] * self.stride + _NEIGHBORHOOD
         steps = np.bincount(key + starts, minlength=2 * size) - np.bincount(key + ends + 1, minlength=2 * size)
         tables = steps.reshape(2, size).cumsum(axis=1)
@@ -464,8 +461,9 @@ def extract_features(
     page, its expansion clipped to its rows and its page's columns. One
     list comes back per page, holding one FeatureSet per band, its hits in
     page coordinates and its word parts numbered across the page in band
-    order. Without bands the word is one band and its FeatureSet is
-    returned. A word or page that is not a BinaryRaster raises TypeError.
+    order; a band reaching past its page's last row raises ValueError.
+    Without bands the word is one band and its FeatureSet is returned. A
+    word or page that is not a BinaryRaster raises TypeError.
     """
     single = bands is None
     if single:
@@ -483,25 +481,19 @@ def extract_features(
     per_page = [len(page_bands) for page_bands in bands]
     if not flat:
         return [[] for _ in per_page]
-    inks, bands, baselines, thresholds = zip(*flat)
-    height = max(band.bottom_row - band.top_row + 1 for band in bands)
-    # Past the larger side of every band, expansion fills each inked band whole.
-    radius = min(dilation_radius, max(height, max(ink.shape[1] for ink in inks)))
-    lines = _Lines(inks, bands, baselines, thresholds, gap=_gap(radius))
+    lines = _Lines(*zip(*flat), dilation_radius)
     columns, band_columns = lines.column_tables()
     if not np.logical_and.reduce(np.logical_or.reduce(columns[_NEIGHBORHOOD:].reshape(-1, lines.stride), axis=1)):
         raise NoInkError("cannot extract features from a blank image")
-    raw = lines.raw
-    raw_line = lines.line_of(raw)
-    stage = lines.stage(radius)
+    raw, raw_line = lines.raw, lines.raw_line
     # Only chains a dot or loop test can accept are kept; see trace_contours.
-    *dots, dropped = lines.dots_and_loops(stage)
+    *dots, dropped = lines.dots_and_loops()
     kinds, rows, cols = np.concatenate((lines.poles_and_jambs(), dots), axis=1)
     line = lines.line[rows]
 
     # Centroids are taken in line rows, as in a crop of the line.
     part, _, part_line = _group_parts(raw, lines.detached, raw_line, lines.starts[raw_line])
-    paws = _nearest_paws(lines.ink, raw, part, np.array((rows, cols)).T, radius)
+    paws = _nearest_paws(lines.ink, raw, part, np.array((rows, cols)).T, lines.radius)
     # Parts are numbered line by line across the buffer; each page counts
     # from the first part of its first line.
     line_parts = np.bincount(part_line, minlength=len(flat))

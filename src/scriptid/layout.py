@@ -36,6 +36,16 @@ class NoInkError(ValueError):
     """Raised when an operation needs ink pixels and the image has none."""
 
 
+def _require_integers(fields: dict) -> None:
+    """Raise TypeError naming the first of fields, a name-to-value dict,
+    whose value is not an integer; numpy integers are integers."""
+    for name, value in fields.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Baselines:
     """Upper and lower baseline rows, integers, splitting a word into three zones."""
@@ -44,11 +54,7 @@ class Baselines:
     lower_row: int
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            try:
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        _require_integers(vars(self))
         if not 0 <= self.upper_row <= self.lower_row:
             raise ValueError(
                 f"need 0 <= upper_row <= lower_row, got ({self.upper_row}, {self.lower_row})"
@@ -61,10 +67,16 @@ class Baselines:
 
 @dataclass(frozen=True)
 class LineBand:
-    """Row extent of one text line; bands of a page are disjoint and ordered."""
+    """Row extent of one text line, integer rows with 0 <= top_row <=
+    bottom_row; bands of a page are disjoint and ordered."""
 
     top_row: int
     bottom_row: int
+
+    def __post_init__(self):
+        _require_integers(vars(self))
+        if not 0 <= self.top_row <= self.bottom_row:
+            raise ValueError(f"need 0 <= top_row <= bottom_row, got ({self.top_row}, {self.bottom_row})")
 
 
 def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> list[LineBand]:

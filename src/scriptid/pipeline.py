@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .classify import DEFAULT_Q_MIN, Verdict, classify
 from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, _gap, combine_feature_sets, extract_features
 from .layout import DEFAULT_ALPHA, DEFAULT_MERGE_GAP, Baselines, LineBand, estimate_baselines, extract_lines
+from .layout import _require_integers
 from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, GrayRaster, _require_binary, binarize
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
@@ -14,12 +16,29 @@ __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "an
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Knobs shared by every stage of the extraction pipeline."""
+    """Knobs shared by every stage of the extraction pipeline, checked at
+    construction: dilation_radius and merge_gap are integers >= 0,
+    diacritic_max_contour an integer from 1 to 2**63 - 1 and alpha a real
+    number in (0, 1]. A field of the wrong type raises TypeError, one out of
+    range ValueError."""
 
     dilation_radius: int = DEFAULT_DILATION_RADIUS
     alpha: float = DEFAULT_ALPHA
     merge_gap: int = DEFAULT_MERGE_GAP
     diacritic_max_contour: int = DEFAULT_CONTOUR_CAP
+
+    def __post_init__(self):
+        counts = {"dilation_radius": self.dilation_radius, "merge_gap": self.merge_gap}
+        _require_integers({**counts, "diacritic_max_contour": self.diacritic_max_contour})
+        if not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {self.alpha!r}")
+        for name, value in counts.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if not 0 < self.diacritic_max_contour < 2**63:
+            raise ValueError(f"diacritic_max_contour must lie in 1 .. 2**63 - 1, got {self.diacritic_max_contour}")
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
 
 
 DEFAULT_PARAMS = PipelineParams()
@@ -43,10 +62,10 @@ class PageAnalysis:
 
 
 # Consecutive pages share a pass while the buffer they stack (each band's
-# rows and the gap rows after it, times the widest page) stays within this
-# many pixels; a larger page has a pass alone. A pass peaks under 10 bytes
-# per stacked pixel, so near 10 MB, and runs this large were no slower than
-# one pass over a whole page list.
+# rows and the gap rows after it, counted at the unclamped radius, times the
+# widest page) stays within this many pixels; a larger page has a pass
+# alone. A pass peaks under 10 bytes per stacked pixel, so near 10 MB, and
+# runs this large were no slower than one pass over a whole page list.
 _GATHER = 1 << 20
 
 
@@ -70,37 +89,28 @@ def analyze_pages(pages, params: PipelineParams = DEFAULT_PARAMS) -> list[PageAn
     for page in pages:
         page = binarize(page) if isinstance(page, GrayRaster) else page
         _require_binary(page, "analyze_pages")
-        bands = extract_lines(page, params.merge_gap)
-        stacked = sum(band.bottom_row - band.top_row + 1 + gap for band in bands)
+        bands, baselines, thresholds, stacked = extract_lines(page, params.merge_gap), [], [], 0
+        for band in bands:
+            # Baselines estimated on the band's rows alone, in page rows.
+            local = estimate_baselines(BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1]), params.alpha)
+            baselines.append(Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row))
+            thresholds.append(FeatureThresholds.from_baselines(baselines[-1], params.diacritic_max_contour))
+            stacked += band.bottom_row - band.top_row + 1 + gap
         rows, width = rows + stacked, max(width, page.width)
         if run and rows * width > _GATHER:
             analyses += _analyze_run(*zip(*run), params)
             run, rows, width = [], stacked, page.width
-        run.append((page, bands))
+        run.append((page, bands, baselines, thresholds))
     return analyses + _analyze_run(*zip(*run), params) if run else analyses
 
 
-def _analyze_run(pages, bands, params: PipelineParams) -> list[PageAnalysis]:
-    """analyze_pages of a run of BinaryRaster pages and their line bands, in one pass."""
-    baselines = [
-        [_line_baselines(page, band, params.alpha) for band in page_bands]
-        for page, page_bands in zip(pages, bands)
-    ]
-    thresholds = [
-        [FeatureThresholds.from_baselines(b, params.diacritic_max_contour) for b in page_baselines]
-        for page_baselines in baselines
-    ]
+def _analyze_run(pages, bands, baselines, thresholds, params: PipelineParams) -> list[PageAnalysis]:
+    """analyze_pages of a run of BinaryRaster pages, given each line's band, baselines and thresholds."""
     sets = extract_features(pages, baselines, thresholds, params.dilation_radius, bands=bands)
     return [
         PageAnalysis(combine_feature_sets(page_sets), tuple(map(LineAnalysis, page_bands, page_baselines, page_sets)))
         for page_bands, page_baselines, page_sets in zip(bands, baselines, sets)
     ]
-
-
-def _line_baselines(page: BinaryRaster, band: LineBand, alpha: float) -> Baselines:
-    """Baselines estimated on the band's rows alone, in page rows."""
-    local = estimate_baselines(BinaryRaster(page.pixels[band.top_row : band.bottom_row + 1]), alpha)
-    return Baselines(local.upper_row + band.top_row, local.lower_row + band.top_row)
 
 
 def analyze_page(page: BinaryRaster | GrayRaster, params: PipelineParams = DEFAULT_PARAMS) -> PageAnalysis:

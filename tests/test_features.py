@@ -20,7 +20,7 @@ from scriptid.features import (
 )
 from scriptid.geometry import _label, trace_contours
 from scriptid.layout import Baselines, LineBand, NoInkError
-from scriptid.raster import BinaryRaster
+from scriptid.raster import BinaryRaster, dilate
 
 from oracles import (
     letter_zones_of,
@@ -349,6 +349,23 @@ class TestExtractFeatures:
         with pytest.raises(NoInkError):
             extract_features(BinaryRaster.blank(10, 10), B8)
 
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            pytest.param((0, 76), ValueError, r"^LineBand\(top_row=0, bottom_row=76\) reaches past", id="past-page"),
+            pytest.param((0, 56), ValueError, r"^LineBand\(top_row=0, bottom_row=56\) reaches past", id="one-past"),
+            pytest.param((30, 5), ValueError, "^need 0 <= top_row <= bottom_row", id="upside-down"),
+            pytest.param((-1, 5), ValueError, "^need 0 <= top_row <= bottom_row", id="negative"),
+            pytest.param((0.0, 20), TypeError, "^top_row must be an integer", id="float"),
+        ],
+    )
+    def test_bad_band_is_refused(self, rows, error, message):
+        # Each used to fail inside the pass with a raw numpy error, or pass.
+        page = build_kitchen_sink()
+        assert page.height == 56
+        with pytest.raises(error, match=message):
+            extract_features([page], [[B8]], [[T8]], bands=[[LineBand(*rows)]])
+
     def test_one_blank_band_among_inked_bands_raises(self):
         # The second page's middle band holds no ink, though every other band does.
         inked = word(9, 12)
@@ -492,10 +509,11 @@ def column_profiles(draw):
 
 
 @st.composite
-def stacked_lines(draw):
+def line_stacks(draw):
     """Lines cut from rasters of different widths, each with random ink,
-    a band of the raster's rows and baselines that may reach past it,
-    stacked one or two blank rows apart."""
+    a band of the raster's rows and baselines that may reach past it: the
+    inks, bands, baselines and thresholds _Lines takes, and an expansion
+    radius from 0 to 2."""
     inks, bands, baselines = [], [], []
     for _ in range(draw(st.integers(1, 4))):
         h, w = draw(st.integers(1, 10)), draw(st.integers(1, 20))
@@ -507,7 +525,30 @@ def stacked_lines(draw):
         bands.append(LineBand(top, bottom))
         baselines.append(Baselines(upper, draw(st.integers(upper, h + 2))))
     thresholds = [FeatureThresholds(0, 0)] * len(inks)
-    return _Lines(inks, bands, baselines, thresholds, gap=draw(st.integers(1, 2)))
+    return inks, bands, baselines, thresholds, draw(st.integers(0, 2))
+
+
+def stacked_lines():
+    """_Lines of line_stacks, stacked one or two blank rows apart (one when
+    a 1x1 line clamps radius 2 to 1)."""
+    return line_stacks().map(lambda case: _Lines(*case[:4], radius=case[4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_stacks())
+def test_stage_is_each_line_expanded_alone(case):
+    # Each line's rows and raster columns of the stage hold the line's own
+    # crop expanded alone, at the radius before the clamp; every gap row and
+    # padding column stays blank.
+    inks, bands, *_, radius = case
+    lines = _Lines(*case[:4], radius=radius)
+    stage = lines.stage().pixels.copy()
+    for start, ink, band in zip(lines.starts.tolist(), inks, bands):
+        height, width = band.bottom_row - band.top_row + 1, ink.shape[1]
+        crop = BinaryRaster(ink[band.top_row : band.bottom_row + 1])
+        assert np.array_equal(stage[start : start + height, :width], dilate(crop, radius).pixels)
+        stage[start : start + height, :width] = False
+    assert not stage.any()
 
 
 def laid(tables, stride):
@@ -542,7 +583,8 @@ def test_laid_zones_and_tags_match_each_line_alone(lines):
     table, band_table = lines.column_tables()
     first, last = _letter_zones(table)
     tags = np.array(list(_TAGS))[_position_codes(band_table > 0, first, last)]
-    for k, ((start, height, width), b) in enumerate(zip(lines.spans, lines.baselines)):
+    for k, (start, b) in enumerate(zip(lines.starts.tolist(), lines.baselines)):
+        height, width = int(np.add.reduce((lines.line == k) & (lines.owned > 0))), lines.owned[start]
         crop = BinaryRaster(lines.ink[start : start + height, :width])
         mine = first // lines.stride == k
         base = k * lines.stride + _NEIGHBORHOOD

@@ -70,6 +70,33 @@ class TestAnalyzePage:
             for hit in line.features.hits:
                 assert offset <= hit.paw_index < offset + line.features.nb_paws
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("dilation_radius", 1.0, TypeError),
+            ("dilation_radius", -1, ValueError),
+            ("merge_gap", 2.5, TypeError),
+            ("merge_gap", -1, ValueError),
+            ("diacritic_max_contour", 60.0, TypeError),
+            ("diacritic_max_contour", 0, ValueError),
+            ("diacritic_max_contour", 2**63, ValueError),
+            ("alpha", "0.5", TypeError),
+            ("alpha", 0.0, ValueError),
+            ("alpha", 1.5, ValueError),
+            ("alpha", float("nan"), ValueError),
+        ],
+    )
+    def test_bad_param_is_refused_at_construction(self, field, value, error):
+        # A float radius used to fail inside the pass, and a float merge gap to pass.
+        with pytest.raises(error, match=f"^{field} must"):
+            PipelineParams(**{field: value})
+
+    def test_numpy_params_give_the_same_analysis(self):
+        page = generate_page(builtin_profiles()[0], seed=1).raster
+        fields = {"dilation_radius": 2, "merge_gap": 3, "diacritic_max_contour": 40}
+        as_numpy = PipelineParams(**{name: np.int64(value) for name, value in fields.items()}, alpha=np.float64(0.5))
+        assert repr(analyze_page(page, as_numpy)) == repr(analyze_page(page, PipelineParams(**fields)))
+
     def test_params_propagate(self):
         page = generate_page(builtin_profiles()[0], seed=2)
         loose = analyze_page(page.raster, PipelineParams(diacritic_max_contour=4))
@@ -505,12 +532,12 @@ def _peak(call):
         pytest.param(lambda: [wide_page(seed, seed % 2) for seed in range(8)], id="8-wide-pages"),
     ],
 )
-def test_peak_memory_per_stacked_pixel(pages):
-    # One pass over all the pages, whatever the run bound of analyze_pages.
+def test_peak_memory_per_stacked_pixel(pages, monkeypatch):
+    # One pass over all the pages: the run bound of analyze_pages raised past them.
     pages = pages()
-    bands = [layout.extract_lines(page) for page in pages]
-    pipeline._analyze_run(pages, bands, PipelineParams())  # fill geometry._probe_table's cache first
-    _, peak = _peak(lambda: pipeline._analyze_run(pages, bands, PipelineParams()))
+    monkeypatch.setattr(pipeline, "_GATHER", 1 << 40)
+    analyze_pages(pages)  # fill geometry._probe_table's cache first
+    _, peak = _peak(lambda: analyze_pages(pages))
     stacked = sum(page.height for page in pages) * max(page.width for page in pages)
     assert peak / stacked < PEAK_BYTES_PER_PIXEL
 
