@@ -22,12 +22,13 @@ expansion is clipped to each line's rows and its page's columns. No
 can then reach another, and every line keeps the borders it would have as a
 crop of its own. geometry builds every labelling and walk, each once over
 the buffer: the raw ink and the ink with every line's band rows blanked
-from one search for runs and links, the expanded stage and its holes in the
-trace, with a bound on each chain's length, and the outer-chain lengths of
-the dot rule. This module only decides from their runs, boxes, bounds and
-lengths. Both column tables, of each line's ink and of its band rows' ink,
-are summed from the raw runs, every line's columns laid in one row between
-blank entries.
+from one search for runs and links and one join, the expanded stage and its
+holes in the trace from one search, with a bound on each chain's length,
+and the outer-chain lengths of the dot rule. This module only decides from
+their runs, box rows, bounds and lengths; word parts alone read the raw
+ink's box columns. Both column tables, of each line's ink and of its band
+rows' ink, are summed from the raw runs, every line's columns laid in one
+row between blank entries.
 A label's line is the line of its top row, and every stage runs on the
 labels of all lines at once, each against its own line's baselines and
 margins.
@@ -36,6 +37,7 @@ A single word is the one-line case of the same code.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -43,8 +45,8 @@ import numpy as np
 
 from . import geometry
 from .geometry import Labelling, trace_contours
-from .layout import _BLOCK, Baselines, LineBand, NoInkError, _group_parts, _require_integers
-from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, _require_binary, dilate
+from .layout import _BLOCK, Baselines, LineBand, NoInkError, _group_parts
+from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, _require_binary, _require_integers, dilate
 
 __all__ = [
     "FEATURE_KINDS",
@@ -174,12 +176,12 @@ class _Lines:
     past which expansion fills each inked line whole, and _gap(radius) blank
     rows follow each line, so no halo reaches the next one.
     Row r of the buffer belongs to line line[r]; a line's rows and the gap
-    rows after it carry its key, starts holds each line's first row, and
-    owned[r] the columns row r keeps: its raster's width on a line row, 0 on
-    a gap row. baselines, upper and lower hold each line's baselines in
-    buffer rows, and marge_h, marge_j and cap its thresholds. Adding
-    shift[k] to a buffer row of line k gives the row of its raster, and
-    stride is the step from one line to the next in the laid column tables.
+    rows after it carry its key. Line k owns rows starts[k] to end - 1 and
+    the columns below width, spans[k] = (starts[k], end, width) in Python
+    ints, and in_band marks the band rows. baselines, upper and lower hold
+    each line's baselines in buffer rows, marge_h, marge_j and cap its
+    thresholds; a buffer row of line k plus shift[k] is its raster's row,
+    and stride steps from line to line in the laid column tables.
     raw labels the ink, raw_line gives each raw label's line, and zones
     labels the ink with every line's band rows blanked, whose regions each
     lie wholly in one outer zone. detached says, per raw label, whether it
@@ -189,38 +191,31 @@ class _Lines:
 
     def __init__(self, inks, bands, baselines, thresholds, radius: int = 0):
         self.thresholds = thresholds
-        fields = [
-            (band.top_row, band.bottom_row, b.upper_row, b.lower_row, *ink.shape,
-             t.marge_h, t.marge_j, t.diacritic_max_contour)
-            for ink, band, b, t in zip(inks, bands, baselines, thresholds)
-        ]
-        top, bottom, upper, lower, ink_height, width, self.marge_h, self.marge_j, self.cap = np.array(fields).T
-        past = (bottom >= ink_height).nonzero()[0]
-        if past.size:
-            raise ValueError(f"{bands[past[0]]} reaches past its page's last row, {ink_height[past[0]] - 1}")
-        heights = bottom - top + 1
-        self.radius = min(radius, int(np.maximum.reduce(np.maximum(heights, width))))
-        steps = heights + _gap(self.radius)
-        self.starts = steps.cumsum() - steps
-        self.shift, ends = top - self.starts, self.starts + heights
-        self.upper, self.lower = upper - self.shift, lower - self.shift
-        self.ink = np.zeros((int(ends[-1]), int(np.maximum.reduce(width))), dtype=bool)
-        for ink, start, first, height in zip(inks, self.starts.tolist(), top.tolist(), heights.tolist()):
-            self.ink[start : start + height, : ink.shape[1]] = ink[first : first + height]
+        heights, widths = [band.bottom_row - band.top_row + 1 for band in bands], [ink.shape[1] for ink in inks]
+        self.radius = min(radius, max(max(heights), max(widths)))
+        gap = _gap(self.radius)
+        size = sum(heights) + gap * (len(heights) - 1)
+        self.ink = np.zeros((size, max(widths)), dtype=bool)
         self.stride = self.ink.shape[1] + _NEIGHBORHOOD
-        self.line = np.arange(len(fields)).repeat(steps)[: ends[-1]]
-        row = np.arange(ends[-1])
-        # The band, clipped to the line's rows and gap rows.
-        self.in_band = (row >= self.upper[self.line]) & (row <= self.lower[self.line])
-        self.owned = width[self.line] * (row < ends[self.line])
-        self.baselines = [Baselines(*b) for b in zip(self.upper.tolist(), self.lower.tolist())]
+        self.line, self.in_band = np.empty(size, dtype=np.intp), np.zeros(size, dtype=bool)
+        fields, self.spans, start = [], [], 0
+        for k, (ink, band, b, t, height, width) in enumerate(zip(inks, bands, baselines, thresholds, heights, widths)):
+            if band.bottom_row >= ink.shape[0]:
+                raise ValueError(f"{band} reaches past its page's last row, {ink.shape[0] - 1}")
+            end, shift = start + height, band.top_row - start
+            upper, lower = b.upper_row - shift, b.lower_row - shift
+            self.ink[start:end, :width] = ink[band.top_row : band.bottom_row + 1]
+            self.line[start : end + gap] = k
+            # The band, clipped to the line's rows and gap rows.
+            self.in_band[max(upper, start) : min(lower + 1, end + gap)] = True
+            self.spans.append((start, end, width))
+            fields.append((start, shift, upper, lower, t.marge_h, t.marge_j, t.diacritic_max_contour))
+            start = end + gap
+        self.starts, self.shift, self.upper, self.lower, self.marge_h, self.marge_j, self.cap = np.array(fields).T
+        self.baselines = [Baselines(upper, lower) for _, _, upper, lower, *_ in fields]
         self.raw, self.zones = geometry._label_and_zones(self.ink, self.in_band)
-        self.raw_line = self.line_of(self.raw)
+        self.raw_line = self.line[self.raw.box_rows[0]]
         self.detached = self.raw.beyond(self.upper[self.raw_line], self.lower[self.raw_line])
-
-    def line_of(self, labelling: Labelling) -> np.ndarray:
-        """Line of each label, the line of its top row."""
-        return self.line[labelling.boxes[:, 0]]
 
     def poles_and_jambs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kinds (0 pole, 1 jamb), rows and columns of every line's pole and
@@ -244,8 +239,8 @@ class _Lines:
         since runs come in raster order.
         """
         zones, raw = self.zones, self.raw
-        top, bottom = zones.boxes[:, 0], zones.boxes[:, 2]
-        line = self.line_of(zones)
+        top, bottom = zones.box_rows
+        line = self.line[top]
         pole = self.upper[line] - top > self.marge_h[line]
         clears = (pole | (bottom - self.lower[line] > self.marge_j[line])).nonzero()[0]
         rows, cols = zones.first_pixels(clears)
@@ -269,21 +264,25 @@ class _Lines:
         One trace of the stage, keyed by row to each line's band, keeps only
         the chains a dot or loop test can accept; each line's chains then
         meet that line's tests, which walk a chain only when its length
-        bound reaches the cap. Every inner chain it keeps reaches its line's
-        band, so a line's kept inner chains that are not loops are its
-        dropped holes.
+        bound reaches the cap, on its slices of outer and of inner chains.
+        Every inner chain the trace keeps reaches its line's band, so a
+        line's kept inner chains that are not loops are its dropped holes.
         """
         chains = trace_contours(self.stage(), band=(self.upper[self.line], self.lower[self.line]))
-        per_line = [[] for _ in self.thresholds]
-        for chain, k in zip(chains, self.line[[chain.start[0] for chain in chains]].tolist()):
-            per_line[k].append(chain)
+        # Outer chains, then inner ones, each in raster order of their start:
+        # of n lines, line k's are entries ends[k] and ends[n + k] on.
+        n = len(self.thresholds)
+        key = self.line[[chain.start[0] for chain in chains]]
+        key[bisect_left(chains, True, key=lambda chain: chain.polarity == "inner") :] += n
+        ends = key.searchsorted(np.arange(2 * n + 1)).tolist()
         found, dropped = [], []
-        for mine, b, t in zip(per_line, self.baselines, self.thresholds):
-            p_hits, q_hits = detect_diacritics(mine, b, t)
-            loops = detect_loops(mine, b, t)
+        for k, (b, t) in enumerate(zip(self.baselines, self.thresholds)):
+            p_hits, q_hits = detect_diacritics(chains[ends[k] : ends[k + 1]], b, t)
+            holes = chains[ends[n + k] : ends[n + k + 1]]
+            loops = detect_loops(holes, b, t)
             for hit in (*p_hits, *q_hits, *loops):
                 found.extend((_KIND_ORDER[hit.kind], *hit.location))
-            dropped.append(sum(chain.polarity == "inner" for chain in mine) - len(loops))
+            dropped.append(len(holes) - len(loops))
         kinds, rows, cols = np.array(found, dtype=np.intp).reshape(-1, 3).T
         return kinds, rows, cols, dropped
 
@@ -291,11 +290,11 @@ class _Lines:
         """The ink of every line expanded by radius and clipped to the line's
         rows and its raster's columns, as if each line were expanded alone:
         the gap rows and the padding columns stay blank."""
-        stage = dilate(BinaryRaster(self.ink), self.radius).pixels
-        # Columns below owned, compared per line (not per row) and gathered to rows; gap rows keep none.
-        keep = (np.arange(self.ink.shape[1]) < self.owned[self.starts, None])[self.line]
-        keep[self.owned == 0] = False
-        return BinaryRaster(np.logical_and(stage, keep, out=keep))
+        stage = dilate(BinaryRaster(self.ink), self.radius).pixels.copy()
+        for start, end, width in self.spans:
+            stage[start:end, width:] = False
+            stage[end : end + _gap(self.radius)] = False
+        return BinaryRaster(stage)
 
     def column_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per line and column, the count of ink pixels of that line, and of
@@ -505,16 +504,18 @@ def extract_features(
     codes = _position_codes(band_columns > 0, first, last)
     positions = codes[_zone_index(first, last, lines.stride, line * lines.stride + _NEIGHBORHOOD + cols)]
 
-    # One row per hit, sorted by line, kind and location.
+    # One row per hit, sorted by line, kind and location: the hits of line
+    # k and kind j are entries ends[5k + j] to ends[5k + j + 1] - 1.
     table = np.array((line, kinds, rows, cols, rows + lines.shift[line], paws, positions))
-    hits = [[] for _ in flat]
-    counts = [dict.fromkeys(FEATURE_KINDS, 0) for _ in flat]
-    for k, kind, _, col, row, paw, position in table.T[np.lexsort(table[3::-1])].tolist():
-        hits[k].append(FeatureHit(FEATURE_KINDS[kind], (row, col), paw, _TAGS[position]))
-        counts[k][FEATURE_KINDS[kind]] += 1
+    line, kinds, _, cols, rows, paws, positions = table[:, np.lexsort(table[3::-1])]
+    ends = (line * len(FEATURE_KINDS) + kinds).searchsorted(np.arange(len(flat) * len(FEATURE_KINDS) + 1))
+    kinds, tags = map(FEATURE_KINDS.__getitem__, kinds.tolist()), map(_TAGS.__getitem__, positions.tolist())
+    hits = tuple(map(FeatureHit, kinds, zip(rows.tolist(), cols.tolist()), paws.tolist(), tags))
+    counts = (ends[1:] - ends[:-1]).reshape(-1, len(FEATURE_KINDS)).tolist()
+    bounds = ends[:: len(FEATURE_KINDS)].tolist()
     sets = [
-        FeatureSet(counts=c, nb_paws=n, hits=tuple(h), dropped_oversize_loops=d)
-        for c, n, h, d in zip(counts, line_parts.tolist(), hits, dropped)
+        FeatureSet(counts=dict(zip(FEATURE_KINDS, c)), nb_paws=n, hits=hits[lo:hi], dropped_oversize_loops=d)
+        for c, n, lo, hi, d in zip(counts, line_parts.tolist(), bounds, bounds[1:], dropped)
     ]
     if single:
         return sets[0]

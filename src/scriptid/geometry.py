@@ -24,16 +24,15 @@ the padded row stride, so their table is built once per stride and cached.
 Regions are labelled by their horizontal runs, not pixel by pixel (after
 He, Chao & Suzuki, IEEE TIP 17(5), 2008): a text raster holds far fewer
 runs than pixels. Runs of consecutive rows whose columns overlap are
-joined, the columns widened by one for 8-connected ink and not widened for
-the 4-connected gaps of holes, by rounds of hooking each root under the smaller
-of the two and jumping pointers, all of it array work. The links between
-runs are found apart from the joining, so a subset of runs can be joined
-by the links among them with no second search: _label_and_zones labels a
-page pass's stacked ink, and the same ink with every line's band rows
-blanked, from one search for runs and links. A region's root is its
-first run, so regions are numbered in raster order of their first pixel.
-A labelling is only its runs: its boxes, its first pixels and the label
-of any pixel come from them, and no label image is painted.
+joined, the columns widened by one for 8-connected ink, by rounds of
+hooking each root under the smaller of the two and jumping pointers, all of
+it array work. The links between runs are found apart from the joining, so
+a subset of runs can be joined by the links among them with no second
+search: _label_and_zones labels a page pass's stacked ink, and the same ink
+with every line's band rows blanked, from one search and one join. A
+region's root is its first run, so regions are numbered in raster order of
+their first pixel. A labelling is only its runs: its boxes, its first
+pixels and the label of any pixel come from them; no label image is painted.
 
 Holes come from the same runs, with no pass over the background: a hole
 is made of gaps, the background runs between two ink runs of a row. The
@@ -41,7 +40,8 @@ gaps are joined 4-connectedly, and a region of them is a hole when none
 of its gaps meets the background before or after the ink of the row above
 or below it, or lies on the first or last row. The holes are a Labelling
 too, whose runs are the gaps of the closed regions, renumbered in raster
-order of their first pixel.
+order of their first pixel. The gaps' links are read off the bounds of the
+ink's link search (_gap_links).
 
 A caller that only needs the boundaries near a row band can pass that band
 to trace_contours, which then chooses boundaries by bounding box. An outer
@@ -54,9 +54,10 @@ widened by one. Box rows therefore decide, with no walk, which chains
 lie entirely above or below the band and which reach it. A raster that
 stacks several text lines passes one band per row instead, and each
 boundary is tested against the band of the line it starts in. Every box
-row and band test of the pipeline comes from Labelling.boxes and
+row and band test of the pipeline comes from Labelling.box_rows and
 Labelling.beyond, for regions and holes alike: the chains kept for a
-band, the detached marks of word parts, and the pole and jamb margins.
+band, the detached marks of word parts, and the pole and jamb margins;
+only word parts read box columns, from Labelling.boxes of the ink.
 A region's first pixel, the start of its outer chain and the tip of a
 pole, starts its first run. Runs come in raster order, so the first of a
 region's runs on its bottom row starts the tip of a jamb.
@@ -70,10 +71,10 @@ labellings of trace_contours carry that count per label, summed from the
 runs and links they are joined from: two edges per column of a run and
 one at each end, less two per column that a link's two runs share.
 
-trace_contours finds the runs of the raster it is given once, for its
-regions and its holes; nothing is shared with a labelling of some other
-stage. _outer_lengths walks the outer chains that the pole and jamb scan's
-dot rule measures, entered from the west as trace_contours enters them.
+trace_contours finds the runs and links of the raster it is given once,
+for its regions and its holes; nothing is shared with a labelling of some
+other stage. _outer_lengths walks the outer chains that the pole and jamb
+scan's dot rule measures, entered from the west as trace_contours does.
 
 A traced chain carries its start, rows and length bound from the trace:
 the start is the pixel its walk sets out from, the rows are the box rows
@@ -114,11 +115,11 @@ class Labelling:
     Run i covers row rows[i], columns starts[i] to ends[i], and belongs to
     region run_labels[i]. Runs come in raster order, and the regions are
     numbered 1..count in raster order of their first pixel; first_runs[k]
-    is the first run of region k + 1. boxes is built on first use and then
-    cached, and every box row and band test reads it; label_at searches
-    the runs. edges[k], which _label and the holes of _label_and_holes
-    give, counts the unit edges between region k + 1 and the pixels
-    4-adjacent to it that lie outside it, off-image pixels included.
+    is the first run of region k + 1. box_rows and boxes are built on first
+    use and then cached; every box row and band test reads box_rows, and
+    word parts boxes. label_at searches the runs. edges[k], which
+    _label_and_holes gives, counts the unit edges between region k + 1
+    and the 4-adjacent pixels outside it, off-image pixels included.
     """
 
     shape: tuple[int, int]
@@ -134,14 +135,20 @@ class Labelling:
         return self.first_runs.size
 
     @cached_property
+    def box_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(top, bottom) rows of every label, entry i for label i + 1."""
+        bottoms = np.zeros(self.count, dtype=np.intp)
+        np.maximum.at(bottoms, self.run_labels - 1, self.rows)
+        return self.rows[self.first_runs], bottoms
+
+    @cached_property
     def boxes(self) -> np.ndarray:
         """Read-only (count, 4) array of inclusive (top, left, bottom, right)
         bounds; row i bounds label i + 1."""
         k = self.run_labels - 1
         boxes = np.zeros((self.count, 4), dtype=np.intp)
-        boxes[:, 0], boxes[:, 1] = self.rows[self.first_runs], self.shape[1]
+        (boxes[:, 0], boxes[:, 2]), boxes[:, 1] = self.box_rows, self.shape[1]
         np.minimum.at(boxes[:, 1], k, self.starts)
-        np.maximum.at(boxes[:, 2], k, self.rows)
         np.maximum.at(boxes[:, 3], k, self.ends)
         boxes.flags.writeable = False
         return boxes
@@ -158,7 +165,7 @@ class Labelling:
         """Per label, whether its rows lie entirely above upper or entirely
         below lower: the detached-region test. Entry i is label i + 1, and
         upper and lower are rows, or arrays of one row per label."""
-        return (self.boxes[:, 2] < upper) | (self.boxes[:, 0] > lower)
+        return (self.box_rows[1] < upper) | (self.box_rows[0] > lower)
 
     def first_pixels(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols) of the first raster-order pixel of each label index + 1."""
@@ -268,24 +275,24 @@ def _runs(ink: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, edges[0::2] - rows * stride, edges[1::2] - rows * stride - 1
 
 
-def _links(rows, starts, ends, width: int, reach: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair (above[i], below[i]) of runs of consecutive rows whose
-    columns, one side widened by reach, overlap: reach 1 links 8-connected
-    ink and reach 0 the 4-connected gaps between ink runs. The runs may
-    skip rows, and runs of rows that are not consecutive are never linked.
-    above comes sorted, and each run's partners below it in column order.
-    """
-    n = rows.size
+def _links(rows, starts, ends, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per run i, the runs lo[i] up to hi[i] - 1 of the next row, whose
+    columns meet its own widened by one: in raster order, the first run
+    ending at or past column starts[i] - 1 of the next row, and the first
+    starting past column ends[i] + 1 of it. Runs may skip rows."""
     # Keys order the runs by row, then column. Adding stride to a key moves
-    # it one row down, and a run widened by reach stays clear of the keys
-    # of the rows above and below its own.
+    # it one row down, and a run widened by one stays clear of the keys of
+    # the rows above and below its own.
     stride = width + 2
     key_starts, key_ends = rows * stride + starts, rows * stride + ends
-    lo = key_ends.searchsorted(key_starts + stride - reach)
-    hi = key_starts.searchsorted(key_ends + stride + reach, side="right")
-    # The runs of the next row that meet run i are lo[i] up to hi[i].
+    return key_ends.searchsorted(key_starts + stride - 1), key_starts.searchsorted(key_ends + stride + 1, side="right")
+
+
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (above[i], below[i]) with lo[above[i]] <= below[i] <
+    hi[above[i]]: above comes sorted, and each one's partners in order."""
     counts = np.maximum(hi - lo, 0)
-    above = np.arange(n).repeat(counts)
+    above = np.arange(lo.size).repeat(counts)
     below = np.arange(above.size) + (lo - (counts.cumsum() - counts)).repeat(counts)
     return above, below
 
@@ -298,7 +305,7 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
     each still-unjoined link under the smaller, then jumps pointers until
     every run points at its root, so a root is always the smallest run of
     its region: its first in raster order. Labels number the roots in that
-    order.
+    order. Roots point at themselves, so the jumps are tested two at a time.
     """
     parent = np.arange(n)
     while above.size:
@@ -306,6 +313,7 @@ def _join(n: int, above: np.ndarray, below: np.ndarray) -> tuple[np.ndarray, np.
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = parent[parent]
+            jumped = jumped[jumped]
             if not np.logical_or.reduce(jumped != parent):
                 break
             parent = jumped
@@ -325,30 +333,42 @@ def _edge_counts(labels, count: int, starts, ends, above, below) -> np.ndarray:
     return edges.astype(np.intp)
 
 
-def _label(ink: np.ndarray) -> Labelling:
-    """The 8-connected regions of the ink, with their edge counts: its runs,
-    joined by their links at reach 1."""
-    rows, starts, ends = _runs(ink)
-    above, below = _links(rows, starts, ends, ink.shape[1], 1)
-    labels, first_runs = _join(rows.size, above, below)
-    edges = _edge_counts(labels, first_runs.size, starts, ends, above, below)
-    return Labelling(ink.shape, rows, starts, ends, labels, first_runs, edges)
+def _gap_links(rows, lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gaps of the runs, each given by the run on its left, and every
+    pair (above[i], below[i]) of gaps of consecutive rows whose columns
+    overlap, read off the runs' link bounds lo and hi (see _links).
+
+    The gap between runs a and a + 1 meets the gaps whose left run h has
+    hi[a] - 1 <= h < lo[a + 1]: run h + 1 starts past its first column and
+    run h ends before its last; a run hi[a] - 1 of the gap's own row is its
+    last, left of no gap, so the count of gaps before each run bounds them."""
+    n = rows.size
+    same = np.zeros(n + 1, dtype=bool)
+    same[: n - 1] = rows[1:] == rows[:-1]
+    # before[i] counts the gaps left of the runs before run i.
+    gaps, before = same.nonzero()[0], same.cumsum() - same
+    return (gaps, *_pairs(before[hi[gaps] - 1], before[lo[gaps + 1]]))
 
 
 def _label_and_zones(ink: np.ndarray, blank: np.ndarray) -> tuple[Labelling, Labelling]:
     """The labelling of the ink, and of the ink with every row r where
     blank[r] is set blanked: the runs outside those rows, joined by the
     links between two of them, as links only join runs of adjacent rows.
-    The runs and links are searched for once."""
+    The runs and links are searched for once, and the zone runs, numbered
+    after the ink runs, are joined in the same call."""
     rows, starts, ends = _runs(ink)
-    above, below = _links(rows, starts, ends, ink.shape[1], 1)
-    labelling = Labelling(ink.shape, rows, starts, ends, *_join(rows.size, above, below))
-    outside = ~blank[rows]
-    index = outside.cumsum() - 1
-    kept = outside[above] & outside[below]
-    links = index[above[kept]], index[below[kept]]
+    above, below = _pairs(*_links(rows, starts, ends, ink.shape[1]))
+    n, outside = rows.size, ~blank[rows]
+    index = outside.cumsum() + (n - 1)
+    kept = (outside[above] & outside[below]).nonzero()[0]
+    links = np.empty((2, above.size + kept.size), dtype=np.intp)
+    links[:, : above.size], links[:, above.size :] = (above, below), (index[above[kept]], index[below[kept]])
     runs = rows[outside], starts[outside], ends[outside]
-    return labelling, Labelling(ink.shape, *runs, *_join(runs[0].size, *links))
+    labels, first_runs = _join(n + runs[0].size, *links)
+    # The ink runs come first, so their roots and labels come first too.
+    k = first_runs.searchsorted(n)
+    labelling = Labelling(ink.shape, rows, starts, ends, labels[:n], first_runs[:k])
+    return labelling, Labelling(ink.shape, *runs, labels[n:] - k, first_runs[k:] - n)
 
 
 def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
@@ -364,29 +384,31 @@ def _label_and_holes(ink: np.ndarray) -> tuple[Labelling, Labelling]:
     gap of the first and last rows is outside. The gaps linked 4-connectedly
     form regions, and a region with no outside gap is closed, so it is a
     hole; the holes' labelling is the gaps of the closed regions. The ink's
-    runs are found once for both. Both labellings carry their edge counts:
-    every pixel 4-adjacent to a hole and outside it is ink, so a hole's
-    count is that of its edges to the ink.
+    runs and links are found once for both. Both labellings carry their
+    edge counts: every pixel 4-adjacent to a hole and outside it is ink, so
+    a hole's count is that of its edges to the ink.
     """
-    labelling = _label(ink)
-    rows, starts, ends = labelling.rows, labelling.starts, labelling.ends
     height, width = ink.shape
-    same = rows[1:] == rows[:-1]
-    # Runs i and i + 1 of one row bound gap i.
-    gaps = same.nonzero()[0]
+    rows, starts, ends = _runs(ink)
+    lo, hi = _links(rows, starts, ends, width)
+    above, below = _pairs(lo, hi)
+    labels, first_runs = _join(rows.size, above, below)
+    edges = _edge_counts(labels, first_runs.size, starts, ends, above, below)
+    labelling = Labelling(ink.shape, rows, starts, ends, labels, first_runs, edges)
+    gaps, above, below = _gap_links(rows, lo, hi)
     gap_rows, gap_starts, gap_ends = rows[gaps], ends[gaps] + 1, starts[gaps + 1] - 1
     # Per row, shifted down one so rows -1 and height are blank: the first
-    # ink column and the last, width and -1 on a blank row.
+    # ink column and the last, width and -1 on a blank row. A run is a row's
+    # first unless it is right of a gap, and its last unless it is left of one.
     first, last = np.array([[width], [-1]]).repeat(height + 2, axis=1)
-    lead, trail = np.empty((2, rows.size), dtype=bool)
-    lead[:1] = trail[-1:] = True
-    lead[1:] = trail[:-1] = ~same
+    by_gap = np.zeros((2, rows.size), dtype=bool)
+    by_gap[0, gaps + 1] = by_gap[1, gaps] = True
+    lead, trail = ~by_gap
     first[rows[lead] + 1] = starts[lead]
     last[rows[trail] + 1] = ends[trail]
     outside = (gap_starts < np.maximum(first[gap_rows], first[gap_rows + 2])) | (
         gap_ends > np.minimum(last[gap_rows], last[gap_rows + 2])
     )
-    above, below = _links(gap_rows, gap_starts, gap_ends, width, 0)
     labels, first_gaps = _join(gaps.size, above, below)
     closed = np.bincount(labels[outside] - 1, minlength=first_gaps.size) == 0
     edges = _edge_counts(labels, first_gaps.size, gap_starts, gap_ends, above, below)[closed]
@@ -529,7 +551,7 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     kept, kept_holes = np.arange(labelling.count), np.arange(holes.count)
     if band is not None:
         upper, lower = (np.zeros(img.height, dtype=np.intp) + rows for rows in band)
-        top, hole_top = labelling.boxes[:, 0], holes.boxes[:, 0]
+        top, hole_top = labelling.box_rows[0], holes.box_rows[0]
         kept = labelling.beyond(upper[top], lower[top]).nonzero()[0]
         kept_holes = (~holes.beyond(upper[hole_top] - 1, lower[hole_top] + 1)).nonzero()[0]
     # One walker serves every chain of the call, built on the first walk.
@@ -537,7 +559,7 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     # Labels number regions and holes in raster order of their first pixel,
     # so the starts come sorted. An outer chain spans its region's box rows.
     rows, cols = (a.tolist() for a in labelling.first_pixels(kept))
-    bottoms, bounds = labelling.boxes[kept, 2].tolist(), labelling.edges[kept].tolist()
+    bottoms, bounds = labelling.box_rows[1][kept].tolist(), labelling.edges[kept].tolist()
     chains = [
         ContourChain._traced(walker, (r, c), (r, c - 1), (r, bottom), bound, "outer")
         for r, c, bottom, bound in zip(rows, cols, bottoms, bounds)
@@ -545,7 +567,7 @@ def trace_contours(img: BinaryRaster, band=None) -> list[ContourChain]:
     # The pixel above a hole's topmost-leftmost cell is always ink, and an
     # inner chain spans its hole's box rows widened by one.
     rows, cols = (a.tolist() for a in holes.first_pixels(kept_holes))
-    bottoms, bounds = holes.boxes[kept_holes, 2].tolist(), holes.edges[kept_holes].tolist()
+    bottoms, bounds = holes.box_rows[1][kept_holes].tolist(), holes.edges[kept_holes].tolist()
     chains += [
         ContourChain._traced(walker, (r - 1, c), (r, c), (r - 1, bottom + 1), bound, "inner")
         for r, c, bottom, bound in zip(rows, cols, bottoms, bounds)

@@ -11,13 +11,12 @@ fraction of the peak, restricted to runs that contain the peak itself.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Labelling
-from .raster import BinaryRaster, _require_binary
+from .raster import BinaryRaster, _require_binary, _require_integers
 
 __all__ = [
     "NoInkError",
@@ -34,16 +33,6 @@ DEFAULT_MERGE_GAP = 2  # blank rows a line band bridges; see extract_lines
 
 class NoInkError(ValueError):
     """Raised when an operation needs ink pixels and the image has none."""
-
-
-def _require_integers(fields: dict) -> None:
-    """Raise TypeError naming the first of fields, a name-to-value dict,
-    whose value is not an integer; numpy integers are integers."""
-    for name, value in fields.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,9 +74,11 @@ def extract_lines(page: BinaryRaster, merge_gap: int = DEFAULT_MERGE_GAP) -> lis
     A blank run shorter than merge_gap rows does not split a line, which
     keeps broken strokes in scans together; merge_gap 0 acts as 1, so
     adjacent inked rows always share a line. Bands end and start at the
-    steps between inked rows longer than that.
+    steps between inked rows longer than that. A merge_gap that is not an
+    integer raises TypeError, a negative one ValueError.
     """
     _require_binary(page, "extract_lines")
+    _require_integers({"merge_gap": merge_gap})
     if merge_gap < 0:
         raise ValueError("merge_gap must be >= 0")
     inked = np.logical_or.reduce(page.pixels, axis=1).nonzero()[0]

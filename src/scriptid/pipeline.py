@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from .classify import DEFAULT_Q_MIN, Verdict, classify
 from .features import DEFAULT_CONTOUR_CAP, FeatureSet, FeatureThresholds, _gap, combine_feature_sets, extract_features
 from .layout import DEFAULT_ALPHA, DEFAULT_MERGE_GAP, Baselines, LineBand, estimate_baselines, extract_lines
-from .layout import _require_integers
-from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, GrayRaster, _require_binary, binarize
+from .raster import DEFAULT_DILATION_RADIUS, BinaryRaster, GrayRaster, _require_binary, _require_integers, binarize
 
 __all__ = ["PipelineParams", "LineAnalysis", "PageAnalysis", "analyze_page", "analyze_pages", "classify_page"]
 

@@ -19,6 +19,7 @@ nearest, which is the identity at maxval 255; graymaps are saved at maxval
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 import numpy as np
@@ -253,6 +254,16 @@ def save(raster, path, fmt: str | None = None):
         fh.write(data)
 
 
+def _require_integers(fields: dict) -> None:
+    """Raise TypeError naming the first of fields, a name-to-value dict,
+    whose value is not an integer; numpy integers are integers."""
+    for name, value in fields.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_binary(img, name: str) -> None:
     """Raise TypeError unless img is a BinaryRaster. A graymap's cells are
     intensities, and read as ink its white would be ink, so only the page
@@ -284,18 +295,24 @@ def dilate(img: BinaryRaster, radius: int = DEFAULT_DILATION_RADIUS) -> BinaryRa
     The square element is separable, so each of the radius passes ORs the
     raster with itself shifted one column each way, then one row each way.
     After max(height, width) passes every cell is within reach of any ink
-    cell, so further passes change nothing and are skipped.
+    cell, so further passes change nothing and are skipped. A radius that
+    is not an integer raises TypeError, a negative one ValueError.
     """
     _require_binary(img, "dilate")
+    _require_integers({"radius": radius})
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return img
-    grown = img.pixels
+    grown, inner = img.pixels, min(1, img.width - 1)
     for _ in range(min(radius, max(img.height, img.width))):
+        # Shifted over the rows laid end to end, a row's end reaches the next
+        # row's start, so the first and last columns are redone on their own.
         wide = grown.copy()
-        wide[:, 1:] |= grown[:, :-1]
-        wide[:, :-1] |= grown[:, 1:]
+        wide.reshape(-1)[1:] |= grown.reshape(-1)[:-1]
+        wide.reshape(-1)[:-1] |= grown.reshape(-1)[1:]
+        np.logical_or(grown[:, 0], grown[:, inner], out=wide[:, 0])
+        np.logical_or(grown[:, -1], grown[:, -1 - inner], out=wide[:, -1])
         grown = wide.copy()
         grown[1:] |= wide[:-1]
         grown[:-1] |= wide[1:]

@@ -57,7 +57,7 @@ from scriptid.features import (
     combine_feature_sets,
     extract_features,
 )
-from scriptid.geometry import _label
+from scriptid.geometry import _label_and_holes
 from scriptid.layout import Baselines, _group_parts, estimate_baselines, extract_lines
 from scriptid.pipeline import DEFAULT_PARAMS, LineAnalysis, PageAnalysis
 from scriptid.raster import BinaryRaster, GrayRaster, PnmHeaderError, PnmPayloadError
@@ -133,6 +133,27 @@ def scipy_dilate(mask, radius):
         return mask.copy()
     side = 2 * radius + 1
     return ndimage.binary_dilation(mask, structure=np.ones((side, side), dtype=bool))
+
+
+def label_runs(ink):
+    """The program's run labelling of the ink's 8-connected regions, with
+    their edge counts: the ink labelling that comes with its holes."""
+    return _label_and_holes(ink)[0]
+
+
+def gap_links(ink):
+    """Every pair of gaps, the background runs between two ink runs of one
+    row, in consecutive rows whose columns overlap: the (row, first col,
+    last col) of the upper gap and of the lower, sorted. Found cell by
+    cell, with no run search."""
+    gaps = []
+    for r, row in enumerate(np.asarray(ink, dtype=bool).tolist()):
+        inked = [c for c, cell in enumerate(row) if cell]
+        for c in range(inked[0] + 1, inked[-1]) if inked else ():
+            if not row[c] and row[c - 1]:
+                end = row.index(True, c)
+                gaps.append((r, c, end - 1))
+    return sorted((a, b) for a in gaps for b in gaps if b[0] == a[0] + 1 and a[1] <= b[2] and b[1] <= a[2])
 
 
 def scipy_label(mask):
@@ -723,7 +744,7 @@ def paws_of(line, baselines=None):
     """The word parts of a single line, right to left, as _group_parts
     groups them with the line as its only line; baselines default to the
     line's estimate."""
-    labelling = _label(line.pixels)
+    labelling = label_runs(line.pixels)
     if labelling.count == 0:
         return []
     b = baselines if baselines is not None else estimate_baselines(line)

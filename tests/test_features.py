@@ -18,11 +18,12 @@ from scriptid.features import (
     detect_poles,
     extract_features,
 )
-from scriptid.geometry import _label, trace_contours
+from scriptid.geometry import trace_contours
 from scriptid.layout import Baselines, LineBand, NoInkError
 from scriptid.raster import BinaryRaster, dilate
 
 from oracles import (
+    label_runs,
     letter_zones_of,
     nearest_labelled,
     positions_of,
@@ -451,7 +452,7 @@ def test_nearest_paw_matches_brute_force(data):
     location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
     radius = data.draw(st.integers(0, 3))
     expected = nearest_labelled(paw_map, location, radius)
-    labelling = _label(ink)
+    labelling = label_runs(ink)
     if expected is None:
         with pytest.raises(KeyError):
             _nearest_paws(ink, labelling, part, [location], radius)
@@ -583,9 +584,8 @@ def test_laid_zones_and_tags_match_each_line_alone(lines):
     table, band_table = lines.column_tables()
     first, last = _letter_zones(table)
     tags = np.array(list(_TAGS))[_position_codes(band_table > 0, first, last)]
-    for k, (start, b) in enumerate(zip(lines.starts.tolist(), lines.baselines)):
-        height, width = int(np.add.reduce((lines.line == k) & (lines.owned > 0))), lines.owned[start]
-        crop = BinaryRaster(lines.ink[start : start + height, :width])
+    for k, ((start, end, width), b) in enumerate(zip(lines.spans, lines.baselines)):
+        crop = BinaryRaster(lines.ink[start:end, :width])
         mine = first // lines.stride == k
         base = k * lines.stride + _NEIGHBORHOOD
         zones = list(zip((first[mine] - base).tolist(), (last[mine] - base).tolist()))

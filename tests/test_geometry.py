@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scriptid.geometry import (
     ContourChain,
     _Walker,
-    _label,
     _label_and_holes,
     _points,
     trace_contours,
@@ -22,6 +21,7 @@ from oracles import (
     count_holes,
     every_4x4_raster,
     hole_regions,
+    label_runs,
     project,
     raster_of,
     reference_trace,
@@ -400,7 +400,7 @@ def test_per_row_band_of_the_wrong_length_raises_value_error(band):
 @given(walk_rasters())
 def test_first_pixels_match_bfs_regions(img):
     # The first raster-order pixel of each region.
-    labelling = _label(img.pixels)
+    labelling = label_runs(img.pixels)
     regions = sorted(bfs_regions(img.pixels), key=min)
     rows, cols = labelling.first_pixels(np.arange(len(regions)))
     assert list(zip(rows.tolist(), cols.tolist())) == [min(region) for region in regions]
@@ -416,7 +416,7 @@ def test_first_pixels_match_bfs_regions(img):
 def test_boxes_and_beyond_match_bfs_regions(img, upper, lower):
     # Row i bounds the region whose first raster-order pixel comes i-th, and
     # beyond is the row test of detached dots and marks.
-    labelling = _label(img.pixels)
+    labelling = label_runs(img.pixels)
     expected = []
     for region in sorted(bfs_regions(img.pixels), key=min):
         rows, cols = [r for r, _ in region], [c for _, c in region]

@@ -12,12 +12,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptid.classify import builtin_profiles
-from scriptid.geometry import _label, _label_and_holes, _label_and_zones
+from scriptid.geometry import _gap_links, _label_and_holes, _label_and_zones, _links, _runs
 from scriptid.layout import _centroids
 from scriptid.raster import BinaryRaster, dilate
 from scriptid.synthgen import apply_salt, generate_page
 
-from oracles import scipy_hole_labelling, scipy_holes, scipy_label, with_hole_cases, worst_case_rasters
+from oracles import (
+    gap_links,
+    label_runs,
+    scipy_hole_labelling,
+    scipy_holes,
+    scipy_label,
+    with_hole_cases,
+    worst_case_rasters,
+)
 
 KINDS = ("empty", "pixel", "row", "column", "full", "border", "checkerboard", "random", "page")
 
@@ -65,6 +73,33 @@ def label_rasters(draw):
     return BinaryRaster(ink)
 
 
+@st.composite
+def gap_rasters(draw):
+    """Rasters of 1 to 12 rows and columns, often 1 high or 1 wide, whose
+    rows are each blank, full or random."""
+    h = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    w = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    rows = []
+    for _ in range(h):
+        kind = draw(st.sampled_from(("blank", "full", "random", "random")))
+        if kind == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=w, max_size=w)))
+        else:
+            rows.append([kind == "full"] * w)
+    return np.array(rows, dtype=bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gap_rasters())
+def test_gap_links_match_brute_force(ink):
+    # The gap links are read off the bounds of the ink's link search; they
+    # must pair exactly the gaps of consecutive rows whose columns overlap.
+    rows, starts, ends = _runs(ink)
+    gaps, above, below = _gap_links(rows, *_links(rows, starts, ends, ink.shape[1]))
+    cells = list(zip(rows[gaps].tolist(), (ends[gaps] + 1).tolist(), (starts[gaps + 1] - 1).tolist()))
+    assert sorted((cells[a], cells[b]) for a, b in zip(above.tolist(), below.tolist())) == gap_links(ink)
+
+
 def _assert_runs_match(labelling, ink, labels):
     """Every ink pixel lies in exactly one run and no background pixel in
     any, and the run lookup gives scipy's label at every ink pixel."""
@@ -88,7 +123,7 @@ def _first_pixels(labels):
 @settings(max_examples=300, deadline=None)
 @given(label_rasters())
 def test_labelling_matches_scipy(img):
-    labelling = _label(img.pixels)
+    labelling = label_runs(img.pixels)
     labels, boxes = scipy_label(img.pixels)
     assert labelling.count == len(boxes)
     _assert_runs_match(labelling, img.pixels, labels)
@@ -134,7 +169,7 @@ def test_worst_case_hole_labellings_match_scipy(name):
 @settings(max_examples=200, deadline=None)
 @given(label_rasters(), st.data())
 def test_centroids_are_pixel_means(img, data):
-    labelling = _label(img.pixels)
+    labelling = label_runs(img.pixels)
     assume(labelling.count > 0)
     origin = np.array(data.draw(st.lists(st.integers(0, 30), min_size=labelling.count, max_size=labelling.count)))
     labels, _ = scipy_label(img.pixels)
@@ -150,7 +185,7 @@ def test_centroids_are_pixel_means(img, data):
 @pytest.mark.parametrize("name", sorted(worst_case_rasters()))
 def test_worst_case_rasters_match_scipy(name):
     ink = worst_case_rasters()[name]
-    labelling = _label(ink)
+    labelling = label_runs(ink)
     labels, boxes = scipy_label(ink)
     _assert_runs_match(labelling, ink, labels)
     assert labelling.boxes.tolist() == [list(box) for box in boxes]
@@ -167,6 +202,6 @@ def test_zones_are_the_raw_runs_outside_the_bands(img, data):
     # rows blanked, for any set of blanked rows.
     blank = np.array(data.draw(st.lists(st.booleans(), min_size=img.height, max_size=img.height)))
     _, zones = _label_and_zones(img.pixels, blank)
-    expected = _label(img.pixels & ~blank[:, None])
+    expected = label_runs(img.pixels & ~blank[:, None])
     for name in ("rows", "starts", "ends", "run_labels", "first_runs", "boxes"):
         assert np.array_equal(getattr(zones, name), getattr(expected, name)), name

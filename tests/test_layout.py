@@ -10,7 +10,9 @@ from scriptid.layout import (
     estimate_baselines,
     extract_lines,
 )
+from scriptid.classify import builtin_profiles
 from scriptid.raster import BinaryRaster
+from scriptid.synthgen import generate_page
 
 from oracles import paw_pixels, paws_of, raster_of, reference_segment_paws, scipy_label
 
@@ -63,6 +65,21 @@ class TestExtractLines:
     def test_zero_merge_gap_acts_as_one(self, seed):
         page = BinaryRaster(np.random.default_rng(seed).random((40, 20)) < 0.05)
         assert extract_lines(page, merge_gap=0) == extract_lines(page, merge_gap=1)
+
+    @pytest.mark.parametrize("merge_gap", [float("nan"), 2.5, 2.0, "2", None])
+    def test_non_integer_merge_gap_is_refused(self, merge_gap):
+        # NaN used to compare false everywhere and merge the 4 lines of this
+        # page into 1 band, and 2.5 was compared as a float.
+        page = generate_page(builtin_profiles()[0], seed=1).raster
+        with pytest.raises(TypeError, match="merge_gap"):
+            extract_lines(page, merge_gap)
+
+    def test_numpy_integer_merge_gap_is_an_integer(self):
+        page = generate_page(builtin_profiles()[0], seed=1).raster
+        assert extract_lines(page, np.int64(2)) == extract_lines(page, 2)
+        assert len(extract_lines(page, 2)) == 4
+        with pytest.raises(ValueError, match="merge_gap"):
+            extract_lines(page, np.int64(-1))
 
     def test_every_band_contains_ink(self):
         rng = np.random.default_rng(31)

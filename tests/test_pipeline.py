@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import os
 import sys
@@ -168,7 +169,7 @@ class TestClassifyPage:
 
 
 class TestPassesPerLine:
-    @pytest.mark.parametrize("radius, labels_per_page, walkers_per_page", [(0, 4, 1), (1, 4, 1)])
+    @pytest.mark.parametrize("radius, labels_per_page, walkers_per_page", [(0, 3, 1), (1, 3, 1)])
     def test_label_calls_and_walkers_per_page(self, monkeypatch, radius, labels_per_page, walkers_per_page):
         # Every line of this page has ink above and below its body band. The
         # page is labelled whole, with every line's band rows blanked (all
@@ -177,12 +178,13 @@ class TestPassesPerLine:
         # jamb scan's: every line has a lower dot that clears the jamb
         # margin, and the scan walks it to decide that it is a dot, not a
         # jamb. The contour stage builds none: the edge count of every chain
-        # it keeps is under the cap. Each labelling joins its runs
-        # with one call to the run joiner. Runs are found twice, in the ink
-        # and the stage: the holes are joined from the gaps between the
-        # stage's own runs. Links are found three times, in the ink, the
-        # stage and its gaps; the zones keep the ink's runs outside the
-        # bands and the ink's links between them.
+        # it keeps is under the cap. Runs are found twice, in the ink and
+        # the stage: the holes are joined from the gaps between the stage's
+        # own runs. Links are found twice, in the ink and the stage: the
+        # zones keep the ink's runs outside the bands and the ink's links
+        # between them, and the gap links are read off the stage's link
+        # bounds. The run joiner is called three times: once for the ink
+        # and its zones together, once for the stage and once for its gaps.
         runs, run_calls = geometry._runs, []
         links, link_calls = geometry._links, []
         join, labels = geometry._join, []
@@ -214,9 +216,35 @@ class TestPassesPerLine:
             assert 0 < line.baselines.upper_row - line.band.top_row
             assert line.baselines.lower_row < line.band.bottom_row
         assert len(run_calls) == 2
-        assert len(link_calls) == 3
+        assert len(link_calls) == 2
         assert len(labels) == labels_per_page
         assert len(walkers) == walkers_per_page
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_only_word_parts_build_box_columns(self, monkeypatch, radius):
+        # Four labellings are made per pass: the ink, its zones, the stage
+        # and its holes. Every band and line test reads box rows; only word
+        # parts read the left and right columns of the ink's boxes, so the
+        # (count, 4) box table is built once per pass, for the ink's labelling.
+        built, grouped = [], []
+        boxes = geometry.Labelling.boxes
+
+        def counting_boxes(labelling):
+            built.append(labelling)
+            return boxes.func(labelling)
+
+        def recording_group_parts(labelling, *args):
+            grouped.append(labelling)
+            return group_parts(labelling, *args)
+
+        counted = functools.cached_property(counting_boxes)
+        counted.__set_name__(geometry.Labelling, "boxes")
+        group_parts = features._group_parts
+        monkeypatch.setattr(geometry.Labelling, "boxes", counted)
+        monkeypatch.setattr(features, "_group_parts", recording_group_parts)
+        analysis = analyze_page(wide_page(), PipelineParams(dilation_radius=radius))
+        assert len(analysis.lines) == 4 and analysis.features.counts["B"] > 0
+        assert len(grouped) == 1 and built == grouped
 
     def test_page_reaches_the_stages_through_module_attributes(self, monkeypatch):
         # bench/tracing.py::PATCHES wraps these names to count text lines as

@@ -323,6 +323,17 @@ class TestDilate:
         with pytest.raises(TypeError):
             dilate(GrayRaster([[0]]), 1)
 
+    @pytest.mark.parametrize("radius", [1.5, 1.0, float("nan"), "1", None])
+    def test_non_integer_radius_is_refused(self, radius):
+        with pytest.raises(TypeError, match="radius"):
+            dilate(raster_of(["010", "000"]), radius)
+
+    def test_numpy_integer_radius_is_an_integer(self):
+        img = raster_of(["010", "000", "000"])
+        assert dilate(img, np.int64(1)) == dilate(img, 1)
+        with pytest.raises(ValueError, match="radius"):
+            dilate(img, np.int64(-1))
+
     def test_huge_radius_stops_once_every_cell_is_inked(self):
         img = raster_of(["0000000", "0000000", "0000001"])
         start = time.perf_counter()
