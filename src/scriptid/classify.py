@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .features import FEATURE_KINDS, FeatureSet
+from .raster import _require_integers
 
 __all__ = [
     "ScriptProfile",
@@ -47,11 +48,12 @@ class ScriptProfile:
     raw: dict[str, int]
 
     def __post_init__(self):
-        if self.form_count <= 0:
-            raise ValueError("form_count must be positive")
         missing = [k for k in FEATURE_KINDS if k not in self.raw]
         if missing:
             raise ValueError(f"profile {self.name!r} missing counts for {missing}")
+        _require_integers({"form_count": self.form_count, **{f"count {k}": self.raw[k] for k in FEATURE_KINDS}})
+        if self.form_count <= 0:
+            raise ValueError("form_count must be positive")
         if any(self.raw[k] < 0 for k in FEATURE_KINDS):
             raise ValueError("raw counts must be non-negative")
 

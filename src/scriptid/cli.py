@@ -23,7 +23,7 @@ from . import evaluate as evalmod
 from .classify import DEFAULT_Q_MIN, ProfileFormatError, builtin_profiles, classify, load_profiles
 from .features import FEATURE_KINDS, FeatureSet
 from .pipeline import DEFAULT_PARAMS, PageAnalysis, PipelineParams, analyze_pages
-from .raster import PnmError, load
+from .raster import _IMAGE_SUFFIXES, PnmError, load
 from .synthgen import generate_corpus, generate_page, save_corpus
 
 EXIT_OK = 0
@@ -32,7 +32,6 @@ EXIT_IO = 2
 EXIT_CEILING = 3
 
 SCHEMA = "scriptid-report/1"
-_IMAGE_SUFFIXES = (".pbm", ".pgm", ".pnm")
 
 
 class _UsageError(Exception):

@@ -409,8 +409,9 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
     ink pixel by Chebyshev distance wins, the first in raster order on ties,
     so a location on ink is its own. Windows are gathered in blocks of at
     most _BLOCK pixels (one window when it is larger), their offsets built
-    on each call. Its part is read off the runs. Raises KeyError when a
-    location has no ink within max_radius.
+    on each call. Its part is read off the runs. Every location has ink
+    within max_radius: each is a pole or jamb tip on the ink or a chain
+    start on the stage, the ink dilated by max_radius.
     """
     height, width = ink.shape
     row_reach, col_reach = min(max_radius, height - 1), min(max_radius, width - 1)
@@ -424,9 +425,6 @@ def _nearest_paws(ink: np.ndarray, labelling: Labelling, part: np.ndarray, locat
         rows, cols = loc[lo : lo + block, :1] + dr, loc[lo : lo + block, 1:] + dc
         found = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
         found[found] = ink[rows[found], cols[found]]
-        missing = (~np.logical_or.reduce(found, axis=1)).nonzero()[0]
-        if missing.size:
-            raise KeyError(f"no word part within {max_radius} of {tuple(loc[lo + missing[0]].tolist())}")
         pick = np.arange(rows.shape[0]), np.where(found, distance, distance.size).argmin(axis=1)
         nearest[:, lo : lo + block] = rows[pick], cols[pick]
     return part[labelling.label_at(*nearest) - 1]
@@ -462,8 +460,12 @@ def extract_features(
     page coordinates and its word parts numbered across the page in band
     order; a band reaching past its page's last row raises ValueError.
     Without bands the word is one band and its FeatureSet is returned. A
-    word or page that is not a BinaryRaster raises TypeError.
+    word or page that is not a BinaryRaster raises TypeError, and so does a
+    dilation_radius that is not an integer; a negative one raises ValueError.
     """
+    _require_integers({"dilation_radius": dilation_radius})
+    if dilation_radius < 0:
+        raise ValueError(f"dilation_radius must be >= 0, got {dilation_radius}")
     single = bands is None
     if single:
         thresholds = thresholds or FeatureThresholds.from_baselines(baselines)

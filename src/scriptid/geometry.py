@@ -19,7 +19,7 @@ ink probe is the next pixel, and the background probe just before it, seen
 from the next pixel, is the next backtrack. That relative direction depends
 only on the step direction, so an 8-entry table gives it, and a state is a
 pixel and a backtrack direction. The probe offsets depend only on
-the padded row stride, so their table is built once per stride and cached.
+the padded row stride, so each walker builds their table once.
 
 Regions are labelled by their horizontal runs, not pixel by pixel (after
 He, Chao & Suzuki, IEEE TIP 17(5), 2008): a text raster holds far fewer
@@ -90,7 +90,7 @@ the contour stage walks nothing.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -434,20 +434,13 @@ def _back_table() -> tuple[int, ...]:
 _BACK = _back_table()
 
 
-@lru_cache(maxsize=64)
-def _probe_table(stride: int) -> tuple:
-    """Per backtrack direction d, the (flat offset, new backtrack) of each
-    probe, clockwise after d, in a padded grid of the given row stride."""
-    offsets = [dr * stride + dc for dr, dc in _MOORE]
-    return tuple(tuple((offsets[(d + k) % 8], _BACK[(d + k) % 8]) for k in range(1, 9)) for d in range(8))
-
-
 class _Walker:
     """Moore neighbor walks over one raster, probing its padded ink bytes.
 
     The ink is stored once over a one-pixel zero pad, and a walk probes it
-    at flat indices into the padded grid; _BACK gives each step's new
-    backtrack direction.
+    at flat indices into the padded grid. The walker's probe table gives,
+    per backtrack direction d, the (flat offset, new backtrack) of each
+    probe clockwise after d; _BACK gives each step's new backtrack.
     """
 
     def __init__(self, ink: np.ndarray):
@@ -456,7 +449,8 @@ class _Walker:
         padded = np.zeros((height + 2, self._stride), dtype=bool)
         padded[1:-1, 1:-1] = ink
         self._ink = padded.tobytes()
-        self._probes = _probe_table(self._stride)
+        offsets = [dr * self._stride + dc for dr, dc in _MOORE]
+        self._probes = [[(offsets[(d + k) % 8], _BACK[(d + k) % 8]) for k in range(1, 9)] for d in range(8)]
         # More steps than there are states: a walk that takes them is a fault.
         self._bound = 8 * len(self._ink)
 

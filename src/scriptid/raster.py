@@ -47,6 +47,8 @@ _TOKEN = re.compile(rb"#[^\r\n]*|\d+|\S")
 _MAX_DIGITS = 20
 # The decimal bytes of every graymap sample, for plain (P2) encoding.
 _DIGITS = tuple(b"%d" % v for v in range(256))
+# File suffixes, in lower case, of the images a directory of inputs holds.
+_IMAGE_SUFFIXES = (".pbm", ".pgm", ".pnm")
 
 
 class PnmError(ValueError):

@@ -26,6 +26,7 @@ cannot name whiskers themselves.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +37,7 @@ from .classify import ScriptProfile
 from .evaluate import GroundTruthError
 from .features import FEATURE_KINDS, FeatureSet, combine_feature_sets
 from .layout import Baselines
-from .raster import BinaryRaster, save
+from .raster import _IMAGE_SUFFIXES, BinaryRaster, save
 
 __all__ = [
     "BAND_HEIGHT",
@@ -398,7 +399,10 @@ def save_corpus(items, out_dir):
     the SCRIPT field; the evaluation harness reads the file back as-is. A
     script that is empty, holds whitespace or '#', or that UTF-8 cannot
     encode would not read back as written, and raises GroundTruthError
-    before any file is written.
+    before any file is written. An image (.pbm, .pgm or .pnm) in out_dir
+    under a name the corpus does not write, which a directory read would
+    take for one of its images, raises FileExistsError before any file is
+    written; files of the corpus's own names are overwritten.
     """
     out = Path(out_dir)
     rasters, lines = [], []
@@ -415,8 +419,14 @@ def save_corpus(items, out_dir):
                 raise GroundTruthError(f"script {script!r} cannot be written as UTF-8") from None
             lines[-1] += f" SCRIPT={script}"
         rasters.append(item.raster)
+    names = [f"img_{i:04d}.pbm" for i in range(len(rasters))]
+    if out.is_dir():
+        images = {name for name in os.listdir(out) if os.path.splitext(name)[1].lower() in _IMAGE_SUFFIXES}
+        stale = sorted(images.difference(names))
+        if stale:
+            raise FileExistsError(f"{out} holds image {stale[0]!r}, which this corpus would not overwrite")
     out.mkdir(parents=True, exist_ok=True)
-    image_paths = [out / f"img_{i:04d}.pbm" for i in range(len(rasters))]
+    image_paths = [out / name for name in names]
     for raster, path in zip(rasters, image_paths):
         save(raster, path, "p4")
     truth_path = out / "truth.txt"

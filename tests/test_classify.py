@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +44,29 @@ class TestBuiltinProfiles:
     def test_rel_in_unit_interval(self):
         for profile in builtin_profiles():
             assert all(0 <= v <= 1 for v in profile.rel.values())
+
+
+class TestProfileCounts:
+    # A NaN count would make every distance NaN, so a clean page would read
+    # Unknown; a fractional one would save to a file load_profiles refuses.
+    @pytest.mark.parametrize(
+        "form_count, raw, field",
+        [
+            (2, {k: float("nan") for k in FEATURE_KINDS}, "count H"),
+            (10, {"H": 1, "J": 0.5, "P": 1, "Q": 1, "B": 1}, "count J"),
+            (10, {"H": 1, "J": 1, "P": 1, "Q": 1, "B": "2"}, "count B"),
+            (10.0, {k: 1 for k in FEATURE_KINDS}, "form_count"),
+            (float("nan"), {k: 1 for k in FEATURE_KINDS}, "form_count"),
+        ],
+    )
+    def test_non_integer_count_is_refused_by_name(self, form_count, raw, field):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            ScriptProfile("X", form_count, raw)
+
+    def test_numpy_integer_counts_are_counts(self):
+        latin = builtin_profiles()[1]
+        numpy_latin = ScriptProfile("Latin", np.int64(103), {k: np.int32(v) for k, v in latin.raw.items()})
+        assert numpy_latin.rel == latin.rel
 
 
 class TestNormalize:

@@ -66,6 +66,18 @@ class TestGenerate:
         assert not out.exists()
         assert not report.exists()
 
+    def test_smaller_corpus_over_a_larger_one_is_io_error_and_writes_nothing(self, corpus, capsys):
+        # img_0003 and img_0004 would be left behind, with no ground truth.
+        before = {p.name: p.read_bytes() for p in corpus.iterdir()}
+        capsys.readouterr()
+        assert main(["generate", "--output-dir", str(corpus), "--words", "3", "--seed", "2"]) == EXIT_IO
+        assert "img_0003.pbm" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == before
+        # A corpus of the same names is rewritten, reports beside it.
+        generate = ["generate", "--output-dir", str(corpus), "--words", "5", "--seed", "2"]
+        assert main(generate + ["--output", str(corpus / "g.json")]) == EXIT_OK
+        assert main(["evaluate", "--input", str(corpus), "--ceiling", "0", "--output", str(corpus / "e.json")]) == EXIT_OK
+
     def test_pages_of_nearby_seeds_share_no_image(self, tmp_path):
         images = set()
         for seed in ("0", "1"):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scriptid.features import (
@@ -367,6 +367,22 @@ class TestExtractFeatures:
         with pytest.raises(error, match=message):
             extract_features([page], [[B8]], [[T8]], bands=[[LineBand(*rows)]])
 
+    @pytest.mark.parametrize(
+        "radius, error, message",
+        [
+            pytest.param(1.5, TypeError, "^dilation_radius must be an integer", id="float"),
+            pytest.param(-1, ValueError, "^dilation_radius must be >= 0", id="negative"),
+        ],
+    )
+    def test_bad_dilation_radius_is_refused_by_name(self, radius, error, message):
+        # Unchecked, a float radius fails inside numpy and a negative one names dilate's radius.
+        with pytest.raises(error, match=message):
+            extract_features(build_kitchen_sink(), B8, dilation_radius=radius)
+
+    def test_numpy_dilation_radius_reads_as_its_integer(self):
+        page = build_kitchen_sink()
+        assert extract_features(page, B8, dilation_radius=np.int64(2)) == extract_features(page, B8, dilation_radius=2)
+
     def test_one_blank_band_among_inked_bands_raises(self):
         # The second page's middle band holds no ink, though every other band does.
         inked = word(9, 12)
@@ -449,15 +465,13 @@ def test_nearest_paw_matches_brute_force(data):
     # Each region belongs to one of three parts; background to none.
     part = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(boxes), max_size=len(boxes))), dtype=np.intp)
     paw_map = np.append(-1, part)[labels]
-    location = (data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1)))
     radius = data.draw(st.integers(0, 3))
+    # A pass asks only about locations with ink within the radius.
+    reached = [(r, c) for r in range(h) for c in range(w) if nearest_labelled(paw_map, (r, c), radius) is not None]
+    assume(reached)
+    location = data.draw(st.sampled_from(reached))
     expected = nearest_labelled(paw_map, location, radius)
-    labelling = label_runs(ink)
-    if expected is None:
-        with pytest.raises(KeyError):
-            _nearest_paws(ink, labelling, part, [location], radius)
-    else:
-        assert _nearest_paws(ink, labelling, part, [location], radius).tolist() == [expected]
+    assert _nearest_paws(ink, label_runs(ink), part, [location], radius).tolist() == [expected]
 
 
 @st.composite

@@ -406,6 +406,36 @@ class TestPassesPerLine:
             f"{name} {n}" for name, n in calls.most_common(10)
         )
 
+    @pytest.mark.parametrize(
+        "page, expected",
+        [
+            (lambda: generate_corpus(builtin_profiles()[0], 1, seed=5)[0].raster, 97),
+            (lambda: generate_page(builtin_profiles()[0], seed=1001, min_paws=5, max_paws=8).raster, 188),
+            (lambda: wide_page(), 270),
+        ],
+        ids=["word", "4-line page", "wide page"],
+    )
+    def test_page_pass_makes_a_pinned_count_of_python_calls(self, page, expected):
+        # The calls of scriptid's own functions in a second pass, leaving out
+        # comprehensions and lambdas, whose frames come and go between Python
+        # releases. A change that moves a count says so.
+        page = page()
+        analyze_page(page)
+        root = os.path.dirname(pipeline.__file__) + os.sep
+        calls = collections.Counter()
+
+        def count(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(root) and not code.co_name.startswith("<"):
+                calls[f"{frame.f_globals.get('__name__')}.{code.co_name}"] += 1
+
+        sys.setprofile(count)
+        try:
+            analyze_page(page)
+        finally:
+            sys.setprofile(None)
+        assert sum(calls.values()) == expected, sorted(calls.items())
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
@@ -564,7 +594,6 @@ def test_peak_memory_per_stacked_pixel(pages, monkeypatch):
     # One pass over all the pages: the run bound of analyze_pages raised past them.
     pages = pages()
     monkeypatch.setattr(pipeline, "_GATHER", 1 << 40)
-    analyze_pages(pages)  # fill geometry._probe_table's cache first
     _, peak = _peak(lambda: analyze_pages(pages))
     stacked = sum(page.height for page in pages) * max(page.width for page in pages)
     assert peak / stacked < PEAK_BYTES_PER_PIXEL
@@ -576,7 +605,6 @@ def test_pages_of_a_generator_are_analysed_in_bounded_runs():
         for seed in range(64):
             yield generate_page(builtin_profiles()[seed % 2], seed=seed).raster
 
-    analyze_page(wide_page())  # fill the lookup caches first
     analyses, peak = _peak(lambda: analyze_pages(pages()))
     assert peak < 10_000_000
     assert [repr(a) for a in analyses] == [repr(analyze_page(page)) for page in pages()]
@@ -586,7 +614,6 @@ def test_noise_page_peaks_under_ten_megabytes():
     # Matching its marks in blocks of 2^20 (mark, body) pairs peaks at
     # 32 MB, about 134 bytes per page pixel.
     page = noise_page()
-    analyze_page(wide_page())  # fill the lookup caches first
     _, peak = _peak(lambda: analyze_page(page))
     assert peak < 10_000_000
 
@@ -619,7 +646,7 @@ def test_nearest_part_search_keeps_nothing_after_the_call():
     # At radius 600 a search window holds 1,111 x 1,109 offsets, 20 MB as
     # an int64 table, which a cache would keep after the call.
     page, params = wide_page(), PipelineParams(dilation_radius=600)
-    analyze_page(page)  # fill geometry._probe_table's cache first
+    analyze_page(page)  # what a first pass imports stays after it
     tracemalloc.start()
     try:
         analyze_page(page, params)
@@ -634,7 +661,6 @@ def test_nearest_part_search_memory_does_not_grow_with_the_radius_squared():
     # windows of all the page's hits at once would take 136 MB. The digest
     # is the analysis one search over all the hits gives.
     page, params = wide_page(), PipelineParams(dilation_radius=155)
-    analyze_page(page, params)  # fill the lookup caches first
     analysis, peak = _peak(lambda: analyze_page(page, params))
     assert peak < 8_000_000
     digest = hashlib.sha256(repr(analysis).encode()).hexdigest()

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -248,6 +249,26 @@ class TestSaveCorpus:
         pages = [generate_page(ScriptProfile("Old-Latin_2=x", LATIN.form_count, LATIN.raw), seed=1)]
         _, truth_path = save_corpus(iter(pages), tmp_path)
         assert [r.script for r in load_ground_truth(truth_path)] == ["Old-Latin_2=x"]
+
+    @pytest.mark.parametrize("stale", ["img_0003.pbm", "scan.PGM", "other.pnm"])
+    def test_image_the_corpus_would_not_overwrite_is_refused_before_any_file(self, tmp_path, stale):
+        # A directory read would take the left-over image for one of the
+        # corpus's own and find no ground truth for it.
+        (tmp_path / stale).write_bytes(b"P4 1 1 ")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("old\n")
+        with pytest.raises(FileExistsError, match=re.escape(repr(stale))):
+            save_corpus(generate_corpus(ARABIC, 3, seed=2), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([stale, "truth.txt"])
+        assert truth.read_text() == "old\n"
+
+    def test_rewriting_the_same_names_over_other_files_works(self, tmp_path):
+        save_corpus(generate_corpus(ARABIC, 3, seed=1), tmp_path)
+        (tmp_path / "report.json").write_text("{}")
+        words = generate_corpus(LATIN, 3, seed=2)
+        image_paths, truth_path = save_corpus(words, tmp_path)
+        assert [load(path) for path in image_paths] == [word.raster for word in words]
+        assert len(load_ground_truth(truth_path)) == 3
 
 
 def _digest(items):
