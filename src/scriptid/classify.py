@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .features import FEATURE_KINDS, FeatureSet
 from .raster import _require_integers
@@ -41,13 +43,18 @@ class ProfileFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ScriptProfile:
-    """Per-letter-form occurrence counts of the five primitives for one script."""
+    """Per-letter-form occurrence counts of the five primitives for one script.
+
+    raw is kept as a read-only copy of the mapping passed in, so the counts
+    checked here are the counts every later call reads.
+    """
 
     name: str
     form_count: int
-    raw: dict[str, int]
+    raw: Mapping[str, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "raw", MappingProxyType(dict(self.raw)))
         missing = [k for k in FEATURE_KINDS if k not in self.raw]
         if missing:
             raise ValueError(f"profile {self.name!r} missing counts for {missing}")
@@ -56,6 +63,11 @@ class ScriptProfile:
             raise ValueError("form_count must be positive")
         if any(self.raw[k] < 0 for k in FEATURE_KINDS):
             raise ValueError("raw counts must be non-negative")
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled, so a profile pickles and copies
+        # as the arguments that build it again.
+        return type(self), (self.name, self.form_count, dict(self.raw))
 
     @property
     def rel(self) -> dict[str, float]:

@@ -3,18 +3,21 @@
 Reports are deterministic: keys are emitted in a fixed order, floats are
 rounded to 4 decimals, infinities become the string "inf", and directory
 inputs are processed in filename order, so identical inputs always produce
-byte-identical output. Exit codes: 0 success, 1 usage error, 2 I/O, ground
-truth or profile error, 3 evaluation ceiling breach.
+byte-identical output. A JSON report is written in one walk over the
+command's results, dataclasses read field by field, with the bytes that
+json.dumps(indent=2) writes for the same tree. Exit codes: 0 success, 1
+usage error, 2 I/O, ground truth or profile error, 3 evaluation ceiling
+breach.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import math
 import sys
-from dataclasses import asdict
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +66,55 @@ _FRACTION = _ranged(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _RATE = _ranged(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
-def _round_floats(obj):
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, but with each float
+    rounded to 4 decimals, an infinity as the string "inf" and a dataclass
+    instance as its fields; indent is the line break and indentation of the
+    line obj starts on. Raises TypeError for a key that is not a str or a
+    value of any other type."""
+    if isinstance(obj, str):
+        return _json_string(obj)
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf"
-        return round(obj, 4)
+        if math.isnan(obj):
+            return "NaN"
+        return '"inf"' if math.isinf(obj) else float.__repr__(round(obj, 4))
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_json_string(key)}: {_json(value, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_json(value, inner) for value in obj])}{indent}]"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _json(_fields(obj), indent)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, fields, text):
     """Write the report, to --output or stdout: in JSON, the schema and
     command then the command's fields; in text, the text."""
     if args.format == "json":
-        text = json.dumps(_round_floats({"schema": SCHEMA, "command": args.command, **fields}), indent=2)
+        text = _json({"schema": SCHEMA, "command": args.command, **fields})
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
@@ -180,7 +215,7 @@ def _report_images(args, paths, params, entry, text, **parameters) -> int:
             item, line = {"image": path.name, **fields}, f"{path.name}: {text(fields)}"
         entries.append(item)
         lines.append(line)
-    _emit(args, {"parameters": {**asdict(params), **parameters}, "images": entries}, "\n".join(lines))
+    _emit(args, {"parameters": {**_fields(params), **parameters}, "images": entries}, "\n".join(lines))
     return EXIT_OK
 
 
@@ -250,7 +285,7 @@ def cmd_evaluate(args) -> int:
     table = evalmod.format_report(report)
     sys.stdout.write(table + "\n")
     if args.output:
-        fields = {"parameters": asdict(params), "report": asdict(report)}
+        fields = {"parameters": params, "report": report}
         _emit(args, {**fields, "errors": errors} if errors else fields, table)
 
     if args.ceiling is not None:

@@ -290,11 +290,11 @@ class _Lines:
         """The ink of every line expanded by radius and clipped to the line's
         rows and its raster's columns, as if each line were expanded alone:
         the gap rows and the padding columns stay blank."""
-        stage = dilate(BinaryRaster(self.ink), self.radius).pixels.copy()
+        stage = dilate(BinaryRaster._wrap(self.ink), self.radius).pixels.copy()
         for start, end, width in self.spans:
             stage[start:end, width:] = False
             stage[end : end + _gap(self.radius)] = False
-        return BinaryRaster(stage)
+        return BinaryRaster._wrap(stage)
 
     def column_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Per line and column, the count of ink pixels of that line, and of

@@ -75,6 +75,16 @@ class _Raster:
         arr.flags.writeable = False
         self.pixels = arr
 
+    @classmethod
+    def _wrap(cls, pixels: np.ndarray):
+        """A raster over a read-only view of pixels, uncopied and unchecked:
+        for a non-empty 2-D array of the raster's dtype that nothing writes
+        while the raster is in use."""
+        raster = cls.__new__(cls)
+        raster.pixels = pixels.view()
+        raster.pixels.flags.writeable = False
+        return raster
+
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
@@ -318,4 +328,4 @@ def dilate(img: BinaryRaster, radius: int = DEFAULT_DILATION_RADIUS) -> BinaryRa
         grown = wide.copy()
         grown[1:] |= wide[:-1]
         grown[:-1] |= wide[1:]
-    return BinaryRaster(grown)
+    return BinaryRaster._wrap(grown)

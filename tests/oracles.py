@@ -23,6 +23,10 @@ comments as it meets them; the library's decoder must return the same
 raster, or raise the same exception with the same message, on any input.
 The plain graymap encoder's oracle formats one sample at a time.
 
+The report oracle writes a CLI report's JSON as the CLI did before it had
+its own encoder: dataclasses through dataclasses.asdict, floats rounded by
+a second walk, then json.dumps with indent=2.
+
 The column-table oracle sums the stacked buffer's pixels line by line
 with np.add.reduceat, as the library did before it summed the raw runs.
 
@@ -40,8 +44,10 @@ which numbers regions in raster order of their first pixel, as the
 library's labelling does; the labelling tests check that they agree.
 """
 
+import json
+import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
 from hypothesis import example
@@ -608,6 +614,35 @@ def reference_decode(data):
     if max(payload) > maxval:
         raise PnmPayloadError(f"sample {max(payload)} exceeds declared maxval {maxval}")
     return GrayRaster(np.array(_reference_scale(payload, maxval)).reshape(height, width))
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        if math.isinf(obj):
+            return "inf"
+        return round(obj, 4)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def _asdict_tree(obj):
+    """obj with every dataclass instance in it replaced by its asdict."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    if isinstance(obj, dict):
+        return {k: _asdict_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_asdict_tree(v) for v in obj]
+    return obj
+
+
+def reference_report_json(obj):
+    """A report tree as JSON text: dataclasses as their asdict, floats
+    rounded to 4 decimals and infinities as "inf", then json.dumps(indent=2)."""
+    return json.dumps(_round_floats(_asdict_tree(obj)), indent=2)
 
 
 def reference_column_table(ink, starts):

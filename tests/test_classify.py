@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -16,6 +18,8 @@ from scriptid.classify import (
     save_profiles,
 )
 from scriptid.features import FEATURE_KINDS, FeatureSet
+from scriptid.pipeline import analyze_page
+from scriptid.synthgen import generate_page
 
 
 def fs(counts, nb_paws):
@@ -62,6 +66,26 @@ class TestProfileCounts:
     def test_non_integer_count_is_refused_by_name(self, form_count, raw, field):
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             ScriptProfile("X", form_count, raw)
+
+    def test_counts_cannot_change_after_construction(self):
+        # A NaN written into the counts after the checks would make every
+        # distance to the profile NaN, so a clean Latin page would read
+        # Unknown with margin NaN.
+        counts = dict(builtin_profiles()[0].raw)
+        arabic, latin = ScriptProfile("Arabic", 120, counts), builtin_profiles()[1]
+        counts["H"] = float("nan")
+        with pytest.raises(TypeError):
+            arabic.raw["H"] = float("nan")
+        assert arabic == builtin_profiles()[0] and arabic.raw == {"H": 29, "J": 28, "P": 30, "Q": 11, "B": 22}
+        verdict = classify(analyze_page(generate_page(latin, seed=3).raster).features, [arabic, latin])
+        assert verdict.label == "Latin" and math.isfinite(verdict.margin)
+
+    def test_profiles_pickle_and_copy(self):
+        arabic = builtin_profiles()[0]
+        for twin in (pickle.loads(pickle.dumps(arabic)), copy.deepcopy(arabic), copy.copy(arabic)):
+            assert twin == arabic and twin.raw is not arabic.raw
+            with pytest.raises(TypeError):
+                twin.raw["H"] = 0
 
     def test_numpy_integer_counts_are_counts(self):
         latin = builtin_profiles()[1]

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +10,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scriptid.classify import ScriptProfile, builtin_profiles, save_profiles
 from scriptid import cli, pipeline
 from scriptid.cli import EXIT_CEILING, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from scriptid.evaluate import DocumentResult, EvalReport, FeatureScore
 from scriptid.raster import BinaryRaster, dilate, load, save
 from scriptid.synthgen import apply_salt, generate_corpus, generate_page, save_corpus
+
+from oracles import reference_report_json
 
 
 @pytest.fixture()
@@ -719,6 +726,71 @@ class TestDeterminism:
                     {p.name: p.read_bytes() for p in sorted(out.iterdir())}
                 )
             assert blobs[0] == blobs[1]
+
+
+# Report trees for the encoder: strings with quotes, backslashes, control
+# characters and non-ASCII; ints past 64 bits; floats at the edges of the
+# rounding and of repr's formats; empty and nested containers; and the
+# evaluation report's dataclasses, holding any of these.
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u0628\u2028\U0001f600'), max_size=6) | st.text(max_size=6)
+_FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-5, -1e-5, 1e16, 1e-300, 0.00005, 0.99995, 2.5e-5])
+    | st.integers(-10**8, 10**8).map(lambda n: n / 10**4 + 0.00005)
+)
+_INTS = st.integers() | st.sampled_from([2**63, -(2**63) - 1, 2**64 + 7, -(2**70)])
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.builds(FeatureScore, children, children, children, children)
+        | st.builds(DocumentResult, _TEXT, st.dictionaries(_TEXT, children, max_size=3), children, children)
+        | st.builds(
+            EvalReport,
+            st.dictionaries(_TEXT, st.builds(FeatureScore, _INTS, _INTS, _FLOATS, st.booleans()), max_size=3),
+            children,
+            children,
+            st.lists(children, max_size=3).map(tuple),
+        )
+    )
+
+
+_REPORT_TREES = st.recursive(_TEXT | _INTS | _FLOATS | st.booleans() | st.none(), _containers, max_leaves=30)
+
+
+class TestReportEncoder:
+    @settings(max_examples=400, deadline=None)
+    @given(_REPORT_TREES)
+    def test_writes_the_bytes_of_the_reference_path(self, tree):
+        assert cli._json(tree) == reference_report_json(tree)
+
+    @pytest.mark.parametrize(
+        "tree", [{1: "one"}, {"a": [{None: 0}]}, [object()], {"a": {1, 2}}, b"bytes", np.int64(3), FeatureScore]
+    )
+    def test_refuses_what_no_report_holds(self, tree):
+        with pytest.raises(TypeError):
+            cli._json(tree)
+
+    def test_reports_take_neither_the_python_encoder_nor_a_deep_copy(self, tmp_path, monkeypatch):
+        # json.dumps(indent=2) writes through json.encoder._make_iterencode,
+        # the pure-Python encoder, and dataclasses.asdict deep-copies every
+        # leaf; a report is written with neither, in the same bytes.
+        arabic, latin = builtin_profiles()
+        save_corpus([*generate_corpus(arabic, 3, seed=3), generate_page(latin, seed=6)], tmp_path / "c")
+        argvs = [[command, "--input", str(tmp_path / "c")] for command in ("features", "classify", "evaluate")]
+        plain = [run_to_file(argv, tmp_path / f"plain{i}.json") for i, argv in enumerate(argvs)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report took the pure-Python encoder or a deep copy")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        patched = [run_to_file(argv, tmp_path / f"patched{i}.json") for i, argv in enumerate(argvs)]
+        assert [rc for rc, _ in patched] == [EXIT_OK] * 3
+        assert patched == plain
 
 
 def _fresh_main(argv, cwd):

@@ -557,7 +557,11 @@ def test_stage_is_each_line_expanded_alone(case):
     # padding column stays blank.
     inks, bands, *_, radius = case
     lines = _Lines(*case[:4], radius=radius)
-    stage = lines.stage().pixels.copy()
+    ink = lines.ink.copy()
+    staged = lines.stage()
+    # The buffer is left as it was, and the stage cannot be written.
+    assert np.array_equal(lines.ink, ink) and not staged.pixels.flags.writeable
+    stage = staged.pixels.copy()
     for start, ink, band in zip(lines.starts.tolist(), inks, bands):
         height, width = band.bottom_row - band.top_row + 1, ink.shape[1]
         crop = BinaryRaster(ink[band.top_row : band.bottom_row + 1])

@@ -409,9 +409,9 @@ class TestPassesPerLine:
     @pytest.mark.parametrize(
         "page, expected",
         [
-            (lambda: generate_corpus(builtin_profiles()[0], 1, seed=5)[0].raster, 97),
-            (lambda: generate_page(builtin_profiles()[0], seed=1001, min_paws=5, max_paws=8).raster, 188),
-            (lambda: wide_page(), 270),
+            (lambda: generate_corpus(builtin_profiles()[0], 1, seed=5)[0].raster, 94),
+            (lambda: generate_page(builtin_profiles()[0], seed=1001, min_paws=5, max_paws=8).raster, 185),
+            (lambda: wide_page(), 267),
         ],
         ids=["word", "4-line page", "wide page"],
     )

@@ -372,6 +372,12 @@ class TestRasterTypes:
         with pytest.raises(ValueError):
             img.pixels[0, 0] = False
 
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    def test_dilated_raster_is_immutable(self, radius):
+        img = dilate(raster_of(["010", "000"]), radius)
+        with pytest.raises(ValueError):
+            img.pixels[1, 1] = False
+
     def test_gray_range_checked(self):
         # NaN fails both bound comparisons, so it must be rejected explicitly.
         for pixels in ([[300]], [[-1]], [[np.nan]]):
